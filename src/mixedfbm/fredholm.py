@@ -20,8 +20,13 @@ discretization used here combines
   exactly against the local Lagrange basis, so the matrix row stays
   accurate across the diagonal.
 
-Assembly is row-independent and could be parallelized by rows; the
-solve itself is a single dense LU per horizon.
+Rows are computed in batches: for a chunk of points, the product
+quadrature panels of all their near cells are laid out at once, the
+integrand is evaluated once on the flat node array and the moments are
+summed per cell (``_cell_moments``).  The same holds for the residual
+audit, whose off-grid kernel integrals share one set of ladder nodes
+for every point (``_kernel_integrals``).  The solve itself is a single
+dense LU per horizon.
 """
 
 from __future__ import annotations
@@ -34,9 +39,9 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import AccuracyError, AccuracyWarning, DomainError, IllConditionedError
-from .kernels import KernelContext, KernelTables, get_tables, _layered_01
+from .kernels import KernelContext, KernelTables, get_tables, _ladder_rule_one
 from .model import DerivedConstants
-from .numerics import jacobi_rule, solve_dense
+from .numerics import jacobi_panels, jacobi_rule, solve_dense
 
 __all__ = [
     "QuadratureGrid",
@@ -56,6 +61,11 @@ __all__ = [
 _CELL_ORDER = 4     # Gauss nodes per mesh cell
 _NQ_PANEL = 12      # nodes per panel inside the moment engine
 _MAX_PANELS = 30    # dyadic refinement depth toward a singular point
+# points per chunk of batched rows and kernel integrals: about 16k
+# near-field nodes (23k kernel-integral nodes), so each temporary array
+# stays near 128 kB; the process peak then stays within 1 MB of the
+# per-point loops at n = 128
+_CHUNK_POINTS = 16
 # residual scan: 3 fresh samples per cell extend the solution, 12 probe
 # points per cell (= 3n total) evaluate the continuous equation
 _EXT_OFFSETS = (0.17, 0.52, 0.86)
@@ -177,10 +187,13 @@ def build_grid(n: int, grading_exponent: float = 2.0) -> QuadratureGrid:
 # product-quadrature moment engine
 # ----------------------------------------------------------------------
 
-def _lagrange_basis(cell_nodes: np.ndarray, s) -> np.ndarray:
-    """All four Lagrange basis polynomials of a cell, shape (4, len(s))."""
-    s = np.asarray(s, float)
-    out = np.empty((_CELL_ORDER, s.size))
+def _lagrange_basis(cell_nodes: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """All four Lagrange basis polynomials at s, shape (4,) + s.shape.
+
+    cell_nodes has shape (4,), or (4, ...) broadcasting against s for
+    one cell per point.
+    """
+    out = np.empty((_CELL_ORDER,) + s.shape)
     for i in range(_CELL_ORDER):
         num = np.ones_like(s)
         den = 1.0
@@ -193,164 +206,155 @@ def _lagrange_basis(cell_nodes: np.ndarray, s) -> np.ndarray:
     return out
 
 
-def _breaks_toward_right(a: float, b: float, k: int) -> list:
-    """k dyadic breakpoints refining toward b, returned ascending."""
-    w = b - a
-    return [b - w * 0.5 ** j for j in range(1, k + 1)]
+def _cell_ladders(u: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """Dyadic ladders of the cell moments, one or two per (u, cell).
+
+    Each ladder covers [a, b] with panels halving toward its target end,
+    b when ``toward_b`` and a otherwise.  The five kinds of moment are
+    parameters of it:
+
+    * u on or beyond the right edge: [left, right] toward right;
+    * u on or before the left edge: [left, right] toward left;
+    * u inside the cell: [left, u] and [u, right], both toward u.
+
+    A ladder is ``declared`` when u is machine-coincident with its
+    target (always for u inside): its last panel then puts the exponent
+    qd at the target into the Gauss-Jacobi weight, with depth
+    _MAX_PANELS.  Otherwise u lies a distance d off the cell, the layer
+    has no true singularity, and the depth follows log2(width / d).
+
+    Returns flat arrays (moment, a, b, toward_b, depth, declared), where
+    ``moment`` indexes the input triples.
+    """
+    width = right - left
+    at_right = u >= right * (1.0 - 1e-15)
+    at_left = ~at_right & (u <= left * (1.0 + 1e-15))
+    inside = ~at_right & ~at_left
+    d = np.maximum(np.where(at_right, u - right, left - u), 0.0)
+    declared = inside | (d <= width * 2.0 ** -50)
+    with np.errstate(divide="ignore"):
+        layer = np.ceil(np.log2(width / d)) + 3.0
+    depth = np.where(declared, _MAX_PANELS, np.clip(layer, 1, _MAX_PANELS))
+    two = np.flatnonzero(inside)
+    moment = np.concatenate([np.arange(u.size), two])
+    return (moment,
+            np.concatenate([left, u[two]]),
+            np.concatenate([np.where(inside, u, right), right[two]]),
+            np.concatenate([~at_left, np.zeros(two.size, bool)]),
+            depth[moment].astype(int),
+            declared[moment])
 
 
-def _breaks_toward_left(a: float, b: float, k: int) -> list:
-    w = b - a
-    return [a + w * 0.5 ** j for j in range(k, 0, -1)]
+def _cell_moments(tables: KernelTables, u, left, right,
+                  cell_nodes) -> np.ndarray:
+    """Moments of the reduced symmetric kernel over mesh cells, batched.
 
-
-def _cell_moments(tables: KernelTables, u: float, left: float, right: float,
-                  cell_nodes: np.ndarray) -> np.ndarray:
-    """Moments of the reduced symmetric kernel over one mesh cell.
-
-    Returns the 4-vector of integrals over [left, right] of
+    For each k, row k of the result holds the integrals over
+    [left[k], right[k]] of
 
         lo^p0 * |u - s|^qd * c(lo/hi) * ell_i(s),   lo = min(s,u), hi = max(s,u)
 
-    against the cell's Lagrange basis ell_i, where p0 = 1 - 2*H1 and
-    qd = 2*(H2 - H1) - 1 are both in (-1, 0).  The gap factor is the
-    hard part: it peaks at whichever cell edge (or interior point) is
-    closest to u, so every branch lays dyadic panels toward that point
-    and hands the final panel to a Gauss-Jacobi rule with the exponent
-    declared.  The profile c has a mild kink at argument 1, covered by
-    the same refinement.
+    against the Lagrange basis ell_i of the cell nodes cell_nodes[k]
+    (shape (K, 4)), with u = u[k], p0 = 1 - 2*H1 and qd = 2*(H2 - H1) - 1
+    both in (-1, 0).  The gap factor is the hard part: it peaks at the
+    cell edge (or interior point) closest to u, so the panels halve
+    toward that point (``_cell_ladders``), and a declared final panel
+    carries the exponent qd in its Gauss-Jacobi rule.  In the first
+    cell (left == 0) the panel at the origin carries p0 the same way.
+    The profile c has a mild kink at argument 1, covered by the same
+    refinement.  All panels of the batch are laid out at once, the
+    integrand is evaluated once on their nodes, and the moments are
+    summed per cell with ``np.bincount``.
     """
+    u, left, right = (np.asarray(v, float) for v in (u, left, right))
     h1 = tables.h1
     p0 = 1.0 - 2.0 * h1
     qd = 2.0 * (tables.h2 - h1) - 1.0
-    c = tables.c
-    mom = np.zeros(_CELL_ORDER)
-    width = right - left
+    moment, a, b, toward_b, depth, declared = _cell_ladders(u, left, right)
 
-    def add(x, wq, fvals):
-        nonlocal mom
-        mom = mom + fvals @ wq
+    # breakpoints b - w/2^j (toward b) or a + w/2^j (toward a) for
+    # j <= depth; unused slots repeat a or b and give empty panels
+    j = np.arange(1, _MAX_PANELS + 1)
+    w = (b - a)[:, None]
+    halves = 0.5 ** j
+    brk = np.where(toward_b[:, None],
+                   np.where(j <= depth[:, None], b[:, None] - w * halves, b[:, None]),
+                   np.where(j[::-1] <= depth[:, None],
+                            a[:, None] + w * halves[::-1], a[:, None]))
+    edges = np.hstack([a[:, None], brk, b[:, None]])
+    lad, col = np.nonzero(edges[:, 1:] > edges[:, :-1])  # skip empty panels
+    lo, hi = edges[lad, col], edges[lad, col + 1]
+    tb = toward_b[lad]
+    target = np.where(tb, b[lad], a[lad])
+    singular = declared[lad] & np.where(tb, hi == target, lo == target)
+    origin = tb & (lo == 0.0)  # s^p0 goes into the weight at s = 0
+    x, wq = jacobi_panels(_NQ_PANEL, lo, hi,
+                          np.where(singular & ~tb, qd, np.where(origin, p0, 0.0)),
+                          np.where(singular & tb, qd, 0.0))
 
-    if u >= right * (1.0 - 1e-15):
-        # gap factor peaks at the right edge
-        d = max(u - right, 0.0)
-        if d <= width * 2.0 ** -50:
-            # u machine-coincident with the edge: declare (u-s)^qd there;
-            # the ratio ((u-s)/(right-s))^qd is smooth and O(1)
-            br = _breaks_toward_right(left, right, _MAX_PANELS)
-            segs = [(left, br[0])] + list(zip(br[:-1], br[1:])) + [(br[-1], right)]
-            for A, B in segs:
-                if B <= A:
-                    continue  # subnormal panel width
-                if B == right:
-                    x, wq = jacobi_rule(_NQ_PANEL, 0.0, qd, A, B)
-                    f = x ** p0 * c(x / u) * ((u - x) / (right - x)) ** qd \
-                        * _lagrange_basis(cell_nodes, x)
-                else:
-                    pp = p0 if (left == 0.0 and A == left) else 0.0
-                    x, wq = jacobi_rule(_NQ_PANEL, pp, 0.0, A, B)
-                    f = (u - x) ** qd * c(x / u) * _lagrange_basis(cell_nodes, x)
-                    if pp == 0.0:
-                        f = f * x ** p0
-                add(x, wq, f)
-        else:
-            # u beyond the edge: boundary layer of width d, no true
-            # singularity; ladder depth follows the layer
-            k = min(_MAX_PANELS, max(1, int(np.ceil(np.log2(width / d))) + 3))
-            br = _breaks_toward_right(left, right, k)
-            segs = [(left, br[0])] + list(zip(br[:-1], br[1:])) + [(br[-1], right)]
-            for A, B in segs:
-                if B <= A:
-                    continue
-                pp = p0 if (left == 0.0 and A == left) else 0.0
-                x, wq = jacobi_rule(_NQ_PANEL, pp, 0.0, A, B)
-                f = (u - x) ** qd * c(x / u) * _lagrange_basis(cell_nodes, x)
-                if pp == 0.0:
-                    f = f * x ** p0
-                add(x, wq, f)
-    elif u <= left * (1.0 + 1e-15):
-        # mirrored: gap factor peaks at the left edge
-        d = max(left - u, 0.0)
-        if d <= width * 2.0 ** -50:
-            br = _breaks_toward_left(left, right, _MAX_PANELS)
-            segs = [(left, br[0])] + list(zip(br[:-1], br[1:])) + [(br[-1], right)]
-            for A, B in segs:
-                if B <= A:
-                    continue
-                if A == left:
-                    x, wq = jacobi_rule(_NQ_PANEL, qd, 0.0, A, B)
-                    f = u ** p0 * c(u / x) * ((x - u) / (x - left)) ** qd \
-                        * _lagrange_basis(cell_nodes, x)
-                else:
-                    x, wq = jacobi_rule(_NQ_PANEL, 0.0, 0.0, A, B)
-                    f = u ** p0 * (x - u) ** qd * c(u / x) * _lagrange_basis(cell_nodes, x)
-                add(x, wq, f)
-        else:
-            k = min(_MAX_PANELS, max(1, int(np.ceil(np.log2(width / d))) + 3))
-            br = _breaks_toward_left(left, right, k)
-            segs = [(left, br[0])] + list(zip(br[:-1], br[1:])) + [(br[-1], right)]
-            for A, B in segs:
-                if B <= A:
-                    continue
-                x, wq = jacobi_rule(_NQ_PANEL, 0.0, 0.0, A, B)
-                f = u ** p0 * (x - u) ** qd * c(u / x) * _lagrange_basis(cell_nodes, x)
-                add(x, wq, f)
-    else:
-        # u interior to the cell: split there, refine from both sides
-        br = _breaks_toward_right(left, u, _MAX_PANELS)
-        segs = [(left, br[0])] + list(zip(br[:-1], br[1:])) + [(br[-1], u)]
-        for A, B in segs:
-            if B <= A:
-                continue
-            pp = p0 if (left == 0.0 and A == left) else 0.0
-            if B == u:
-                x, wq = jacobi_rule(_NQ_PANEL, pp, qd, A, B)
-                f = c(x / u) * _lagrange_basis(cell_nodes, x)
-            else:
-                x, wq = jacobi_rule(_NQ_PANEL, pp, 0.0, A, B)
-                f = (u - x) ** qd * c(x / u) * _lagrange_basis(cell_nodes, x)
-            if pp == 0.0:
-                f = f * x ** p0
-            add(x, wq, f)
-        br = _breaks_toward_left(u, right, _MAX_PANELS)
-        segs = [(u, br[0])] + list(zip(br[:-1], br[1:])) + [(br[-1], right)]
-        for A, B in segs:
-            if B <= A:
-                continue
-            if A == u:
-                x, wq = jacobi_rule(_NQ_PANEL, qd, 0.0, A, B)
-                f = u ** p0 * c(u / x) * _lagrange_basis(cell_nodes, x)
-            else:
-                x, wq = jacobi_rule(_NQ_PANEL, 0.0, 0.0, A, B)
-                f = u ** p0 * (x - u) ** qd * c(u / x) * _lagrange_basis(cell_nodes, x)
-            add(x, wq, f)
-    return mom
+    k = moment[lad]
+    uk = u[k][:, None]
+    # a declared panel holds |target - s|^qd in its weight, which leaves
+    # the ratio |u - s| / |target - s| to the integrand, or nothing at all
+    # when u is the target
+    at_u = singular & (target == u[k])
+    gap = np.where(at_u[:, None], 1.0, np.abs(uk - x)) / np.where(
+        (singular & ~at_u)[:, None], np.abs(target[:, None] - x), 1.0)
+    s_lo, s_hi = np.minimum(x, uk), np.maximum(x, uk)
+    f = (wq * np.where(origin[:, None], 1.0, s_lo ** p0) * gap ** qd
+         * tables.c(s_lo / s_hi))
+    ell = _lagrange_basis(np.asarray(cell_nodes, float)[k].T[:, :, None], x)
+    per_panel = (f * ell).sum(axis=-1)
+    return np.stack([np.bincount(k, weights=m, minlength=u.size)
+                     for m in per_panel], axis=1)
 
 
-def _near_cells(grid: QuadratureGrid, c0: int, near_radius: int) -> set:
-    near = set(range(max(0, c0 - near_radius),
-                     min(grid.n_cells, c0 + near_radius + 1)))
-    near.add(0)  # left-endpoint weight s^(1-2*H1) always needs declared rules
-    return near
+def _apply_near_field(tables: KernelTables, grid: QuadratureGrid,
+                      us: np.ndarray, rows: np.ndarray,
+                      near_radius: int) -> None:
+    """Overwrite the near-diagonal cells of plain Nystrom rows in place.
 
-
-def _apply_near_field(tables: KernelTables, grid: QuadratureGrid, u: float,
-                      row: np.ndarray, near_radius: int) -> None:
-    """Overwrite the near-diagonal cells of a plain Nystrom row in place.
-
-    Uses k1(s,u) = (s*u)^(H1-1/2) * k_sym(s,u): the cell moments of the
-    symmetric reduced kernel against the Lagrange basis give quadrature
-    weights exact for the singular factors.
+    Row i belongs to the point us[i].  Uses k1(s,u) =
+    (s*u)^(H1-1/2) * k_sym(s,u): the cell moments of the symmetric
+    reduced kernel against the Lagrange basis give quadrature weights
+    exact for the singular factors.  The cells within ``near_radius`` of
+    each point, and the first cell, go to one ``_cell_moments`` batch.
     """
     hpow = tables.h1 - 0.5
-    c0 = grid.cell_of(u)
-    for cidx in _near_cells(grid, c0, near_radius):
-        el = grid.cell_edges[cidx]
-        er = grid.cell_edges[cidx + 1]
-        sn = grid.nodes[_CELL_ORDER * cidx:_CELL_ORDER * (cidx + 1)]
-        mom = _cell_moments(tables, u, el, er, sn)
-        row[_CELL_ORDER * cidx:_CELL_ORDER * (cidx + 1)] = \
-            u ** hpow * mom * sn ** hpow
+    nc = grid.n_cells
+    c0 = np.clip(np.searchsorted(grid.cell_edges, us, side="right") - 1,
+                 0, nc - 1)
+    # the window of near cells, plus cell 0 when the window misses it: the
+    # left-endpoint weight s^(1-2*H1) always needs declared rules
+    cells = np.hstack([c0[:, None] + np.arange(-near_radius, near_radius + 1),
+                       np.zeros((us.size, 1), int)])
+    near = (cells >= 0) & (cells < nc)
+    near[:, -1] = c0 > near_radius
+    r, k = np.nonzero(near)
+    cell = cells[r, k]
+    cols = _CELL_ORDER * cell[:, None] + np.arange(_CELL_ORDER)
+    sn = grid.nodes[cols]
+    mom = _cell_moments(tables, us[r], grid.cell_edges[cell],
+                        grid.cell_edges[cell + 1], sn)
+    rows[r[:, None], cols] = (us[r] ** hpow)[:, None] * mom * sn ** hpow
+
+
+def _quadrature_rows(tables: KernelTables, grid: QuadratureGrid,
+                     near_radius: int, us: np.ndarray) -> np.ndarray:
+    """Quadrature rows at the points us, shape (len(us), n).
+
+    Far from the diagonal weights[j] * k1(nodes[j], u); the near cells
+    carry product-quadrature weights.  Callers pass chunks of at most
+    _CHUNK_POINTS points, which bounds the near-field temporaries.
+    """
+    rows = grid.weights * tables.k1(grid.nodes[None, :], us[:, None])
+    _apply_near_field(tables, grid, us, rows, near_radius)
+    return rows
+
+
+def _chunks(m: int):
+    """Slices of at most _CHUNK_POINTS covering range(m)."""
+    return [slice(i, i + _CHUNK_POINTS) for i in range(0, m, _CHUNK_POINTS)]
 
 
 # ----------------------------------------------------------------------
@@ -391,12 +395,14 @@ class DiscretizedOperator:
         """
         if not 0.0 < u <= 1.0:
             raise DomainError(f"collocation point must lie in (0, 1], got {u}")
-        w = self.grid.weights
+        return self._rows(np.array([u], float))[0]
+
+    def _rows(self, us: np.ndarray) -> np.ndarray:
+        """Quadrature rows at the points us (one chunk), shape (len(us), n)."""
         if self.kernel is not None:
-            return w * np.asarray(self.kernel(self.grid.nodes, u), float)
-        row = w * self.tables.k1(self.grid.nodes, u)
-        _apply_near_field(self.tables, self.grid, u, row, self.near_radius)
-        return row
+            return self.grid.weights * np.asarray(
+                self.kernel(self.grid.nodes[None, :], us[:, None]), float)
+        return _quadrature_rows(self.tables, self.grid, self.near_radius, us)
 
     def symmetrized(self) -> np.ndarray:
         """Symmetric part of D^(1/2) * matrix * D^(-1/2), D = diag(weights).
@@ -459,10 +465,9 @@ def assemble(ctx: KernelContext, grid: QuadratureGrid,
                                    grid=grid, h1=hurst.h1, h2=hurst.h2,
                                    near_radius=near_radius, kernel=kernel)
     tables = get_tables(hurst.h1, hurst.h2)
-    # far field, vectorized; rows then corrected independently
-    matrix = w[None, :] * tables.k1(nodes[None, :], nodes[:, None])
-    for i in range(grid.n):
-        _apply_near_field(tables, grid, nodes[i], matrix[i], near_radius)
+    matrix = np.empty((grid.n, grid.n))
+    for sl in _chunks(grid.n):
+        matrix[sl] = _quadrature_rows(tables, grid, near_radius, nodes[sl])
     if not np.all(np.isfinite(matrix)):
         raise AccuracyError("assembled operator contains non-finite entries")
     return DiscretizedOperator(matrix=matrix, grid=grid,
@@ -546,33 +551,54 @@ def _rhs_values(u, T: float, h1: float):
     return (np.asarray(u, float) * T) ** (0.5 - h1)
 
 
-def _kernel_integral(tables: KernelTables, u: float, phi: Callable,
-                     nq: int = 24) -> float:
-    """int_0^1 k_sym(s, u) phi(s) ds for bounded phi.
+def _kernel_integrals(tables: KernelTables, us: np.ndarray, phi: Callable,
+                      nq: int = 24) -> np.ndarray:
+    """int_0^1 k_sym(s, u) phi(s) ds at each point u of us, for bounded phi.
 
     Split at s = u; each piece is an endpoint-singular integral in a
     stretched variable handled by the layered Gauss/Gauss-Jacobi rule.
+    Both rules have ladder scale 1e-9 at either end, so their nodes are
+    the same for every u: phi is evaluated on blocks of _CHUNK_POINTS
+    points times all nodes.
     """
     h1, h2 = tables.h1, tables.h2
     p0 = 1.0 - 2.0 * h1
     qd = 2.0 * (h2 - h1) - 1.0
     c = tables.c
-    left = u ** (2.0 + qd - 2.0 * h1) * _layered_01(
-        lambda z: c(z) * phi(u * z), p0, qd, nq, z_left=1e-9, z_right=1e-9)
-    if u < 1.0:
-        right = u ** p0 * (1.0 - u) ** (qd + 1.0) * _layered_01(
-            lambda z: c(u / (u + (1.0 - u) * z)) * phi(u + (1.0 - u) * z),
-            qd, 0.0, nq, z_left=1e-9, z_right=1e-9)
-    else:
-        right = 0.0
-    return left + right
+    zl, wl = _ladder_rule_one(p0, qd, nq, 1e-9, 1e-9)
+    zr, wr = _ladder_rule_one(qd, 0.0, nq, 1e-9, 1e-9)
+    c_left = c(zl)
+    out = np.empty(us.size)
+    for sl in _chunks(us.size):
+        u = us[sl, None]
+        s = u + (1.0 - u) * zr
+        left = (c_left * phi(u * zl)) @ wl
+        right = (c(u / s) * phi(s)) @ wr
+        u = us[sl]
+        out[sl] = u ** (2.0 + qd - 2.0 * h1) * left + np.where(
+            u < 1.0, u ** p0 * (1.0 - u) ** (qd + 1.0) * right, 0.0)
+    return out
+
+
+def _kernel_integral(tables: KernelTables, u: float, phi: Callable,
+                     nq: int = 24) -> float:
+    """int_0^1 k_sym(s, u) phi(s) ds for bounded phi: a batch of one."""
+    return float(_kernel_integrals(tables, np.array([u], float), phi, nq)[0])
 
 
 def _offsets_in_cells(grid: QuadratureGrid, offsets) -> np.ndarray:
     xe = np.linspace(0.0, 1.0, grid.n_cells + 1)
     pat = np.asarray(offsets, float)
-    return np.concatenate([xe[j] + (xe[j + 1] - xe[j]) * pat
-                           for j in range(grid.n_cells)])
+    return (xe[:-1, None] + (xe[1:] - xe[:-1])[:, None] * pat).ravel()
+
+
+def _nystrom_extension(op: DiscretizedOperator, lam: float, T: float,
+                       h_hat: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """h_hat(u) = rhs(u) - lam * row(u) . h_hat at each point u of us."""
+    applied = np.empty(us.size)
+    for sl in _chunks(us.size):
+        applied[sl] = op._rows(us[sl]) @ h_hat
+    return _rhs_values(us, T, op.h1) - lam * applied
 
 
 def _extended_spline(op: DiscretizedOperator, lam: float, T: float,
@@ -587,9 +613,7 @@ def _extended_spline(op: DiscretizedOperator, lam: float, T: float,
     g = grid.grading_exponent
     extra_x = _offsets_in_cells(grid, _EXT_OFFSETS)
     extra_u = _graded_map(extra_x, g)
-    ext = np.empty(extra_u.size)
-    for i, u in enumerate(extra_u):
-        ext[i] = _rhs_values(u, T, op.h1) - lam * float(np.dot(op.row(u), h_hat))
+    ext = _nystrom_extension(op, lam, T, h_hat, extra_u)
     hpow = op.h1 - 0.5
     xs = np.concatenate([grid.x_nodes, extra_x])
     vals = np.concatenate([h_hat * grid.nodes ** hpow, ext * extra_u ** hpow])
@@ -597,24 +621,24 @@ def _extended_spline(op: DiscretizedOperator, lam: float, T: float,
     return CubicSpline(xs[order], vals[order])
 
 
-def _integral_at(op: DiscretizedOperator, u: float, spline: CubicSpline) -> float:
-    """int_0^1 kernel(s, u) * h_rec(s) ds for the reconstructed solution."""
+def _integrals_at(op: DiscretizedOperator, us: np.ndarray,
+                  spline: CubicSpline) -> np.ndarray:
+    """int_0^1 kernel(s, u) * h_rec(s) ds at each point u of us, for the
+    reconstructed solution."""
     grid = op.grid
     g = grid.grading_exponent
     hpow = op.h1 - 0.5
     if op.kernel is None:
         phi = lambda s: spline(_graded_map_inv(np.asarray(s, float), g))
-        return u ** hpow * _kernel_integral(op.tables, u, phi)
+        return us ** hpow * _kernel_integrals(op.tables, us, phi)
     # seam kernels are smooth: composite Gauss in the mesh pre-image
-    total = 0.0
     xe = np.linspace(0.0, 1.0, grid.n_cells + 1)
-    for j in range(grid.n_cells):
-        x, wq = jacobi_rule(8, 0.0, 0.0, xe[j], xe[j + 1])
-        s = _graded_map(x, g)
-        vals = np.asarray(op.kernel(s, u), float) * spline(x) * s ** -hpow \
-            * _graded_map_deriv(x, g)
-        total += float(np.dot(wq, vals))
-    return total
+    zero = np.zeros(grid.n_cells)
+    x, wq = jacobi_panels(8, xe[:-1], xe[1:], zero, zero)
+    s = _graded_map(x, g)
+    smooth = wq * spline(x) * s ** -hpow * _graded_map_deriv(x, g)
+    return np.array([np.sum(np.asarray(op.kernel(s, u), float) * smooth)
+                     for u in us])
 
 
 def _scan_residuals(op: DiscretizedOperator, lam: float, T: float,
@@ -624,27 +648,19 @@ def _scan_residuals(op: DiscretizedOperator, lam: float, T: float,
     h1 = op.h1
     spline = _extended_spline(op, lam, T, h_hat)
     ev_x = _offsets_in_cells(grid, _EVAL_OFFSETS)
-    rec_max = ext_max = 0.0
-    worst = float("nan")
-    for x in ev_x:
-        u = float(_graded_map(x, g))
-        rhs_u = _rhs_values(u, T, h1)
-        integral = _integral_at(op, u, spline)
-        rec_val = float(spline(x)) * u ** (0.5 - h1)
-        rec = abs(rec_val + lam * integral - rhs_u) / rhs_u
-        if rec > rec_max:
-            rec_max, worst = rec, u
-        nys_val = rhs_u - lam * float(np.dot(op.row(u), h_hat))
-        ext = abs(nys_val + lam * integral - rhs_u) / rhs_u
-        ext_max = max(ext_max, ext)
-    on_max = 0.0
-    for i in range(grid.n):
-        u = float(grid.nodes[i])
-        integral = _integral_at(op, u, spline)
-        on = abs(h_hat[i] + lam * integral - rhs[i]) / rhs[i]
-        on_max = max(on_max, on)
-    return ResidualReport(reconstruction_sup=rec_max, on_grid_sup=on_max,
-                          extension_sup=ext_max, worst_u=worst)
+    ev_u = _graded_map(ev_x, g)
+    rhs_u = _rhs_values(ev_u, T, h1)
+    integral = lam * _integrals_at(op, ev_u, spline)
+    rec_val = spline(ev_x) * ev_u ** (0.5 - h1)
+    rec = np.abs(rec_val + integral - rhs_u) / rhs_u
+    nys_val = _nystrom_extension(op, lam, T, h_hat, ev_u)
+    ext = np.abs(nys_val + integral - rhs_u) / rhs_u
+    on = np.abs(h_hat + lam * _integrals_at(op, grid.nodes, spline) - rhs) / rhs
+    worst = int(np.argmax(rec))
+    return ResidualReport(reconstruction_sup=float(rec[worst]),
+                          on_grid_sup=float(np.max(on)),
+                          extension_sup=float(np.max(ext)),
+                          worst_u=float(ev_u[worst]))
 
 
 def solve_second_kind(op: DiscretizedOperator, T: float,
@@ -754,9 +770,7 @@ def unscale(sol: FredholmSolution) -> Callable:
         flat = np.atleast_1d(arr / T)
         # guard roundoff of the division, not out-of-range input
         np.minimum(flat, 1.0, out=flat)
-        vals = np.empty(flat.size)
-        for i, u in enumerate(flat):
-            vals[i] = _rhs_values(u, T, h1) - lam * float(np.dot(op.row(u), h_hat))
+        vals = _nystrom_extension(op, lam, T, h_hat, flat)
         out = vals.reshape(np.shape(arr / T)) * arr ** (h1 - 0.5)
         return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 

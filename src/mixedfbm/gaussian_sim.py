@@ -307,7 +307,9 @@ def _dl(t: float, s: np.ndarray, a: float) -> np.ndarray:
     return a * (t - s) ** (a - 1.0) * s ** (a - 1.0) * (t - 2.0 * s)
 
 
-@lru_cache(maxsize=64)
+# each plan holds O(n^2) floats (about 12 MB for a 512-point path), so
+# only the last few grids are kept
+@lru_cache(maxsize=4)
 def _molchan_plan(times_key: bytes, out_key: bytes, h1: float):
     """Quadrature nodes/weights mapping path values to transform values.
 

@@ -35,7 +35,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import DomainError
 from .model import DerivedConstants, _beta
-from .numerics import jacobi_rule
+from .numerics import jacobi_panels, jacobi_rule
 
 __all__ = [
     "KernelContext",
@@ -77,13 +77,108 @@ class KernelContext:
         return self.constants.hurst.h2
 
 
-def _ladder_edges(z0: float) -> list:
-    """Geometric breakpoints 0, z0, 2 z0, ... capped at 1/2."""
-    z0 = min(max(z0, 1e-12), 0.25)
-    edges = [0.0, z0]
-    while edges[-1] < 0.5:
-        edges.append(min(edges[-1] * 2.0, 0.5))
-    return edges
+# geometric ladders double from the smallest scale 1e-12 to 1/2 in at
+# most this many steps
+_LADDER_STEPS = 40
+# quadrature nodes evaluated per chunk of a batch: each temporary array
+# of the integrand stays at 128 kB (larger chunks raise the peak RSS of
+# a table build by several MB and are no faster)
+_CHUNK_NODES = 1 << 14
+
+
+def _ladder_edges(z0) -> np.ndarray:
+    """Geometric breakpoints 0, z0, 2 z0, ... capped at 1/2, one row per scale.
+
+    Each z0 is clipped to [1e-12, 1/4]; NaN (no ladder) leaves the single
+    panel (0, 1/2].  Rows are padded with repeated 1/2, i.e. with empty
+    panels.
+    """
+    z0 = np.clip(np.asarray(z0, dtype=float).reshape(-1), 1e-12, 0.25)
+    steps = z0[:, None] * 2.0 ** np.arange(_LADDER_STEPS)
+    steps[~(steps < 0.5)] = 0.5
+    ends = np.full((z0.size, 1), 0.5)
+    return np.hstack([np.zeros_like(ends), steps, ends])
+
+
+# Panels of the layered rule, by kind: 0 the Jacobi panel (0, z_left) and
+# 1 the Gauss panels of the left ladder; 2 and 3 the same on the right
+# ladder, mirrored through z -> 1-z; 4 the Jacobi panel (1/2, 1) of a
+# right half without ladder; 5 the single Jacobi panel (0, 1).  Column
+# groups of the panel table: left ladder, right ladder, kind 4, kind 5.
+_KIND_OF_COLUMN = np.concatenate([[0], np.ones(_LADDER_STEPS, int), [2],
+                                  np.full(_LADDER_STEPS, 3), [4, 5]])
+_GROUP_OF_COLUMN = np.concatenate([np.zeros(_LADDER_STEPS + 1, int),
+                                   np.ones(_LADDER_STEPS + 1, int), [2, 3]])
+_MIRRORED_KIND = np.array([False, False, True, True, False, False])
+
+
+def _ladder_rule(p: float, q: float, n: int, z_left, z_right):
+    """Nodes and weights of the layered rule on (0,1) for a batch of scales.
+
+    Returns (nodes, weights, seg): one row of n nodes per panel, and the
+    index of the specification each panel belongs to, one per entry of
+    the broadcast scales z_left, z_right (NaN: no ladder on that half).
+    The weights carry the endpoint factors z^p (1-z)^q, so that
+    sum(weights * f(nodes)) over the panels of a specification is its
+    layered integral of f; see ``_layered_01`` for the panel layout.
+    """
+    zl, zr = np.broadcast_arrays(np.atleast_1d(np.asarray(z_left, float)),
+                                 np.atleast_1d(np.asarray(z_right, float)))
+    plain = np.isnan(zl) & np.isnan(zr)
+    ladder_right = ~np.isnan(zr)
+    el, er = _ladder_edges(zl), _ladder_edges(zr)
+    ones = np.ones((zl.size, 1))
+    lo = np.hstack([el[:, :-1], er[:, :-1], 0.5 * ones, 0.0 * ones])
+    hi = np.hstack([el[:, 1:], er[:, 1:], ones, ones])
+    groups = np.stack([~plain, ladder_right, ~plain & ~ladder_right, plain], 1)
+    seg, col = np.nonzero(groups[:, _GROUP_OF_COLUMN] & (hi > lo))
+    kind = _KIND_OF_COLUMN[col]
+    alpha = np.array([p, 0.0, q, 0.0, 0.0, p])[kind]
+    beta = np.array([0.0, 0.0, 0.0, 0.0, q, q])[kind]
+    ep = np.array([0.0, p, p, p, p, 0.0])[kind, None]
+    eq = np.array([q, q, 0.0, q, 0.0, 0.0])[kind, None]
+    x, w = jacobi_panels(n, lo[seg, col], hi[seg, col], alpha, beta)
+    mirrored = _MIRRORED_KIND[kind, None]
+    z = np.where(mirrored, 1.0 - x, x)
+    w = w * (z ** ep * np.where(mirrored, x, 1.0 - x) ** eq)
+    return z, w, seg
+
+
+@lru_cache(maxsize=64)
+def _ladder_rule_one(p: float, q: float, n: int,
+                     z_left: float | None, z_right: float | None):
+    """Nodes and weights of the layered rule for one specification.
+
+    Memoized (read-only arrays): scalar callers and the shared-node
+    batches repeat a few specifications many times.
+    """
+    nan = float("nan")
+    z, w, _ = _ladder_rule(p, q, n, nan if z_left is None else z_left,
+                           nan if z_right is None else z_right)
+    z, w = z.ravel(), w.ravel()
+    z.flags.writeable = w.flags.writeable = False
+    return z, w
+
+
+def _layered_batch(f, p: float, q: float, n: int, z_left, z_right) -> np.ndarray:
+    """Layered integrals of many integrands, one per ladder specification.
+
+    f(z, i) evaluates the integrands at nodes z of shape (panels, n),
+    integrand i[k] on row k (i has shape (panels, 1)).  The
+    specifications are taken in chunks of at most ``_CHUNK_NODES``
+    nodes; each chunk evaluates its integrand once, sums it per panel
+    and then per specification.
+    """
+    zl, zr = np.broadcast_arrays(np.atleast_1d(np.asarray(z_left, float)),
+                                 np.atleast_1d(np.asarray(z_right, float)))
+    out = np.empty(zl.size)
+    step = max(1, _CHUNK_NODES // (2 * (_LADDER_STEPS + 1) * n))
+    for s0 in range(0, zl.size, step):
+        sl = slice(s0, s0 + step)
+        z, w, seg = _ladder_rule(p, q, n, zl[sl], zr[sl])
+        panels = (w * f(z, seg[:, None] + s0)).sum(axis=1)
+        out[sl] = np.bincount(seg, weights=panels, minlength=zl[sl].size)
+    return out
 
 
 def _layered_01(f, p: float, q: float, n: int,
@@ -95,39 +190,16 @@ def _layered_01(f, p: float, q: float, n: int,
     its own, but may have boundary layers or Holder kinks near the ends:
     z_left (z_right) declares the scale at 0 (at 1) from which the mesh
     is refined geometrically outward.  None places a single Jacobi panel
-    on that half.
+    on that half; None on both halves, a single Jacobi panel on (0,1).
+
+    Panels carry n nodes: on the left half a Jacobi panel (exponent p)
+    on (0, z_left), then Gauss panels on the doubling ladder up to 1/2;
+    the right half mirrors this through z -> 1-z with exponent q.  This
+    is a batch of one of the engine behind ``_layered_batch``, which
+    integrates many integrands on ragged ladders at once.
     """
-    if z_left is None and z_right is None:
-        nodes, weights = jacobi_rule(n, p, q, 0.0, 1.0)
-        return float(np.dot(weights, f(nodes)))
-
-    total = 0.0
-    # left half (0, 1/2]
-    if z_left is not None:
-        edges = _ladder_edges(z_left)
-        x, w = jacobi_rule(n, p, 0.0, edges[0], edges[1])
-        total += np.dot(w, (1.0 - x) ** q * f(x))
-        for lo, hi in zip(edges[1:-1], edges[2:]):
-            x, w = jacobi_rule(n, 0.0, 0.0, lo, hi)
-            total += np.dot(w, x ** p * (1.0 - x) ** q * f(x))
-    else:
-        x, w = jacobi_rule(n, p, 0.0, 0.0, 0.5)
-        total += np.dot(w, (1.0 - x) ** q * f(x))
-
-    # right half [1/2, 1), mirrored through z -> 1-z
-    if z_right is not None:
-        edges = _ladder_edges(z_right)
-        x, w = jacobi_rule(n, q, 0.0, edges[0], edges[1])
-        z = 1.0 - x
-        total += np.dot(w, z ** p * f(z))
-        for lo, hi in zip(edges[1:-1], edges[2:]):
-            x, w = jacobi_rule(n, 0.0, 0.0, lo, hi)
-            z = 1.0 - x
-            total += np.dot(w, z ** p * x ** q * f(z))
-    else:
-        x, w = jacobi_rule(n, 0.0, q, 0.5, 1.0)
-        total += np.dot(w, x ** p * f(x))
-    return float(total)
+    z, w = _ladder_rule_one(float(p), float(q), int(n), z_left, z_right)
+    return float(np.dot(w, f(z)))
 
 
 def _check_ts(t: float, s: float, strict: bool = False) -> None:
@@ -279,7 +351,7 @@ def covariance_X2(ctx: KernelContext, t: float, s: float) -> float:
     # (0, lo/2): Jacobi panel on the innermost scale, then a dyadic
     # ladder; the Holder corrections of the profiles spread from v=0
     total = 0.0
-    edges = [e * lo for e in _ladder_edges(1e-9)]
+    edges = lo * np.unique(_ladder_edges(1e-9))
     x, w = jacobi_rule(n, 1.0 - 2.0 * h2, 0.0, 0.0, edges[1])
     g = k12_vals(lo, x) * k12_vals(hi, x) * x ** (2.0 * h2 - 1.0)
     total += float(np.dot(w, g))
@@ -419,52 +491,58 @@ class KernelTables:
 
 
 def _build_tables(h1: float, h2: float) -> KernelTables:
+    """Sample every profile with batched layered quadrature.
+
+    Each profile is a batch of 2 * _PROFILE_PER_SIDE layered integrals,
+    one per sample x, on ladders that may vary with x.
+    """
     a = h2 - h1
     beta2 = _beta(h2)
     nq = 24
+    nan = float("nan")
 
-    def m_at(x: float) -> float:
-        f = lambda z: (x + (1.0 - x) * z) ** a
-        zl = x / (1.0 - x) if x < 0.2 else None
-        return _layered_01(f, h2 - 1.5, 0.5 - h1, nq, z_left=zl)
+    def m_at(x: np.ndarray) -> np.ndarray:
+        zl = np.where(x < 0.2, x / (1.0 - x), nan)
+        return _layered_batch(lambda z, i: (x[i] + (1.0 - x[i]) * z) ** a,
+                              h2 - 1.5, 0.5 - h1, nq, zl, nan)
 
-    def n_at(y: float) -> float:
-        f = lambda z: (y + (1.0 - y) * z) ** (a - 1.0)
-        zl = y / (1.0 - y) if y < 0.2 else None
-        return _layered_01(f, h2 - 0.5, 0.5 - h1, nq, z_left=zl)
+    def n_at(y: np.ndarray) -> np.ndarray:
+        zl = np.where(y < 0.2, y / (1.0 - y), nan)
+        return _layered_batch(lambda z, i: (y[i] + (1.0 - y[i]) * z) ** (a - 1.0),
+                              h2 - 0.5, 0.5 - h1, nq, zl, nan)
 
-    m_spl = _EdgeSpline(lambda xs: np.array([m_at(float(x)) for x in xs]))
-    n_spl = _EdgeSpline(lambda xs: np.array([n_at(float(x)) for x in xs]))
+    m_spl = _EdgeSpline(m_at)
+    n_spl = _EdgeSpline(n_at)
 
     # psi_d follows from m and n without further integration
     psi_spl = _EdgeSpline(lambda ys: a * beta2 * (m_spl(ys)
                                                   + (1.0 - ys) * n_spl(ys)))
 
-    def c_at(x: float) -> float:
+    def c_at(x: np.ndarray) -> np.ndarray:
         # Phi(x) = int_0^1 w^(1-2h2) (1-w)^(a-1) (1-wx)^(a-1)
         #          psi(w) psi(wx) dw;  c(x) = (1-x)^(1-2a) Phi(x).
         # Layers: psi's Holder kink spreads from w=0 (dyadic ladder) and
         # the (1-wx) factor varies on the scale (1-x)/x near w=1.
-        def fsm(w: np.ndarray) -> np.ndarray:
-            return ((1.0 - w * x) ** (a - 1.0)
-                    * psi_spl(w) * psi_spl(w * x))
+        def fsm(w: np.ndarray, i: np.ndarray) -> np.ndarray:
+            xi = x[i]
+            return (1.0 - w * xi) ** (a - 1.0) * psi_spl(w) * psi_spl(w * xi)
 
-        zr = max((1.0 - x) / x, 1e-10) if x > 0.5 else 1e-10
-        phi = _layered_01(fsm, 1.0 - 2.0 * h2, a - 1.0, nq,
-                          z_left=1e-10, z_right=zr)
+        zr = np.where(x > 0.5, np.maximum((1.0 - x) / x, 1e-10), 1e-10)
+        phi = _layered_batch(fsm, 1.0 - 2.0 * h2, a - 1.0, nq, 1e-10, zr)
         return (1.0 - x) ** (1.0 - 2.0 * a) * phi
 
-    c_spl = _EdgeSpline(lambda xs: np.array([c_at(float(x)) for x in xs]))
+    c_spl = _EdgeSpline(c_at)
 
-    def rho_at(x: float) -> float:
-        def fsm(y: np.ndarray) -> np.ndarray:
-            return (1.0 - x * y) ** a * m_spl(x * y) * m_spl(y)
+    def rho_at(x: np.ndarray) -> np.ndarray:
+        def fsm(y: np.ndarray, i: np.ndarray) -> np.ndarray:
+            xy = x[i] * y
+            return (1.0 - xy) ** a * m_spl(xy) * m_spl(y)
 
-        val = _layered_01(fsm, 1.0 - 2.0 * h2, a, 32,
-                          z_left=1e-10, z_right=1e-10)
+        zs = np.full_like(x, 1e-10)
+        val = _layered_batch(fsm, 1.0 - 2.0 * h2, a, 32, zs, zs)
         return beta2 * beta2 * val
 
-    rho_spl = _EdgeSpline(lambda xs: np.array([rho_at(float(x)) for x in xs]))
+    rho_spl = _EdgeSpline(rho_at)
 
     return KernelTables(h1=h1, h2=h2, beta2=beta2, m=m_spl, n=n_spl,
                         psi_d=psi_spl, c=c_spl, rho=rho_spl)

@@ -8,8 +8,7 @@ so the drift-normalization convention is fixed in exactly one place:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from .errors import DomainError
 from .numerics import beta_fn, gamma_fn
@@ -108,10 +107,12 @@ class DerivedConstants:
     drift_norm : float
         (2-2h1)*script_b/(sigma*gamma_h1^2) = delta_paper/gamma_h1; the
         normalization that makes the estimator unbiased.
-    lambda_of_T, mu_of_T : callable
-        T -> T^(2h2-2h1)/(sigma^2 gamma^2) and T -> T^(2h2-2h1); the
-        coupling constant of the second-kind equation and the raw scale
-        factor used in the large-T analysis.
+
+    Methods ``lambda_of_T`` and ``mu_of_T`` give T -> T^(2h2-2h1)/(sigma^2
+    gamma^2) and T -> T^(2h2-2h1): the coupling constant of the
+    second-kind equation and the raw scale factor used in the large-T
+    analysis.  They are methods, not stored callables, so the constants
+    pickle (for example into a process pool).
 
     Note
     ----
@@ -133,8 +134,15 @@ class DerivedConstants:
     script_b: float
     delta_paper: float
     drift_norm: float
-    lambda_of_T: Callable[[float], float] = field(repr=False)
-    mu_of_T: Callable[[float], float] = field(repr=False)
+
+    def mu_of_T(self, T: float) -> float:
+        """T^(2h2-2h1), the raw scale factor of the large-T analysis."""
+        return float(T) ** (2.0 * (self.hurst.h2 - self.hurst.h1))
+
+    def lambda_of_T(self, T: float) -> float:
+        """T^(2h2-2h1) / (sigma^2 gamma^2), the second-kind coupling."""
+        return self.mu_of_T(T) / (self.sigma * self.sigma
+                                  * (self.gamma_h1 * self.gamma_h1))
 
     def as_dict(self) -> dict:
         """Scalar fields only, for JSON dumps."""
@@ -183,9 +191,6 @@ def derive_constants(params: ModelParams) -> DerivedConstants:
     delta = (2.0 - 2.0 * h1) * script_b / (sigma * gamma1)
     drift_norm = delta / gamma1
 
-    gap = 2.0 * (h2 - h1)
-    sig2g2 = sigma * sigma * gamma1_sq
-
     return DerivedConstants(
         hurst=hp,
         sigma=sigma,
@@ -198,6 +203,4 @@ def derive_constants(params: ModelParams) -> DerivedConstants:
         script_b=script_b,
         delta_paper=delta,
         drift_norm=drift_norm,
-        lambda_of_T=lambda T: float(T) ** gap / sig2g2,
-        mu_of_T=lambda T: float(T) ** gap,
     )

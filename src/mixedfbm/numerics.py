@@ -34,6 +34,7 @@ __all__ = [
     "gamma_fn",
     "beta_fn",
     "jacobi_rule",
+    "jacobi_panels",
     "singular_integral",
     "frac_integral_right",
     "frac_derivative_left",
@@ -119,6 +120,29 @@ def jacobi_rule(n: int, p: float, q: float, a: float = 0.0, b: float = 1.0) -> Q
     nodes = a + half * (t + 1.0)
     weights = w * half ** (p + q + 1.0)
     return QuadratureRule(nodes=nodes, weights=weights, p=p, q=q, interval=(a, b))
+
+
+def jacobi_panels(n: int, a, b, p, q) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Jacobi rules on many panels at once.
+
+    Row k of the returned (nodes, weights), each of shape (len(a), n),
+    is ``jacobi_rule(n, p[k], q[k], a[k], b[k])``.  The panels of one
+    batch typically share a handful of exponent pairs, so each distinct
+    pair costs one base rule.
+    """
+    a, b, p, q = (np.asarray(v, dtype=float) for v in (a, b, p, q))
+    if np.any(p <= -1.0) or np.any(q <= -1.0):
+        raise DomainError("endpoint exponents must exceed -1")
+    if not np.all(b > a):
+        raise DomainError("empty panel in batch")
+    pairs, inv = np.unique(p + 1j * q, return_inverse=True)
+    base = [_base_rule(int(n), pq.real, pq.imag) for pq in pairs.tolist()]
+    t = np.array([r[0] for r in base]).reshape(-1, n)[inv]
+    w = np.array([r[1] for r in base]).reshape(-1, n)[inv]
+    half = (0.5 * (b - a))[:, None]
+    nodes = a[:, None] + half * (t + 1.0)
+    weights = w * half ** (p + q + 1.0)[:, None]
+    return nodes, weights
 
 
 def singular_integral(

@@ -188,6 +188,19 @@ def test_molchan_pure_drift(cons):
     assert y.label == "Y" and y.values[0] == 0.0
 
 
+def test_molchan_plan_cache_is_bounded(cons):
+    # plans are O(n^2) each; new grids must evict old plans, not pile up
+    cap = gs._molchan_plan.cache_info().maxsize
+    assert cap <= 4
+    gs._molchan_plan.cache_clear()
+    for k in range(cap + 3):
+        g = graded(64, power=2.0 + 0.1 * k)
+        z = gs.SamplePath(times=g, values=g.copy(), label="Z")
+        gs.molchan_transform(z, cons)
+        assert gs._molchan_plan.cache_info().currsize <= cap
+    assert gs._molchan_plan.cache_info().currsize == cap
+
+
 def test_molchan_zero_path(cons):
     g = graded(256)
     z = gs.SamplePath(times=g, values=np.zeros_like(g), label="Z")

@@ -1,5 +1,6 @@
 """Parameter validation and derived constants."""
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -101,6 +102,14 @@ class TestDerivedConstants:
             assert math.isclose(cons.lambda_of_T(T),
                                 T ** gap / (4.0 * cons.gamma_h1 ** 2),
                                 rel_tol=1e-14)
+
+    def test_constants_pickle_round_trip(self):
+        cons = constants_for(0.6, 0.9, sigma=1.5)
+        back = pickle.loads(pickle.dumps(cons))
+        assert back == cons
+        for T in (0.3, 1.0, 125.0):
+            assert back.lambda_of_T(T) == cons.lambda_of_T(T)
+            assert back.mu_of_T(T) == cons.mu_of_T(T)
 
     def test_as_dict_serializable(self):
         cons = constants_for(0.6, 0.9)

@@ -16,17 +16,17 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import __version__
 from .closed_form import asymptotic_variance, h0, h0_weighted_integral
 from .errors import AccuracyError, DomainError, IllConditionedError
-from .estimator import stochastic_integral_N
-from .fredholm import assemble, build_grid, solve_second_kind
+from .estimator import estimate_with_filter
+from .fredholm import (assemble, build_grid, filter_from_knots,
+                       solve_second_kind)
 from .gaussian_sim import (SamplePath, inverse_transform, molchan_transform,
                            simulate_fbm, simulate_X, simulate_Y, simulate_Z)
-from .harness import (ExperimentConfig, decay_slope, export_report,
-                      run_asymptotics, run_mc)
+from .harness import (ExperimentConfig, _graded_times, decay_slope,
+                      export_report, run_asymptotics, run_mc)
 from .kernels import KernelContext, get_tables
 from .model import HurstPair, ModelParams, derive_constants
 
@@ -87,10 +87,6 @@ class _Settings:
             horizon_T=self.get("t_horizon"),
         )
         return params, derive_constants(params)
-
-
-def _graded_times(T: float, n: int) -> np.ndarray:
-    return T * (np.arange(n + 1) / n) ** 2.0
 
 
 def _write_rows(path, header, rows) -> None:
@@ -163,6 +159,8 @@ def _cmd_solve(s: _Settings) -> int:
         "residual_sup": sol.residual_sup,
         "condition": sol.condition,
         "library_version": __version__,
+        "filter_knots": {"x": sol.spline.x.tolist(),
+                         "y": sol.spline.y.tolist()},
     }
     side_path = out.with_suffix(".json")
     side_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
@@ -224,51 +222,23 @@ def _cmd_transform(s: _Settings) -> int:
     return 0
 
 
-def _filter_from_files(h_file: str) -> tuple:
-    """Rebuild (h_T callable, sidecar dict, constants) from solve output."""
-    side_path = Path(h_file).with_suffix(".json")
+def _cmd_estimate(s: _Settings) -> int:
+    side_path = Path(s.args.h_file).with_suffix(".json")
     if not side_path.exists():
         raise DomainError(f"missing solver sidecar {side_path}")
     side = json.loads(side_path.read_text())
+    if "filter_knots" not in side:
+        raise DomainError(f"{side_path} holds no filter knots; rerun solve")
     cons = derive_constants(ModelParams(
         hurst=HurstPair(side["h1"], side["h2"]), sigma=side["sigma"],
         horizon_T=side["T"]))
-    data = np.loadtxt(h_file, delimiter=",", skiprows=1, ndmin=2)
-    node_u, h_hat = data[:, 0], data[:, 2]
-    g = side["grading_exponent"]
-    T = side["T"]
-    h1 = side["h1"]
-    # same bounded representation the solver interpolates in: the
-    # filter with its endpoint power split off, on the mesh pre-image
-    spline = CubicSpline(node_u ** (1.0 / g), h_hat * node_u ** (h1 - 0.5))
-    scale = T ** (h1 - 0.5)
-
-    def h_T(t):
-        arr = np.asarray(t, float)
-        if np.any(arr <= 0.0) or np.any(arr > T):
-            raise DomainError(f"filter argument must lie in (0, {T}]")
-        return scale * spline(np.minimum(arr / T, 1.0) ** (1.0 / g))
-
-    return h_T, side, cons
-
-
-def _cmd_estimate(s: _Settings) -> int:
-    h_T, side, cons = _filter_from_files(s.args.h_file)
+    h_T = filter_from_knots(side["filter_knots"]["x"],
+                            side["filter_knots"]["y"], side["T"],
+                            side["h1"], side["grading_exponent"])
     path = _read_path_csv(s.args.path_file, "Y")
-    if abs(path.times[-1] - side["T"]) > 1e-12 * max(side["T"], 1.0):
-        raise DomainError(
-            f"path horizon {path.times[-1]} does not match solved "
-            f"horizon {side['T']}")
-    qv = side["qv_N"]
-    n_val = stochastic_integral_N(h_T, path, scale_hint=qv)
-    d = cons.drift_norm / cons.sigma
-    result = {
-        "theta_hat": n_val / (d * qv),
-        "n_T": n_val,
-        "qv_N": qv,
-        "variance_pred": 1.0 / (d**2 * qv),
-        "variance_pred_paper": (cons.sigma * cons.gamma_h1) ** 2 / qv,
-    }
+    res = estimate_with_filter(h_T, side["T"], side["qv_N"], path, cons)
+    result = {k: getattr(res, k) for k in (
+        "theta_hat", "n_T", "qv_N", "variance_pred", "variance_pred_paper")}
     text = json.dumps(result, indent=2, sort_keys=True)
     out = Path(s.get("out") or "result.json")
     out.write_text(text + "\n")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError
 from .fredholm import FredholmSolution, QuadratureGrid, assemble, unscale
-from .kernels import KernelContext, _layered_01
+from .kernels import KernelContext, _layered_01, _layered_batch
 from .model import DerivedConstants
 from .numerics import gamma_fn
 
@@ -132,17 +132,12 @@ def h0(
     alpha = h1 - 0.5
     q_right = 0.5 - h2
     flat = arr.reshape(-1)
-    vals = np.empty(flat.shape, dtype=float)
-    for i, vi in enumerate(flat):
-        # t = vi + (1 - vi) x; the profile below varies on scale x ~ vi.
-        seed = min(max(vi / (1.0 - vi), 1e-12), 0.4)
-
-        def profile(x: np.ndarray, lo: float = vi) -> np.ndarray:
-            return (lo + (1.0 - lo) * x) ** (h1 - h2)
-
-        vals[i] = (1.0 - vi) ** (alpha + q_right) * _layered_01(
-            profile, alpha - 1.0, q_right, 24, seed, None
-        )
+    # t = v + (1 - v) x; the profile varies on scale x ~ v, one ladder per v
+    vals = (1.0 - flat) ** (alpha + q_right) * _layered_batch(
+        lambda x, i: (flat[i] + (1.0 - flat[i]) * x) ** (h1 - h2),
+        alpha - 1.0, q_right, 24, np.clip(flat / (1.0 - flat), 1e-12, 0.4),
+        np.nan,
+    )
     out = (c6 / gamma_fn(alpha) * flat ** (0.5 - h1) * vals).reshape(arr.shape)
     if np.ndim(v) == 0:
         return float(out)

@@ -26,25 +26,11 @@ __all__ = [
     "stochastic_integral_N",
     "log_likelihood",
     "mle",
+    "estimate_with_filter",
+    "predicted_variances",
 ]
 
 _MIN_GRID = 128
-
-# Monte Carlo calls mle once per replicate on the same solution; the
-# interpolant build is the expensive part, so keep it keyed by object
-# identity (a strong reference in the value keeps the id valid).
-_FILTER_CACHE: dict = {}
-
-
-def _filter_for(sol: FredholmSolution) -> Callable[[np.ndarray], np.ndarray]:
-    hit = _FILTER_CACHE.get(id(sol))
-    if hit is not None and hit[0] is sol:
-        return hit[1]
-    fn = filter_interpolant(sol)
-    if len(_FILTER_CACHE) >= 16:
-        _FILTER_CACHE.clear()
-    _FILTER_CACHE[id(sol)] = (sol, fn)
-    return fn
 
 
 @dataclass(frozen=True)
@@ -112,6 +98,17 @@ def log_likelihood(n_T: float, qv_N: float, drift_norm: float, theta: float) -> 
     return theta * drift_norm * n_T - 0.5 * theta**2 * drift_norm**2 * qv_N
 
 
+def predicted_variances(qv: float, constants: DerivedConstants) -> tuple:
+    """(variance_pred, variance_pred_paper) for the information qv = <N>(T).
+
+    variance_pred = 1/(d^2 qv) with d = drift_norm/sigma, the estimator's
+    normalization (see ``mle``); variance_pred_paper = (sigma gamma)^2/qv.
+    """
+    d_eff = constants.drift_norm / constants.sigma
+    return (1.0 / (d_eff**2 * qv),
+            (constants.sigma * constants.gamma_h1) ** 2 / qv)
+
+
 def mle(
     sol: FredholmSolution, path: SamplePath, constants: DerivedConstants
 ) -> EstimatorResult:
@@ -123,20 +120,29 @@ def mle(
     mean of the score is sigma-free, and this is the unique choice that
     keeps mean paths mapping to exactly theta for every sigma.
     """
-    T = sol.horizon_T
+    return estimate_with_filter(filter_interpolant(sol), sol.horizon_T,
+                                quadratic_variation_N(sol, constants), path,
+                                constants)
+
+
+def estimate_with_filter(
+    h_T: Callable[[np.ndarray], np.ndarray], T: float, qv: float,
+    path: SamplePath, constants: DerivedConstants,
+) -> EstimatorResult:
+    """The estimate of ``mle`` from a filter h_T on (0, T] and its
+    information qv, e.g. a filter rebuilt by ``filter_from_knots``."""
     if abs(path.times[-1] - T) > 1e-12 * max(T, 1.0):
         raise DomainError(
             f"path horizon {path.times[-1]} does not match solution horizon {T}"
         )
-    qv = quadratic_variation_N(sol, constants)
-    n_val = stochastic_integral_N(_filter_for(sol), path, scale_hint=qv)
+    n_val = stochastic_integral_N(h_T, path, scale_hint=qv)
     d_eff = constants.drift_norm / constants.sigma
-    theta_hat = n_val / (d_eff * qv)
+    variance_pred, variance_pred_paper = predicted_variances(qv, constants)
     return EstimatorResult(
-        theta_hat=theta_hat,
+        theta_hat=n_val / (d_eff * qv),
         n_T=n_val,
         qv_N=qv,
         loglik_at=lambda theta: log_likelihood(n_val, qv, d_eff, theta),
-        variance_pred=1.0 / (d_eff**2 * qv),
-        variance_pred_paper=constants.sigma**2 * constants.gamma_h1**2 / qv,
+        variance_pred=variance_pred,
+        variance_pred_paper=variance_pred_paper,
     )

@@ -54,6 +54,7 @@ __all__ = [
     "residual_report",
     "unscale",
     "filter_interpolant",
+    "filter_from_knots",
     "quadratic_variation_N",
     "spectrum_report",
 ]
@@ -129,11 +130,6 @@ class QuadratureGrid:
     @property
     def n_cells(self) -> int:
         return len(self.cell_edges) - 1
-
-    def cell_of(self, u: float) -> int:
-        """Index of the mesh cell containing u (clamped to valid range)."""
-        c = int(np.searchsorted(self.cell_edges, u, side="right")) - 1
-        return min(max(c, 0), self.n_cells - 1)
 
 
 def build_grid(n: int, grading_exponent: float = 2.0) -> QuadratureGrid:
@@ -370,9 +366,6 @@ class DiscretizedOperator:
     the diagonal this is weights[j] * k1(nodes[j], nodes[i]); cells
     within ``near_radius`` of the collocation point (and the first cell)
     carry product-quadrature weights instead.
-
-    ``kernel`` is a test seam: when set, the given smooth kernel
-    replaces k1 and assembly degenerates to plain Nystrom.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -380,8 +373,7 @@ class DiscretizedOperator:
     h1: float
     h2: float
     near_radius: int
-    tables: Optional[KernelTables] = field(repr=False, default=None)
-    kernel: Optional[Callable] = field(repr=False, default=None)
+    tables: KernelTables = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -399,9 +391,6 @@ class DiscretizedOperator:
 
     def _rows(self, us: np.ndarray) -> np.ndarray:
         """Quadrature rows at the points us (one chunk), shape (len(us), n)."""
-        if self.kernel is not None:
-            return self.grid.weights * np.asarray(
-                self.kernel(self.grid.nodes[None, :], us[:, None]), float)
         return _quadrature_rows(self.tables, self.grid, self.near_radius, us)
 
     def symmetrized(self) -> np.ndarray:
@@ -432,7 +421,6 @@ class DiscretizedOperator:
 
 
 def assemble(ctx: KernelContext, grid: QuadratureGrid,
-             kernel: Optional[Callable] = None,
              near_radius: int = 2) -> DiscretizedOperator:
     """Assemble the collocation matrix on a grid.
 
@@ -441,10 +429,6 @@ def assemble(ctx: KernelContext, grid: QuadratureGrid,
     ctx : KernelContext
         Kernel context; the Hurst pair must satisfy H2 - H1 > 1/4.
     grid : QuadratureGrid
-    kernel : callable, optional
-        Test seam ``kernel(s, u)`` (must broadcast over array s).  When
-        given, the matrix is plain Nystrom with this kernel and no
-        near-field correction.
     near_radius : int, optional
         Number of cells on each side of the collocation point assembled
         with product quadrature.
@@ -457,17 +441,10 @@ def assemble(ctx: KernelContext, grid: QuadratureGrid,
     hurst.require_solver_admissible()
     if near_radius < 0:
         raise DomainError(f"near_radius must be >= 0, got {near_radius}")
-    nodes, w = grid.nodes, grid.weights
-    if kernel is not None:
-        kv = np.asarray(kernel(nodes[None, :], nodes[:, None]), float)
-        matrix = w[None, :] * np.broadcast_to(kv, (grid.n, grid.n))
-        return DiscretizedOperator(matrix=np.ascontiguousarray(matrix),
-                                   grid=grid, h1=hurst.h1, h2=hurst.h2,
-                                   near_radius=near_radius, kernel=kernel)
     tables = get_tables(hurst.h1, hurst.h2)
     matrix = np.empty((grid.n, grid.n))
     for sl in _chunks(grid.n):
-        matrix[sl] = _quadrature_rows(tables, grid, near_radius, nodes[sl])
+        matrix[sl] = _quadrature_rows(tables, grid, near_radius, grid.nodes[sl])
     if not np.all(np.isfinite(matrix)):
         raise AccuracyError("assembled operator contains non-finite entries")
     return DiscretizedOperator(matrix=matrix, grid=grid,
@@ -513,6 +490,10 @@ class FredholmSolution:
         1-norm condition estimate of I + lam * matrix.
     operator : DiscretizedOperator
         The operator the solve used; kept for Nystrom interpolation.
+    spline : CubicSpline
+        The residual audit's reconstruction of the solution (see
+        ``_extended_spline``), with knots ``spline.x`` and values
+        ``spline.y``; the filter of ``filter_interpolant``.
     """
 
     grid: QuadratureGrid
@@ -523,6 +504,7 @@ class FredholmSolution:
     qv_N: float
     condition: float
     operator: DiscretizedOperator = field(repr=False)
+    spline: CubicSpline = field(repr=False)
 
 
 class ResidualReport(NamedTuple):
@@ -601,8 +583,16 @@ def _nystrom_extension(op: DiscretizedOperator, lam: float, T: float,
     return _rhs_values(us, T, op.h1) - lam * applied
 
 
+class _KnotSpline(CubicSpline):
+    """Cubic spline that keeps its knot values ``y``, so it can be rebuilt."""
+
+    def __init__(self, x, y):
+        super().__init__(x, y)
+        self.y = np.asarray(y, float)
+
+
 def _extended_spline(op: DiscretizedOperator, lam: float, T: float,
-                     h_hat: np.ndarray) -> CubicSpline:
+                     h_hat: np.ndarray) -> _KnotSpline:
     """Spline through nodal and freshly extended samples of the solution.
 
     Works in the bounded variable phi(u) = h_hat(u) * u^(H1 - 1/2) and
@@ -618,35 +608,24 @@ def _extended_spline(op: DiscretizedOperator, lam: float, T: float,
     xs = np.concatenate([grid.x_nodes, extra_x])
     vals = np.concatenate([h_hat * grid.nodes ** hpow, ext * extra_u ** hpow])
     order = np.argsort(xs)
-    return CubicSpline(xs[order], vals[order])
+    return _KnotSpline(xs[order], vals[order])
 
 
 def _integrals_at(op: DiscretizedOperator, us: np.ndarray,
                   spline: CubicSpline) -> np.ndarray:
-    """int_0^1 kernel(s, u) * h_rec(s) ds at each point u of us, for the
+    """int_0^1 k1(s, u) * h_rec(s) ds at each point u of us, for the
     reconstructed solution."""
-    grid = op.grid
-    g = grid.grading_exponent
-    hpow = op.h1 - 0.5
-    if op.kernel is None:
-        phi = lambda s: spline(_graded_map_inv(np.asarray(s, float), g))
-        return us ** hpow * _kernel_integrals(op.tables, us, phi)
-    # seam kernels are smooth: composite Gauss in the mesh pre-image
-    xe = np.linspace(0.0, 1.0, grid.n_cells + 1)
-    zero = np.zeros(grid.n_cells)
-    x, wq = jacobi_panels(8, xe[:-1], xe[1:], zero, zero)
-    s = _graded_map(x, g)
-    smooth = wq * spline(x) * s ** -hpow * _graded_map_deriv(x, g)
-    return np.array([np.sum(np.asarray(op.kernel(s, u), float) * smooth)
-                     for u in us])
+    g = op.grid.grading_exponent
+    phi = lambda s: spline(_graded_map_inv(np.asarray(s, float), g))
+    return us ** (op.h1 - 0.5) * _kernel_integrals(op.tables, us, phi)
 
 
 def _scan_residuals(op: DiscretizedOperator, lam: float, T: float,
-                    h_hat: np.ndarray, rhs: np.ndarray) -> ResidualReport:
+                    h_hat: np.ndarray, rhs: np.ndarray,
+                    spline: CubicSpline) -> ResidualReport:
     grid = op.grid
     g = grid.grading_exponent
     h1 = op.h1
-    spline = _extended_spline(op, lam, T, h_hat)
     ev_x = _offsets_in_cells(grid, _EVAL_OFFSETS)
     ev_u = _graded_map(ev_x, g)
     rhs_u = _rhs_values(ev_u, T, h1)
@@ -718,7 +697,8 @@ def solve_second_kind(op: DiscretizedOperator, T: float,
             f"condition estimate {cond:.3e} at T={T}: the coupling is "
             "approaching a spectral point of the discretized operator",
             AccuracyWarning, stacklevel=2)
-    report = _scan_residuals(op, lam, T, h_hat, rhs)
+    spline = _extended_spline(op, lam, T, h_hat)
+    report = _scan_residuals(op, lam, T, h_hat, rhs, spline)
     if report.reconstruction_sup > residual_tol:
         warnings.warn(
             f"scanned residual {report.reconstruction_sup:.3e} exceeds "
@@ -728,19 +708,38 @@ def solve_second_kind(op: DiscretizedOperator, T: float,
     qv = _quadratic_variation(op.grid, h_hat, T, constants)
     return FredholmSolution(grid=op.grid, h_hat=h_hat, horizon_T=float(T),
                             lam=lam, residual_sup=report.reconstruction_sup,
-                            qv_N=qv, condition=float(cond), operator=op)
+                            qv_N=qv, condition=float(cond), operator=op,
+                            spline=spline)
 
 
 def residual_report(sol: FredholmSolution) -> ResidualReport:
     """Recompute the full residual diagnostics of a solution."""
-    rhs = _rhs_values(sol.grid.nodes, sol.horizon_T, sol.operator.h1)
-    return _scan_residuals(sol.operator, sol.lam, sol.horizon_T,
-                           sol.h_hat, rhs)
+    op, T = sol.operator, sol.horizon_T
+    rhs = _rhs_values(sol.grid.nodes, T, op.h1)
+    return _scan_residuals(op, sol.lam, T, sol.h_hat, rhs,
+                           _extended_spline(op, sol.lam, T, sol.h_hat))
 
 
 # ----------------------------------------------------------------------
 # unscaling and the information functional
 # ----------------------------------------------------------------------
+
+def _on_horizon(T: float, values: Callable) -> Callable:
+    """Filter h_T on (0, T] given as values(t, u) with u = t/T.
+
+    Accepts a scalar or array t (scalar in, scalar out); raises
+    DomainError outside (0, T].
+    """
+    def h_T(t):
+        arr = np.asarray(t, float)
+        if np.any(arr <= 0.0) or np.any(arr > T):
+            raise DomainError(f"filter argument must lie in (0, {T}]")
+        # the minimum guards roundoff of the division, not out-of-range input
+        out = values(arr, np.minimum(arr / T, 1.0))
+        return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
+
+    return h_T
+
 
 def unscale(sol: FredholmSolution) -> Callable:
     """Filter h_T on (0, T] from the rescaled solution.
@@ -757,50 +756,42 @@ def unscale(sol: FredholmSolution) -> Callable:
     callable
         Accepts a scalar or array t; raises DomainError outside (0, T].
     """
-    op = sol.operator
-    T = sol.horizon_T
-    lam = sol.lam
-    h_hat = sol.h_hat
-    h1 = op.h1
+    op, T = sol.operator, sol.horizon_T
 
-    def h_T(t):
-        arr = np.asarray(t, float)
-        if np.any(arr <= 0.0) or np.any(arr > T):
-            raise DomainError(f"filter argument must lie in (0, {T}]")
-        flat = np.atleast_1d(arr / T)
-        # guard roundoff of the division, not out-of-range input
-        np.minimum(flat, 1.0, out=flat)
-        vals = _nystrom_extension(op, lam, T, h_hat, flat)
-        out = vals.reshape(np.shape(arr / T)) * arr ** (h1 - 0.5)
-        return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
+    def values(t, u):
+        h_hat = _nystrom_extension(op, sol.lam, T, sol.h_hat, np.atleast_1d(u))
+        return h_hat.reshape(np.shape(u)) * t ** (op.h1 - 0.5)
 
-    return h_T
+    return _on_horizon(T, values)
 
 
 def filter_interpolant(sol: FredholmSolution) -> Callable:
     """Spline-backed filter h_T for bulk evaluation.
 
-    Builds the extended solution spline once (fresh Nystrom samples
-    between nodes) and then evaluates in microseconds per point, unlike
-    ``unscale`` which prices a full quadrature row per call.  Agrees
-    with the Nystrom extension to spline interpolation error, far below
-    the solver residual.  Same domain contract: (0, T].
+    Wraps the solution's extended spline (nodal plus fresh Nystrom
+    samples between nodes, built once by the solve) and evaluates in
+    microseconds per point, unlike ``unscale`` which prices a full
+    quadrature row per call.  Agrees with the Nystrom extension to
+    spline interpolation error, far below the solver residual.  Same
+    domain contract: (0, T].
     """
-    op = sol.operator
-    T = sol.horizon_T
-    g = op.grid.grading_exponent
-    spline = _extended_spline(op, sol.lam, T, sol.h_hat)
-    scale = T ** (op.h1 - 0.5)
+    return _spline_filter(sol.spline, sol.horizon_T, sol.operator.h1,
+                          sol.grid.grading_exponent)
 
-    def h_T(t):
-        arr = np.asarray(t, float)
-        if np.any(arr <= 0.0) or np.any(arr > T):
-            raise DomainError(f"filter argument must lie in (0, {T}]")
-        u = np.minimum(arr / T, 1.0)
-        out = scale * spline(_graded_map_inv(u, g))
-        return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
-    return h_T
+def filter_from_knots(x, y, horizon_T: float, h1: float,
+                      grading_exponent: float) -> Callable:
+    """The filter of ``filter_interpolant`` rebuilt, bit for bit, from
+    the knots ``sol.spline.x``, ``sol.spline.y`` of its solution."""
+    return _spline_filter(CubicSpline(x, y), float(horizon_T), h1,
+                          grading_exponent)
+
+
+def _spline_filter(spline: CubicSpline, T: float, h1: float,
+                   g: float) -> Callable:
+    # h_T(t) = T^(H1 - 1/2) * spline(x), x the mesh pre-image of t/T
+    scale = T ** (h1 - 0.5)
+    return _on_horizon(T, lambda t, u: scale * spline(_graded_map_inv(u, g)))
 
 
 def _quadratic_variation(grid: QuadratureGrid, h_hat: np.ndarray, T: float,

@@ -21,7 +21,7 @@ from scipy import stats
 
 from .closed_form import asymptotic_variance
 from .errors import AccuracyError, AccuracyWarning, DomainError
-from .estimator import mle
+from .estimator import mle, predicted_variances
 from .fredholm import assemble, build_grid, solve_second_kind
 from .gaussian_sim import simulate_Y
 from .kernels import KernelContext
@@ -136,7 +136,6 @@ def _solve_horizons(config: ExperimentConfig, constants: DerivedConstants,
     """
     op = assemble(KernelContext(constants=constants),
                   build_grid(config.grid_n))
-    d_eff = constants.drift_norm / constants.sigma
     exponent = 2.0 - 2.0 * constants.hurst.h2
     sols, details = [], []
     for T in config.t_sequence:
@@ -149,7 +148,7 @@ def _solve_horizons(config: ExperimentConfig, constants: DerivedConstants,
             warnings.warn(f"solve failed at T={T}: {exc}", AccuracyWarning,
                           stacklevel=3)
             continue
-        var_exact = 1.0 / (d_eff**2 * sol.qv_N)
+        var_exact = predicted_variances(sol.qv_N, constants)[0]
         sols.append(sol)
         details.append(HorizonDetail(
             T=float(T),
@@ -194,17 +193,15 @@ def run_mc(config: ExperimentConfig) -> MCReport:
         var_hat = float(est.var(ddof=1)) if est.size > 1 else 0.0
         per_t_var.append((det.T, det.T**exponent * var_hat))
         if first is None:
-            var_pred = float(
-                1.0 / ((constants.drift_norm / constants.sigma) ** 2
-                       * det.qv_N))
+            var_pred, var_pred_paper = predicted_variances(det.qv_N,
+                                                           constants)
             z = (est - theta) / np.sqrt(var_pred)
             ks = stats.kstest(z, "norm")
             first = dict(
                 mean_hat=float(est.mean()),
                 var_hat=var_hat,
                 var_pred=var_pred,
-                var_pred_paper=float(
-                    (constants.sigma * constants.gamma_h1) ** 2 / det.qv_N),
+                var_pred_paper=var_pred_paper,
                 ks_stat=float(ks.statistic),
                 ks_pvalue=float(ks.pvalue),
             )
@@ -243,8 +240,7 @@ def run_asymptotics(config: ExperimentConfig) -> MCReport:
         se_mean=0.0,
         var_hat=head.var_exact,
         var_pred=head.var_exact,
-        var_pred_paper=(constants.sigma * constants.gamma_h1) ** 2
-        / head.qv_N,
+        var_pred_paper=predicted_variances(head.qv_N, constants)[1],
         ks_stat=0.0,
         ks_pvalue=1.0,
         per_T_scaled_var=tuple((d.T, d.scaled_var) for d in details),

@@ -452,15 +452,6 @@ class KernelTables:
         return (lo ** (0.5 - self.h1) * hi ** (self.h1 - 0.5)
                 * gap ** (2.0 * self.a - 1.0) * self.c(x))
 
-    def k1_smooth(self, s, u):
-        """k1(s,u) |u-s|^(1-2a): the bounded factor for product rules."""
-        s = np.asarray(s, dtype=float)
-        u = np.asarray(u, dtype=float)
-        lo = np.minimum(s, u)
-        hi = np.maximum(s, u)
-        x = np.minimum(lo / hi, 1.0 - DIAG_RTOL)
-        return lo ** (0.5 - self.h1) * hi ** (self.h1 - 0.5) * self.c(x)
-
     def k1_l2_norm(self, n: int = 96) -> float:
         """L2(0,1)^2 norm of k1, reduced to a 1D integral of c(x)^2.
 

@@ -103,7 +103,17 @@ def test_solve_simulate_estimate_pipeline(tmp_path, capsys):
     result = json.loads(result_json.read_text())
     assert sorted(result) == ["n_T", "qv_N", "theta_hat", "variance_pred",
                               "variance_pred_paper"]
-    assert result["theta_hat"] == pytest.approx(-3.0355181684242973, rel=1e-9)
+    # the CLI rebuilds the library's filter from the sidecar knots, so it
+    # reproduces mle on the same solve and path
+    cons = mf.derive_constants(mf.ModelParams(hurst=mf.HurstPair(0.6, 0.9)))
+    op = mf.assemble(mf.KernelContext(constants=cons), mf.build_grid(64))
+    sol = mf.solve_second_kind(op, 1.0, cons)
+    data = np.loadtxt(path_csv, delimiter=",", skiprows=1)
+    lib = mf.mle(sol, mf.SamplePath(times=data[:, 0], values=data[:, 1],
+                                    label="Y"), cons)
+    for key in result:
+        assert result[key] == pytest.approx(getattr(lib, key), rel=1e-12)
+    assert result["theta_hat"] == pytest.approx(-3.035517370008652, rel=1e-9)
     assert result["variance_pred"] == pytest.approx(1.9887584394769093,
                                                     rel=1e-9)
     assert result["qv_N"] == side["qv_N"]

@@ -160,6 +160,27 @@ def test_mle_normalization_identities(cons, sol, grid512):
         (cons.sigma * cons.gamma_h1) ** 2 / res.qv_N, rel=1e-14)
 
 
+def test_filter_spline_built_once_per_solve(monkeypatch, cons, grid512):
+    # the solve builds the extended spline for its residual audit and
+    # keeps it on the solution; mle wraps the kept spline
+    calls = []
+    build = fr._extended_spline
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(fr, "_extended_spline", counting)
+    op = fr.assemble(KernelContext(constants=cons), fr.build_grid(64))
+    sol64 = fr.solve_second_kind(op, 1.0, cons, residual_tol=1e-4)
+    assert len(calls) == 1
+    path = simulate_Y(grid512, np.random.SeedSequence(3), theta=1.0,
+                      constants=cons)
+    first, second = mle(sol64, path, cons), mle(sol64, path, cons)
+    assert len(calls) == 1
+    assert first.theta_hat == second.theta_hat
+
+
 def test_mle_horizon_mismatch(cons, sol):
     t = graded(512, horizon=0.5)
     path = SamplePath(times=t, values=np.zeros_like(t), label="X")

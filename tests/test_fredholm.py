@@ -1,5 +1,7 @@
 """Graded grid, product-quadrature assembly, and second-kind solve."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -56,10 +58,6 @@ def sol256(op256, cons):
 @pytest.fixture(scope="module")
 def sol512(ctx, cons):
     return fr.solve_second_kind(fr.assemble(ctx, fr.build_grid(512)), 1.0, cons)
-
-
-def _zero_kernel(s, u):
-    return np.zeros(np.broadcast_shapes(np.shape(s), np.shape(u)))
 
 
 # ---------------------------------------------------------------- grid
@@ -247,13 +245,12 @@ def test_residual_flagging_warns(op64, cons):
         fr.solve_second_kind(op64, 1.0, cons, residual_tol=1e-12)
 
 
-# ------------------------------------------------------- kernel seams
+# ------------------------------------------------- degenerate couplings
 
-def test_zero_kernel_stub(ctx, cons):
-    op = fr.assemble(ctx, fr.build_grid(64), kernel=_zero_kernel)
-    assert np.all(op.matrix == 0.0)
-    assert np.all(fr.spectrum_report(op) == 0.0)
-    sol = fr.solve_second_kind(op, 2.0, cons)
+def test_zero_kernel_stub(op64, cons):
+    # zero coupling: the equation reduces to h_hat = rhs
+    sol = fr.solve_second_kind(op64, 2.0, cons, lam_override=0.0)
+    op = sol.operator
     rhs = (op.grid.nodes * 2.0) ** (0.5 - H1)
     assert np.array_equal(sol.h_hat, rhs)
     assert sol.residual_sup <= 1e-12
@@ -265,11 +262,15 @@ def test_zero_kernel_stub(ctx, cons):
         assert h_T(t) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_rank_one_kernel_matches_analytic_solve(ctx, cons):
+def test_rank_one_kernel_matches_analytic_solve(op64, cons):
+    # plain Nystrom matrix of the constant kernel; the residual audit
+    # still checks against k1, so its tolerance is switched off
     const = 0.5
-    kernel = lambda s, u: np.full(np.broadcast_shapes(np.shape(s), np.shape(u)), const)
-    op = fr.assemble(ctx, fr.build_grid(64), kernel=kernel)
-    sol = fr.solve_second_kind(op, 1.0, cons, residual_tol=1e-2,
+    w = op64.grid.weights
+    op = fr.DiscretizedOperator(
+        matrix=np.tile(w * const, (w.size, 1)), grid=op64.grid, h1=H1, h2=H2,
+        near_radius=op64.near_radius, tables=op64.tables)
+    sol = fr.solve_second_kind(op, 1.0, cons, residual_tol=np.inf,
                                lam_override=1.0)
     rhs = op.grid.nodes ** (0.5 - H1)
     mean = float(np.dot(op.grid.weights, rhs))
@@ -334,9 +335,6 @@ def test_qv_energy_identity(sol64, cons):
 
 
 def test_qv_rejects_nonpositive(sol128, cons):
-    bad = fr.FredholmSolution(
-        grid=sol128.grid, h_hat=-np.ones(sol128.grid.n), horizon_T=1.0,
-        lam=sol128.lam, residual_sup=0.0, qv_N=1.0, condition=1.0,
-        operator=sol128.operator)
+    bad = dataclasses.replace(sol128, h_hat=-np.ones(sol128.grid.n))
     with pytest.raises(AccuracyError):
         fr.quadratic_variation_N(bad, cons)

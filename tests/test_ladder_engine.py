@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 from mixedfbm import fredholm as fr
-from mixedfbm import kernels, numerics
+from mixedfbm import closed_form, kernels, numerics
 from mixedfbm.kernels import _layered_01, _layered_batch, get_tables
 from mixedfbm.model import HurstPair, ModelParams, derive_constants
 
@@ -202,6 +202,21 @@ def test_kernel_integrals_batch_matches_scalar(tables):
     ref = [fr._kernel_integral(tables, float(u), phi) for u in us]
     assert us.size > fr._CHUNK_POINTS
     assert _rel(got, ref) <= RTOL
+
+
+def test_h0_batch_matches_scalar_ladder(cons):
+    # h0 integrates one ladder per point, all points in one batch; the
+    # reference runs the scalar ladder per point on the same integrand,
+    # across several chunks of the batch and every ladder scale regime
+    v = np.concatenate([np.geomspace(1e-9, 0.3, 30), np.linspace(0.31, 0.69, 9),
+                        1.0 - np.geomspace(0.3, 1e-9, 30)])
+    alpha, q = H1 - 0.5, 0.5 - H2
+    ladders = [(1.0 - vi) ** (alpha + q) * oracles._layered_01(
+        lambda x: (vi + (1.0 - vi) * x) ** (H1 - H2), alpha - 1.0, q, 24,
+        min(max(vi / (1.0 - vi), 1e-12), 0.4), None) for vi in v]
+    c6 = closed_form.constant_chain(1.0 / cons.gamma_h1**2, cons).c6
+    ref = c6 / numerics.gamma_fn(alpha) * v ** (0.5 - H1) * np.array(ladders)
+    assert _rel(closed_form.h0(v, cons), ref) <= RTOL
 
 
 # -------------------------------------------------------------- work counts

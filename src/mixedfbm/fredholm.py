@@ -23,16 +23,26 @@ discretization used here combines
 Rows are computed in batches: for a chunk of points, the product
 quadrature panels of all their near cells are laid out at once, the
 integrand is evaluated once on the flat node array and the moments are
-summed per cell (``_cell_moments``).  The same holds for the residual
-audit, whose off-grid kernel integrals share one set of ladder nodes
-for every point (``_kernel_integrals``).  The solve itself is a single
+summed per cell (``_cell_moments``).  The solve itself is a single
 dense LU per horizon.
+
+The off-grid residual audit depends on the horizon only through the
+solution vector, so everything else it needs is built once per operator,
+on its first solve, and kept on it (``DiscretizedOperator.audit_plan``):
+the quadrature rows at the extension samples and at the probes, and the
+kernel integrals of the solution's spline at the probes and at the
+nodes as a linear map of the spline's knot values and knot second
+derivatives (``_spline_map``).  Each horizon's audit is then a few
+matrix-vector products and one evaluation of the spline.  The plan
+holds 17.75 n^2 floats (2.3 MB at n = 128, 37 MB at n = 512) and is
+freed with the operator.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -340,11 +350,14 @@ def _quadrature_rows(tables: KernelTables, grid: QuadratureGrid,
     """Quadrature rows at the points us, shape (len(us), n).
 
     Far from the diagonal weights[j] * k1(nodes[j], u); the near cells
-    carry product-quadrature weights.  Callers pass chunks of at most
-    _CHUNK_POINTS points, which bounds the near-field temporaries.
+    carry product-quadrature weights.  The rows are formed in chunks of
+    at most _CHUNK_POINTS points, which bounds the near-field
+    temporaries.
     """
-    rows = grid.weights * tables.k1(grid.nodes[None, :], us[:, None])
-    _apply_near_field(tables, grid, us, rows, near_radius)
+    rows = np.empty((us.size, grid.n))
+    for sl in _chunks(us.size):
+        rows[sl] = grid.weights * tables.k1(grid.nodes[None, :], us[sl, None])
+        _apply_near_field(tables, grid, us[sl], rows[sl], near_radius)
     return rows
 
 
@@ -390,8 +403,17 @@ class DiscretizedOperator:
         return self._rows(np.array([u], float))[0]
 
     def _rows(self, us: np.ndarray) -> np.ndarray:
-        """Quadrature rows at the points us (one chunk), shape (len(us), n)."""
+        """Quadrature rows at the points us, shape (len(us), n)."""
         return _quadrature_rows(self.tables, self.grid, self.near_radius, us)
+
+    @cached_property
+    def audit_plan(self) -> "_AuditPlan":
+        """The horizon-independent part of the residual audit.
+
+        Built on first use (the first solve) and kept with the operator;
+        see ``_build_audit_plan``.
+        """
+        return _build_audit_plan(self.tables, self.grid, self.near_radius)
 
     def symmetrized(self) -> np.ndarray:
         """Symmetric part of D^(1/2) * matrix * D^(-1/2), D = diag(weights).
@@ -442,9 +464,7 @@ def assemble(ctx: KernelContext, grid: QuadratureGrid,
     if near_radius < 0:
         raise DomainError(f"near_radius must be >= 0, got {near_radius}")
     tables = get_tables(hurst.h1, hurst.h2)
-    matrix = np.empty((grid.n, grid.n))
-    for sl in _chunks(grid.n):
-        matrix[sl] = _quadrature_rows(tables, grid, near_radius, grid.nodes[sl])
+    matrix = _quadrature_rows(tables, grid, near_radius, grid.nodes)
     if not np.all(np.isfinite(matrix)):
         raise AccuracyError("assembled operator contains non-finite entries")
     return DiscretizedOperator(matrix=matrix, grid=grid,
@@ -494,6 +514,8 @@ class FredholmSolution:
         The residual audit's reconstruction of the solution (see
         ``_extended_spline``), with knots ``spline.x`` and values
         ``spline.y``; the filter of ``filter_interpolant``.
+    worst_u : float
+        The probe point in (0, 1) where ``residual_sup`` is attained.
     """
 
     grid: QuadratureGrid
@@ -505,6 +527,7 @@ class FredholmSolution:
     condition: float
     operator: DiscretizedOperator = field(repr=False)
     spline: CubicSpline = field(repr=False)
+    worst_u: float
 
 
 class ResidualReport(NamedTuple):
@@ -533,32 +556,41 @@ def _rhs_values(u, T: float, h1: float):
     return (np.asarray(u, float) * T) ** (0.5 - h1)
 
 
-def _kernel_integrals(tables: KernelTables, us: np.ndarray, phi: Callable,
-                      nq: int = 24) -> np.ndarray:
-    """int_0^1 k_sym(s, u) phi(s) ds at each point u of us, for bounded phi.
+def _kernel_rules(tables: KernelTables, us: np.ndarray, nq: int = 24):
+    """Quadrature rules for int_0^1 k_sym(s, u) phi(s) ds at the points us.
 
-    Split at s = u; each piece is an endpoint-singular integral in a
-    stretched variable handled by the layered Gauss/Gauss-Jacobi rule.
-    Both rules have ladder scale 1e-9 at either end, so their nodes are
-    the same for every u: phi is evaluated on blocks of _CHUNK_POINTS
-    points times all nodes.
+    Yields (sl, s, w) for each chunk sl of at most _CHUNK_POINTS points:
+    nodes s and weights w of shape (len(us[sl]), nodes), so that the
+    integral at us[sl][k] is sum_j w[k, j] * phi(s[k, j]) for bounded
+    phi.  The integral is split at s = u; each piece is an
+    endpoint-singular integral in a stretched variable handled by the
+    layered Gauss/Gauss-Jacobi rule.  Both rules have ladder scale 1e-9
+    at either end, so their nodes are the same for every u.  Each row
+    of s is ascending.
     """
     h1, h2 = tables.h1, tables.h2
     p0 = 1.0 - 2.0 * h1
     qd = 2.0 * (h2 - h1) - 1.0
-    c = tables.c
     zl, wl = _ladder_rule_one(p0, qd, nq, 1e-9, 1e-9)
     zr, wr = _ladder_rule_one(qd, 0.0, nq, 1e-9, 1e-9)
-    c_left = c(zl)
-    out = np.empty(us.size)
+    # ascending nodes make each row of s ascending
+    il, ir = np.argsort(zl), np.argsort(zr)
+    zl, wl, zr, wr = zl[il], wl[il], zr[ir], wr[ir]
+    w_left = tables.c(zl) * wl
     for sl in _chunks(us.size):
         u = us[sl, None]
         s = u + (1.0 - u) * zr
-        left = (c_left * phi(u * zl)) @ wl
-        right = (c(u / s) * phi(s)) @ wr
-        u = us[sl]
-        out[sl] = u ** (2.0 + qd - 2.0 * h1) * left + np.where(
-            u < 1.0, u ** p0 * (1.0 - u) ** (qd + 1.0) * right, 0.0)
+        right = np.where(u < 1.0, u ** p0 * (1.0 - u) ** (qd + 1.0), 0.0)
+        yield sl, np.hstack([u * zl, s]), np.hstack(
+            [u ** (2.0 + qd - 2.0 * h1) * w_left, right * tables.c(u / s) * wr])
+
+
+def _kernel_integrals(tables: KernelTables, us: np.ndarray, phi: Callable,
+                      nq: int = 24) -> np.ndarray:
+    """int_0^1 k_sym(s, u) phi(s) ds at each point u of us, for bounded phi."""
+    out = np.empty(us.size)
+    for sl, s, w in _kernel_rules(tables, us, nq):
+        out[sl] = (w * phi(s)).sum(axis=1)
     return out
 
 
@@ -583,6 +615,110 @@ def _nystrom_extension(op: DiscretizedOperator, lam: float, T: float,
     return _rhs_values(us, T, op.h1) - lam * applied
 
 
+def _spline_map(knots: np.ndarray, x: np.ndarray,
+                w: np.ndarray) -> np.ndarray:
+    """sum_j w[r, j] * S(x[r, j]) for each row r, as a linear map.
+
+    S is a cubic spline with knots ``knots``, values y and second
+    derivatives M there.  On the knot interval [k_i, k_(i+1)] of width
+    h, with t = (x - k_i) / h,
+
+        S(x) = (1-t) y_i + t y_(i+1)
+               + h^2/6 ((-t^3 + 3t^2 - 2t) M_i + (t^3 - t) M_(i+1)),
+
+    which continues the end pieces beyond the knots, as CubicSpline
+    does.  Returns shape (rows, 2m): columns :m act on y, columns m: on
+    M.  Each row of x must be ascending, so that the entries falling in
+    one interval are contiguous: the power sums sum w t^k, k = 0..3, of
+    every interval come from one ``np.add.reduceat``, and no rows x
+    entries x knots array is formed.
+    """
+    rows, cols = x.shape
+    m = knots.size
+    starts = np.zeros((rows, m - 1), int)
+    for r in range(rows):
+        starts[r, 1:] = np.searchsorted(x[r], knots[1:-1])
+    counts = np.diff(starts, axis=1, append=cols).ravel()
+    starts = (starts + cols * np.arange(rows)[:, None]).ravel()
+    h = np.diff(knots)
+    t = x.ravel() - np.repeat(np.tile(knots[:-1], rows), counts)
+    t *= np.repeat(np.tile(1.0 / h, rows), counts)
+    # w t^k in row k; the zero column closes the last interval
+    powers = np.zeros((4, t.size + 1))
+    powers[0, :-1] = w.ravel()
+    for k in (1, 2, 3):
+        np.multiply(powers[k - 1, :-1], t, out=powers[k, :-1])
+    # reduceat returns an entry, not 0, for an empty interval
+    s0, s1, s2, s3 = (np.add.reduceat(powers, starts, axis=1)
+                      * (counts > 0)).reshape(4, rows, m - 1)
+    c = h * h / 6.0
+    out = np.zeros((rows, 2, m))
+    out[:, 0, :-1] = s0 - s1
+    out[:, 0, 1:] += s1
+    out[:, 1, :-1] = c * (3.0 * s2 - 2.0 * s1 - s3)
+    out[:, 1, 1:] += c * (s3 - s1)
+    return out.reshape(rows, 2 * m)
+
+
+class _AuditPlan(NamedTuple):
+    """The horizon-independent part of the residual audit of an operator.
+
+    ext_u, ext_rows: the points between nodes (3 per cell) at which the
+    solve extends the solution, and their quadrature rows.
+    knots, order: the extended spline's knots in the mesh pre-image
+    coordinate, sorted, and the permutation that sorts the nodal values
+    followed by the extension values into knot order.
+    probe_x, probe_u, probe_rows: the 3n off-grid probe points, as
+    pre-images and as points of (0, 1), and their rows.
+    probe_integrals, node_integrals: int_0^1 k1(s, u) h_rec(s) ds at the
+    probes and at the nodes, for the reconstruction h_rec of a spline
+    with these knots, as a linear map of its knot values and knot second
+    derivatives (see ``_spline_map``).
+    """
+
+    ext_u: np.ndarray
+    ext_rows: np.ndarray
+    knots: np.ndarray
+    order: np.ndarray
+    probe_x: np.ndarray
+    probe_u: np.ndarray
+    probe_rows: np.ndarray
+    probe_integrals: np.ndarray
+    node_integrals: np.ndarray
+
+
+def _build_audit_plan(tables: KernelTables, grid: QuadratureGrid,
+                      near_radius: int) -> _AuditPlan:
+    """Rows and kernel-integral maps of the residual audit.
+
+    Holds (0.75 + 3) n rows of n and (3 + 1) n maps of 2m = 3.5 n
+    floats: 17.75 n^2 floats.
+    """
+    g = grid.grading_exponent
+    ext_x = _offsets_in_cells(grid, _EXT_OFFSETS)
+    ext_u = _graded_map(ext_x, g)
+    xs = np.concatenate([grid.x_nodes, ext_x])
+    order = np.argsort(xs)
+    knots = xs[order]
+    probe_x = _offsets_in_cells(grid, _EVAL_OFFSETS)
+    probe_u = _graded_map(probe_x, g)
+    # int k1(s, u) h_rec(s) ds = u^(H1 - 1/2) int k_sym(s, u) phi(s) ds,
+    # and the spline holds phi(s) = h_rec(s) s^(H1 - 1/2) at the mesh
+    # pre-image of s
+    us = np.concatenate([probe_u, grid.nodes])
+    integrals = np.empty((us.size, 2 * knots.size))
+    for sl, s, w in _kernel_rules(tables, us):
+        integrals[sl] = _spline_map(knots, _graded_map_inv(s, g), w)
+    integrals *= us[:, None] ** (tables.h1 - 0.5)
+    return _AuditPlan(
+        ext_u=ext_u,
+        ext_rows=_quadrature_rows(tables, grid, near_radius, ext_u),
+        knots=knots, order=order, probe_x=probe_x, probe_u=probe_u,
+        probe_rows=_quadrature_rows(tables, grid, near_radius, probe_u),
+        probe_integrals=integrals[:probe_u.size],
+        node_integrals=integrals[probe_u.size:])
+
+
 class _KnotSpline(CubicSpline):
     """Cubic spline that keeps its knot values ``y``, so it can be rebuilt."""
 
@@ -597,49 +733,35 @@ def _extended_spline(op: DiscretizedOperator, lam: float, T: float,
 
     Works in the bounded variable phi(u) = h_hat(u) * u^(H1 - 1/2) and
     in the mesh pre-image coordinate, where the endpoint behavior of
-    the solution is mildest.
+    the solution is mildest.  The fresh samples come from the Nystrom
+    extension at the plan's points ``ext_u``.
     """
-    grid = op.grid
-    g = grid.grading_exponent
-    extra_x = _offsets_in_cells(grid, _EXT_OFFSETS)
-    extra_u = _graded_map(extra_x, g)
-    ext = _nystrom_extension(op, lam, T, h_hat, extra_u)
+    plan = op.audit_plan
+    ext = _rhs_values(plan.ext_u, T, op.h1) - lam * (plan.ext_rows @ h_hat)
     hpow = op.h1 - 0.5
-    xs = np.concatenate([grid.x_nodes, extra_x])
-    vals = np.concatenate([h_hat * grid.nodes ** hpow, ext * extra_u ** hpow])
-    order = np.argsort(xs)
-    return _KnotSpline(xs[order], vals[order])
-
-
-def _integrals_at(op: DiscretizedOperator, us: np.ndarray,
-                  spline: CubicSpline) -> np.ndarray:
-    """int_0^1 k1(s, u) * h_rec(s) ds at each point u of us, for the
-    reconstructed solution."""
-    g = op.grid.grading_exponent
-    phi = lambda s: spline(_graded_map_inv(np.asarray(s, float), g))
-    return us ** (op.h1 - 0.5) * _kernel_integrals(op.tables, us, phi)
+    vals = np.concatenate([h_hat * op.grid.nodes ** hpow,
+                           ext * plan.ext_u ** hpow])
+    return _KnotSpline(plan.knots, vals[plan.order])
 
 
 def _scan_residuals(op: DiscretizedOperator, lam: float, T: float,
                     h_hat: np.ndarray, rhs: np.ndarray,
-                    spline: CubicSpline) -> ResidualReport:
-    grid = op.grid
-    g = grid.grading_exponent
+                    spline: _KnotSpline) -> ResidualReport:
+    plan = op.audit_plan
     h1 = op.h1
-    ev_x = _offsets_in_cells(grid, _EVAL_OFFSETS)
-    ev_u = _graded_map(ev_x, g)
-    rhs_u = _rhs_values(ev_u, T, h1)
-    integral = lam * _integrals_at(op, ev_u, spline)
-    rec_val = spline(ev_x) * ev_u ** (0.5 - h1)
+    knot_data = np.concatenate([spline.y, spline(spline.x, 2)])
+    rhs_u = _rhs_values(plan.probe_u, T, h1)
+    integral = lam * (plan.probe_integrals @ knot_data)
+    rec_val = spline(plan.probe_x) * plan.probe_u ** (0.5 - h1)
     rec = np.abs(rec_val + integral - rhs_u) / rhs_u
-    nys_val = _nystrom_extension(op, lam, T, h_hat, ev_u)
+    nys_val = rhs_u - lam * (plan.probe_rows @ h_hat)
     ext = np.abs(nys_val + integral - rhs_u) / rhs_u
-    on = np.abs(h_hat + lam * _integrals_at(op, grid.nodes, spline) - rhs) / rhs
+    on = np.abs(h_hat + lam * (plan.node_integrals @ knot_data) - rhs) / rhs
     worst = int(np.argmax(rec))
     return ResidualReport(reconstruction_sup=float(rec[worst]),
                           on_grid_sup=float(np.max(on)),
                           extension_sup=float(np.max(ext)),
-                          worst_u=float(ev_u[worst]))
+                          worst_u=float(plan.probe_u[worst]))
 
 
 def solve_second_kind(op: DiscretizedOperator, T: float,
@@ -709,11 +831,15 @@ def solve_second_kind(op: DiscretizedOperator, T: float,
     return FredholmSolution(grid=op.grid, h_hat=h_hat, horizon_T=float(T),
                             lam=lam, residual_sup=report.reconstruction_sup,
                             qv_N=qv, condition=float(cond), operator=op,
-                            spline=spline)
+                            spline=spline, worst_u=report.worst_u)
 
 
 def residual_report(sol: FredholmSolution) -> ResidualReport:
-    """Recompute the full residual diagnostics of a solution."""
+    """Recompute the full residual diagnostics of a solution.
+
+    Runs the scan of the solve on the operator's audit plan, so its
+    ``reconstruction_sup`` equals ``sol.residual_sup`` exactly.
+    """
     op, T = sol.operator, sol.horizon_T
     rhs = _rhs_values(sol.grid.nodes, T, op.h1)
     return _scan_residuals(op, sol.lam, T, sol.h_hat, rhs,

@@ -7,10 +7,24 @@ product-quadrature moments behind ``fredholm._cell_moments``), with
 their helpers.  They loop over panels with ``numerics.jacobi_rule``,
 independently of the batched panel builder, and are the references the
 engine is tested against in ``test_ladder_engine.py``.
-"""
-import numpy as np
 
-from mixedfbm.kernels import KernelTables
+The residual audit as it ran before the per-operator audit plan is kept
+verbatim below (``_kernel_integrals``, ``_nystrom_extension``,
+``_extended_spline``, ``_integrals_at`` and ``_scan_residuals``): it
+forms the quadrature rows and evaluates the solution's spline on every
+kernel-integral node for each call, and is the reference the planned
+audit is tested against in ``test_fredholm.py``.
+"""
+from typing import Callable
+
+import numpy as np
+from scipy.interpolate import CubicSpline
+
+from mixedfbm.fredholm import (_EVAL_OFFSETS, _EXT_OFFSETS, DiscretizedOperator,
+                               ResidualReport, _chunks, _graded_map,
+                               _graded_map_inv, _KnotSpline,
+                               _offsets_in_cells, _rhs_values)
+from mixedfbm.kernels import KernelTables, _ladder_rule_one
 from mixedfbm.numerics import jacobi_rule
 
 _CELL_ORDER = 4     # Gauss nodes per mesh cell
@@ -219,3 +233,96 @@ def _cell_moments(tables: KernelTables, u: float, left: float, right: float,
                 f = u ** p0 * (x - u) ** qd * c(u / x) * _lagrange_basis(cell_nodes, x)
             add(x, wq, f)
     return mom
+
+
+# ----------------------------------------------------------------------
+# residual audit, per call
+# ----------------------------------------------------------------------
+
+def _kernel_integrals(tables: KernelTables, us: np.ndarray, phi: Callable,
+                      nq: int = 24) -> np.ndarray:
+    """int_0^1 k_sym(s, u) phi(s) ds at each point u of us, for bounded phi.
+
+    Split at s = u; each piece is an endpoint-singular integral in a
+    stretched variable handled by the layered Gauss/Gauss-Jacobi rule.
+    Both rules have ladder scale 1e-9 at either end, so their nodes are
+    the same for every u: phi is evaluated on blocks of _CHUNK_POINTS
+    points times all nodes.
+    """
+    h1, h2 = tables.h1, tables.h2
+    p0 = 1.0 - 2.0 * h1
+    qd = 2.0 * (h2 - h1) - 1.0
+    c = tables.c
+    zl, wl = _ladder_rule_one(p0, qd, nq, 1e-9, 1e-9)
+    zr, wr = _ladder_rule_one(qd, 0.0, nq, 1e-9, 1e-9)
+    c_left = c(zl)
+    out = np.empty(us.size)
+    for sl in _chunks(us.size):
+        u = us[sl, None]
+        s = u + (1.0 - u) * zr
+        left = (c_left * phi(u * zl)) @ wl
+        right = (c(u / s) * phi(s)) @ wr
+        u = us[sl]
+        out[sl] = u ** (2.0 + qd - 2.0 * h1) * left + np.where(
+            u < 1.0, u ** p0 * (1.0 - u) ** (qd + 1.0) * right, 0.0)
+    return out
+
+
+def _nystrom_extension(op: DiscretizedOperator, lam: float, T: float,
+                       h_hat: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """h_hat(u) = rhs(u) - lam * row(u) . h_hat at each point u of us."""
+    applied = np.empty(us.size)
+    for sl in _chunks(us.size):
+        applied[sl] = op._rows(us[sl]) @ h_hat
+    return _rhs_values(us, T, op.h1) - lam * applied
+
+
+def _extended_spline(op: DiscretizedOperator, lam: float, T: float,
+                     h_hat: np.ndarray) -> _KnotSpline:
+    """Spline through nodal and freshly extended samples of the solution.
+
+    Works in the bounded variable phi(u) = h_hat(u) * u^(H1 - 1/2) and
+    in the mesh pre-image coordinate, where the endpoint behavior of
+    the solution is mildest.
+    """
+    grid = op.grid
+    g = grid.grading_exponent
+    extra_x = _offsets_in_cells(grid, _EXT_OFFSETS)
+    extra_u = _graded_map(extra_x, g)
+    ext = _nystrom_extension(op, lam, T, h_hat, extra_u)
+    hpow = op.h1 - 0.5
+    xs = np.concatenate([grid.x_nodes, extra_x])
+    vals = np.concatenate([h_hat * grid.nodes ** hpow, ext * extra_u ** hpow])
+    order = np.argsort(xs)
+    return _KnotSpline(xs[order], vals[order])
+
+
+def _integrals_at(op: DiscretizedOperator, us: np.ndarray,
+                  spline: CubicSpline) -> np.ndarray:
+    """int_0^1 k1(s, u) * h_rec(s) ds at each point u of us, for the
+    reconstructed solution."""
+    g = op.grid.grading_exponent
+    phi = lambda s: spline(_graded_map_inv(np.asarray(s, float), g))
+    return us ** (op.h1 - 0.5) * _kernel_integrals(op.tables, us, phi)
+
+
+def _scan_residuals(op: DiscretizedOperator, lam: float, T: float,
+                    h_hat: np.ndarray, rhs: np.ndarray,
+                    spline: CubicSpline) -> ResidualReport:
+    grid = op.grid
+    g = grid.grading_exponent
+    h1 = op.h1
+    ev_x = _offsets_in_cells(grid, _EVAL_OFFSETS)
+    ev_u = _graded_map(ev_x, g)
+    rhs_u = _rhs_values(ev_u, T, h1)
+    integral = lam * _integrals_at(op, ev_u, spline)
+    rec_val = spline(ev_x) * ev_u ** (0.5 - h1)
+    rec = np.abs(rec_val + integral - rhs_u) / rhs_u
+    nys_val = _nystrom_extension(op, lam, T, h_hat, ev_u)
+    ext = np.abs(nys_val + integral - rhs_u) / rhs_u
+    on = np.abs(h_hat + lam * _integrals_at(op, grid.nodes, spline) - rhs) / rhs
+    worst = int(np.argmax(rec))
+    return ResidualReport(reconstruction_sup=float(rec[worst]),
+                          on_grid_sup=float(np.max(on)),
+                          extension_sup=float(np.max(ext)),
+                          worst_u=float(ev_u[worst]))

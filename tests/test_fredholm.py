@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+import oracles
 from mixedfbm import fredholm as fr
 from mixedfbm.errors import (AccuracyError, AccuracyWarning, DomainError,
                              IllConditionedError)
@@ -196,6 +197,35 @@ def test_nystrom_consistency(sol128):
     assert rep.on_grid_sup <= 1e-6
     assert rep.extension_sup <= 10.0 * rep.on_grid_sup
     assert rep.on_grid_sup <= rep.reconstruction_sup
+    assert 0.0 < sol128.worst_u < 1.0 and sol128.worst_u == rep.worst_u
+
+
+@pytest.mark.parametrize("sigma", [1.0, 1.7])
+@pytest.mark.parametrize("n", [64, 128])
+def test_planned_audit_matches_per_call_audit(request, n, sigma):
+    # the operator's audit plan against the audit that formed its rows
+    # and spline integrals on every call (oracles.py).  The extended
+    # spline is the same arithmetic; the kernel integrals are summed in
+    # another order, so the residuals agree to roundoff of their O(1)
+    # terms: 1e-9 relative, and on the grid, where the residual is near
+    # 1e-8, to 1e-15 absolute
+    op = request.getfixturevalue(f"op{n}")
+    cons = derive_constants(ModelParams(hurst=HurstPair(H1, H2), sigma=sigma))
+    for T in (1.0, 5.0, 25.0, 125.0):
+        sol = fr.solve_second_kind(op, T, cons, residual_tol=1e-3)
+        spline = oracles._extended_spline(op, sol.lam, T, sol.h_hat)
+        rhs = fr._rhs_values(op.grid.nodes, T, H1)
+        ref = oracles._scan_residuals(op, sol.lam, T, sol.h_hat, rhs, spline)
+        got = fr.residual_report(sol)
+        np.testing.assert_array_equal(sol.spline.x, spline.x)
+        assert np.max(np.abs(sol.spline.y / spline.y - 1.0)) <= 1e-14
+        assert got.reconstruction_sup == sol.residual_sup
+        for field in ("reconstruction_sup", "extension_sup"):
+            assert getattr(got, field) == pytest.approx(
+                getattr(ref, field), rel=1e-9, abs=0.0), field
+        assert got.on_grid_sup == pytest.approx(ref.on_grid_sup, rel=1e-9,
+                                                abs=1e-15)
+        assert got.worst_u == ref.worst_u == sol.worst_u
 
 
 def test_self_convergence(sol64, sol128, sol256, sol512):

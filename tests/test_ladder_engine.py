@@ -259,3 +259,31 @@ def test_audit_work_counts_do_not_grow_per_point(monkeypatch, cons):
     for n in (64, 128):
         assert counts[n]["spline"] <= 2 * 10 * n / fr._CHUNK_POINTS + 4
     assert counts[128]["spline"] <= 2 * counts[64]["spline"]
+
+
+def test_later_horizons_reuse_the_operators_audit_plan(monkeypatch, cons):
+    # the audit's quadrature rows and kernel-integral ladders belong to
+    # the operator: its first solve lays them out, and a later horizon
+    # or a residual_report forms none of them again
+    names = ("_quadrature_rows", "_kernel_integrals", "_ladder_rule_one")
+    counts = dict.fromkeys(names, 0)
+
+    def count(name):
+        call = getattr(fr, name)
+
+        def counting(*args, **kwargs):
+            counts[name] += 1
+            return call(*args, **kwargs)
+
+        monkeypatch.setattr(fr, name, counting)
+
+    for name in names:
+        count(name)
+    op = fr.assemble(kernels.KernelContext(constants=cons), fr.build_grid(64))
+    counts.update(dict.fromkeys(names, 0))
+    first = fr.solve_second_kind(op, 1.0, cons, residual_tol=1e-3)
+    assert counts["_quadrature_rows"] > 0 and counts["_ladder_rule_one"] > 0
+    counts.update(dict.fromkeys(names, 0))
+    fr.solve_second_kind(op, 5.0, cons, residual_tol=1e-3)
+    fr.residual_report(first)
+    assert counts == dict.fromkeys(names, 0)

@@ -1,0 +1,95 @@
+"""Record one point of the benchmark trajectory as a BENCH_*.json file.
+
+    python3 tools/bench_record.py BENCH_6.json
+
+Run from the root of a source checkout.  Runs ``perfbench/run.py`` for
+each workload of ``BENCHMARK.json`` at seeds 1, 2 and 3 untraced (the
+end-to-end metrics) and at seed 1 traced (the per-layer metrics), each
+for the benchmark's ``run_seconds``, then ``perfbench/reference.py``
+(the per-layer baseline table at n = 128, 256, 512).  Writes the parsed
+result line of every run and the reference output, next to the source
+state (git commit, whether the tree was clean, a digest of
+``src/mixedfbm``) and the host: nproc, Python, numpy, scipy, the BLAS
+library and the BLAS thread count the runs were given.  Takes about
+eight minutes on 2 vCPUs.
+"""
+
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from run import BLAS_ENV  # noqa: E402
+
+SEEDS = (1, 2, 3)
+
+
+def _run(argv, env) -> str:
+    done = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+def _git(*argv) -> str:
+    return subprocess.run(["git", *argv], cwd=ROOT, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def _source_digest() -> str:
+    digest = hashlib.sha256()
+    for path in sorted((ROOT / "src" / "mixedfbm").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = str(spec["run_seconds"])
+    env = {**os.environ, **{var: "1" for var in BLAS_ENV}}
+    runs = []
+    for workload in (w["name"] for w in spec["workloads"]):
+        for seed, trace in [(s, 0) for s in SEEDS] + [(SEEDS[0], 1)]:
+            line = _run(["perfbench/run.py", "--workload", workload,
+                         "--seed", str(seed), "--seconds", seconds,
+                         "--trace", str(trace)], env)
+            runs.append({"workload": workload, "seed": seed, "trace": trace,
+                         "result": json.loads(line.strip().splitlines()[-1])})
+            print(f"{workload} seed {seed} trace {trace}: done", flush=True)
+    reference = _run(["perfbench/reference.py"], env).splitlines()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    record = {
+        "commit": _git("rev-parse", "HEAD"),
+        "worktree_clean": _git("status", "--porcelain") == "",
+        "src_sha256": _source_digest(),
+        "host": {
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "blas": f"{blas['name']} {blas['version']}",
+            "blas_threads": {var: env[var] for var in BLAS_ENV},
+        },
+        "run_seconds": spec["run_seconds"],
+        "runs": runs,
+        "reference": reference,
+    }
+    out.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

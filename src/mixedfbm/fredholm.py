@@ -51,7 +51,7 @@ from scipy.interpolate import CubicSpline
 from .errors import AccuracyError, AccuracyWarning, DomainError, IllConditionedError
 from .kernels import KernelContext, KernelTables, get_tables, _ladder_rule_one
 from .model import DerivedConstants
-from .numerics import jacobi_panels, jacobi_rule, solve_dense
+from .numerics import jacobi_panels, solve_dense
 
 __all__ = [
     "QuadratureGrid",
@@ -173,15 +173,10 @@ def build_grid(n: int, grading_exponent: float = 2.0) -> QuadratureGrid:
 
     m = n // _CELL_ORDER
     xe = np.linspace(0.0, 1.0, m + 1)
-    xs, nodes, weights = [], [], []
-    for j in range(m):
-        xn, xw = jacobi_rule(_CELL_ORDER, 0.0, 0.0, xe[j], xe[j + 1])
-        xs.append(xn)
-        nodes.append(_graded_map(xn, g))
-        weights.append(xw * _graded_map_deriv(xn, g))
-    x_nodes = np.concatenate(xs)
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights)
+    xn, xw = jacobi_panels(_CELL_ORDER, xe[:-1], xe[1:], np.zeros(m), np.zeros(m))
+    x_nodes = xn.ravel()
+    nodes = _graded_map(x_nodes, g)
+    weights = xw.ravel() * _graded_map_deriv(x_nodes, g)
     weights = weights / weights.sum()
     edges = _graded_map(xe, g)
     edges[0], edges[-1] = 0.0, 1.0
@@ -583,21 +578,6 @@ def _kernel_rules(tables: KernelTables, us: np.ndarray, nq: int = 24):
         right = np.where(u < 1.0, u ** p0 * (1.0 - u) ** (qd + 1.0), 0.0)
         yield sl, np.hstack([u * zl, s]), np.hstack(
             [u ** (2.0 + qd - 2.0 * h1) * w_left, right * tables.c(u / s) * wr])
-
-
-def _kernel_integrals(tables: KernelTables, us: np.ndarray, phi: Callable,
-                      nq: int = 24) -> np.ndarray:
-    """int_0^1 k_sym(s, u) phi(s) ds at each point u of us, for bounded phi."""
-    out = np.empty(us.size)
-    for sl, s, w in _kernel_rules(tables, us, nq):
-        out[sl] = (w * phi(s)).sum(axis=1)
-    return out
-
-
-def _kernel_integral(tables: KernelTables, u: float, phi: Callable,
-                     nq: int = 24) -> float:
-    """int_0^1 k_sym(s, u) phi(s) ds for bounded phi: a batch of one."""
-    return float(_kernel_integrals(tables, np.array([u], float), phi, nq)[0])
 
 
 def _offsets_in_cells(grid: QuadratureGrid, offsets) -> np.ndarray:

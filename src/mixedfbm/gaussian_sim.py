@@ -17,13 +17,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 from .errors import AccuracyError, DomainError, IllConditionedError
 from .kernels import get_tables
 from .model import DerivedConstants
-from .numerics import beta_fn
+from .numerics import beta_fn, jacobi_panels
 
 __all__ = [
     "SamplePath",
@@ -238,68 +236,35 @@ def _fbm_model_cached(key: bytes, h: float) -> CovarianceModel:
     return CovarianceModel(times=t, matrix=mat, drift=np.zeros(t.size), chol=_factor(mat))
 
 
-def simulate_fbm(h: float, times, seed, method: str = "cholesky") -> SamplePath:
+def simulate_fbm(h: float, times, seed) -> SamplePath:
     """Exact fractional Brownian draw on an arbitrary grid.
 
-    ``method="circulant"`` uses circulant embedding of the increment
-    covariance and needs a uniform grid; it is O(n log n) instead of
-    O(n^2) per draw and agrees with the factorization route in
-    distribution.
+    The draw is the Cholesky factor of the covariance on the grid (kept
+    for the last 32 grids) applied to standard normals from ``seed``.
     """
     if not 0.5 < h < 1.0:
         raise DomainError(f"require 1/2 < H < 1, got {h}")
     t = _positive_times(times)
-    full = np.concatenate(([0.0], t))
-    if method == "cholesky":
-        model = _fbm_model_cached(t.tobytes(), h)
-        return SamplePath(
-            times=full,
-            values=np.concatenate(([0.0], model.chol @ np.random.default_rng(seed).standard_normal(t.size))),
-            label="fBm",
-        )
-    if method != "circulant":
-        raise DomainError(f"unknown simulation method {method!r}")
-    d = np.diff(full)
-    if not np.allclose(d, d[0], rtol=1e-9, atol=0.0):
-        raise DomainError("circulant embedding needs a uniform grid")
-    n = d.size
-    lam = _circulant_eigs(n, h)
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
-    # E[Re F(amp)_j Re F(amp)_l] reproduces the circulant row exactly
-    # when the per-mode variance is lam/m with m = 2n
-    amp = np.sqrt(lam / (2.0 * n)) * g
-    fgn = np.fft.fft(amp)[:n].real * d[0] ** h
+    model = _fbm_model_cached(t.tobytes(), h)
     return SamplePath(
-        times=full,
-        values=np.concatenate(([0.0], np.cumsum(fgn))),
+        times=np.concatenate(([0.0], t)),
+        values=np.concatenate(([0.0], model.chol @ np.random.default_rng(seed).standard_normal(t.size))),
         label="fBm",
     )
 
 
-@lru_cache(maxsize=16)
-def _circulant_eigs(n: int, h: float) -> np.ndarray:
-    k = np.arange(n + 1, dtype=float)
-    c = 0.5 * ((k + 1) ** (2 * h) - 2 * k ** (2 * h) + np.abs(k - 1) ** (2 * h))
-    row = np.concatenate((c[: n + 1], c[n - 1 : 0 : -1]))
-    lam = np.fft.fft(row).real
-    if lam.min() < -1e-8 * lam.max():
-        raise IllConditionedError("circulant embedding is not nonnegative definite here")
-    return np.clip(lam, 0.0, None)
-
-
 # ----------------------------------------------------------------- forward
 
-_GL_NODES, _GL_WEIGHTS = leggauss(6)
-_GL_NODES = 0.5 * (_GL_NODES + 1.0)
-_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
+# 6-point Gauss-Legendre rule on [0, 1] for the smooth interior segments
+_GL_NODES, _GL_WEIGHTS = jacobi_panels(6, [0.0], [1.0], [0.0], [0.0])
+_GL_NODES, _GL_WEIGHTS = _GL_NODES[0], _GL_WEIGHTS[0]
 
 
 @lru_cache(maxsize=8)
 def _jacobi01(a: float) -> tuple[np.ndarray, np.ndarray]:
     # nodes/weights for int_0^1 x^a f(x) dx
-    x, w = roots_jacobi(8, 0.0, a)
-    return 0.5 * (x + 1.0), w * 2.0 ** (-a - 1.0)
+    x, w = jacobi_panels(8, [0.0], [1.0], [a], [0.0])
+    return x[0], w[0]
 
 
 def _dl(t: float, s: np.ndarray, a: float) -> np.ndarray:

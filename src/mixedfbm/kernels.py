@@ -1,29 +1,32 @@
 """Deterministic kernels of the mixed fractional model.
 
-Public entry points evaluate each kernel from its defining integral in a
-variable-changed form with explicit Jacobi endpoint exponents.  The class
-:class:`KernelTables` additionally precomputes one-dimensional scale
-profiles (every kernel here is homogeneous, so two-argument values reduce
-to a function of the ratio s/t); the tables back the Nystrom assembly and
-the covariance builder, and are validated against the direct evaluators in
-the test suite.
+Every kernel here is homogeneous, so its two-argument values reduce to
+one-dimensional profiles of the ratio of its arguments.
+:class:`KernelTables` samples these profiles once per Hurst pair with
+the batched layered quadrature (``_layered_batch``) and stores them as
+log-coordinate splines; the tables back the Nystrom assembly, the
+residual audit and the covariance builder.
 
-Kernel inventory, for Hurst pair (h1, h2) and gap a = h2 - h1:
+Kernel inventory, for Hurst pair (h1, h2) and gap a = h2 - h1, by table
+method:
 
-* ``kernel_KH``      Volterra kernel of a single fBm.
-* ``kernel_K12``     Volterra kernel of the transformed second fBm,
-                     K(t,s) = beta_{h2} s^(1/2-h2)
-                     int_s^t (t-u)^(1/2-h1) u^(h2-h1) (u-s)^(h2-3/2) du.
-* ``kernel_K12_dt``  its t-derivative.
-* ``kernel_k``       k(s,u) = int_0^{min} d_sK(s,v) d_uK(u,v) dv.
-* ``kernel_k1``      k1(s,u) = (su)^(h1-1/2) k(s,u), the solver kernel.
-* ``covariance_X2``  R(t,s) = int_0^{min} K(t,v) K(s,v) dv.
+* ``K12(t, s)``   Volterra kernel of the transformed second fBm,
+                  K(t,s) = beta_{h2} s^(1/2-h2)
+                  int_s^t (t-u)^(1/2-h1) u^(h2-h1) (u-s)^(h2-3/2) du.
+* ``dK12(t, s)``  its t-derivative.
+* ``k1(s, u)``    the solver kernel k1(s,u) = (su)^(h1-1/2) k(s,u), with
+                  k(s,u) = int_0^{min} d_sK(s,v) d_uK(u,v) dv.
+* ``R(t, s)``     R(t,s) = int_0^{min} K(t,v) K(s,v) dv.
+
+The direct evaluators of the same kernels from their defining integrals
+live with the tests, in ``tests/oracles.py``, as the references the
+tables are checked against.
 
 Scaling laws: rescaling both arguments by a > 0 multiplies K12 by
 a^(1/2+h2-2h1), d_tK12 by a^(h2-2h1-1/2), k by a^(2h2-4h1) and k1 by
-a^(2h2-2h1-1).  Every quadrature rule below places its panels at
-positions proportional to the arguments, so the computed values satisfy
-these identities to float roundoff, independent of panel resolution.
+a^(2h2-2h1-1).  The tables evaluate each kernel as a power of one
+argument times a profile of the ratio, so they satisfy these identities
+up to the rounding of that ratio.
 """
 from __future__ import annotations
 
@@ -33,18 +36,11 @@ from functools import lru_cache
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import DomainError
 from .model import DerivedConstants, _beta
-from .numerics import jacobi_panels, jacobi_rule
+from .numerics import jacobi_panels
 
 __all__ = [
     "KernelContext",
-    "kernel_KH",
-    "kernel_K12",
-    "kernel_K12_dt",
-    "kernel_k",
-    "kernel_k1",
-    "covariance_X2",
     "KernelTables",
     "get_tables",
 ]
@@ -58,15 +54,9 @@ _PROFILE_PER_SIDE = 1500
 
 @dataclass(frozen=True)
 class KernelContext:
-    """Evaluation context: model constants plus quadrature controls."""
+    """Evaluation context: the model constants of one parameter set."""
 
     constants: DerivedConstants
-    quad_n: int = 64
-    rtol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.quad_n < 8:
-            raise DomainError(f"require quad_n >= 8, got {self.quad_n}")
 
     @property
     def h1(self) -> float:
@@ -202,171 +192,6 @@ def _layered_01(f, p: float, q: float, n: int,
     return float(np.dot(w, f(z)))
 
 
-def _check_ts(t: float, s: float, strict: bool = False) -> None:
-    if s <= 0.0:
-        raise DomainError(f"require s > 0, got s={s}")
-    if strict and s >= t:
-        raise DomainError(f"require s < t, got t={t}, s={s}")
-    if not strict and s > t:
-        raise DomainError(f"require s <= t, got t={t}, s={s}")
-
-
-def kernel_KH(H: float, t: float, s: float, quad_n: int = 64) -> float:
-    """Volterra kernel of a single fBm with Hurst index H in (1/2, 1).
-
-    K_H(t,s) = beta_H s^(1/2-H) int_s^t (u-s)^(H-3/2) u^(H-1/2) du;
-    satisfies int_0^t K_H(t,s)^2 ds = t^(2H).
-    """
-    if not 0.5 < H < 1.0:
-        raise DomainError(f"require 1/2 < H < 1, got H={H}")
-    _check_ts(t, s)
-    if s == t:
-        return 0.0
-    d = t - s
-    f = lambda z: (s + d * z) ** (H - 0.5)
-    val = _layered_01(f, H - 1.5, 0.0, quad_n,
-                      z_left=s / d if s < d / 4.0 else None)
-    return _beta(H) * s ** (0.5 - H) * d ** (H - 0.5) * val
-
-
-@lru_cache(maxsize=1 << 18)
-def kernel_K12(ctx: KernelContext, t: float, s: float) -> float:
-    """Volterra kernel of the transformed second fBm.
-
-    Evaluated in the substituted form on (0,1) with Jacobi exponents
-    (h2-3/2) at z=0 and (1/2-h1) at z=1; the remaining factor
-    (s+(t-s)z)^(h2-h1) varies on the scale z ~ s/(t-s), which sets the
-    panel grading.
-    """
-    _check_ts(t, s)
-    if s == t:
-        return 0.0
-    h1, h2 = ctx.h1, ctx.h2
-    a = h2 - h1
-    d = t - s
-    f = lambda z: (s + d * z) ** a
-    val = _layered_01(f, h2 - 1.5, 0.5 - h1, ctx.quad_n,
-                      z_left=s / d if s < d / 4.0 else None)
-    return ctx.constants.beta_h2 * s ** (0.5 - h2) * d ** a * val
-
-
-@lru_cache(maxsize=1 << 18)
-def kernel_K12_dt(ctx: KernelContext, t: float, s: float) -> float:
-    """t-derivative of kernel_K12; requires s < t (singular on the diagonal).
-
-    d_tK(t,s) = (h2-h1) [ K(t,s)/(t-s)
-                 + beta_{h2} s^(1/2-h2) (t-s)^(h2-h1) J(t,s) ],
-    J = int_0^1 (1-z)^(1/2-h1) z^(h2-1/2) (s+(t-s)z)^(h2-h1-1) dz.
-    Nonnegative on its domain.
-    """
-    _check_ts(t, s, strict=True)
-    h1, h2 = ctx.h1, ctx.h2
-    a = h2 - h1
-    d = t - s
-    f = lambda z: (s + d * z) ** (a - 1.0)
-    J = _layered_01(f, h2 - 0.5, 0.5 - h1, ctx.quad_n,
-                    z_left=s / d if s < d / 4.0 else None)
-    k = kernel_K12(ctx, t, s)
-    return a * (k / d + ctx.constants.beta_h2 * s ** (0.5 - h2) * d ** a * J)
-
-
-def _dK12_vals(ctx: KernelContext, t: float, v: np.ndarray) -> np.ndarray:
-    return np.array([kernel_K12_dt(ctx, t, float(vi)) for vi in v])
-
-
-def kernel_k(ctx: KernelContext, s: float, u: float) -> float:
-    """k(s,u) = int_0^{min(s,u)} d_sK(s,v) d_uK(u,v) dv, straight from the
-    defining integral (the cached fast path lives in KernelTables).
-
-    Symmetric, nonnegative, homogeneous of degree 2h2-4h1; diverges like
-    |u-s|^(2(h2-h1)-1) on the diagonal, where the clamp rule applies.
-    """
-    if s <= 0.0 or u <= 0.0:
-        raise DomainError(f"require s, u > 0, got s={s}, u={u}")
-    lo, hi = (s, u) if s <= u else (u, s)
-    if hi - lo < DIAG_RTOL * hi:
-        lo = hi * (1.0 - DIAG_RTOL)
-    h1, h2 = ctx.h1, ctx.h2
-    a = h2 - h1
-    n = max(24, ctx.quad_n // 2)
-    delta = hi - lo
-    total = 0.0
-
-    # (0, lo/2): both derivative factors behave like v^(1/2-h2)
-    x, w = jacobi_rule(n, 1.0 - 2.0 * h2, 0.0, 0.0, lo / 2.0)
-    g = _dK12_vals(ctx, lo, x) * _dK12_vals(ctx, hi, x) * x ** (2.0 * h2 - 1.0)
-    total += float(np.dot(w, g))
-
-    # (lo/2, lo): geometric refinement toward v=lo when u sits close
-    # (the hi-side factor varies on the scale hi-lo there)
-    inner = [lo / 2.0]
-    if delta < lo / 4.0:
-        width = 2.0 * delta
-        while lo - width > lo / 2.0:
-            inner.append(lo - width)
-            width *= 2.0
-        inner = inner[:1] + sorted(inner[1:])
-    for lo_e, hi_e in zip(inner[:-1], inner[1:]):
-        x, w = jacobi_rule(n, 0.0, 0.0, lo_e, hi_e)
-        total += float(np.dot(w, _dK12_vals(ctx, lo, x) * _dK12_vals(ctx, hi, x)))
-
-    # final panel: Jacobi exponent a-1 at v=lo; the lo-side factor times
-    # (lo-v)^(1-a) extends continuously to the endpoint
-    x, w = jacobi_rule(n, 0.0, a - 1.0, inner[-1], lo)
-    g = _dK12_vals(ctx, lo, x) * (lo - x) ** (1.0 - a) * _dK12_vals(ctx, hi, x)
-    total += float(np.dot(w, g))
-    return total
-
-
-def kernel_k1(ctx: KernelContext, s: float, u: float) -> float:
-    """Solver kernel k1(s,u) = (su)^(h1-1/2) k(s,u); symmetric.
-
-    Near-diagonal calls (|u-s| < 1e-8 max(u,s)) clamp the separation at
-    the threshold, consistent with the |u-s|^(2(h2-h1)-1) diagonal
-    exponent; the Nystrom assembly never places evaluations there.
-    """
-    if s <= 0.0 or u <= 0.0:
-        raise DomainError(f"require s, u > 0, got s={s}, u={u}")
-    return (s * u) ** (ctx.h1 - 0.5) * kernel_k(ctx, s, u)
-
-
-def covariance_X2(ctx: KernelContext, t: float, s: float) -> float:
-    """R(t,s) = int_0^{min} K12(t,v) K12(s,v) dv, the covariance of the
-    transformed second fBm, in the graded single-integral product form.
-    The weighted double integral over the fBm covariance density is the
-    oracle for this routine in the tests.
-    """
-    if t < 0.0 or s < 0.0:
-        raise DomainError(f"require t, s >= 0, got t={t}, s={s}")
-    lo, hi = (s, t) if s <= t else (t, s)
-    if lo == 0.0:
-        return 0.0
-    h1, h2 = ctx.h1, ctx.h2
-    a = h2 - h1
-    n = ctx.quad_n
-
-    def k12_vals(tt: float, v: np.ndarray) -> np.ndarray:
-        return np.array([kernel_K12(ctx, tt, float(vi)) for vi in v])
-
-    # (0, lo/2): Jacobi panel on the innermost scale, then a dyadic
-    # ladder; the Holder corrections of the profiles spread from v=0
-    total = 0.0
-    edges = lo * np.unique(_ladder_edges(1e-9))
-    x, w = jacobi_rule(n, 1.0 - 2.0 * h2, 0.0, 0.0, edges[1])
-    g = k12_vals(lo, x) * k12_vals(hi, x) * x ** (2.0 * h2 - 1.0)
-    total += float(np.dot(w, g))
-    for lo_e, hi_e in zip(edges[1:-1], edges[2:]):
-        x, w = jacobi_rule(n, 0.0, 0.0, lo_e, hi_e)
-        total += float(np.dot(w, k12_vals(lo, x) * k12_vals(hi, x)))
-
-    expo = 2.0 * a if hi == lo else a
-    x, w = jacobi_rule(n, 0.0, expo, lo / 2.0, lo)
-    g = k12_vals(lo, x) / (lo - x) ** a
-    g = g * g if hi == lo else g * k12_vals(hi, x)
-    total += float(np.dot(w, g))
-    return total
-
-
 class _EdgeSpline:
     """Cubic spline of a bounded profile on (0,1) in log coordinates.
 
@@ -451,21 +276,6 @@ class KernelTables:
         x = np.minimum(lo / hi, 1.0 - DIAG_RTOL)
         return (lo ** (0.5 - self.h1) * hi ** (self.h1 - 0.5)
                 * gap ** (2.0 * self.a - 1.0) * self.c(x))
-
-    def k1_l2_norm(self, n: int = 96) -> float:
-        """L2(0,1)^2 norm of k1, reduced to a 1D integral of c(x)^2.
-
-        Substituting s = ux in the inner integral gives
-        ||k1||^2 = (1/(2a)) int_0^1 x^(1-2h1) (1-x)^(4a-2) c(x)^2 dx,
-        finite precisely when a > 1/4 (the solver admissibility gate).
-        """
-        if 4.0 * self.a - 2.0 <= -1.0:
-            raise DomainError(
-                f"k1 is not square integrable for h2-h1={self.a} <= 1/4")
-        val = _layered_01(lambda x: self.c(x) ** 2,
-                          1.0 - 2.0 * self.h1, 4.0 * self.a - 2.0, n,
-                          z_left=1e-9, z_right=1e-9) / (2.0 * self.a)
-        return float(np.sqrt(val))
 
     def R(self, t, s):
         """Covariance of the transformed second fBm; vectorized."""

@@ -7,6 +7,7 @@ tolerances include the sampling noise at the stated replicate counts.
 """
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from mixedfbm.closed_form import (h0_weighted_integral, limit_functional,
 from mixedfbm.fredholm import assemble, build_grid, solve_second_kind
 from mixedfbm.harness import (ExperimentConfig, decay_slope, run_asymptotics,
                               run_mc)
-from mixedfbm.kernels import (KernelContext, kernel_K12, kernel_K12_dt,
-                              kernel_k, kernel_k1)
+from mixedfbm.kernels import KernelContext, get_tables
+from oracles import kernel_K12, kernel_K12_dt, kernel_k, kernel_k1
 
 PAIRS = [(0.6, 0.9), (0.55, 0.85), (0.7, 0.99)]
 
@@ -46,48 +47,62 @@ def graded(n):
 
 def test_criterion_01_kernel_scaling_identities():
     # four homogeneity laws, 50 random (t, s, a) triples per pair,
-    # relative error <= 1e-8, under 30 s
+    # relative error <= 1e-8, under 30 s: on the direct evaluators and
+    # on the shipped tables (which carry K12, dK12 and k1)
     start = time.perf_counter()
     rng = np.random.default_rng(20260814)
     triples = [(rng.uniform(0.3, 2.0), rng.uniform(0.05, 0.95),
                 rng.uniform(0.3, 3.0)) for _ in range(50)]
-    worst = 0.0
+    worst = {"evaluators": 0.0, "tables": 0.0}
     for h1, h2 in PAIRS:
         ctx = KernelContext(constants=constants_for(h1, h2))
+        tab = get_tables(h1, h2)
+        e_K12, e_dK12 = 0.5 + h2 - 2 * h1, h2 - 2 * h1 - 0.5
+        e_k, e_k1 = 2 * h2 - 4 * h1, 2 * h2 - 2 * h1 - 1.0
         laws = [
-            (kernel_K12, 0.5 + h2 - 2 * h1),
-            (kernel_K12_dt, h2 - 2 * h1 - 0.5),
-            (kernel_k, 2 * h2 - 4 * h1),
-            (kernel_k1, 2 * h2 - 2 * h1 - 1.0),
+            ("evaluators", partial(kernel_K12, ctx), e_K12),
+            ("evaluators", partial(kernel_K12_dt, ctx), e_dK12),
+            ("evaluators", partial(kernel_k, ctx), e_k),
+            ("evaluators", partial(kernel_k1, ctx), e_k1),
+            ("tables", tab.K12, e_K12),
+            ("tables", tab.dK12, e_dK12),
+            ("tables", tab.k1, e_k1),
         ]
         for t, ratio, a in triples:
             s = t * ratio
-            for fn, expo in laws:
-                base = fn(ctx, t, s)
-                scaled = fn(ctx, a * t, a * s)
+            for kind, fn, expo in laws:
+                base = fn(t, s)
+                scaled = fn(a * t, a * s)
                 err = abs(scaled - a**expo * base) / abs(scaled)
-                worst = max(worst, err)
+                worst[kind] = max(worst[kind], err)
     elapsed = time.perf_counter() - start
-    assert worst <= 1e-8
+    assert max(worst.values()) <= 1e-8
     assert elapsed < 30.0
-    print(f"criterion 1 PASS: max rel err {worst:.2e}, {elapsed:.1f}s")
+    print(f"criterion 1 PASS: max rel err {worst['evaluators']:.2e} "
+          f"(evaluators), {worst['tables']:.2e} (tables), {elapsed:.1f}s")
 
 
 def test_criterion_02_derivative_consistency(cons09):
-    # dK12/dt vs central differences at 20 interior points, rel <= 1e-4
+    # dK12/dt vs central differences at 20 interior points, rel <= 1e-4,
+    # on the direct evaluators at (0.6, 0.9) and on the shipped tables
+    # of every pair
     ctx = KernelContext(constants=cons09)
-    rng = np.random.default_rng(2)
-    worst = 0.0
-    for _ in range(20):
-        t = rng.uniform(0.3, 2.0)
-        s = t * rng.uniform(0.1, 0.9)
-        step = 1e-5 * t
-        fd = (kernel_K12(ctx, t + step, s)
-              - kernel_K12(ctx, t - step, s)) / (2.0 * step)
-        val = kernel_K12_dt(ctx, t, s)
-        worst = max(worst, abs(fd - val) / abs(val))
-    assert worst <= 1e-4
-    print(f"criterion 2 PASS: max rel err {worst:.2e}")
+    checks = [("evaluators", partial(kernel_K12, ctx), partial(kernel_K12_dt, ctx))]
+    checks += [("tables", tab.K12, tab.dK12)
+               for tab in (get_tables(h1, h2) for h1, h2 in PAIRS)]
+    worst = {"evaluators": 0.0, "tables": 0.0}
+    for kind, K12, dK12 in checks:
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            t = rng.uniform(0.3, 2.0)
+            s = t * rng.uniform(0.1, 0.9)
+            step = 1e-5 * t
+            fd = (K12(t + step, s) - K12(t - step, s)) / (2.0 * step)
+            val = dK12(t, s)
+            worst[kind] = max(worst[kind], abs(fd - val) / abs(val))
+    assert max(worst.values()) <= 1e-4
+    print(f"criterion 2 PASS: max rel err {worst['evaluators']:.2e} "
+          f"(evaluators), {worst['tables']:.2e} (tables)")
 
 
 def test_criterion_03_operator_positivity(cons09):

@@ -12,7 +12,8 @@ from mixedfbm.fredholm import (assemble, build_grid, quadratic_variation_N,
                                solve_second_kind)
 from mixedfbm.kernels import KernelContext, _layered_01, get_tables
 from mixedfbm.model import HurstPair, ModelParams, derive_constants
-from mixedfbm.numerics import beta_fn, frac_integral_right, gamma_fn
+from mixedfbm.numerics import beta_fn, gamma_fn
+from oracles import frac_integral_right
 
 H1, H2 = 0.6, 0.9
 

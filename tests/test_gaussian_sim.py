@@ -137,6 +137,8 @@ def test_fbm_covariance_formula():
 
 
 def test_fbm_mc_covariance():
+    with pytest.raises(DomainError):
+        gs.simulate_fbm(0.4, np.linspace(0.0, 1.0, 65), 1)
     t = np.linspace(0.1, 1.0, 10)
     R = 20000
     samp = np.empty((R, 10))
@@ -144,25 +146,6 @@ def test_fbm_mc_covariance():
         samp[r] = gs.simulate_fbm(0.7, t, np.random.SeedSequence((303, r))).values[1:]
     emp = samp.T @ samp / R
     ref = gs._fbm_cov(0.7, t[:, None], t[None, :])
-    assert np.max(np.abs(emp / ref - 1.0)) < 0.05
-
-
-def test_fbm_circulant_route():
-    t = np.linspace(0.0, 1.0, 65)
-    with pytest.raises(DomainError):
-        gs.simulate_fbm(0.7, graded(64), 1, method="circulant")
-    with pytest.raises(DomainError):
-        gs.simulate_fbm(0.4, t, 1)
-    with pytest.raises(DomainError):
-        gs.simulate_fbm(0.7, t, 1, method="spectral")
-    sub = slice(8, None, 8)
-    R = 20000
-    samp = np.empty((R, 8))
-    for r in range(R):
-        samp[r] = gs.simulate_fbm(0.7, t, np.random.SeedSequence((404, r)), method="circulant").values[sub]
-    emp = samp.T @ samp / R
-    tt = t[sub]
-    ref = gs._fbm_cov(0.7, tt[:, None], tt[None, :])
     assert np.max(np.abs(emp / ref - 1.0)) < 0.05
 
 

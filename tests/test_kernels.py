@@ -1,4 +1,4 @@
-"""Kernel evaluators and cached profile tables.
+"""Kernel tables and the direct evaluators they are checked against.
 
 Frozen reference values were computed with mpmath (dps=30) from the
 defining integrals in substituted form; the covariance references use
@@ -10,21 +10,11 @@ import numpy as np
 import pytest
 
 from mixedfbm.errors import DomainError
-from mixedfbm.kernels import (
-    DIAG_RTOL,
-    KernelContext,
-    KernelTables,
-    _layered_01,
-    covariance_X2,
-    get_tables,
-    kernel_K12,
-    kernel_K12_dt,
-    kernel_KH,
-    kernel_k,
-    kernel_k1,
-)
+from mixedfbm.kernels import DIAG_RTOL, KernelContext, KernelTables, get_tables
 from mixedfbm.model import HurstPair, ModelParams, derive_constants
-from mixedfbm.numerics import beta_fn, jacobi_rule
+from mixedfbm.numerics import beta_fn
+from oracles import (covariance_X2, jacobi_rule, k1_l2_norm, kernel_K12,
+                     kernel_K12_dt, kernel_k, kernel_k1)
 
 H1, H2 = 0.6, 0.9
 A_GAP = H2 - H1
@@ -39,37 +29,6 @@ def ctx():
 @pytest.fixture(scope="module")
 def tables():
     return get_tables(H1, H2)
-
-
-class TestKernelKH:
-    def test_frozen_value(self):
-        # hypergeometric closed form of the defining integral:
-        # beta_H * 2^(-0.2)/0.2 * 2F1(-0.2, 0.2; 1.2; -1)
-        got = kernel_KH(0.7, 1.0, 0.5)
-        assert math.isclose(got, 0.9771404973936164, rel_tol=1e-12)
-
-    @pytest.mark.parametrize("H", [0.6, 0.75, 0.9])
-    def test_squared_kernel_normalization(self, H):
-        # int_0^t K_H(t,s)^2 ds = t^(2H); the kernel normalization beta_H
-        # exists precisely to make this hold
-        for t in (1.0, 2.0):
-            f = lambda z: np.array([
-                (kernel_KH(H, t, float(t * zi)) * zi ** (H - 0.5)
-                 * (1.0 - zi) ** (0.5 - H)) ** 2
-                for zi in np.atleast_1d(z)
-            ])
-            val = t * _layered_01(f, 1.0 - 2.0 * H, 2.0 * H - 1.0, 48,
-                                  z_left=1e-9, z_right=1e-9)
-            assert math.isclose(val, t ** (2 * H), rel_tol=1e-8)
-
-    def test_edges(self):
-        assert kernel_KH(0.7, 1.0, 1.0) == 0.0
-        with pytest.raises(DomainError):
-            kernel_KH(0.5, 1.0, 0.5)
-        with pytest.raises(DomainError):
-            kernel_KH(0.7, 1.0, 0.0)
-        with pytest.raises(DomainError):
-            kernel_KH(0.7, 0.5, 0.6)
 
 
 class TestKernelK12:
@@ -205,16 +164,16 @@ class TestProfileTables:
                             rel_tol=1e-8)
 
     def test_l2_norm(self, tables):
-        val = tables.k1_l2_norm()
+        val = k1_l2_norm(tables)
         assert np.isfinite(val) and val > 0.0
-        assert math.isclose(val, tables.k1_l2_norm(n=192), rel_tol=1e-8)
+        assert math.isclose(val, k1_l2_norm(tables, n=192), rel_tol=1e-8)
 
     def test_l2_norm_gate(self, tables):
         thin = KernelTables(h1=0.6, h2=0.8, beta2=tables.beta2,
                             m=tables.m, n=tables.n, psi_d=tables.psi_d,
                             c=tables.c, rho=tables.rho)
         with pytest.raises(DomainError):
-            thin.k1_l2_norm()
+            k1_l2_norm(thin)
 
     def test_gram_positivity(self, tables):
         s = np.linspace(0.05, 0.95, 12)

@@ -198,8 +198,10 @@ def test_quadrature_rows_match_scalar_rows(cons):
 def test_kernel_integrals_batch_matches_scalar(tables):
     phi = lambda s: np.cos(3.0 * np.asarray(s))
     us = np.array([1e-7, 0.01, 0.3, 0.77, 1.0] * 10)
-    got = fr._kernel_integrals(tables, us, phi)
-    ref = [fr._kernel_integral(tables, float(u), phi) for u in us]
+    got = np.empty(us.size)
+    for sl, s, w in fr._kernel_rules(tables, us):
+        got[sl] = (w * phi(s)).sum(1)
+    ref = oracles._kernel_integrals(tables, us, phi)
     assert us.size > fr._CHUNK_POINTS
     assert _rel(got, ref) <= RTOL
 
@@ -222,11 +224,11 @@ def test_h0_batch_matches_scalar_ladder(cons):
 # -------------------------------------------------------------- work counts
 
 def _audit_counts(monkeypatch, sol):
-    counts = {"jacobi_rule": 0, "spline": 0}
-    rule = numerics.jacobi_rule
+    counts = {"jacobi_panels": 0, "spline": 0}
+    rule = numerics.jacobi_panels
 
     def counting_rule(*args, **kwargs):
-        counts["jacobi_rule"] += 1
+        counts["jacobi_panels"] += 1
         return rule(*args, **kwargs)
 
     spline_call = kernels._EdgeSpline.__call__
@@ -237,7 +239,7 @@ def _audit_counts(monkeypatch, sol):
 
     with monkeypatch.context() as mp:
         for module in (numerics, kernels, fr):
-            mp.setattr(module, "jacobi_rule", counting_rule)
+            mp.setattr(module, "jacobi_panels", counting_rule)
         mp.setattr(kernels._EdgeSpline, "__call__", counting_spline)
         fr.residual_report(sol)
     return counts
@@ -246,7 +248,7 @@ def _audit_counts(monkeypatch, sol):
 def test_audit_work_counts_do_not_grow_per_point(monkeypatch, cons):
     # the audit forms rows at 6n points (3n extension samples, 3n probes)
     # and kernel integrals at 4n (the probes and the nodes); batched, it
-    # builds no scalar rule and calls a profile spline about twice per
+    # builds no Gauss rule and calls a profile spline about twice per
     # chunk of points, where per-point loops made ~130 spline calls and
     # ~130 rule calls per point
     ctx = kernels.KernelContext(constants=cons)
@@ -255,7 +257,7 @@ def test_audit_work_counts_do_not_grow_per_point(monkeypatch, cons):
         sol = fr.solve_second_kind(fr.assemble(ctx, fr.build_grid(n)), 1.0,
                                    cons, residual_tol=1e-3)
         counts[n] = _audit_counts(monkeypatch, sol)
-    assert counts[128]["jacobi_rule"] == counts[64]["jacobi_rule"] == 0
+    assert counts[128]["jacobi_panels"] == counts[64]["jacobi_panels"] == 0
     for n in (64, 128):
         assert counts[n]["spline"] <= 2 * 10 * n / fr._CHUNK_POINTS + 4
     assert counts[128]["spline"] <= 2 * counts[64]["spline"]
@@ -265,7 +267,7 @@ def test_later_horizons_reuse_the_operators_audit_plan(monkeypatch, cons):
     # the audit's quadrature rows and kernel-integral ladders belong to
     # the operator: its first solve lays them out, and a later horizon
     # or a residual_report forms none of them again
-    names = ("_quadrature_rows", "_kernel_integrals", "_ladder_rule_one")
+    names = ("_quadrature_rows", "_kernel_rules", "_ladder_rule_one")
     counts = dict.fromkeys(names, 0)
 
     def count(name):

@@ -1,28 +1,22 @@
-"""Quadrature and fractional-calculus invariants."""
+"""Gauss-Jacobi panels, the reference rules, and the guarded dense solve."""
 import math
 
 import numpy as np
 import pytest
 
 from mixedfbm.errors import AccuracyWarning, DomainError, IllConditionedError
-from mixedfbm.numerics import (
-    beta_fn,
-    frac_derivative_left,
-    frac_derivative_right,
-    frac_integral_right,
-    gamma_fn,
-    jacobi_rule,
-    singular_integral,
-    solve_dense,
-)
+from mixedfbm.numerics import beta_fn, gamma_fn, jacobi_panels, solve_dense
+from oracles import frac_integral_right, jacobi_rule, singular_integral
+
+# the exponent pairs and intervals of the weight-sum checks
+EXPONENTS = [(0.0, 0.0), (-0.5, 0.0), (0.0, -0.5), (-0.9, -0.9),
+             (1.3, -0.4), (-0.6, 2.0), (2.5, 3.5)]
+INTERVALS = [(0.0, 1.0), (0.3, 2.7)]
 
 
 class TestJacobiRule:
-    @pytest.mark.parametrize("p,q", [
-        (0.0, 0.0), (-0.5, 0.0), (0.0, -0.5), (-0.9, -0.9),
-        (1.3, -0.4), (-0.6, 2.0), (2.5, 3.5),
-    ])
-    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (0.3, 2.7)])
+    @pytest.mark.parametrize("p,q", EXPONENTS)
+    @pytest.mark.parametrize("a,b", INTERVALS)
     def test_weight_sum_matches_beta(self, p, q, a, b):
         rule = jacobi_rule(48, p, q, a, b)
         exact = (b - a) ** (p + q + 1.0) * beta_fn(p + 1.0, q + 1.0)
@@ -46,6 +40,29 @@ class TestJacobiRule:
             jacobi_rule(8, -1.0, 0.0)
         with pytest.raises(DomainError):
             jacobi_rule(8, 0.0, 0.0, 1.0, 1.0)
+
+
+class TestJacobiPanels:
+    def test_mixed_batch(self):
+        # every (p, q, a, b) case of the weight-sum checks in one batch
+        cases = [(p, q, a, b) for p, q in EXPONENTS for a, b in INTERVALS]
+        p, q, a, b = (np.array(v) for v in zip(*cases))
+        nodes, weights = jacobi_panels(48, a, b, p, q)
+        assert nodes.shape == weights.shape == (len(cases), 48)
+        for k, (pk, qk, ak, bk) in enumerate(cases):
+            x, w = jacobi_rule(48, pk, qk, ak, bk)
+            assert np.array_equal(nodes[k], x) and np.array_equal(weights[k], w)
+            exact = (bk - ak) ** (pk + qk + 1.0) * beta_fn(pk + 1.0, qk + 1.0)
+            assert abs(weights[k].sum() - exact) <= 1e-12 * exact
+
+    def test_domain_errors(self):
+        ok = np.array([0.0, 0.5])
+        with pytest.raises(DomainError):
+            jacobi_panels(8, [0.0, 0.0], [1.0, 1.0], [0.0, -1.0], ok)
+        with pytest.raises(DomainError):
+            jacobi_panels(8, [0.0, 0.0], [1.0, 1.0], ok, [-1.5, 0.0])
+        with pytest.raises(DomainError):
+            jacobi_panels(8, [0.0, 1.0], [1.0, 1.0], ok, ok)
 
 
 class TestSingularIntegral:
@@ -77,55 +94,6 @@ class TestFractionalCalculus:
         with pytest.warns(AccuracyWarning):
             got = frac_integral_right(f, alpha, v)
         assert math.isclose(got, expect, rel_tol=1e-6)
-
-    def test_derivative_power_rules(self):
-        alpha = 0.35
-        got = frac_derivative_left(None, alpha, 0.6, power=0.8)
-        expect = gamma_fn(1.8) / gamma_fn(1.8 - alpha) * 0.6 ** (0.8 - alpha)
-        assert math.isclose(got, expect, rel_tol=1e-13)
-        got = frac_derivative_right(None, alpha, 0.6, power_one_minus=0.8)
-        expect = gamma_fn(1.8) / gamma_fn(1.8 - alpha) * 0.4 ** (0.8 - alpha)
-        assert math.isclose(got, expect, rel_tol=1e-13)
-
-    def test_derivative_inverts_integral(self):
-        # D^a I^a f = f, both one-sided versions, numeric path throughout
-        alpha = 0.4
-
-        def right_int(y):
-            return frac_integral_right(np.cos, alpha, float(y))
-
-        g = lambda ys: np.array([right_int(y) for y in np.atleast_1d(ys)])
-        got = frac_derivative_right(g, alpha, 0.4)
-        assert abs(got - math.cos(0.4)) <= 1e-6
-
-        def left_int(y):
-            val = singular_integral(np.cos, 0.0, float(y), q=alpha - 1.0)
-            return val / gamma_fn(alpha)
-
-        g = lambda ys: np.array([left_int(y) for y in np.atleast_1d(ys)])
-        got = frac_derivative_left(g, alpha, 0.4)
-        assert abs(got - math.cos(0.4)) <= 1e-6
-
-    def test_integration_by_parts(self):
-        # int f D^a_{0+}g = int g D^a_{1-}f with numeric derivatives on one
-        # side and power rules on the other
-        alpha = 0.3
-        f = lambda t: (1.0 - t) ** 1.9
-        g = lambda t: t ** 1.8
-
-        def dg(ts):
-            return np.array([
-                frac_derivative_left(g, alpha, float(t)) for t in np.atleast_1d(ts)
-            ])
-
-        # D^a g behaves like t^(1.8-a) at zero; declare it for clean
-        # convergence of the outer rule
-        lhs = singular_integral(
-            lambda t: f(t) * dg(t) * t ** (alpha - 1.8), 0.0, 1.0,
-            p=1.8 - alpha, n0=48, n_cap=96)
-        ratio = gamma_fn(2.9) / gamma_fn(2.9 - alpha)
-        rhs = singular_integral(lambda t: ratio * g(t), 0.0, 1.0, q=1.9 - alpha)
-        assert abs(lhs - rhs) <= 1e-6 * abs(rhs)
 
 
 class TestSolveDense:

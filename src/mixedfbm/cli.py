@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .closed_form import asymptotic_variance, h0, h0_weighted_integral
+from .closed_form import asymptotic_variance, h0
 from .errors import AccuracyError, DomainError, IllConditionedError
 from .estimator import estimate_with_filter
 from .fredholm import (assemble, build_grid, filter_from_knots,
@@ -26,7 +26,7 @@ from .fredholm import (assemble, build_grid, filter_from_knots,
 from .gaussian_sim import (SamplePath, inverse_transform, molchan_transform,
                            simulate_fbm, simulate_X, simulate_Y, simulate_Z)
 from .harness import (ExperimentConfig, _graded_times, decay_slope,
-                      export_report, run_asymptotics, run_mc)
+                      export_report, gap_slope, run_asymptotics, run_mc)
 from .kernels import KernelContext, get_tables
 from .model import HurstPair, ModelParams, derive_constants
 
@@ -172,11 +172,7 @@ def _cmd_solve(s: _Settings) -> int:
 def _cmd_closed_form(s: _Settings) -> int:
     _, cons = s.constants()
     if s.args.asymptotic_variance:
-        j_lo = h0_weighted_integral(cons, order=24)
-        j_hi = h0_weighted_integral(cons, order=48)
-        av = asymptotic_variance(cons)
-        print(f"asymptotic_variance={av!r} "
-              f"quadrature_error={abs(1.0 / j_hi - 1.0 / j_lo):.3e}")
+        print(f"asymptotic_variance={asymptotic_variance(cons)!r}")
     out = s.get("out")
     if out:
         v = np.linspace(0.0, 1.0, s.args.points + 2)[1:-1]
@@ -285,10 +281,11 @@ def _cmd_asymptotics(s: _Settings) -> int:
     report = run_asymptotics(config)
     paths = export_report(report, config, "csv")
     paths += export_report(report, config, "json")
-    h2 = config.params.hurst.h2
+    h1, h2 = config.params.hurst.h1, config.params.hurst.h2
     print(f"asymptotics: tail slope={decay_slope(report):.4f} "
-          f"(law {-(2.0 - 2.0 * h2):.4f}), scaled var "
-          f"{report.per_T_scaled_var[-1][1]!r} -> limit "
+          f"(law {-(2.0 - 2.0 * h2):.4f}), gap slope="
+          f"{gap_slope(report):.4f} (law {-2.0 * (h2 - h1):.4f}), "
+          f"scaled var {report.per_T_scaled_var[-1][1]!r} -> limit "
           f"{report.asymptotic_var_closed_form!r}")
     print("wrote: " + ", ".join(str(p) for p in paths))
     return 0
@@ -323,8 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="curve samples when writing --out")
     p.add_argument("--asymptotic-variance", action="store_true",
                    dest="asymptotic_variance",
-                   help="print the limiting variance with a quadrature "
-                        "error estimate")
+                   help="print the limiting variance (an exact "
+                        "Gamma/Beta formula)")
     p.set_defaults(func=_cmd_closed_form)
 
     p = sub.add_parser("simulate", help="draw one sample path to CSV")

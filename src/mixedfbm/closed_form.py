@@ -5,8 +5,8 @@ equation approach the solution of a first-kind equation.  That limit has
 a closed form: a power-weighted right-sided fractional integral whose
 normalization is produced by a chain of constants, one per inversion
 step.  This module evaluates the closed form, cross-checks it against
-the discretized kernel operator, and computes the weighted integral
-whose reciprocal is the limiting variance scale.
+the discretized kernel operator, and gives the weighted integral
+whose reciprocal is the limiting variance scale in closed form.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError
+from .errors import DomainError
 from .fredholm import FredholmSolution, QuadratureGrid, assemble, unscale
-from .kernels import KernelContext, _layered_01, _layered_batch
+from .kernels import KernelContext, _layered_batch
 from .model import DerivedConstants
-from .numerics import gamma_fn
+from .numerics import beta_fn, gamma_fn
 
 __all__ = [
     "ConstantChain",
@@ -187,32 +187,20 @@ def verify_first_kind(
     )
 
 
-def h0_weighted_integral(constants: DerivedConstants, order: int = 24) -> float:
+def h0_weighted_integral(constants: DerivedConstants) -> float:
     """Weighted integral of the limiting weight: int_0^1 h0(u) u^{1/2-H1} du.
 
-    The integrand has algebraic endpoint behavior on both sides; near
-    zero it carries the two branches u^{1/2-H2} and u^{1-2H1}, of which
-    the stronger is declared to the quadrature, and near one it behaves
-    like (1-u)^{H1-H2}.  The bounded remainder is integrated on
-    geometric ladders.  This is the normalization-free functional the
-    rescaled solver solutions converge to.
+    Exchanging the order of integration in the fractional integral of
+    ``h0`` (alpha = H1 - 1/2) integrates u^{1-2H1} (t-u)^{alpha-1} over
+    (0, t) to B(2-2H1, alpha) t^{1/2-H1}.  Against the profile
+    t^{H1-H2} (1-t)^{1/2-H2} the t-integral is a Beta function too, and
+    Gamma(alpha) cancels: J = c6 Gamma(2-2H1) / Gamma(3/2-H1)
+    B(3/2-H2, 3/2-H2), the functional the rescaled solutions converge to.
     """
-    h1 = constants.hurst.h1
-    h2 = constants.hurst.h2
-    p = min(0.5 - h2, 1.0 - 2.0 * h1)
-    q = h1 - h2
-
-    def bounded(z: np.ndarray) -> np.ndarray:
-        w = np.asarray(h0(z, constants), dtype=float)
-        return w * z ** (0.5 - h1 - p) * (1.0 - z) ** (-q)
-
-    val = _layered_01(bounded, p, q, order, 1e-9, 1e-9)
-    if not np.isfinite(val) or val <= 0.0:
-        raise AccuracyError(
-            f"weighted integral of the limiting weight came out {val}; "
-            f"expected a positive finite value"
-        )
-    return float(val)
+    h1, h2 = constants.hurst.h1, constants.hurst.h2
+    c6 = constant_chain(1.0 / constants.gamma_h1**2, constants).c6
+    return float(c6 * gamma_fn(2.0 - 2.0 * h1) / gamma_fn(1.5 - h1)
+                 * beta_fn(1.5 - h2, 1.5 - h2))
 
 
 def asymptotic_variance(constants: DerivedConstants) -> float:

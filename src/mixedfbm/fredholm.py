@@ -27,15 +27,15 @@ summed per cell (``_cell_moments``).  The solve itself is a single
 dense LU per horizon.
 
 The off-grid residual audit depends on the horizon only through the
-solution vector, so everything else it needs is built once per operator,
-on its first solve, and kept on it (``DiscretizedOperator.audit_plan``):
-the quadrature rows at the extension samples and at the probes, and the
-kernel integrals of the solution's spline at the probes and at the
-nodes as a linear map of the spline's knot values and knot second
-derivatives (``_spline_map``).  Each horizon's audit is then a few
-matrix-vector products and one evaluation of the spline.  The plan
-holds 17.75 n^2 floats (2.3 MB at n = 128, 37 MB at n = 512) and is
-freed with the operator.
+solution vector, so all else it needs is built once per operator and
+kept on it.  The first solve builds what every solve reads
+(``DiscretizedOperator.audit_plan``, 11.25 n^2 floats): the quadrature
+rows at the extension samples, and the kernel integrals of the
+solution's spline at the probes as a linear map of its knot values and
+knot second derivatives (``_spline_map``).  The rows at the probes and
+the integrals at the nodes (``report_plan``, 6.5 n^2 floats) serve only
+``residual_report``, whose first call builds them.  Each horizon's audit
+is then a few matrix-vector products and one evaluation of the spline.
 """
 
 from __future__ import annotations
@@ -403,12 +403,22 @@ class DiscretizedOperator:
 
     @cached_property
     def audit_plan(self) -> "_AuditPlan":
-        """The horizon-independent part of the residual audit.
+        """The horizon-independent part of every solve's residual scan.
 
         Built on first use (the first solve) and kept with the operator;
         see ``_build_audit_plan``.
         """
         return _build_audit_plan(self.tables, self.grid, self.near_radius)
+
+    @cached_property
+    def report_plan(self) -> tuple:
+        """What only ``residual_report`` reads, built on its first call:
+        the rows at the probes of ``audit_plan`` and its kernel-integral
+        map at the nodes, 6.5 n^2 floats."""
+        plan = self.audit_plan
+        return (self._rows(plan.probe_u),
+                _spline_integrals(self.tables, self.grid, plan.knots,
+                                  self.grid.nodes))
 
     def symmetrized(self) -> np.ndarray:
         """Symmetric part of D^(1/2) * matrix * D^(-1/2), D = diag(weights).
@@ -641,19 +651,18 @@ def _spline_map(knots: np.ndarray, x: np.ndarray,
 
 
 class _AuditPlan(NamedTuple):
-    """The horizon-independent part of the residual audit of an operator.
+    """The horizon-independent part of the residual scan of every solve.
 
     ext_u, ext_rows: the points between nodes (3 per cell) at which the
     solve extends the solution, and their quadrature rows.
     knots, order: the extended spline's knots in the mesh pre-image
     coordinate, sorted, and the permutation that sorts the nodal values
     followed by the extension values into knot order.
-    probe_x, probe_u, probe_rows: the 3n off-grid probe points, as
-    pre-images and as points of (0, 1), and their rows.
-    probe_integrals, node_integrals: int_0^1 k1(s, u) h_rec(s) ds at the
-    probes and at the nodes, for the reconstruction h_rec of a spline
-    with these knots, as a linear map of its knot values and knot second
-    derivatives (see ``_spline_map``).
+    probe_x, probe_u: the 3n off-grid probe points, as pre-images and as
+    points of (0, 1).
+    probe_integrals: int_0^1 k1(s, u) h_rec(s) ds at the probes, for the
+    reconstruction h_rec of a spline with these knots, as a linear map
+    of its knot values and knot second derivatives (see ``_spline_map``).
     """
 
     ext_u: np.ndarray
@@ -662,18 +671,27 @@ class _AuditPlan(NamedTuple):
     order: np.ndarray
     probe_x: np.ndarray
     probe_u: np.ndarray
-    probe_rows: np.ndarray
     probe_integrals: np.ndarray
-    node_integrals: np.ndarray
+
+
+def _spline_integrals(tables: KernelTables, grid: QuadratureGrid,
+                      knots: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """int_0^1 k1(s, u) h_rec(s) ds at the points us, as a linear map of
+    the knot values and knot second derivatives of h_rec's spline."""
+    # = u^(H1 - 1/2) int k_sym(s, u) phi(s) ds, and the spline holds
+    # phi(s) = h_rec(s) s^(H1 - 1/2) at the mesh pre-image of s
+    g = grid.grading_exponent
+    integrals = np.empty((us.size, 2 * knots.size))
+    for sl, s, w in _kernel_rules(tables, us):
+        integrals[sl] = _spline_map(knots, _graded_map_inv(s, g), w)
+    integrals *= us[:, None] ** (tables.h1 - 0.5)
+    return integrals
 
 
 def _build_audit_plan(tables: KernelTables, grid: QuadratureGrid,
                       near_radius: int) -> _AuditPlan:
-    """Rows and kernel-integral maps of the residual audit.
-
-    Holds (0.75 + 3) n rows of n and (3 + 1) n maps of 2m = 3.5 n
-    floats: 17.75 n^2 floats.
-    """
+    """Rows and kernel-integral map of every solve's residual scan: 0.75 n
+    rows of n and 3 n maps of 2m = 3.5 n floats, 11.25 n^2 floats."""
     g = grid.grading_exponent
     ext_x = _offsets_in_cells(grid, _EXT_OFFSETS)
     ext_u = _graded_map(ext_x, g)
@@ -682,21 +700,11 @@ def _build_audit_plan(tables: KernelTables, grid: QuadratureGrid,
     knots = xs[order]
     probe_x = _offsets_in_cells(grid, _EVAL_OFFSETS)
     probe_u = _graded_map(probe_x, g)
-    # int k1(s, u) h_rec(s) ds = u^(H1 - 1/2) int k_sym(s, u) phi(s) ds,
-    # and the spline holds phi(s) = h_rec(s) s^(H1 - 1/2) at the mesh
-    # pre-image of s
-    us = np.concatenate([probe_u, grid.nodes])
-    integrals = np.empty((us.size, 2 * knots.size))
-    for sl, s, w in _kernel_rules(tables, us):
-        integrals[sl] = _spline_map(knots, _graded_map_inv(s, g), w)
-    integrals *= us[:, None] ** (tables.h1 - 0.5)
     return _AuditPlan(
         ext_u=ext_u,
         ext_rows=_quadrature_rows(tables, grid, near_radius, ext_u),
         knots=knots, order=order, probe_x=probe_x, probe_u=probe_u,
-        probe_rows=_quadrature_rows(tables, grid, near_radius, probe_u),
-        probe_integrals=integrals[:probe_u.size],
-        node_integrals=integrals[probe_u.size:])
+        probe_integrals=_spline_integrals(tables, grid, knots, probe_u))
 
 
 class _KnotSpline(CubicSpline):
@@ -725,8 +733,10 @@ def _extended_spline(op: DiscretizedOperator, lam: float, T: float,
 
 
 def _scan_residuals(op: DiscretizedOperator, lam: float, T: float,
-                    h_hat: np.ndarray, rhs: np.ndarray,
-                    spline: _KnotSpline) -> ResidualReport:
+                    h_hat: np.ndarray, spline: _KnotSpline,
+                    report_plan: Optional[tuple] = None) -> ResidualReport:
+    """The residual scan on the operator's audit plan; ``on_grid_sup``
+    and ``extension_sup`` need its report plan and are NaN without it."""
     plan = op.audit_plan
     h1 = op.h1
     knot_data = np.concatenate([spline.y, spline(spline.x, 2)])
@@ -734,13 +744,17 @@ def _scan_residuals(op: DiscretizedOperator, lam: float, T: float,
     integral = lam * (plan.probe_integrals @ knot_data)
     rec_val = spline(plan.probe_x) * plan.probe_u ** (0.5 - h1)
     rec = np.abs(rec_val + integral - rhs_u) / rhs_u
-    nys_val = rhs_u - lam * (plan.probe_rows @ h_hat)
-    ext = np.abs(nys_val + integral - rhs_u) / rhs_u
-    on = np.abs(h_hat + lam * (plan.node_integrals @ knot_data) - rhs) / rhs
+    on_sup = ext_sup = float("nan")
+    if report_plan is not None:
+        probe_rows, node_integrals = report_plan
+        nys_val = rhs_u - lam * (probe_rows @ h_hat)
+        ext_sup = float(np.max(np.abs(nys_val + integral - rhs_u) / rhs_u))
+        rhs = _rhs_values(op.grid.nodes, T, h1)
+        on = h_hat + lam * (node_integrals @ knot_data) - rhs
+        on_sup = float(np.max(np.abs(on) / rhs))
     worst = int(np.argmax(rec))
     return ResidualReport(reconstruction_sup=float(rec[worst]),
-                          on_grid_sup=float(np.max(on)),
-                          extension_sup=float(np.max(ext)),
+                          on_grid_sup=on_sup, extension_sup=ext_sup,
                           worst_u=float(plan.probe_u[worst]))
 
 
@@ -800,7 +814,7 @@ def solve_second_kind(op: DiscretizedOperator, T: float,
             "approaching a spectral point of the discretized operator",
             AccuracyWarning, stacklevel=2)
     spline = _extended_spline(op, lam, T, h_hat)
-    report = _scan_residuals(op, lam, T, h_hat, rhs, spline)
+    report = _scan_residuals(op, lam, T, h_hat, spline)
     if report.reconstruction_sup > residual_tol:
         warnings.warn(
             f"scanned residual {report.reconstruction_sup:.3e} exceeds "
@@ -818,12 +832,14 @@ def residual_report(sol: FredholmSolution) -> ResidualReport:
     """Recompute the full residual diagnostics of a solution.
 
     Runs the scan of the solve on the operator's audit plan, so its
-    ``reconstruction_sup`` equals ``sol.residual_sup`` exactly.
+    ``reconstruction_sup`` equals ``sol.residual_sup`` exactly, and adds
+    ``on_grid_sup`` and ``extension_sup`` from the operator's report
+    plan, which the first call builds.
     """
     op, T = sol.operator, sol.horizon_T
-    rhs = _rhs_values(sol.grid.nodes, T, op.h1)
-    return _scan_residuals(op, sol.lam, T, sol.h_hat, rhs,
-                           _extended_spline(op, sol.lam, T, sol.h_hat))
+    return _scan_residuals(op, sol.lam, T, sol.h_hat,
+                           _extended_spline(op, sol.lam, T, sol.h_hat),
+                           op.report_plan)
 
 
 # ----------------------------------------------------------------------

@@ -34,6 +34,7 @@ __all__ = [
     "run_mc",
     "run_asymptotics",
     "decay_slope",
+    "gap_slope",
     "export_report",
 ]
 
@@ -257,11 +258,26 @@ def decay_slope(report: MCReport) -> float:
     global fit through small horizons mixes that transient into the
     slope.
     """
+    return _tail_slope(report, lambda d: d.var_exact)
+
+
+def gap_slope(report: MCReport) -> float:
+    """Log-log slope of scaled_var minus the closed-form limit over the
+    last horizon pair: the gap that decays like T^(-2(H2-H1)), read
+    without the transient of ``decay_slope``.  NaN unless both gaps are
+    positive (the scaled variance approaches its limit from above)."""
+    limit = report.asymptotic_var_closed_form
+    return _tail_slope(report, lambda d: d.scaled_var - limit)
+
+
+def _tail_slope(report: MCReport, value) -> float:
     det = report.per_T_detail
     if len(det) < 2:
         raise DomainError("need at least two solved horizons for a slope")
     a, b = det[-2], det[-1]
-    return math.log(b.var_exact / a.var_exact) / math.log(b.T / a.T)
+    if not (value(a) > 0.0 and value(b) > 0.0):
+        return math.nan
+    return math.log(value(b) / value(a)) / math.log(b.T / a.T)
 
 
 def _config_echo(config: ExperimentConfig) -> dict:

@@ -109,8 +109,11 @@ def _ladder_rule(p: float, q: float, n: int, z_left, z_right):
     index of the specification each panel belongs to, one per entry of
     the broadcast scales z_left, z_right (NaN: no ladder on that half).
     The weights carry the endpoint factors z^p (1-z)^q, so that
-    sum(weights * f(nodes)) over the panels of a specification is its
-    layered integral of f; see ``_layered_01`` for the panel layout.
+    sum(weights * f(nodes)) over the panels of a specification
+    integrates z^p (1-z)^q f(z) over (0,1) for f free of endpoint
+    blow-up but with boundary layers or Holder kinks near the ends:
+    z_left (z_right) is the scale at 0 (at 1) from which the panels
+    double outward to 1/2 (the panel kinds above).
     """
     zl, zr = np.broadcast_arrays(np.atleast_1d(np.asarray(z_left, float)),
                                  np.atleast_1d(np.asarray(z_right, float)))
@@ -169,27 +172,6 @@ def _layered_batch(f, p: float, q: float, n: int, z_left, z_right) -> np.ndarray
         panels = (w * f(z, seg[:, None] + s0)).sum(axis=1)
         out[sl] = np.bincount(seg, weights=panels, minlength=zl[sl].size)
     return out
-
-
-def _layered_01(f, p: float, q: float, n: int,
-                z_left: float | None = None,
-                z_right: float | None = None) -> float:
-    """Integrate z^p (1-z)^q f(z) over (0,1) with endpoint-aware panels.
-
-    f must accept numpy arrays and is assumed free of endpoint blow-up of
-    its own, but may have boundary layers or Holder kinks near the ends:
-    z_left (z_right) declares the scale at 0 (at 1) from which the mesh
-    is refined geometrically outward.  None places a single Jacobi panel
-    on that half; None on both halves, a single Jacobi panel on (0,1).
-
-    Panels carry n nodes: on the left half a Jacobi panel (exponent p)
-    on (0, z_left), then Gauss panels on the doubling ladder up to 1/2;
-    the right half mirrors this through z -> 1-z with exponent q.  This
-    is a batch of one of the engine behind ``_layered_batch``, which
-    integrates many integrands on ragged ladders at once.
-    """
-    z, w = _ladder_rule_one(float(p), float(q), int(n), z_left, z_right)
-    return float(np.dot(w, f(z)))
 
 
 class _EdgeSpline:

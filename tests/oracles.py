@@ -8,7 +8,7 @@ estimates agree, and the right-sided Riemann-Liouville integral
 
 Verbatim copies of the one-specification-at-a-time ladders that the
 batched engine replaced: ``_layered_01`` (the geometric ladder on (0,1)
-behind ``kernels._layered_01``) and ``_cell_moments`` (the five-branch
+behind ``kernels._ladder_rule_one``) and ``_cell_moments`` (the five-branch
 product-quadrature moments behind ``fredholm._cell_moments``), with
 their helpers.  They loop over panels with ``jacobi_rule``,
 independently of the batched panel builder, and are the references the
@@ -23,6 +23,9 @@ the tables' k1.  Every rule places its panels at positions proportional
 to the arguments, so the evaluators satisfy the kernels' scaling laws to
 float roundoff.  They are the references for ``KernelTables`` in
 ``test_kernels.py`` and for acceptance criteria 1 and 2.
+``h0_weighted_integral`` is the layered quadrature of the closed-form
+limiting weight that the exact formula in ``closed_form`` replaced, and
+its cross-check in ``test_closed_form.py``.
 
 The residual audit as it ran before the per-operator audit plan is kept
 verbatim below (``_kernel_integrals``, ``_nystrom_extension``,
@@ -39,6 +42,7 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from mixedfbm.closed_form import h0
 from mixedfbm.errors import AccuracyWarning, DomainError
 from mixedfbm.fredholm import (_EVAL_OFFSETS, _EXT_OFFSETS, DiscretizedOperator,
                                ResidualReport, _chunks, _graded_map,
@@ -46,6 +50,7 @@ from mixedfbm.fredholm import (_EVAL_OFFSETS, _EXT_OFFSETS, DiscretizedOperator,
                                _offsets_in_cells, _rhs_values)
 from mixedfbm.kernels import (DIAG_RTOL, KernelContext, KernelTables,
                               _ladder_rule_one)
+from mixedfbm.model import DerivedConstants
 from mixedfbm.numerics import _base_rule, gamma_fn
 
 # ----------------------------------------------------------------------
@@ -388,6 +393,25 @@ def k1_l2_norm(tables: KernelTables, n: int = 96) -> float:
                       1.0 - 2.0 * tables.h1, 4.0 * tables.a - 2.0, n,
                       z_left=1e-9, z_right=1e-9) / (2.0 * tables.a)
     return float(np.sqrt(val))
+
+
+def h0_weighted_integral(constants: DerivedConstants) -> float:
+    """int_0^1 h0(u) u^(1/2-H1) du by quadrature of the closed-form h0.
+
+    The layered rule that computed ``closed_form.h0_weighted_integral``
+    before its Beta-function formula, unchanged: near zero the integrand
+    carries the two branches u^(1/2-H2) and u^(1-2H1), of which the
+    stronger goes into the rule's weight, near one it behaves like
+    (1-u)^(H1-H2), and the bounded remainder is integrated on geometric
+    ladders of scale 1e-9 at both ends, with 24 nodes per panel.
+    """
+    h1, h2 = constants.hurst.h1, constants.hurst.h2
+    p = min(0.5 - h2, 1.0 - 2.0 * h1)
+    q = h1 - h2
+    z, w = _ladder_rule_one(p, q, 24, 1e-9, 1e-9)
+    bounded = (np.asarray(h0(z, constants)) * z ** (0.5 - h1 - p)
+               * (1.0 - z) ** (-q))
+    return float(np.dot(w, bounded))
 
 
 # ----------------------------------------------------------------------

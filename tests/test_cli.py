@@ -173,6 +173,7 @@ def test_asymptotics_command(tmp_path, capsys):
                           "--out", str(out_dir))
     assert code == 0
     assert "tail slope" in stdout
+    assert "gap slope" in stdout and "(law -0.6000)" in stdout
     lines = (out_dir / "asymptotics.csv").read_text().strip().split("\n")
     assert len(lines) == 4
 

@@ -4,15 +4,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import hyp2f1
 
 from mixedfbm import closed_form as cf
 from mixedfbm.errors import DomainError
 from mixedfbm.fredholm import (assemble, build_grid, quadratic_variation_N,
                                solve_second_kind)
-from mixedfbm.kernels import KernelContext, _layered_01, get_tables
+from mixedfbm.kernels import KernelContext, get_tables
 from mixedfbm.model import HurstPair, ModelParams, derive_constants
 from mixedfbm.numerics import beta_fn, gamma_fn
+import oracles
 from oracles import frac_integral_right
 
 H1, H2 = 0.6, 0.9
@@ -247,7 +250,8 @@ def test_h0_first_step_inversion(cons):
             return hb * dk * x ** (1.0 - a) * (1.0 - x) ** (H2 - H1)
 
         seed = min(max(v / (1.0 - v), 1e-12), 0.4)
-        got = (1.0 - v) * _layered_01(bounded, a - 1.0, H1 - H2, 32, seed, None)
+        got = (1.0 - v) * oracles._layered_01(bounded, a - 1.0, H1 - H2, 32,
+                                              seed, None)
         assert got == pytest.approx(c4 * v ** (0.5 - H2), rel=1e-8)
 
 
@@ -293,8 +297,23 @@ def test_first_kind_degenerate_gap_raises():
 def test_weighted_integral_frozen_and_refined(cons):
     val = cf.h0_weighted_integral(cons)
     assert val == pytest.approx(1.2630971387460261, rel=1e-9)
-    fine = cf.h0_weighted_integral(cons, order=48)
-    assert abs(fine - val) < 1e-9 * val
+    # the layered quadrature of h0 that the Beta-function formula
+    # replaced is off by 1.0e-11 here, its own error
+    assert abs(val / oracles.h0_weighted_integral(cons) - 1.0) <= 1e-10
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(h1=st.floats(0.5005, 0.72), frac=st.floats(0.0, 1.0))
+def test_weighted_integral_matches_quadrature(h1, frac):
+    # the formula against the quadrature oracle over admissible pairs,
+    # h2 - h1 > 1/4 and h2 <= 0.99; the quadrature's own error grows
+    # with h1 and reaches 2.7e-8 at h1 = 0.72 (measured on a grid of
+    # pairs down to h1 = 0.5005)
+    h2 = h1 + 0.2505 + frac * (0.99 - h1 - 0.2505)
+    c = derive_constants(ModelParams(hurst=HurstPair(h1, h2)))
+    J = cf.h0_weighted_integral(c)
+    assert J > 0.0
+    assert abs(J / oracles.h0_weighted_integral(c) - 1.0) <= 5e-8
 
 
 def test_asymptotic_variance_value(cons):

@@ -4,6 +4,7 @@ The exact-variance sequences are frozen from n=128 solves; Monte Carlo
 checks use fixed master seeds so every assertion is reproducible.
 """
 
+import dataclasses
 import json
 import math
 
@@ -13,8 +14,8 @@ import pytest
 import mixedfbm.harness as hz
 from mixedfbm.errors import AccuracyError, AccuracyWarning, DomainError
 from mixedfbm.harness import (ExperimentConfig, HorizonDetail, MCReport,
-                              decay_slope, export_report, run_asymptotics,
-                              run_mc)
+                              decay_slope, export_report, gap_slope,
+                              run_asymptotics, run_mc)
 from mixedfbm.model import HurstPair, ModelParams, derive_constants
 
 
@@ -118,6 +119,19 @@ def test_asymptotics_decay_law(rep_asy):
     assert np.polyfit(x, y, 1)[0] == pytest.approx(-0.33010, rel=1e-3)
 
 
+def test_gap_slope_reads_the_decay_law():
+    # at the defaults (n = 128, T = 1, 5, 25, 125) the gap between the
+    # scaled variance and its closed-form limit decays with slope -0.584
+    # over the last pair, against the law -2(h2 - h1) = -0.6
+    rep = run_asymptotics(ExperimentConfig(
+        params=ModelParams(hurst=HurstPair(0.6, 0.9))))
+    slope = gap_slope(rep)
+    assert abs(slope - (-0.6)) <= 0.05
+    assert slope == pytest.approx(-0.58440, rel=1e-3)
+    below = dataclasses.replace(rep, asymptotic_var_closed_form=2.0)
+    assert math.isnan(gap_slope(below))
+
+
 def test_asymptotics_exact_route_scalars(rep_asy):
     assert rep_asy.theta_true == 1.0
     assert rep_asy.mean_hat == 1.0
@@ -208,6 +222,8 @@ def test_decay_slope_needs_two_horizons(rep_tiny):
         per_T_detail=rep_tiny.per_T_detail[:1])
     with pytest.raises(DomainError, match="two"):
         decay_slope(short)
+    with pytest.raises(DomainError, match="two"):
+        gap_slope(short)
 
 
 def test_export_schema_and_round_trip(rep_asy, tmp_path):

@@ -10,8 +10,8 @@ import pytest
 
 import oracles
 from mixedfbm import fredholm as fr
-from mixedfbm import closed_form, kernels, numerics
-from mixedfbm.kernels import _layered_01, _layered_batch, get_tables
+from mixedfbm import closed_form, harness, kernels, numerics
+from mixedfbm.kernels import _ladder_rule_one, _layered_batch, get_tables
 from mixedfbm.model import HurstPair, ModelParams, derive_constants
 
 H1, H2 = 0.6, 0.9
@@ -51,7 +51,8 @@ def test_layered_01_matches_scalar_ladder(p, q, n, z_left, z_right):
     # the kinks make the sum depend on where the panels break, so the
     # panel layout must match, not only the integral
     f = lambda z: np.cos(2.0 * z) * (0.01 + z) ** 0.3 + _kinked(z)
-    got = _layered_01(f, p, q, n, z_left, z_right)
+    z, w = _ladder_rule_one(p, q, n, z_left, z_right)
+    got = np.dot(w, f(z))
     ref = oracles._layered_01(f, p, q, n, z_left, z_right)
     assert _rel(got, ref) <= RTOL
 
@@ -223,7 +224,8 @@ def test_h0_batch_matches_scalar_ladder(cons):
 
 # -------------------------------------------------------------- work counts
 
-def _audit_counts(monkeypatch, sol):
+def _work_counts(monkeypatch, call):
+    """Gauss-rule builds and profile-spline calls made by call()."""
     counts = {"jacobi_panels": 0, "spline": 0}
     rule = numerics.jacobi_panels
 
@@ -241,51 +243,98 @@ def _audit_counts(monkeypatch, sol):
         for module in (numerics, kernels, fr):
             mp.setattr(module, "jacobi_panels", counting_rule)
         mp.setattr(kernels._EdgeSpline, "__call__", counting_spline)
-        fr.residual_report(sol)
+        call()
     return counts
 
 
 def test_audit_work_counts_do_not_grow_per_point(monkeypatch, cons):
-    # the audit forms rows at 6n points (3n extension samples, 3n probes)
-    # and kernel integrals at 4n (the probes and the nodes); batched, it
-    # builds no Gauss rule and calls a profile spline about twice per
-    # chunk of points, where per-point loops made ~130 spline calls and
-    # ~130 rule calls per point
+    # the first solve on an operator builds its audit plan: rows at 0.75n
+    # extension points and kernel integrals at the 3n probes; the first
+    # residual_report builds the rest: rows at the 3n probes and kernel
+    # integrals at the n nodes.  Batched, each forms one Gauss-rule batch
+    # per chunk of row points (plus, once per process, the two memoized
+    # kernel-integral ladders) and calls a profile spline about twice
+    # per chunk of points, where per-point loops made ~130 spline calls
+    # and ~130 rule calls per point
     ctx = kernels.KernelContext(constants=cons)
+    chunks = lambda m: -(-m // fr._CHUNK_POINTS)
     counts = {}
     for n in (64, 128):
-        sol = fr.solve_second_kind(fr.assemble(ctx, fr.build_grid(n)), 1.0,
-                                   cons, residual_tol=1e-3)
-        counts[n] = _audit_counts(monkeypatch, sol)
-    assert counts[128]["jacobi_panels"] == counts[64]["jacobi_panels"] == 0
-    for n in (64, 128):
-        assert counts[n]["spline"] <= 2 * 10 * n / fr._CHUNK_POINTS + 4
-    assert counts[128]["spline"] <= 2 * counts[64]["spline"]
+        op = fr.assemble(ctx, fr.build_grid(n))
+        sol = []
+        solve = _work_counts(monkeypatch, lambda: sol.append(
+            fr.solve_second_kind(op, 1.0, cons, residual_tol=1e-3)))
+        report = _work_counts(monkeypatch,
+                              lambda: fr.residual_report(sol[0]))
+        counts[n] = (solve, report)
+        for got, row_points, points in ((solve, 3 * n // 4, 15 * n // 4),
+                                        (report, 3 * n, 4 * n)):
+            assert 0 < got["jacobi_panels"] <= chunks(row_points) + 2
+            assert 0 < got["spline"] <= 2 * points / fr._CHUNK_POINTS + 4
+    for k in (0, 1):
+        assert counts[128][k]["spline"] <= 2 * counts[64][k]["spline"]
 
 
-def test_later_horizons_reuse_the_operators_audit_plan(monkeypatch, cons):
-    # the audit's quadrature rows and kernel-integral ladders belong to
-    # the operator: its first solve lays them out, and a later horizon
-    # or a residual_report forms none of them again
-    names = ("_quadrature_rows", "_kernel_rules", "_ladder_rule_one")
-    counts = dict.fromkeys(names, 0)
+def _audit_points(monkeypatch):
+    """Points at which fredholm forms quadrature rows and kernel-integral
+    rules, and its calls of the memoized ladder rule, as they happen."""
+    points = {"_quadrature_rows": 0, "_kernel_rules": 0}
+    calls = {"_ladder_rule_one": 0}
 
-    def count(name):
+    def count(name, tally, size):
         call = getattr(fr, name)
 
         def counting(*args, **kwargs):
-            counts[name] += 1
+            tally[name] += size(*args)
             return call(*args, **kwargs)
 
         monkeypatch.setattr(fr, name, counting)
 
-    for name in names:
-        count(name)
-    op = fr.assemble(kernels.KernelContext(constants=cons), fr.build_grid(64))
-    counts.update(dict.fromkeys(names, 0))
+    count("_quadrature_rows", points, lambda *a: a[3].size)
+    count("_kernel_rules", points, lambda *a: a[1].size)
+    count("_ladder_rule_one", calls, lambda *a: 1)
+    return points, calls
+
+
+def test_later_horizons_reuse_the_operators_audit_plan(monkeypatch, cons):
+    # the audit's quadrature rows and kernel-integral ladders belong to
+    # the operator.  Its first solve forms rows at the 0.75n extension
+    # points and kernel integrals at the 3n probes only; a later horizon
+    # forms none.  The first residual_report forms the rows at the 3n
+    # probes and the kernel integrals at the n nodes, once.
+    points, calls = _audit_points(monkeypatch)
+
+    def reset():
+        points.update(dict.fromkeys(points, 0))
+        calls.update(dict.fromkeys(calls, 0))
+
+    n = 64
+    op = fr.assemble(kernels.KernelContext(constants=cons), fr.build_grid(n))
+    reset()
     first = fr.solve_second_kind(op, 1.0, cons, residual_tol=1e-3)
-    assert counts["_quadrature_rows"] > 0 and counts["_ladder_rule_one"] > 0
-    counts.update(dict.fromkeys(names, 0))
+    assert points == {"_quadrature_rows": 3 * n // 4, "_kernel_rules": 3 * n}
+    assert calls["_ladder_rule_one"] > 0
+    reset()
     fr.solve_second_kind(op, 5.0, cons, residual_tol=1e-3)
+    assert points == dict.fromkeys(points, 0)
+    assert calls == dict.fromkeys(calls, 0)
     fr.residual_report(first)
-    assert counts == dict.fromkeys(names, 0)
+    assert points == {"_quadrature_rows": 3 * n, "_kernel_rules": n}
+    reset()
+    fr.residual_report(first)
+    assert points == dict.fromkeys(points, 0)
+    assert calls == dict.fromkeys(calls, 0)
+
+
+def test_asymptotics_builds_no_report_plan(monkeypatch):
+    # the horizon ladder reads only what its solves report: rows at the
+    # n nodes (assembly) and the 0.75n extension points, and kernel
+    # integrals at the 3n probes, for all four horizons together
+    points, _ = _audit_points(monkeypatch)
+    config = harness.ExperimentConfig(
+        params=ModelParams(hurst=HurstPair(H1, H2)))
+    report = harness.run_asymptotics(config)
+    n = config.grid_n
+    assert len(report.per_T_detail) == 4
+    assert points == {"_quadrature_rows": n + 3 * n // 4,
+                      "_kernel_rules": 3 * n}

@@ -171,6 +171,8 @@ def _cmd_solve(s: _Settings) -> int:
 
 def _cmd_closed_form(s: _Settings) -> int:
     _, cons = s.constants()
+    if s.args.points < 1:
+        raise DomainError(f"--points must be at least 1, got {s.args.points}")
     if s.args.asymptotic_variance:
         print(f"asymptotic_variance={asymptotic_variance(cons)!r}")
     out = s.get("out")
@@ -245,9 +247,9 @@ def _cmd_estimate(s: _Settings) -> int:
 def _experiment_config(s: _Settings, default_ts) -> ExperimentConfig:
     params, _ = s.constants()
     if s.args.t_sequence is not None:
-        t_sequence = tuple(float(x) for x in s.args.t_sequence.split(","))
+        t_sequence = s.args.t_sequence.split(",")
     elif "t_sequence" in s.file_vals:
-        t_sequence = tuple(float(x) for x in s.file_vals["t_sequence"])
+        t_sequence = s.file_vals["t_sequence"]
     elif default_ts is None:
         t_sequence = (s.get("t_horizon"),)
     else:

@@ -4,11 +4,12 @@ Simulation is covariance-based: every finite-dimensional draw comes from
 a factorized covariance matrix, so there is no discretization bias to
 account for in Monte Carlo baselines.  The forward transform maps the
 observed process onto its drift-linearizing form by integrating the
-two-parameter power kernel against the path; the inverse recovers the
-observation through a weakly singular convolution followed by a
-Stieltjes sum.  Both directions operate on piecewise-linear
-interpolants, so their error is controlled by the sampling resolution
-of the input path, which the caller chooses.
+two-parameter power kernel against the path, in closed form: on each
+segment of the linear interpolant the integral is a difference of
+incomplete Beta functions.  The inverse recovers the observation through
+a weakly singular convolution, exact per segment, and a Stieltjes sum.
+Both read the path through its linear interpolant, so their error is set
+by how finely the sampling grid, which the caller chooses, resolves it.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import betainc
 
 from .errors import AccuracyError, DomainError, IllConditionedError
 from .kernels import get_tables
 from .model import DerivedConstants
-from .numerics import beta_fn, jacobi_panels
+from .numerics import beta_fn
 
 __all__ = [
     "SamplePath",
@@ -38,7 +40,8 @@ __all__ = [
 
 _LABELS = ("Z", "Y", "X", "X1", "X2", "fBm")
 
-# interior sample points required below each requested transform time
+# interior sample points required below each requested transform time;
+# the transform is exact on the interpolant, so this sets its resolution
 _MIN_INTERIOR = 32
 
 
@@ -255,88 +258,32 @@ def simulate_fbm(h: float, times, seed) -> SamplePath:
 
 # ----------------------------------------------------------------- forward
 
-# 6-point Gauss-Legendre rule on [0, 1] for the smooth interior segments
-_GL_NODES, _GL_WEIGHTS = jacobi_panels(6, [0.0], [1.0], [0.0], [0.0])
-_GL_NODES, _GL_WEIGHTS = _GL_NODES[0], _GL_WEIGHTS[0]
-
-
-@lru_cache(maxsize=8)
-def _jacobi01(a: float) -> tuple[np.ndarray, np.ndarray]:
-    # nodes/weights for int_0^1 x^a f(x) dx
-    x, w = jacobi_panels(8, [0.0], [1.0], [a], [0.0])
-    return x[0], w[0]
-
-
-def _dl(t: float, s: np.ndarray, a: float) -> np.ndarray:
-    # d/ds of (t-s)^a s^a
-    return a * (t - s) ** (a - 1.0) * s ** (a - 1.0) * (t - 2.0 * s)
-
-
-# each plan holds O(n^2) floats (about 12 MB for a 512-point path), so
-# only the last few grids are kept
+# each plan holds n_out x (n_grid - 1) floats (2 MB for a 512-point
+# path), so only the last few grids are kept
 @lru_cache(maxsize=4)
-def _molchan_plan(times_key: bytes, out_key: bytes, h1: float):
-    """Quadrature nodes/weights mapping path values to transform values.
+def _molchan_plan(times_key: bytes, out_key: bytes, h1: float) -> np.ndarray:
+    """Matrix mapping segment slopes to transform values.
 
-    For each output time t the transform is written in compensated
-    integration-by-parts form, split at t/2.  The segment touching 0
-    carries the weight s^{1/2-H1} exactly (the linear interpolant
-    vanishes at 0); the segment touching t carries (t-s)^{1/2-H1}
-    exactly against the compensated increment.  Interior segments are
-    smooth and take a fixed Gauss rule each.  The result for one output
-    time is coef_t * Z(t) + sum(w * Z(nodes)).
+    A segment [s_k, s_k+1] of the linear interpolant has constant slope;
+    its share of the transform at t is that slope times the integral of
+    (t-s)^(1/2-H1) s^(1/2-H1) over the segment clipped to [0, t], which is
+    t^(2-2H1) B(p, p) [I_x_hi(p, p) - I_x_lo(p, p)] with p = 3/2-H1,
+    x = min(s, t)/t and I the regularized incomplete Beta function.
     """
     grid = np.frombuffer(times_key, dtype=float)
     outs = np.frombuffer(out_key, dtype=float)
-    a = 0.5 - h1
-    jx, jw = _jacobi01(a)
-    plans = []
-    for t in outs:
-        interior = grid[(grid > 0.0) & (grid < t)]
-        if interior.size < _MIN_INTERIOR:
-            raise AccuracyError(
-                f"only {interior.size} sample points below t={t}; "
-                f"need at least {_MIN_INTERIOR} for the transform quadrature"
-            )
-        nodes_acc = []
-        weights_acc = []
-        coef_t = (0.5 * t) ** (1.0 - 2.0 * h1)
-        half = 0.5 * t
-        s1 = interior[0]
-
-        # left integral over [0, t/2], subtracted from the result
-        e = min(s1, half)
-        sq = e * jx
-        weights_acc.append(-(e ** (a + 1.0)) * jw * a * (t - sq) ** (a - 1.0) * (t - 2.0 * sq) / sq)
-        nodes_acc.append(sq)
-        left_pts = np.concatenate((interior[(interior > e) & (interior < half)], [half]))
-        p = e
-        for q in left_pts:
-            sq = p + (q - p) * _GL_NODES
-            nodes_acc.append(sq)
-            weights_acc.append(-(q - p) * _GL_WEIGHTS * _dl(t, sq, a))
-            p = q
-
-        # right integral over [t/2, t] against Z(s) - Z(t)
-        right_pts = interior[interior > half]
-        p = half
-        for q in right_pts:
-            sq = p + (q - p) * _GL_NODES
-            w = (q - p) * _GL_WEIGHTS * _dl(t, sq, a)
-            nodes_acc.append(sq)
-            weights_acc.append(-w)
-            coef_t += float(np.sum(w))
-            p = q
-        # closing segment [p, t]: the compensated increment is
-        # (Z(p) - Z(t)) (t-s)/(t-p) exactly on the linear interpolant
-        sq = t - (t - p) * jx
-        c_seg = float(np.sum(a * (t - p) ** a * jw * sq ** (a - 1.0) * (t - 2.0 * sq)))
-        nodes_acc.append(np.array([p]))
-        weights_acc.append(np.array([-c_seg]))
-        coef_t += c_seg
-
-        plans.append((t, np.concatenate(nodes_acc), np.concatenate(weights_acc), coef_t))
-    return plans
+    below = np.searchsorted(grid, outs) - 1
+    if np.any(below < _MIN_INTERIOR):
+        raise AccuracyError(
+            f"only {below.min()} sample points below t={outs[below.argmin()]}; "
+            f"need at least {_MIN_INTERIOR} to resolve the path"
+        )
+    p = 1.5 - h1
+    x = np.minimum(grid[None, :], outs[:, None]) / outs[:, None]
+    plan = np.diff(betainc(p, p, x), axis=1)
+    plan *= (beta_fn(p, p) * outs ** (2.0 - 2.0 * h1))[:, None]
+    plan.flags.writeable = False
+    return plan
 
 
 def molchan_transform(
@@ -345,7 +292,7 @@ def molchan_transform(
     """Weighted-kernel transform of an observed path.
 
     Integrates the kernel (t-s)^{1/2-H1} s^{1/2-H1} against the path
-    increments, evaluated on the piecewise-linear interpolant.  Output
+    increments, exactly on the piecewise-linear interpolant.  Output
     times default to every sample time deep enough into the grid to
     have 32 points below it; pass explicit ``out_times`` for a sparser
     (and faster) evaluation.
@@ -360,13 +307,11 @@ def molchan_transform(
         outs = grid[_MIN_INTERIOR + 1 :]
     else:
         outs = np.atleast_1d(np.asarray(out_times, dtype=float))
-        if np.any(outs <= 0.0) or np.any(outs > grid[-1]) or np.any(np.diff(outs) <= 0):
-            raise DomainError("output times must increase within (0, horizon]")
-    plans = _molchan_plan(grid.tobytes(), outs.tobytes(), constants.hurst.h1)
-    vals = np.empty(outs.size)
-    for i, (t, nodes, weights, coef_t) in enumerate(plans):
-        zt = float(np.interp(t, grid, path.values))
-        vals[i] = coef_t * zt + float(np.dot(weights, np.interp(nodes, grid, path.values)))
+        # NaN fails both comparisons, so it is rejected with the rest
+        if not np.all((outs > 0.0) & (outs <= grid[-1])) or np.any(np.diff(outs) <= 0):
+            raise DomainError("output times must be finite and increase within (0, horizon]")
+    plan = _molchan_plan(grid.tobytes(), outs.tobytes(), constants.hurst.h1)
+    vals = plan @ (np.diff(path.values) / np.diff(grid))
     return SamplePath(
         times=np.concatenate(([0.0], outs)),
         values=np.concatenate(([0.0], vals)),
@@ -388,7 +333,7 @@ def inverse_transform(path: SamplePath, constants: DerivedConstants) -> SamplePa
     if grid.size - 2 < _MIN_INTERIOR:
         raise AccuracyError(
             f"path has {grid.size - 1} sample points; the inverse transform "
-            f"needs more than {_MIN_INTERIOR + 1}"
+            f"needs at least {_MIN_INTERIOR + 1}"
         )
     y = path.values
     c = h1 - 1.5

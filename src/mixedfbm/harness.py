@@ -63,9 +63,12 @@ class ExperimentConfig:
         if self.path_points < 128:
             raise DomainError(
                 f"require path_points >= 128, got {self.path_points}")
-        ts = tuple(float(T) for T in self.t_sequence)
-        if len(ts) == 0 or any(not t > 0 for t in ts):
-            raise DomainError("t_sequence must hold positive horizons")
+        try:
+            ts = tuple(float(T) for T in self.t_sequence)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"t_sequence must hold numbers: {exc}") from exc
+        if len(ts) == 0 or any(not 0.0 < t < np.inf for t in ts):
+            raise DomainError("t_sequence must hold positive finite horizons")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise DomainError(f"t_sequence must be strictly increasing: {ts}")
         object.__setattr__(self, "t_sequence", ts)

@@ -192,6 +192,25 @@ def test_exit_codes(tmp_path, capsys):
     assert "i/o error" in stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("closed-form", "--points", "-5"),
+        ("closed-form", "--points", "0"),
+        ("asymptotics", "--t-sequence", "1,a"),
+        ("asymptotics", "--t-sequence", "1,5,inf"),
+    ],
+    ids=["points-negative", "points-zero", "t-sequence-not-a-number",
+         "t-sequence-infinite"],
+)
+def test_edge_inputs_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    code, _, stderr = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert "domain error" in stderr
+    assert not out.exists()
+
+
 def test_accuracy_failure_exit_code(tmp_path, capsys, monkeypatch):
     import mixedfbm.cli as cli_mod
 

@@ -1,5 +1,6 @@
 """Exact simulation, the path transform, and their cross-validation."""
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -161,14 +162,56 @@ def test_simulate_Z_composition(cons):
 # -------------------------------------------------------------- transform
 
 
+def jittered(n, seed):
+    # graded grid with each interior point moved by up to 30 % of its
+    # left cell, still strictly increasing
+    g = graded(n)
+    rng = np.random.default_rng(seed)
+    g[1:-1] += 0.3 * np.diff(g)[:-1] * rng.uniform(-1.0, 1.0, n - 1)
+    return g
+
+
 def test_molchan_pure_drift(cons):
-    g = graded(512)
-    z = gs.SamplePath(times=g, values=g.copy(), label="Z")
-    out = np.array([0.2, 0.5, 1.0])
+    # Z(t) = t is its own linear interpolant, so the transform must hit
+    # B(3/2-H1, 3/2-H1) t^{2-2H1} to roundoff, off-grid outputs included
+    cases = [
+        (graded(512), np.linspace(0.125, 1.0, 8)),
+        (graded(1024), None),
+        (jittered(512, 601), None),
+    ]
+    for grid, out in cases:
+        z = gs.SamplePath(times=grid, values=grid.copy(), label="Z")
+        y = gs.molchan_transform(z, cons, out_times=out)
+        ref = cons.script_b * y.times[1:] ** (2.0 - 2.0 * H1)
+        assert np.max(np.abs(y.values[1:] / ref - 1.0)) < 1e-13
+        assert y.label == "Y" and y.values[0] == 0.0
+
+
+def test_molchan_incomplete_beta_oracle(cons):
+    # each segment of the interpolant contributes its slope times
+    # t^{2-2H1} B(p, p) [I_x2(p, p) - I_x1(p, p)], x = min(s, t)/t,
+    # summed here at 30 digits
+    rng = np.random.default_rng(64)
+    g = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 63)), [1.0]))
+    v = np.concatenate(([0.0], np.cumsum(rng.standard_normal(64))))
+    z = gs.SamplePath(times=g, values=v, label="Z")
+    out = np.array([g[40], 0.5 * (g[50] + g[51]), 0.93, 1.0])
     y = gs.molchan_transform(z, cons, out_times=out)
-    ref = cons.script_b * out ** (2.0 - 2.0 * H1)
-    assert np.max(np.abs(y.values[1:] / ref - 1.0)) < 1e-6
-    assert y.label == "Y" and y.values[0] == 0.0
+    with mpmath.workdps(30):
+        p = mpmath.mpf(3) / 2 - mpmath.mpf(H1)
+        for t, got in zip(out, y.values[1:]):
+            tm = mpmath.mpf(t)
+            total = mpmath.mpf(0)
+            for k in range(64):
+                lo, hi = mpmath.mpf(g[k]), mpmath.mpf(g[k + 1])
+                if lo >= tm:
+                    break
+                slope = (mpmath.mpf(v[k + 1]) - mpmath.mpf(v[k])) / (hi - lo)
+                total += slope * mpmath.betainc(
+                    p, p, lo / tm, min(hi, tm) / tm, regularized=True
+                )
+            ref = total * mpmath.beta(p, p) * tm ** (2 - 2 * mpmath.mpf(H1))
+            assert got == pytest.approx(float(ref), rel=1e-13)
 
 
 def test_molchan_plan_cache_is_bounded(cons):
@@ -182,6 +225,13 @@ def test_molchan_plan_cache_is_bounded(cons):
         gs.molchan_transform(z, cons)
         assert gs._molchan_plan.cache_info().currsize <= cap
     assert gs._molchan_plan.cache_info().currsize == cap
+    # a cached plan is one read-only float matrix over the segments
+    hits = gs._molchan_plan.cache_info().hits
+    plan = gs._molchan_plan(g.tobytes(), g[33:].tobytes(), H1)
+    assert gs._molchan_plan.cache_info().hits == hits + 1
+    assert isinstance(plan, np.ndarray) and plan.dtype == np.float64
+    assert plan.shape == (g.size - 33, g.size - 1)
+    assert not plan.flags.writeable
 
 
 def test_molchan_zero_path(cons):
@@ -216,6 +266,9 @@ def test_molchan_guards(cons):
         gs.molchan_transform(z, cons, out_times=np.array([1.5]))
     with pytest.raises(DomainError):
         gs.molchan_transform(z, cons, out_times=np.array([0.5, 0.4]))
+    for bad in ([np.nan], [0.5, np.nan], [0.5, np.inf]):
+        with pytest.raises(DomainError):
+            gs.molchan_transform(z, cons, out_times=np.array(bad))
     short = gs.SamplePath(times=graded(20), values=np.zeros(21), label="Z")
     with pytest.raises(AccuracyError):
         gs.molchan_transform(short, cons)
@@ -258,9 +311,11 @@ def test_round_trip_simulated_path(cons):
 
 
 def test_inverse_guard(cons):
-    short = gs.SamplePath(times=graded(16), values=np.zeros(17), label="Y")
-    with pytest.raises(AccuracyError):
+    short = gs.SamplePath(times=graded(32), values=np.zeros(33), label="Y")
+    with pytest.raises(AccuracyError, match="32 sample points; .* needs at least 33"):
         gs.inverse_transform(short, cons)
+    enough = gs.SamplePath(times=graded(33), values=np.zeros(34), label="Y")
+    assert np.all(gs.inverse_transform(enough, cons).values == 0.0)
 
 
 # -------------------------------------------------- distributional cross-checks

@@ -115,12 +115,15 @@ def _cmd_constants(s: _Settings) -> int:
 
 
 def _cmd_kernel(s: _Settings) -> int:
-    tab = get_tables(s.get("h1"), s.get("h2"))
     t, u = s.args.t, s.args.s
+    if not 0.0 < u < t < np.inf:
+        raise DomainError(f"need finite 0 < s < t, got t={t}, s={u}")
+    pair = HurstPair(s.get("h1"), s.get("h2"))
+    tab = get_tables(pair.h1, pair.h2)
     vals = {
         "t": t,
         "s": u,
-        "kappa": float(tab.kappa(min(t, u) / max(t, u))),
+        "kappa": float(tab.kappa(u / t)),
         "K12": float(tab.K12(t, u)),
         "dK12_dt": float(tab.dK12(t, u)),
         "k1": float(tab.k1(t, u)),

@@ -4,9 +4,10 @@ As the horizon grows, the rescaled solutions of the second-kind filter
 equation approach the solution of a first-kind equation.  That limit has
 a closed form: a power-weighted right-sided fractional integral whose
 normalization is produced by a chain of constants, one per inversion
-step.  This module evaluates the closed form, cross-checks it against
-the discretized kernel operator, and gives the weighted integral
-whose reciprocal is the limiting variance scale in closed form.
+step.  This module evaluates the closed form (a Gauss hypergeometric
+function), cross-checks it against the discretized kernel operator, and
+gives the weighted integral whose reciprocal is the limiting variance
+scale, a Beta function.  No quadrature is involved.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.special import hyp2f1
 
 from .errors import DomainError
 from .fredholm import FredholmSolution, QuadratureGrid, assemble, unscale
-from .kernels import KernelContext, _layered_batch
+from .kernels import KernelContext
 from .model import DerivedConstants
 from .numerics import beta_fn, gamma_fn
 
@@ -95,14 +97,15 @@ def h0(
 ) -> float | np.ndarray:
     """Closed-form limiting weight on (0, 1).
 
-    Evaluates c6 * v^{1/2-H1} * (I^{H1-1/2}_{1-} g)(v) with the inner
-    profile g(t) = t^{H1-H2} (1-t)^{1/2-H2}.  The integration interval
-    [v, 1] is mapped onto the unit interval, which turns the kernel
-    endpoint and the right-end weight into a fixed Jacobi pair and the
-    remaining power into a bounded factor whose short-scale variation
-    near small v is declared to a geometric ladder; accuracy is then
-    uniform in v.  Near zero the weight grows like v^{H1-H2}; near one
-    like (1-v)^{H1-H2}.
+    h0(v) = c6 * v^{1/2-H1} * (I^{H1-1/2}_{1-} g)(v) with the inner
+    profile g(t) = t^{H1-H2} (1-t)^{1/2-H2}.  The fractional integral is
+    a Gauss hypergeometric function: with a = H2 - H1,
+
+        h0(v) = c6 Gamma(3/2-H2) / Gamma(1-a) v^{1/2-H2} (1-v)^{-a}
+                2F1(a, H1-1/2; 1-a; -(1-v)/v),
+
+    evaluated by ``scipy.special.hyp2f1``.  Near zero the weight grows
+    like v^{H1-H2}; near one like (1-v)^{H1-H2}.
 
     Parameters
     ----------
@@ -129,19 +132,10 @@ def h0(
         np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0)
     ):
         raise DomainError("the limiting weight is defined strictly inside (0, 1)")
-    alpha = h1 - 0.5
-    q_right = 0.5 - h2
-    flat = arr.reshape(-1)
-    # t = v + (1 - v) x; the profile varies on scale x ~ v, one ladder per v
-    vals = (1.0 - flat) ** (alpha + q_right) * _layered_batch(
-        lambda x, i: (flat[i] + (1.0 - flat[i]) * x) ** (h1 - h2),
-        alpha - 1.0, q_right, 24, np.clip(flat / (1.0 - flat), 1e-12, 0.4),
-        np.nan,
-    )
-    out = (c6 / gamma_fn(alpha) * flat ** (0.5 - h1) * vals).reshape(arr.shape)
-    if np.ndim(v) == 0:
-        return float(out)
-    return out
+    a = h2 - h1
+    out = (c6 * gamma_fn(1.5 - h2) / gamma_fn(1.0 - a) * arr ** (0.5 - h2)
+           * (1.0 - arr) ** -a * hyp2f1(a, h1 - 0.5, 1.0 - a, -(1.0 - arr) / arr))
+    return float(out) if np.ndim(v) == 0 else out
 
 
 class FirstKindReport(NamedTuple):

@@ -21,9 +21,10 @@ discretization used here combines
   accurate across the diagonal.
 
 Rows are computed in batches: for a chunk of points, the product
-quadrature panels of all their near cells are laid out at once, the
-integrand is evaluated once on the flat node array and the moments are
-summed per cell (``_cell_moments``).  The solve itself is a single
+quadrature panels of all their near cells are laid out at once on the
+geometric ladders of ``kernels._ladder_panels``, the integrand is
+evaluated once on the flat node array and the moments are summed per
+cell (``_cell_moments``).  The solve itself is a single
 dense LU per horizon.
 
 The off-grid residual audit depends on the horizon only through the
@@ -49,7 +50,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import AccuracyError, AccuracyWarning, DomainError, IllConditionedError
-from .kernels import KernelContext, KernelTables, get_tables, _ladder_rule_one
+from .kernels import (KernelContext, KernelTables, get_tables,
+                      _ladder_panels, _ladder_rule_one)
 from .model import DerivedConstants
 from .numerics import jacobi_panels, solve_dense
 
@@ -72,6 +74,9 @@ __all__ = [
 _CELL_ORDER = 4     # Gauss nodes per mesh cell
 _NQ_PANEL = 12      # nodes per panel inside the moment engine
 _MAX_PANELS = 30    # dyadic refinement depth toward a singular point
+# near-field ladders of scales 2^-d, d = 1.._MAX_PANELS: index d-1, y0, y1
+_LADDER, _LADDER_Y0, _LADDER_Y1, _ = _ladder_panels(
+    0.5 ** np.arange(1, _MAX_PANELS + 1), np.nan)
 # points per chunk of batched rows and kernel integrals: about 16k
 # near-field nodes (23k kernel-integral nodes), so each temporary array
 # stays near 128 kB; the process peak then stays within 1 MB of the
@@ -207,45 +212,6 @@ def _lagrange_basis(cell_nodes: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cell_ladders(u: np.ndarray, left: np.ndarray, right: np.ndarray):
-    """Dyadic ladders of the cell moments, one or two per (u, cell).
-
-    Each ladder covers [a, b] with panels halving toward its target end,
-    b when ``toward_b`` and a otherwise.  The five kinds of moment are
-    parameters of it:
-
-    * u on or beyond the right edge: [left, right] toward right;
-    * u on or before the left edge: [left, right] toward left;
-    * u inside the cell: [left, u] and [u, right], both toward u.
-
-    A ladder is ``declared`` when u is machine-coincident with its
-    target (always for u inside): its last panel then puts the exponent
-    qd at the target into the Gauss-Jacobi weight, with depth
-    _MAX_PANELS.  Otherwise u lies a distance d off the cell, the layer
-    has no true singularity, and the depth follows log2(width / d).
-
-    Returns flat arrays (moment, a, b, toward_b, depth, declared), where
-    ``moment`` indexes the input triples.
-    """
-    width = right - left
-    at_right = u >= right * (1.0 - 1e-15)
-    at_left = ~at_right & (u <= left * (1.0 + 1e-15))
-    inside = ~at_right & ~at_left
-    d = np.maximum(np.where(at_right, u - right, left - u), 0.0)
-    declared = inside | (d <= width * 2.0 ** -50)
-    with np.errstate(divide="ignore"):
-        layer = np.ceil(np.log2(width / d)) + 3.0
-    depth = np.where(declared, _MAX_PANELS, np.clip(layer, 1, _MAX_PANELS))
-    two = np.flatnonzero(inside)
-    moment = np.concatenate([np.arange(u.size), two])
-    return (moment,
-            np.concatenate([left, u[two]]),
-            np.concatenate([np.where(inside, u, right), right[two]]),
-            np.concatenate([~at_left, np.zeros(two.size, bool)]),
-            depth[moment].astype(int),
-            declared[moment])
-
-
 def _cell_moments(tables: KernelTables, u, left, right,
                   cell_nodes) -> np.ndarray:
     """Moments of the reduced symmetric kernel over mesh cells, batched.
@@ -258,42 +224,60 @@ def _cell_moments(tables: KernelTables, u, left, right,
     against the Lagrange basis ell_i of the cell nodes cell_nodes[k]
     (shape (K, 4)), with u = u[k], p0 = 1 - 2*H1 and qd = 2*(H2 - H1) - 1
     both in (-1, 0).  The gap factor is the hard part: it peaks at the
-    cell edge (or interior point) closest to u, so the panels halve
-    toward that point (``_cell_ladders``), and a declared final panel
-    carries the exponent qd in its Gauss-Jacobi rule.  In the first
-    cell (left == 0) the panel at the origin carries p0 the same way.
-    The profile c has a mild kink at argument 1, covered by the same
-    refinement.  All panels of the batch are laid out at once, the
-    integrand is evaluated once on their nodes, and the moments are
-    summed per cell with ``np.bincount``.
+    point of the cell closest to u.  Each piece (the cell, or its two
+    parts split at an interior u) gets one ladder of the kernels' layout
+    (``_ladder_panels``) toward that point, with scale 2^-depth.  When u
+    is machine-coincident with that end (always for u inside), the panel
+    there carries the exponent qd in its Gauss-Jacobi weight and depth
+    is _MAX_PANELS; otherwise u lies a distance d off the cell and the
+    depth follows log2(width / d).  In the first cell (left == 0) the
+    panel at the origin carries p0 the same way.  The profile c has a
+    mild kink at argument 1, covered by the same refinement.  The
+    integrand is evaluated once on all panels of the batch and summed
+    per cell.
     """
     u, left, right = (np.asarray(v, float) for v in (u, left, right))
     h1 = tables.h1
     p0 = 1.0 - 2.0 * h1
     qd = 2.0 * (tables.h2 - h1) - 1.0
-    moment, a, b, toward_b, depth, declared = _cell_ladders(u, left, right)
+    width = right - left
+    at_right = u >= right * (1.0 - 1e-15)
+    at_left = ~at_right & (u <= left * (1.0 + 1e-15))
+    inside = ~at_right & ~at_left
+    d = np.maximum(np.where(at_right, u - right, left - u), 0.0)
+    declared = inside | (d <= width * 2.0 ** -50)
+    with np.errstate(divide="ignore"):
+        layer = np.ceil(np.log2(width / d)) + 3.0
+    depth = np.where(declared, _MAX_PANELS, np.clip(layer, 1, _MAX_PANELS))
+    # pieces from the end nearest u (target) to the far end; right parts last
+    two = np.flatnonzero(inside)
+    moment = np.concatenate([np.arange(u.size), two])
+    target = np.concatenate([np.where(at_left, left, np.where(inside, u, right)),
+                             u[two]])
+    far = np.concatenate([np.where(at_left, right, left), right[two]])
 
-    # breakpoints b - w/2^j (toward b) or a + w/2^j (toward a) for
-    # j <= depth; unused slots repeat a or b and give empty panels
-    j = np.arange(1, _MAX_PANELS + 1)
-    w = (b - a)[:, None]
-    halves = 0.5 ** j
-    brk = np.where(toward_b[:, None],
-                   np.where(j <= depth[:, None], b[:, None] - w * halves, b[:, None]),
-                   np.where(j[::-1] <= depth[:, None],
-                            a[:, None] + w * halves[::-1], a[:, None]))
-    edges = np.hstack([a[:, None], brk, b[:, None]])
-    lad, col = np.nonzero(edges[:, 1:] > edges[:, :-1])  # skip empty panels
-    lo, hi = edges[lad, col], edges[lad, col + 1]
-    tb = toward_b[lad]
-    target = np.where(tb, b[lad], a[lad])
-    singular = declared[lad] & np.where(tb, hi == target, lo == target)
+    # each piece takes the ladder of its depth, reversed toward its upper
+    # end (tb) so that s ascends; y maps to target + (far - target) y
+    lad = depth[moment].astype(int) - 1
+    start, count = np.searchsorted(_LADDER, lad), np.bincount(_LADDER)[lad]
+    piece = np.repeat(np.arange(lad.size), count)
+    j = np.arange(piece.size) - np.repeat(np.cumsum(count) - count, count)
+    tb = (target > far)[piece]
+    i = start[piece] + np.where(tb, count[piece] - 1 - j, j)
+    y0, y1 = _LADDER_Y0[i], _LADDER_Y1[i]
+    target, far = target[piece], far[piece]
+    s0 = target + (far - target) * y0
+    s1 = np.where(y1 == 1.0, far, target + (far - target) * y1)
+    lo, hi = np.minimum(s0, s1), np.maximum(s0, s1)
+    keep = hi > lo  # panels of subnormal width vanish on the piece
+    piece, tb, target, lo, hi = (v[keep] for v in (piece, tb, target, lo, hi))
+    k = moment[piece]
+    singular = declared[k] & np.where(tb, hi == target, lo == target)
     origin = tb & (lo == 0.0)  # s^p0 goes into the weight at s = 0
     x, wq = jacobi_panels(_NQ_PANEL, lo, hi,
                           np.where(singular & ~tb, qd, np.where(origin, p0, 0.0)),
                           np.where(singular & tb, qd, 0.0))
 
-    k = moment[lad]
     uk = u[k][:, None]
     # a declared panel holds |target - s|^qd in its weight, which leaves
     # the ratio |u - s| / |target - s| to the integrand, or nothing at all

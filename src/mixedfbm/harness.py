@@ -136,7 +136,8 @@ def _solve_horizons(config: ExperimentConfig, constants: DerivedConstants,
     """Solve once per horizon; returns (solutions, details) in T order.
 
     on_failure 'raise' aborts on the first failed horizon; 'record'
-    warns and returns the partial table.
+    warns on an AccuracyError (IllConditionedError included) and returns
+    the partial table.  Any other exception propagates.
     """
     op = assemble(KernelContext(constants=constants),
                   build_grid(config.grid_n))
@@ -146,7 +147,7 @@ def _solve_horizons(config: ExperimentConfig, constants: DerivedConstants,
         try:
             sol = solve_second_kind(op, T, constants,
                                     residual_tol=_RESIDUAL_TOL)
-        except Exception as exc:
+        except AccuracyError as exc:
             if on_failure == "raise":
                 raise
             warnings.warn(f"solve failed at T={T}: {exc}", AccuracyWarning,

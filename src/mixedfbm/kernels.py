@@ -5,7 +5,10 @@ one-dimensional profiles of the ratio of its arguments.
 :class:`KernelTables` samples these profiles once per Hurst pair with
 the batched layered quadrature (``_layered_batch``) and stores them as
 log-coordinate splines; the tables back the Nystrom assembly, the
-residual audit and the covariance builder.
+residual audit and the covariance builder.  The geometric ladder of
+that quadrature (``_ladder_panels``) is the one panel layout of the
+package's singular integrals: the tables' rule on (0,1), the audit's
+kernel-integral rules and the near-field moments of ``fredholm``.
 
 Kernel inventory, for Hurst pair (h1, h2) and gap a = h2 - h1, by table
 method:
@@ -79,22 +82,21 @@ _CHUNK_NODES = 1 << 14
 def _ladder_edges(z0) -> np.ndarray:
     """Geometric breakpoints 0, z0, 2 z0, ... capped at 1/2, one row per scale.
 
-    Each z0 is clipped to [1e-12, 1/4]; NaN (no ladder) leaves the single
-    panel (0, 1/2].  Rows are padded with repeated 1/2, i.e. with empty
-    panels.
+    NaN (no ladder), or a scale of 1/2 or more, leaves the single panel
+    (0, 1/2].  Rows are padded with repeated 1/2, i.e. with empty panels.
     """
-    z0 = np.clip(np.asarray(z0, dtype=float).reshape(-1), 1e-12, 0.25)
+    z0 = np.asarray(z0, dtype=float).reshape(-1)
     steps = z0[:, None] * 2.0 ** np.arange(_LADDER_STEPS)
     steps[~(steps < 0.5)] = 0.5
     ends = np.full((z0.size, 1), 0.5)
     return np.hstack([np.zeros_like(ends), steps, ends])
 
 
-# Panels of the layered rule, by kind: 0 the Jacobi panel (0, z_left) and
-# 1 the Gauss panels of the left ladder; 2 and 3 the same on the right
-# ladder, mirrored through z -> 1-z; 4 the Jacobi panel (1/2, 1) of a
-# right half without ladder; 5 the single Jacobi panel (0, 1).  Column
-# groups of the panel table: left ladder, right ladder, kind 4, kind 5.
+# Panels of the layout, by kind: 0 the panel (0, z_left) at the origin and
+# 1 the panels of the left ladder; 2 and 3 the same on the right ladder,
+# in the mirrored coordinate 1-z; 4 the panel (1/2, 1) of a right half
+# without ladder; 5 the single panel (0, 1).  Column groups of the panel
+# table: left ladder, right ladder, kind 4, kind 5.
 _KIND_OF_COLUMN = np.concatenate([[0], np.ones(_LADDER_STEPS, int), [2],
                                   np.full(_LADDER_STEPS, 3), [4, 5]])
 _GROUP_OF_COLUMN = np.concatenate([np.zeros(_LADDER_STEPS + 1, int),
@@ -102,18 +104,15 @@ _GROUP_OF_COLUMN = np.concatenate([np.zeros(_LADDER_STEPS + 1, int),
 _MIRRORED_KIND = np.array([False, False, True, True, False, False])
 
 
-def _ladder_rule(p: float, q: float, n: int, z_left, z_right):
-    """Nodes and weights of the layered rule on (0,1) for a batch of scales.
+def _ladder_panels(z_left, z_right):
+    """The geometric ladder layout on (0,1) for a batch of scales.
 
-    Returns (nodes, weights, seg): one row of n nodes per panel, and the
-    index of the specification each panel belongs to, one per entry of
-    the broadcast scales z_left, z_right (NaN: no ladder on that half).
-    The weights carry the endpoint factors z^p (1-z)^q, so that
-    sum(weights * f(nodes)) over the panels of a specification
-    integrates z^p (1-z)^q f(z) over (0,1) for f free of endpoint
-    blow-up but with boundary layers or Holder kinks near the ends:
-    z_left (z_right) is the scale at 0 (at 1) from which the panels
-    double outward to 1/2 (the panel kinds above).
+    Returns (seg, lo, hi, kind) for every non-empty panel: the index of
+    its specification in the broadcast scales z_left, z_right, its ends
+    (in the mirrored coordinate 1-z for kinds 2 and 3) and its kind
+    above.  z_left (z_right) is the scale at 0 (at 1) from which the
+    panels double outward to 1/2; NaN puts no ladder on that half, and
+    NaN on both gives the single panel (0, 1).
     """
     zl, zr = np.broadcast_arrays(np.atleast_1d(np.asarray(z_left, float)),
                                  np.atleast_1d(np.asarray(z_right, float)))
@@ -125,12 +124,26 @@ def _ladder_rule(p: float, q: float, n: int, z_left, z_right):
     hi = np.hstack([el[:, 1:], er[:, 1:], ones, ones])
     groups = np.stack([~plain, ladder_right, ~plain & ~ladder_right, plain], 1)
     seg, col = np.nonzero(groups[:, _GROUP_OF_COLUMN] & (hi > lo))
-    kind = _KIND_OF_COLUMN[col]
+    return seg, lo[seg, col], hi[seg, col], _KIND_OF_COLUMN[col]
+
+
+def _ladder_rule(p: float, q: float, n: int, z_left, z_right):
+    """Nodes and weights of the layered rule on (0,1) for a batch of scales.
+
+    Returns (nodes, weights, seg): n nodes per panel of ``_ladder_panels``
+    at the scales clipped to [1e-12, 1/4], and the specification of each
+    panel.  The weights carry the endpoint factors z^p (1-z)^q, so that
+    sum(weights * f(nodes)) over the panels of a specification integrates
+    z^p (1-z)^q f(z) over (0,1) for f free of endpoint blow-up but with
+    boundary layers or Holder kinks near the ends.
+    """
+    seg, lo, hi, kind = _ladder_panels(np.clip(z_left, 1e-12, 0.25),
+                                       np.clip(z_right, 1e-12, 0.25))
     alpha = np.array([p, 0.0, q, 0.0, 0.0, p])[kind]
     beta = np.array([0.0, 0.0, 0.0, 0.0, q, q])[kind]
     ep = np.array([0.0, p, p, p, p, 0.0])[kind, None]
     eq = np.array([q, q, 0.0, q, 0.0, 0.0])[kind, None]
-    x, w = jacobi_panels(n, lo[seg, col], hi[seg, col], alpha, beta)
+    x, w = jacobi_panels(n, lo, hi, alpha, beta)
     mirrored = _MIRRORED_KIND[kind, None]
     z = np.where(mirrored, 1.0 - x, x)
     w = w * (z ** ep * np.where(mirrored, x, 1.0 - x) ** eq)

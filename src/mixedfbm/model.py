@@ -8,6 +8,8 @@ so the drift-normalization convention is fixed in exactly one place:
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -60,10 +62,12 @@ class ModelParams:
     horizon_T: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise DomainError(f"require sigma > 0, got {self.sigma}")
-        if not self.horizon_T > 0:
-            raise DomainError(f"require horizon_T > 0, got {self.horizon_T}")
+        for name in ("sigma", "theta", "horizon_T"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise DomainError(f"require a finite number {name}, got {value!r}")
+            if name != "theta" and not value > 0:
+                raise DomainError(f"require {name} > 0, got {value}")
 
 
 def _alpha(h: float) -> float:

@@ -23,9 +23,11 @@ the tables' k1.  Every rule places its panels at positions proportional
 to the arguments, so the evaluators satisfy the kernels' scaling laws to
 float roundoff.  They are the references for ``KernelTables`` in
 ``test_kernels.py`` and for acceptance criteria 1 and 2.
-``h0_weighted_integral`` is the layered quadrature of the closed-form
-limiting weight that the exact formula in ``closed_form`` replaced, and
-its cross-check in ``test_closed_form.py``.
+``h0`` is the layered quadrature of the limiting weight's fractional
+integral that the hypergeometric formula in ``closed_form`` replaced, and
+``h0_weighted_integral`` the quadrature of the closed-form weight that
+its exact Beta-function integral replaced; both are the references of
+their formulas in ``test_closed_form.py``.
 
 The residual audit as it ran before the per-operator audit plan is kept
 verbatim below (``_kernel_integrals``, ``_nystrom_extension``,
@@ -42,14 +44,14 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from mixedfbm.closed_form import h0
+from mixedfbm import closed_form
 from mixedfbm.errors import AccuracyWarning, DomainError
 from mixedfbm.fredholm import (_EVAL_OFFSETS, _EXT_OFFSETS, DiscretizedOperator,
                                ResidualReport, _chunks, _graded_map,
                                _graded_map_inv, _KnotSpline,
                                _offsets_in_cells, _rhs_values)
 from mixedfbm.kernels import (DIAG_RTOL, KernelContext, KernelTables,
-                              _ladder_rule_one)
+                              _ladder_rule_one, _layered_batch)
 from mixedfbm.model import DerivedConstants
 from mixedfbm.numerics import _base_rule, gamma_fn
 
@@ -409,9 +411,40 @@ def h0_weighted_integral(constants: DerivedConstants) -> float:
     p = min(0.5 - h2, 1.0 - 2.0 * h1)
     q = h1 - h2
     z, w = _ladder_rule_one(p, q, 24, 1e-9, 1e-9)
-    bounded = (np.asarray(h0(z, constants)) * z ** (0.5 - h1 - p)
+    bounded = (np.asarray(closed_form.h0(z, constants)) * z ** (0.5 - h1 - p)
                * (1.0 - z) ** (-q))
     return float(np.dot(w, bounded))
+
+
+def h0(v, constants: DerivedConstants, C: float | None = None):
+    """The closed-form limiting weight by quadrature of its fractional
+    integral, as ``closed_form.h0`` computed it before its hypergeometric
+    formula, unchanged.
+
+    h0(v) = c6 v^(1/2-H1) (I^(H1-1/2)_(1-) g)(v), g(t) = t^(H1-H2)
+    (1-t)^(1/2-H2).  The interval [v, 1] is mapped onto (0, 1), which
+    turns the kernel endpoint and the right-end weight into a fixed
+    Jacobi pair and the remaining power into a bounded factor whose
+    short-scale variation near small v is declared to a geometric ladder,
+    one per point, all points in one ``_layered_batch``.
+    """
+    h1 = constants.hurst.h1
+    h2 = constants.hurst.h2
+    if C is None:
+        C = 1.0 / constants.gamma_h1**2
+    c6 = closed_form.constant_chain(C, constants).c6
+    arr = np.asarray(v, dtype=float)
+    alpha = h1 - 0.5
+    q_right = 0.5 - h2
+    flat = arr.reshape(-1)
+    # t = v + (1 - v) x; the profile varies on scale x ~ v, one ladder per v
+    vals = (1.0 - flat) ** (alpha + q_right) * _layered_batch(
+        lambda x, i: (flat[i] + (1.0 - flat[i]) * x) ** (h1 - h2),
+        alpha - 1.0, q_right, 24, np.clip(flat / (1.0 - flat), 1e-12, 0.4),
+        np.nan,
+    )
+    out = (c6 / gamma_fn(alpha) * flat ** (0.5 - h1) * vals).reshape(arr.shape)
+    return float(out) if np.ndim(v) == 0 else out
 
 
 # ----------------------------------------------------------------------

@@ -199,9 +199,20 @@ def test_exit_codes(tmp_path, capsys):
         ("closed-form", "--points", "0"),
         ("asymptotics", "--t-sequence", "1,a"),
         ("asymptotics", "--t-sequence", "1,5,inf"),
+        ("kernel", "--t", "0", "--s", "0"),
+        ("kernel", "--t", "0.5", "--s", "-1"),
+        ("kernel", "--t", "nan", "--s", "0.3"),
+        ("kernel", "--t", "0.4", "--s", "0.7"),
+        ("kernel", "--h1", "0.4", "--h2", "0.9"),
+        ("constants", "--sigma", "inf"),
+        ("solve", "--sigma", "inf"),
+        ("asymptotics", "--theta", "nan"),
     ],
     ids=["points-negative", "points-zero", "t-sequence-not-a-number",
-         "t-sequence-infinite"],
+         "t-sequence-infinite", "kernel-at-origin", "kernel-s-negative",
+         "kernel-t-nan", "kernel-s-above-t", "kernel-h1-below-half",
+         "constants-sigma-infinite", "solve-sigma-infinite",
+         "asymptotics-theta-nan"],
 )
 def test_edge_inputs_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"

@@ -2,11 +2,11 @@
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import hyp2f1
 
 from mixedfbm import closed_form as cf
 from mixedfbm.errors import DomainError
@@ -166,26 +166,41 @@ def test_h0_matches_direct_fractional_integral(cons):
 
 
 def test_h0_hypergeometric_equivalence(cons, cons_wide):
-    # Euler-transformed closed form of the same fractional integral;
-    # agreement must hold uniformly, including deep into both endpoint
-    # layers, without accuracy warnings
+    # the shipped hypergeometric form against the layered quadrature of
+    # the same fractional integral that it replaced; agreement must hold
+    # uniformly, including deep into both endpoint layers, without
+    # accuracy warnings
     v = np.array(
         [1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1 - 1e-5, 1 - 1e-7]
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for c in (cons, cons_wide):
-            h1, h2 = c.hurst.h1, c.hurst.h2
-            c6 = cf.constant_chain(canonical_C(c), c).c6
-            pre = c6 * gamma_fn(1.5 - h2) / gamma_fn(1.0 + h1 - h2)
-            ref = (
-                pre
-                * v ** (0.5 - h2)
-                * (1.0 - v) ** (h1 - h2)
-                * hyp2f1(h2 - h1, h1 - 0.5, 1.0 + h1 - h2, -(1.0 - v) / v)
-            )
             got = cf.h0(v, c)
+            ref = oracles.h0(v, c)
             assert np.max(np.abs(got / ref - 1.0)) < 1e-9
+
+
+@pytest.mark.parametrize("h1,h2", [(0.6, 0.9), (0.7, 0.99), (0.55, 0.82),
+                                   (0.51, 0.8)])
+def test_h0_matches_mpmath_hypergeometric(h1, h2):
+    # the same Gauss hypergeometric form in 30-digit arithmetic: scipy's
+    # hyp2f1 at the large negative arguments of small v, and the
+    # prefactors, must hold to a few ulps across both endpoint layers
+    c = derive_constants(ModelParams(hurst=HurstPair(h1, h2)))
+    c6 = cf.constant_chain(canonical_C(c), c).c6
+    v = np.concatenate([np.geomspace(1e-12, 0.5, 20),
+                        1.0 - np.geomspace(0.4, 1e-9, 20)])
+    with mpmath.workdps(30):
+        a = mpmath.mpf(h2) - mpmath.mpf(h1)
+        b = mpmath.mpf(h1) - mpmath.mpf(1) / 2
+        pre = (mpmath.mpf(c6) * mpmath.gamma(mpmath.mpf(3) / 2 - mpmath.mpf(h2))
+               / mpmath.gamma(1 - a))
+        ref = np.array([float(
+            pre * x ** (mpmath.mpf(1) / 2 - mpmath.mpf(h2)) * (1 - x) ** -a
+            * mpmath.hyp2f1(a, b, 1 - a, -(1 - x) / x))
+            for x in map(mpmath.mpf, v)])
+    assert np.max(np.abs(cf.h0(v, c) / ref - 1.0)) <= 1e-14
 
 
 def test_h0_linearity_in_C(cons):

@@ -186,6 +186,23 @@ def test_asymptotics_guards(monkeypatch):
             run_asymptotics(cfg)
 
 
+def test_asymptotics_propagates_non_accuracy_errors(monkeypatch):
+    # only an AccuracyError (IllConditionedError included) is recorded as a
+    # failed horizon; a programming error inside one solve propagates
+    real_solve = hz.solve_second_kind
+
+    def broken(op, T, constants, **kw):
+        if T == 25.0:
+            raise TypeError(f"broken solve at T={T}")
+        return real_solve(op, T, constants, **kw)
+
+    monkeypatch.setattr(hz, "solve_second_kind", broken)
+    cfg = ExperimentConfig(params=ModelParams(hurst=HurstPair(0.6, 0.9)),
+                           grid_n=64, t_sequence=(1.0, 5.0, 25.0, 125.0))
+    with pytest.raises(TypeError, match="T=25"):
+        run_asymptotics(cfg)
+
+
 def test_mc_replicate_failure_reports_seed(monkeypatch):
     calls = {"n": 0}
     real = hz.simulate_Y

@@ -208,9 +208,10 @@ def test_kernel_integrals_batch_matches_scalar(tables):
 
 
 def test_h0_batch_matches_scalar_ladder(cons):
-    # h0 integrates one ladder per point, all points in one batch; the
-    # reference runs the scalar ladder per point on the same integrand,
-    # across several chunks of the batch and every ladder scale regime
+    # the scalar ladder per point on h0's fractional integral, across
+    # every ladder scale regime, against the shipped hypergeometric form
+    # (measured 3.2e-14) and against the batched quadrature it replaced,
+    # which lays one ladder per point over several chunks of one batch
     v = np.concatenate([np.geomspace(1e-9, 0.3, 30), np.linspace(0.31, 0.69, 9),
                         1.0 - np.geomspace(0.3, 1e-9, 30)])
     alpha, q = H1 - 0.5, 0.5 - H2
@@ -220,6 +221,7 @@ def test_h0_batch_matches_scalar_ladder(cons):
     c6 = closed_form.constant_chain(1.0 / cons.gamma_h1**2, cons).c6
     ref = c6 / numerics.gamma_fn(alpha) * v ** (0.5 - H1) * np.array(ladders)
     assert _rel(closed_form.h0(v, cons), ref) <= RTOL
+    assert _rel(oracles.h0(v, cons), ref) <= RTOL
 
 
 # -------------------------------------------------------------- work counts

@@ -49,6 +49,16 @@ class TestHurstPair:
         with pytest.raises(DomainError):
             ModelParams(hurst=hp, horizon_T=0.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("sigma", math.inf), ("sigma", math.nan), ("sigma", "1"),
+        ("theta", math.inf), ("theta", -math.inf), ("theta", math.nan),
+        ("theta", "a"), ("horizon_T", math.inf), ("horizon_T", math.nan),
+        ("horizon_T", None),
+    ])
+    def test_params_reject_non_finite_or_non_numbers(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            ModelParams(hurst=HurstPair(0.6, 0.9), **{field: value})
+
 
 class TestDerivedConstants:
     def test_alpha_exact(self):

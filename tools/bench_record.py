@@ -9,9 +9,10 @@ for the benchmark's ``run_seconds``, then ``perfbench/reference.py``
 (the per-layer baseline table at n = 128, 256, 512).  Writes the parsed
 result line of every run and the reference output, next to the source
 state (git commit, whether the tree was clean, a digest of
-``src/mixedfbm``) and the host: nproc, Python, numpy, scipy, the BLAS
-library and the BLAS thread count the runs were given.  Takes about
-eight minutes on 2 vCPUs.
+``src/mixedfbm`` and the line count of each of its files and their
+total, as ``wc -l src/mixedfbm/*.py`` gives them) and the host: nproc,
+Python, numpy, scipy, the BLAS library and the BLAS thread count the
+runs were given.  Takes about eight minutes on 2 vCPUs.
 """
 
 import hashlib
@@ -51,6 +52,12 @@ def _source_digest() -> str:
     return digest.hexdigest()
 
 
+def _source_lines() -> dict:
+    files = {path.name: path.read_bytes().count(b"\n")
+             for path in sorted((ROOT / "src" / "mixedfbm").glob("*.py"))}
+    return {"files": files, "total": sum(files.values())}
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -74,6 +81,7 @@ def main(argv) -> int:
         "commit": _git("rev-parse", "HEAD"),
         "worktree_clean": _git("status", "--porcelain") == "",
         "src_sha256": _source_digest(),
+        "src_lines": _source_lines(),
         "host": {
             "nproc": os.cpu_count(),
             "python": platform.python_version(),

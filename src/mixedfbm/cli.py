@@ -115,8 +115,9 @@ def _cmd_constants(s: _Settings) -> int:
 
 
 def _cmd_kernel(s: _Settings) -> int:
-    t, u = s.args.t, s.args.s
-    if not 0.0 < u < t < np.inf:
+    t, u = s.get("t", 0.7), s.get("s", 0.4)
+    if not (isinstance(t, (int, float)) and isinstance(u, (int, float))
+            and 0.0 < u < t < np.inf):
         raise DomainError(f"need finite 0 < s < t, got t={t}, s={u}")
     pair = HurstPair(s.get("h1"), s.get("h2"))
     tab = get_tables(pair.h1, pair.h2)
@@ -310,8 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel", help="evaluate kernel values at (t, s)")
     _add_common(p)
-    p.add_argument("--t", type=float, default=0.7)
-    p.add_argument("--s", type=float, default=0.4)
+    p.add_argument("--t", type=float, help="later time (default 0.7)")
+    p.add_argument("--s", type=float, help="earlier time (default 0.4)")
     p.set_defaults(func=_cmd_kernel)
 
     p = sub.add_parser("solve", help="solve for the filter at one horizon")

@@ -2,13 +2,13 @@
 
 Every kernel here is homogeneous, so its two-argument values reduce to
 one-dimensional profiles of the ratio of its arguments.
-:class:`KernelTables` samples these profiles once per Hurst pair with
-the batched layered quadrature (``_layered_batch``) and stores them as
-log-coordinate splines; the tables back the Nystrom assembly, the
-residual audit and the covariance builder.  The geometric ladder of
-that quadrature (``_ladder_panels``) is the one panel layout of the
-package's singular integrals: the tables' rule on (0,1), the audit's
-kernel-integral rules and the near-field moments of ``fredholm``.
+:class:`KernelTables` builds each profile as a log-coordinate spline on
+first read: m and n from closed forms (Gauss 2F1), c and rho by batched
+layered quadrature.  The solver reads c; simulation and ``mixedfbm
+kernel`` read rho.  That quadrature's geometric ladder (``_ladder_panels``)
+is the one panel layout of the package's singular integrals: the tables'
+rules on (0,1), the audit's kernel-integral rules and the near-field
+moments of ``fredholm``.
 
 Kernel inventory, for Hurst pair (h1, h2) and gap a = h2 - h1, by table
 method:
@@ -33,14 +33,15 @@ up to the rounding of that ratio.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.special import hyp2f1
 
 from .model import DerivedConstants, _beta
-from .numerics import jacobi_panels
+from .numerics import beta_fn, jacobi_panels
 
 __all__ = [
     "KernelContext",
@@ -196,16 +197,14 @@ class _EdgeSpline:
     the sampled range, matching profiles with finite endpoint limits.
     """
 
-    def __init__(self, sample_fn, xmin: float = _PROFILE_XMIN,
-                 per_side: int = _PROFILE_PER_SIDE):
-        grid = np.geomspace(xmin, 0.5, per_side)
-        self._lo, self._hi = xmin, 1.0 - xmin
+    def __init__(self, sample_fn):
+        grid = np.geomspace(_PROFILE_XMIN, 0.5, _PROFILE_PER_SIDE)
         self._left = CubicSpline(np.log(grid), sample_fn(grid))
         self._right = CubicSpline(np.log(grid), sample_fn(1.0 - grid))
 
     def __call__(self, x):
         xa = np.atleast_1d(np.asarray(x, dtype=float))
-        xa = np.clip(xa, self._lo, self._hi)
+        xa = np.clip(xa, _PROFILE_XMIN, 1.0 - _PROFILE_XMIN)
         out = np.empty_like(xa)
         left = xa <= 0.5
         if left.any():
@@ -215,9 +214,20 @@ class _EdgeSpline:
         return out if np.ndim(x) else float(out[0])
 
 
-@dataclass
+def _euler_integral(x, p: float, b: float, q: float):
+    """int_0^1 z^(b-1) (1-z)^(q-1) (x+(1-x)z)^p dz in closed form,
+    x^p B(b, q) 2F1(-p, b; b+q; -(1-x)/x) (Euler, DLMF 15.6.1)."""
+    return x ** p * beta_fn(b, q) * hyp2f1(-p, b, b + q, -(1.0 - x) / x)
+
+
+def _profile(sample_fn):
+    """Cached property: the spline of sample_fn(tables, x), built on first read."""
+    return cached_property(lambda self: _EdgeSpline(partial(sample_fn, self)))
+
+
+@dataclass(frozen=True)
 class KernelTables:
-    """Cached 1D scale profiles for one Hurst pair.
+    """1D scale profiles of one Hurst pair, each built on first read.
 
     With x the ratio of the smaller to the larger time argument and
     a = h2 - h1:
@@ -228,23 +238,63 @@ class KernelTables:
     c(x)      k(s,u) = s^(1-2h1) (u-s)^(2a-1) c(s/u),  s < u
     rho(x)    R(t,s) = s^(2-2h1) t^(2h2-2h1) rho(s/t), s <= t
 
-    All profiles are bounded with finite endpoint limits and are stored
-    as log-coordinate cubic splines; the test suite pins them against
-    the direct evaluators.
+    Each profile is bounded, with finite endpoint limits, and built on
+    first read (m, n closed forms; c, rho layered quadratures).  ``k1``
+    (the solver) reads c; ``R`` (simulation, ``mixedfbm kernel``) rho.
     """
 
     h1: float
     h2: float
-    beta2: float
-    m: _EdgeSpline = field(repr=False)
-    n: _EdgeSpline = field(repr=False)
-    psi_d: _EdgeSpline = field(repr=False)
-    c: _EdgeSpline = field(repr=False)
-    rho: _EdgeSpline = field(repr=False)
 
     @property
     def a(self) -> float:
         return self.h2 - self.h1
+
+    @cached_property
+    def beta2(self) -> float:
+        return _beta(self.h2)
+
+    @_profile
+    def m(self, x):
+        return _euler_integral(x, self.a, self.h2 - 0.5, 1.5 - self.h1)
+
+    @_profile
+    def n(self, y):
+        return _euler_integral(y, self.a - 1.0, self.h2 + 0.5, 1.5 - self.h1)
+
+    @_profile
+    def psi_d(self, y):
+        return self.a * self.beta2 * (self.m(y) + (1.0 - y) * self.n(y))
+
+    @_profile
+    def c(self, x):
+        # Phi(x) = int_0^1 w^(1-2h2) (1-w)^(a-1) (1-wx)^(a-1)
+        #          psi(w) psi(wx) dw;  c(x) = (1-x)^(1-2a) Phi(x).
+        # Layers: psi's Holder kink spreads from w=0 (dyadic ladder) and
+        # the (1-wx) factor varies on the scale (1-x)/x near w=1.
+        a, psi = self.a, self.psi_d
+
+        def fsm(w: np.ndarray, i: np.ndarray) -> np.ndarray:
+            xi = x[i]
+            return (1.0 - w * xi) ** (a - 1.0) * psi(w) * psi(w * xi)
+
+        zr = np.where(x > 0.5, np.maximum((1.0 - x) / x, 1e-10), 1e-10)
+        phi = _layered_batch(fsm, 1.0 - 2.0 * self.h2, a - 1.0, 24, 1e-10, zr)
+        return (1.0 - x) ** (1.0 - 2.0 * a) * phi
+
+    @_profile
+    def rho(self, x):
+        # rho(x) = beta2^2 int_0^1 y^(1-2h2) (1-y)^a (1-xy)^a m(xy) m(y) dy,
+        # on one layered rule for every x
+        a, m = self.a, self.m
+        z, w = _ladder_rule_one(1.0 - 2.0 * self.h2, a, 32, 1e-10, 1e-10)
+        wm = w * m(z)
+        step = max(1, _CHUNK_NODES // z.size)
+        val = np.empty(x.size)
+        for s0 in range(0, x.size, step):
+            xz = x[s0:s0 + step, None] * z
+            val[s0:s0 + step] = ((1.0 - xz) ** a * m(xz)) @ wm
+        return self.beta2 * self.beta2 * val
 
     def kappa(self, x):
         """K12(1, x) for x in (0,1)."""
@@ -286,65 +336,7 @@ class KernelTables:
         return out if out.ndim else float(out)
 
 
-def _build_tables(h1: float, h2: float) -> KernelTables:
-    """Sample every profile with batched layered quadrature.
-
-    Each profile is a batch of 2 * _PROFILE_PER_SIDE layered integrals,
-    one per sample x, on ladders that may vary with x.
-    """
-    a = h2 - h1
-    beta2 = _beta(h2)
-    nq = 24
-    nan = float("nan")
-
-    def m_at(x: np.ndarray) -> np.ndarray:
-        zl = np.where(x < 0.2, x / (1.0 - x), nan)
-        return _layered_batch(lambda z, i: (x[i] + (1.0 - x[i]) * z) ** a,
-                              h2 - 1.5, 0.5 - h1, nq, zl, nan)
-
-    def n_at(y: np.ndarray) -> np.ndarray:
-        zl = np.where(y < 0.2, y / (1.0 - y), nan)
-        return _layered_batch(lambda z, i: (y[i] + (1.0 - y[i]) * z) ** (a - 1.0),
-                              h2 - 0.5, 0.5 - h1, nq, zl, nan)
-
-    m_spl = _EdgeSpline(m_at)
-    n_spl = _EdgeSpline(n_at)
-
-    # psi_d follows from m and n without further integration
-    psi_spl = _EdgeSpline(lambda ys: a * beta2 * (m_spl(ys)
-                                                  + (1.0 - ys) * n_spl(ys)))
-
-    def c_at(x: np.ndarray) -> np.ndarray:
-        # Phi(x) = int_0^1 w^(1-2h2) (1-w)^(a-1) (1-wx)^(a-1)
-        #          psi(w) psi(wx) dw;  c(x) = (1-x)^(1-2a) Phi(x).
-        # Layers: psi's Holder kink spreads from w=0 (dyadic ladder) and
-        # the (1-wx) factor varies on the scale (1-x)/x near w=1.
-        def fsm(w: np.ndarray, i: np.ndarray) -> np.ndarray:
-            xi = x[i]
-            return (1.0 - w * xi) ** (a - 1.0) * psi_spl(w) * psi_spl(w * xi)
-
-        zr = np.where(x > 0.5, np.maximum((1.0 - x) / x, 1e-10), 1e-10)
-        phi = _layered_batch(fsm, 1.0 - 2.0 * h2, a - 1.0, nq, 1e-10, zr)
-        return (1.0 - x) ** (1.0 - 2.0 * a) * phi
-
-    c_spl = _EdgeSpline(c_at)
-
-    def rho_at(x: np.ndarray) -> np.ndarray:
-        def fsm(y: np.ndarray, i: np.ndarray) -> np.ndarray:
-            xy = x[i] * y
-            return (1.0 - xy) ** a * m_spl(xy) * m_spl(y)
-
-        zs = np.full_like(x, 1e-10)
-        val = _layered_batch(fsm, 1.0 - 2.0 * h2, a, 32, zs, zs)
-        return beta2 * beta2 * val
-
-    rho_spl = _EdgeSpline(rho_at)
-
-    return KernelTables(h1=h1, h2=h2, beta2=beta2, m=m_spl, n=n_spl,
-                        psi_d=psi_spl, c=c_spl, rho=rho_spl)
-
-
 @lru_cache(maxsize=8)
 def get_tables(h1: float, h2: float) -> KernelTables:
-    """Profile tables for a Hurst pair, built once per pair per process."""
-    return _build_tables(h1, h2)
+    """Profile tables for a Hurst pair, one object per pair per process."""
+    return KernelTables(h1, h2)

@@ -60,6 +60,24 @@ def test_kernel_command(tmp_path, capsys):
     assert vals["covariance_smooth_part"] > 0.0
 
 
+def test_kernel_reads_t_and_s_from_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t": 0.9, "s": 0.2}))
+    code, stdout, _ = run(capsys, "kernel", "--config", str(cfg))
+    assert code == 0
+    vals = json.loads(stdout)
+    assert (vals["t"], vals["s"]) == (0.9, 0.2)
+    code, stdout, _ = run(capsys, "kernel", "--config", str(cfg),
+                          "--s", "0.5")
+    assert code == 0
+    vals = json.loads(stdout)
+    assert (vals["t"], vals["s"]) == (0.9, 0.5)
+    cfg.write_text(json.dumps({"t": "a", "s": 0.2}))
+    code, _, stderr = run(capsys, "kernel", "--config", str(cfg))
+    assert code == 2
+    assert "domain error" in stderr
+
+
 def test_closed_form_command(tmp_path, capsys):
     out = tmp_path / "h0.csv"
     code, stdout, _ = run(capsys, "closed-form", "--h1", "0.6", "--h2", "0.9",

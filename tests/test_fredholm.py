@@ -270,6 +270,21 @@ def test_near_singular_coupling_warns(op64, cons):
                              residual_tol=np.inf)
 
 
+@pytest.mark.parametrize("k", range(-4, 5))
+def test_spectral_verdict_survives_roundoff(op64, cons, k):
+    # the verdict reads the condition estimate (4.5e7 at the spectral
+    # point, 2.7e6 next to it), which a relative change of 1e-15 in the
+    # matrix leaves on its side of the 1e7 bound
+    op = dataclasses.replace(op64, matrix=op64.matrix * (1.0 + k * 1e-15))
+    top = fr.spectrum_report(op64)[0]
+    with pytest.raises(IllConditionedError, match="spectral"):
+        fr.solve_second_kind(op, 1.0, cons, lam_override=-1.0 / top)
+    with pytest.warns(AccuracyWarning, match="spectral point"):
+        fr.solve_second_kind(op, 1.0, cons,
+                             lam_override=-1.0 / (top * (1.0 + 3e-6)),
+                             residual_tol=np.inf)
+
+
 def test_residual_flagging_warns(op64, cons):
     with pytest.warns(AccuracyWarning, match="exceeds"):
         fr.solve_second_kind(op64, 1.0, cons, residual_tol=1e-12)

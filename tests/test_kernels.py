@@ -9,7 +9,10 @@ import math
 import numpy as np
 import pytest
 
+from mixedfbm import fredholm
 from mixedfbm.errors import DomainError
+from mixedfbm.estimator import mle
+from mixedfbm.gaussian_sim import SamplePath
 from mixedfbm.kernels import DIAG_RTOL, KernelContext, KernelTables, get_tables
 from mixedfbm.model import HurstPair, ModelParams, derive_constants
 from mixedfbm.numerics import beta_fn
@@ -168,12 +171,26 @@ class TestProfileTables:
         assert np.isfinite(val) and val > 0.0
         assert math.isclose(val, k1_l2_norm(tables, n=192), rel_tol=1e-8)
 
-    def test_l2_norm_gate(self, tables):
-        thin = KernelTables(h1=0.6, h2=0.8, beta2=tables.beta2,
-                            m=tables.m, n=tables.n, psi_d=tables.psi_d,
-                            c=tables.c, rho=tables.rho)
+    def test_l2_norm_gate(self):
+        thin = KernelTables(h1=0.6, h2=0.8)
         with pytest.raises(DomainError):
             k1_l2_norm(thin)
+        assert not {"m", "n", "psi_d", "c", "rho"} & thin.__dict__.keys()
+
+    def test_profiles_built_on_first_read(self, ctx, monkeypatch):
+        # the solver reads c; rho is read only by the covariance R
+        fresh = KernelTables(H1, H2)
+        monkeypatch.setattr(fredholm, "get_tables", lambda h1, h2: fresh)
+        cons = ctx.constants
+        op = fredholm.assemble(ctx, fredholm.build_grid(64))
+        sol = fredholm.solve_second_kind(op, 1.0, cons, residual_tol=1e-3)
+        times = (np.arange(513) / 512.0) ** 2
+        drift = cons.script_b * times ** (2.0 - 2.0 * H1)
+        mle(sol, SamplePath(times=times, values=drift, label="Y"), cons)
+        assert op.tables is fresh and "c" in fresh.__dict__
+        assert "rho" not in fresh.__dict__
+        assert fresh.R(0.7, 0.4) == get_tables(H1, H2).R(0.7, 0.4)
+        assert "rho" in fresh.__dict__
 
     def test_gram_positivity(self, tables):
         s = np.linspace(0.05, 0.95, 12)

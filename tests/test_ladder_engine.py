@@ -5,6 +5,7 @@ panel by panel; the engine lays out the panels of a whole batch at once
 and sums per segment.  Only the order of summation differs, so the two
 agree to a few ulps.
 """
+import mpmath
 import numpy as np
 import pytest
 
@@ -99,16 +100,6 @@ def test_table_samples_match_scalar_ladder(tables, side):
     a, beta2, nq = A_GAP, tables.beta2, 24
     psi, m_spl = tables.psi_d, tables.m
 
-    def m_at(x):
-        return oracles._layered_01(lambda z: (x + (1.0 - x) * z) ** a,
-                                   H2 - 1.5, 0.5 - H1, nq,
-                                   z_left=x / (1.0 - x) if x < 0.2 else None)
-
-    def n_at(y):
-        return oracles._layered_01(lambda z: (y + (1.0 - y) * z) ** (a - 1.0),
-                                   H2 - 0.5, 0.5 - H1, nq,
-                                   z_left=y / (1.0 - y) if y < 0.2 else None)
-
     def c_at(x):
         fsm = lambda w: (1.0 - w * x) ** (a - 1.0) * psi(w) * psi(w * x)
         zr = max((1.0 - x) / x, 1e-10) if x > 0.5 else 1e-10
@@ -121,12 +112,33 @@ def test_table_samples_match_scalar_ladder(tables, side):
             fsm, 1.0 - 2.0 * H2, a, 32, z_left=1e-10, z_right=1e-10)
 
     logs, xs = _knots(side)
-    for name, ref_fn in (("m", m_at), ("n", n_at), ("c", c_at), ("rho", rho_at)):
+    for name, ref_fn in (("c", c_at), ("rho", rho_at)):
         spl = getattr(tables, name)
         chart = spl._left if side == "left" else spl._right
         got = chart(logs)
         ref = [ref_fn(float(x)) for x in xs]
         assert _rel(got, ref) <= 1e-12, name
+
+
+@pytest.mark.parametrize("h1,h2", [(0.6, 0.9), (0.55, 0.82), (0.7, 0.99),
+                                   (0.51, 0.8), (0.6, 0.86)])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_table_m_n_samples_match_mpmath(h1, h2, side):
+    # m and n are Euler integrals of 2F1 (DLMF 15.6.1); mpmath at 30
+    # digits evaluates the same closed forms at the spline knots
+    tab = kernels.KernelTables(h1, h2)
+    logs, xs = _knots(side)
+    with mpmath.workdps(30):
+        a = mpmath.mpf(h2) - mpmath.mpf(h1)
+        m_at = lambda x: x ** a * mpmath.beta(h2 - 0.5, 1.5 - h1) * \
+            mpmath.hyp2f1(-a, h2 - 0.5, 1 + a, -(1 - x) / x)
+        n_at = lambda y: y ** (a - 1) * mpmath.beta(h2 + 0.5, 1.5 - h1) * \
+            mpmath.hyp2f1(1 - a, h2 + 0.5, 2 + a, -(1 - y) / y)
+        for name, ref_fn in (("m", m_at), ("n", n_at)):
+            spl = getattr(tab, name)
+            chart = spl._left if side == "left" else spl._right
+            ref = [float(ref_fn(mpmath.mpf(float(x)))) for x in xs]
+            assert _rel(chart(logs), ref) <= 1e-14, name
 
 
 # ---------------------------------------------------------- cell moments

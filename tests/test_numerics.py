@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mixedfbm.errors import AccuracyWarning, DomainError, IllConditionedError
+from mixedfbm import numerics
 from mixedfbm.numerics import beta_fn, gamma_fn, jacobi_panels, solve_dense
 from oracles import frac_integral_right, jacobi_rule, singular_integral
 
@@ -110,6 +111,15 @@ class TestSolveDense:
         A = 1.0 / (np.arange(n)[:, None] + np.arange(n)[None, :] + 1.0)
         with pytest.raises(IllConditionedError):
             solve_dense(A, np.ones(n))
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan])
+    def test_broken_solve_raises(self, monkeypatch, bad):
+        # a sound LU keeps the backward error at roundoff; a solve that
+        # returns garbage (zeros, NaN) must not pass as a solution
+        monkeypatch.setattr(numerics.scipy.linalg, "lu_solve",
+                            lambda lu_piv, b: np.full_like(b, bad))
+        with pytest.raises(IllConditionedError, match="backward error"):
+            solve_dense(np.eye(3) + 0.1, np.ones(3))
 
     def test_shape_guard(self):
         with pytest.raises(DomainError):

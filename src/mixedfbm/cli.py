@@ -69,7 +69,20 @@ class _Settings:
         self.file_vals = {}
         if getattr(args, "config", None):
             with open(args.config) as fh:
-                self.file_vals = json.load(fh)
+                try:
+                    self.file_vals = json.load(fh)
+                except ValueError as exc:
+                    raise DomainError(f"{args.config}: not JSON: {exc}") from exc
+            if not isinstance(self.file_vals, dict):
+                raise DomainError(f"{args.config}: need a JSON object, got "
+                                  f"{type(self.file_vals).__name__}")
+            for name, default in _DEFAULTS.items():
+                value = self.file_vals.get(name, default)
+                kind, what = ((int, "an integer") if isinstance(default, int)
+                              else ((int, float), "a number"))
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise DomainError(f"{args.config}: {name} must be {what}, "
+                                      f"got {value!r}")
 
     def get(self, name, fallback=None):
         v = getattr(self.args, name, None)
@@ -98,7 +111,10 @@ def _write_rows(path, header, rows) -> None:
 
 
 def _read_path_csv(fname: str, label: str) -> SamplePath:
-    data = np.loadtxt(fname, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(fname, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise DomainError(f"{fname}: {exc}") from exc
     if data.shape[1] < 2:
         raise DomainError(f"{fname}: need columns (t, value)")
     return SamplePath(times=data[:, 0], values=data[:, 1], label=label)
@@ -119,6 +135,8 @@ def _cmd_kernel(s: _Settings) -> int:
     if not (isinstance(t, (int, float)) and isinstance(u, (int, float))
             and 0.0 < u < t < np.inf):
         raise DomainError(f"need finite 0 < s < t, got t={t}, s={u}")
+    if not u / t > 0.0:
+        raise DomainError(f"s/t underflows to 0 at t={t}, s={u}")
     pair = HurstPair(s.get("h1"), s.get("h2"))
     tab = get_tables(pair.h1, pair.h2)
     vals = {
@@ -130,6 +148,9 @@ def _cmd_kernel(s: _Settings) -> int:
         "k1": float(tab.k1(t, u)),
         "covariance_smooth_part": float(tab.R(t, u)),
     }
+    overflow = sorted(k for k, v in vals.items() if not np.isfinite(v))
+    if overflow:
+        raise DomainError(f"{', '.join(overflow)} not finite at t={t}, s={u}")
     text = json.dumps(vals, indent=2, sort_keys=True)
     print(text)
     out = s.get("out")

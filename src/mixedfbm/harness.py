@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .closed_form import asymptotic_variance
 from .errors import AccuracyError, AccuracyWarning, DomainError
@@ -174,6 +173,10 @@ def run_mc(config: ExperimentConfig) -> MCReport:
     replicate order, so the report is reproducible and independent of
     any execution schedule.
     """
+    # scipy.stats is slow to import and only this summary of the
+    # replicates reads it, so start-up does not pay for it
+    from scipy import stats
+
     constants = derive_constants(config.params)
     constants.hurst.require_solver_admissible()
     theta = config.params.theta

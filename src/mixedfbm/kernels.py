@@ -3,12 +3,13 @@
 Every kernel here is homogeneous, so its two-argument values reduce to
 one-dimensional profiles of the ratio of its arguments.
 :class:`KernelTables` builds each profile as a log-coordinate spline on
-first read: m and n from closed forms (Gauss 2F1), c and rho by batched
-layered quadrature.  The solver reads c; simulation and ``mixedfbm
-kernel`` read rho.  That quadrature's geometric ladder (``_ladder_panels``)
-is the one panel layout of the package's singular integrals: the tables'
-rules on (0,1), the audit's kernel-integral rules and the near-field
-moments of ``fredholm``.
+first read: m and n from closed forms (Gauss 2F1), c and rho by layered
+quadrature on one rule per profile that all its samples share (c lays
+its own ladder at w >= 1/2 only where that half needs one).  The solver
+reads c; simulation and ``mixedfbm kernel`` read rho.  That quadrature's
+geometric ladder (``_ladder_panels``) is the one panel layout of the
+package's singular integrals: the tables' rules on (0,1), the audit's
+kernel-integral rules and the near-field moments of ``fredholm``.
 
 Kernel inventory, for Hurst pair (h1, h2) and gap a = h2 - h1, by table
 method:
@@ -78,6 +79,8 @@ _LADDER_STEPS = 40
 # of the integrand stays at 128 kB (larger chunks raise the peak RSS of
 # a table build by several MB and are no faster)
 _CHUNK_NODES = 1 << 14
+# nodes per panel of c's rules
+_C_NODES = 24
 
 
 def _ladder_edges(z0) -> np.ndarray:
@@ -140,6 +143,13 @@ def _ladder_rule(p: float, q: float, n: int, z_left, z_right):
     """
     seg, lo, hi, kind = _ladder_panels(np.clip(z_left, 1e-12, 0.25),
                                        np.clip(z_right, 1e-12, 0.25))
+    z, w = _panel_rule(p, q, n, lo, hi, kind)
+    return z, w, seg
+
+
+def _panel_rule(p: float, q: float, n: int, lo, hi, kind):
+    """n nodes and weights on each panel (lo, hi) of the given kinds, with
+    the endpoint factors z^p (1-z)^q of ``_ladder_rule``."""
     alpha = np.array([p, 0.0, q, 0.0, 0.0, p])[kind]
     beta = np.array([0.0, 0.0, 0.0, 0.0, q, q])[kind]
     ep = np.array([0.0, p, p, p, p, 0.0])[kind, None]
@@ -148,7 +158,7 @@ def _ladder_rule(p: float, q: float, n: int, z_left, z_right):
     mirrored = _MIRRORED_KIND[kind, None]
     z = np.where(mirrored, 1.0 - x, x)
     w = w * (z ** ep * np.where(mirrored, x, 1.0 - x) ** eq)
-    return z, w, seg
+    return z, w
 
 
 @lru_cache(maxsize=64)
@@ -165,27 +175,6 @@ def _ladder_rule_one(p: float, q: float, n: int,
     z, w = z.ravel(), w.ravel()
     z.flags.writeable = w.flags.writeable = False
     return z, w
-
-
-def _layered_batch(f, p: float, q: float, n: int, z_left, z_right) -> np.ndarray:
-    """Layered integrals of many integrands, one per ladder specification.
-
-    f(z, i) evaluates the integrands at nodes z of shape (panels, n),
-    integrand i[k] on row k (i has shape (panels, 1)).  The
-    specifications are taken in chunks of at most ``_CHUNK_NODES``
-    nodes; each chunk evaluates its integrand once, sums it per panel
-    and then per specification.
-    """
-    zl, zr = np.broadcast_arrays(np.atleast_1d(np.asarray(z_left, float)),
-                                 np.atleast_1d(np.asarray(z_right, float)))
-    out = np.empty(zl.size)
-    step = max(1, _CHUNK_NODES // (2 * (_LADDER_STEPS + 1) * n))
-    for s0 in range(0, zl.size, step):
-        sl = slice(s0, s0 + step)
-        z, w, seg = _ladder_rule(p, q, n, zl[sl], zr[sl])
-        panels = (w * f(z, seg[:, None] + s0)).sum(axis=1)
-        out[sl] = np.bincount(seg, weights=panels, minlength=zl[sl].size)
-    return out
 
 
 class _EdgeSpline:
@@ -220,6 +209,17 @@ def _euler_integral(x, p: float, b: float, q: float):
     return x ** p * beta_fn(b, q) * hyp2f1(-p, b, b + q, -(1.0 - x) / x)
 
 
+def _rule_products(g, e: float, x, z, wg) -> np.ndarray:
+    """sum_j wg_j (1 - x z_j)^e g(x z_j) for every x, on one shared rule
+    (z, wg), in chunks of at most ``_CHUNK_NODES`` nodes."""
+    step = max(1, _CHUNK_NODES // z.size)
+    out = np.empty(x.size)
+    for s0 in range(0, x.size, step):
+        xz = x[s0:s0 + step, None] * z
+        out[s0:s0 + step] = ((1.0 - xz) ** e * g(xz)) @ wg
+    return out
+
+
 def _profile(sample_fn):
     """Cached property: the spline of sample_fn(tables, x), built on first read."""
     return cached_property(lambda self: _EdgeSpline(partial(sample_fn, self)))
@@ -239,8 +239,13 @@ class KernelTables:
     rho(x)    R(t,s) = s^(2-2h1) t^(2h2-2h1) rho(s/t), s <= t
 
     Each profile is bounded, with finite endpoint limits, and built on
-    first read (m, n closed forms; c, rho layered quadratures).  ``k1``
-    (the solver) reads c; ``R`` (simulation, ``mixedfbm kernel``) rho.
+    first read: m, n from closed forms; rho and c by layered quadrature,
+    each on one rule with ladders of scale 1e-10 at both ends that all
+    its samples share (32 and 24 nodes per panel).  c reads psi_d once
+    at its rule's nodes (``_c_rule``); its samples with (1-x)/x above
+    1e-10 keep the rule's w < 1/2 half and lay their own w >= 1/2 ladder
+    at that scale.  ``k1`` (the solver) reads c; ``R`` (simulation,
+    ``mixedfbm kernel``) rho.
     """
 
     h1: float
@@ -266,35 +271,58 @@ class KernelTables:
     def psi_d(self, y):
         return self.a * self.beta2 * (self.m(y) + (1.0 - y) * self.n(y))
 
-    @_profile
-    def c(self, x):
+    @cached_property
+    def _c_rule(self):
+        # the layered rule that every c sample shares, with w psi(z) on it
+        z, w = _ladder_rule_one(1.0 - 2.0 * self.h2, self.a - 1.0, _C_NODES,
+                                1e-10, 1e-10)
+        return z, w * self.psi_d(z)
+
+    def _c_samples(self, x):
         # Phi(x) = int_0^1 w^(1-2h2) (1-w)^(a-1) (1-wx)^(a-1)
         #          psi(w) psi(wx) dw;  c(x) = (1-x)^(1-2a) Phi(x).
         # Layers: psi's Holder kink spreads from w=0 (dyadic ladder) and
-        # the (1-wx) factor varies on the scale (1-x)/x near w=1.
+        # the (1-wx) factor varies on the scale (1-x)/x near w=1, which
+        # clamps to the shared rule's 1e-10 for every x <= 1/2.
         a, psi = self.a, self.psi_d
-
-        def fsm(w: np.ndarray, i: np.ndarray) -> np.ndarray:
-            xi = x[i]
-            return (1.0 - w * xi) ** (a - 1.0) * psi(w) * psi(w * xi)
-
-        zr = np.where(x > 0.5, np.maximum((1.0 - x) / x, 1e-10), 1e-10)
-        phi = _layered_batch(fsm, 1.0 - 2.0 * self.h2, a - 1.0, 24, 1e-10, zr)
+        z, wpsi = self._c_rule
+        zr = np.where(x > 0.5, (1.0 - x) / x, 0.0)
+        own = zr > 1e-10
+        left = z < 0.5
+        phi = np.empty(x.size)
+        phi[~own] = _rule_products(psi, a - 1.0, x[~own], z, wpsi)
+        phi[own] = (_rule_products(psi, a - 1.0, x[own], z[left], wpsi[left])
+                    + self._c_right_ladders(x[own], zr[own]))
         return (1.0 - x) ** (1.0 - 2.0 * a) * phi
+
+    c = _profile(_c_samples)
+
+    def _c_right_ladders(self, x, zr) -> np.ndarray:
+        """Phi's integral over w >= 1/2 on a right ladder of scale zr per
+        sample, in chunks of at most ``_CHUNK_NODES`` nodes."""
+        a, psi = self.a, self.psi_d
+        out = np.empty(x.size)
+        step = max(1, _CHUNK_NODES // ((_LADDER_STEPS + 1) * _C_NODES))
+        for s0 in range(0, x.size, step):
+            sl = slice(s0, s0 + step)
+            seg, lo, hi, kind = _ladder_panels(np.nan, np.clip(zr[sl], 1e-12, 0.25))
+            right = kind >= 2
+            seg = seg[right]
+            z, w = _panel_rule(1.0 - 2.0 * self.h2, a - 1.0, _C_NODES,
+                               lo[right], hi[right], kind[right])
+            xi = x[sl][seg, None]
+            f = (1.0 - z * xi) ** (a - 1.0) * psi(z) * psi(z * xi)
+            out[sl] = np.bincount(seg, weights=(w * f).sum(axis=1),
+                                  minlength=x[sl].size)
+        return out
 
     @_profile
     def rho(self, x):
         # rho(x) = beta2^2 int_0^1 y^(1-2h2) (1-y)^a (1-xy)^a m(xy) m(y) dy,
         # on one layered rule for every x
-        a, m = self.a, self.m
-        z, w = _ladder_rule_one(1.0 - 2.0 * self.h2, a, 32, 1e-10, 1e-10)
-        wm = w * m(z)
-        step = max(1, _CHUNK_NODES // z.size)
-        val = np.empty(x.size)
-        for s0 in range(0, x.size, step):
-            xz = x[s0:s0 + step, None] * z
-            val[s0:s0 + step] = ((1.0 - xz) ** a * m(xz)) @ wm
-        return self.beta2 * self.beta2 * val
+        z, w = _ladder_rule_one(1.0 - 2.0 * self.h2, self.a, 32, 1e-10, 1e-10)
+        m = self.m
+        return self.beta2 * self.beta2 * _rule_products(m, self.a, x, z, w * m(z))
 
     def kappa(self, x):
         """K12(1, x) for x in (0,1)."""

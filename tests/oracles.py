@@ -12,7 +12,12 @@ behind ``kernels._ladder_rule_one``) and ``_cell_moments`` (the five-branch
 product-quadrature moments behind ``fredholm._cell_moments``), with
 their helpers.  They loop over panels with ``jacobi_rule``,
 independently of the batched panel builder, and are the references the
-engine is tested against in ``test_ladder_engine.py``.
+engine is tested against in ``test_ladder_engine.py``.  Between the two
+sits ``_layered_batch``, the batched engine's first form: one full
+ladder specification per integrand, laid out in chunks with
+``kernels._ladder_rule``.  ``c_samples`` is the c profile's sampler
+built on it, one specification per sample, the reference of the
+shared-rule sampler ``KernelTables._c_samples``.
 
 The direct kernel evaluators (``kernel_K12``, ``kernel_K12_dt``,
 ``kernel_k``, ``kernel_k1``, ``covariance_X2``) compute each kernel
@@ -50,8 +55,9 @@ from mixedfbm.fredholm import (_EVAL_OFFSETS, _EXT_OFFSETS, DiscretizedOperator,
                                ResidualReport, _chunks, _graded_map,
                                _graded_map_inv, _KnotSpline,
                                _offsets_in_cells, _rhs_values)
-from mixedfbm.kernels import (DIAG_RTOL, KernelContext, KernelTables,
-                              _ladder_rule_one, _layered_batch)
+from mixedfbm.kernels import (_CHUNK_NODES, _LADDER_STEPS, DIAG_RTOL,
+                              KernelContext, KernelTables, _ladder_rule,
+                              _ladder_rule_one)
 from mixedfbm.model import DerivedConstants
 from mixedfbm.numerics import _base_rule, gamma_fn
 
@@ -224,6 +230,45 @@ def _layered_01(f, p: float, q: float, n: int,
         x, w = jacobi_rule(n, 0.0, q, 0.5, 1.0)
         total += np.dot(w, x ** p * f(x))
     return float(total)
+
+
+def _layered_batch(f, p: float, q: float, n: int, z_left, z_right) -> np.ndarray:
+    """Layered integrals of many integrands, one per ladder specification.
+
+    f(z, i) evaluates the integrands at nodes z of shape (panels, n),
+    integrand i[k] on row k (i has shape (panels, 1)).  The
+    specifications are taken in chunks of at most ``_CHUNK_NODES``
+    nodes; each chunk evaluates its integrand once, sums it per panel
+    and then per specification.
+    """
+    zl, zr = np.broadcast_arrays(np.atleast_1d(np.asarray(z_left, float)),
+                                 np.atleast_1d(np.asarray(z_right, float)))
+    out = np.empty(zl.size)
+    step = max(1, _CHUNK_NODES // (2 * (_LADDER_STEPS + 1) * n))
+    for s0 in range(0, zl.size, step):
+        sl = slice(s0, s0 + step)
+        z, w, seg = _ladder_rule(p, q, n, zl[sl], zr[sl])
+        panels = (w * f(z, seg[:, None] + s0)).sum(axis=1)
+        out[sl] = np.bincount(seg, weights=panels, minlength=zl[sl].size)
+    return out
+
+
+def c_samples(tables: KernelTables, x: np.ndarray) -> np.ndarray:
+    """Samples of the c profile, one full ladder specification per sample,
+    as ``KernelTables`` built them before the shared rule."""
+    # Phi(x) = int_0^1 w^(1-2h2) (1-w)^(a-1) (1-wx)^(a-1)
+    #          psi(w) psi(wx) dw;  c(x) = (1-x)^(1-2a) Phi(x).
+    # Layers: psi's Holder kink spreads from w=0 (dyadic ladder) and
+    # the (1-wx) factor varies on the scale (1-x)/x near w=1.
+    a, psi = tables.a, tables.psi_d
+
+    def fsm(w: np.ndarray, i: np.ndarray) -> np.ndarray:
+        xi = x[i]
+        return (1.0 - w * xi) ** (a - 1.0) * psi(w) * psi(w * xi)
+
+    zr = np.where(x > 0.5, np.maximum((1.0 - x) / x, 1e-10), 1e-10)
+    phi = _layered_batch(fsm, 1.0 - 2.0 * tables.h2, a - 1.0, 24, 1e-10, zr)
+    return (1.0 - x) ** (1.0 - 2.0 * a) * phi
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,10 @@ main() is driven in-process; every invocation writes inside tmp_path.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +200,17 @@ def test_asymptotics_command(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats is imported by run_mc when it runs, not at start-up
+    src = str(Path(mf.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mixedfbm.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "False"
+
+
 def test_exit_codes(tmp_path, capsys):
     # inadmissible gap: the solver route needs h2 - h1 > 1/4
     code, _, stderr = run(capsys, "solve", "--h1", "0.6", "--h2", "0.7",
@@ -208,6 +223,14 @@ def test_exit_codes(tmp_path, capsys):
                           str(tmp_path / "missing" / "c.json"))
     assert code == 1
     assert "i/o error" in stderr
+
+
+_MALFORMED_FILES = {
+    "path-text-cell.csv": "t,value\n0.0,0.0\n0.5,abc\n1.0,0.3\n",
+    "config-broken.json": '{"h1": 0.6,',
+    "config-h1-string.json": '{"h1": "0.6"}',
+    "config-list.json": "[1, 2]",
+}
 
 
 @pytest.mark.parametrize(
@@ -225,14 +248,24 @@ def test_exit_codes(tmp_path, capsys):
         ("constants", "--sigma", "inf"),
         ("solve", "--sigma", "inf"),
         ("asymptotics", "--theta", "nan"),
+        ("kernel", "--t", "1e308", "--s", "1e-308"),
+        ("transform", "--path-file", "{tmp}/path-text-cell.csv"),
+        ("constants", "--config", "{tmp}/config-broken.json"),
+        ("constants", "--config", "{tmp}/config-h1-string.json"),
+        ("constants", "--config", "{tmp}/config-list.json"),
     ],
     ids=["points-negative", "points-zero", "t-sequence-not-a-number",
          "t-sequence-infinite", "kernel-at-origin", "kernel-s-negative",
          "kernel-t-nan", "kernel-s-above-t", "kernel-h1-below-half",
          "constants-sigma-infinite", "solve-sigma-infinite",
-         "asymptotics-theta-nan"],
+         "asymptotics-theta-nan", "kernel-ratio-underflows",
+         "transform-path-text-cell", "config-not-json", "config-h1-string",
+         "config-not-an-object"],
 )
 def test_edge_inputs_exit_2(tmp_path, capsys, argv):
+    for name, text in _MALFORMED_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     out = tmp_path / "out.csv"
     code, _, stderr = run(capsys, *argv, "--out", str(out))
     assert code == 2

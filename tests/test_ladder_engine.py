@@ -12,7 +12,7 @@ import pytest
 import oracles
 from mixedfbm import fredholm as fr
 from mixedfbm import closed_form, harness, kernels, numerics
-from mixedfbm.kernels import _ladder_rule_one, _layered_batch, get_tables
+from mixedfbm.kernels import _ladder_rule_one, get_tables
 from mixedfbm.model import HurstPair, ModelParams, derive_constants
 
 H1, H2 = 0.6, 0.9
@@ -62,8 +62,9 @@ def test_layered_batch_ragged_left_ladders():
     # the m profile: a ladder at x/(1-x) below x = 0.2, none above
     x = np.concatenate([np.geomspace(1e-12, 0.5, 40), 1.0 - np.geomspace(1e-12, 0.5, 9)])
     zl = np.where(x < 0.2, x / (1.0 - x), np.nan)
-    got = _layered_batch(lambda z, i: (x[i] + (1.0 - x[i]) * z) ** A_GAP + _kinked(z),
-                         H2 - 1.5, 0.5 - H1, 24, zl, np.nan)
+    got = oracles._layered_batch(
+        lambda z, i: (x[i] + (1.0 - x[i]) * z) ** A_GAP + _kinked(z),
+        H2 - 1.5, 0.5 - H1, 24, zl, np.nan)
     ref = [oracles._layered_01(lambda z: (xi + (1.0 - xi) * z) ** A_GAP + _kinked(z),
                                H2 - 1.5, 0.5 - H1, 24,
                                z_left=xi / (1.0 - xi) if xi < 0.2 else None)
@@ -78,8 +79,8 @@ def test_layered_batch_ragged_right_ladders_across_chunks():
     x = np.linspace(0.01, 1.0 - 1e-9, 150)
     zr = np.where(x > 0.5, np.maximum((1.0 - x) / x, 1e-10), 1e-10)
     f = lambda z, xi: (1.0 - z * xi) ** (A_GAP - 1.0) * np.exp(-z) + _kinked(z)
-    got = _layered_batch(lambda z, i: f(z, x[i]), 1.0 - 2.0 * H2, A_GAP - 1.0,
-                         24, 1e-10, zr)
+    got = oracles._layered_batch(lambda z, i: f(z, x[i]), 1.0 - 2.0 * H2,
+                                 A_GAP - 1.0, 24, 1e-10, zr)
     ref = [oracles._layered_01(lambda z: f(z, xi), 1.0 - 2.0 * H2,
                                A_GAP - 1.0, 24, z_left=1e-10, z_right=zr_i)
            for xi, zr_i in zip(x, zr)]
@@ -118,6 +119,83 @@ def test_table_samples_match_scalar_ladder(tables, side):
         got = chart(logs)
         ref = [ref_fn(float(x)) for x in xs]
         assert _rel(got, ref) <= 1e-12, name
+
+
+def _c_points():
+    """Both charts of the c profile, x = 1/2 and its neighbours, and the
+    x around 1/(1+1e-10), where the right ladder's scale (1-x)/x crosses
+    its floor 1e-10."""
+    grid = np.geomspace(kernels._PROFILE_XMIN, 0.5, 300)
+    cross = [1.0 / (1.0 + 1e-10)]
+    for _ in range(3):
+        cross = [np.nextafter(cross[0], 0.0)] + cross + [np.nextafter(cross[-1], 1.0)]
+    x = np.concatenate([grid, 1.0 - grid, [np.nextafter(0.5, 0.0), 0.5,
+                                           np.nextafter(0.5, 1.0)], cross])
+    scale = (1.0 - x) / x
+    assert np.any(x == 0.5) and np.any(scale > 1e-10) and np.any(
+        (x > 0.5) & (scale <= 1e-10))
+    return x
+
+
+@pytest.mark.parametrize("h1,h2", [(0.6, 0.9), (0.55, 0.82), (0.6, 0.86),
+                                   (0.7, 0.99)])
+def test_c_samples_match_per_sample_ladders(h1, h2):
+    # the shared rule moves only the order of summation: one matrix
+    # product per chunk on it, plus per-sample right ladders at w >= 1/2,
+    # against one full ladder per sample.  (0.6, 0.86) is near the gap
+    # edge h2 - h1 = 1/4
+    tab = kernels.KernelTables(h1, h2)
+    x = _c_points()
+    assert _rel(tab._c_samples(x), oracles.c_samples(tab, x)) <= 1e-14
+
+
+def test_c_build_reads_psi_once_on_the_shared_rule(monkeypatch):
+    # one c build (both charts) asks once for the shared rule and
+    # evaluates psi at its nodes once; the only other Gauss rules it
+    # builds are the w >= 1/2 ladders of the right-chart samples whose
+    # scale (1-x)/x exceeds 1e-10, and every integrand temporary stays
+    # within _CHUNK_NODES nodes
+    tab = kernels.KernelTables(H1, H2)
+    psi = tab.psi_d
+    shared, panels, psi_args, inside = [], [], [], []
+    rule_one, rule = kernels._ladder_rule_one, kernels.jacobi_panels
+    spline_call = kernels._EdgeSpline.__call__
+
+    def counting_rule_one(*args):
+        shared.append(args)
+        inside.append(True)
+        try:
+            return rule_one(*args)
+        finally:
+            inside.pop()
+
+    def counting_rule(n, lo, *args):
+        if not inside:
+            panels.append(np.size(lo))
+        return rule(n, lo, *args)
+
+    def counting_spline(self, x):
+        if self is psi:
+            psi_args.append(np.asarray(x))
+        return spline_call(self, x)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(kernels, "_ladder_rule_one", counting_rule_one)
+        mp.setattr(kernels, "jacobi_panels", counting_rule)
+        mp.setattr(kernels._EdgeSpline, "__call__", counting_spline)
+        tab.c
+
+    assert shared == [(1.0 - 2.0 * H2, A_GAP - 1.0, 24, 1e-10, 1e-10)]
+    nodes = rule_one(*shared[0])[0]
+    flat = [a for a in psi_args if a.ndim == 1]
+    assert len(flat) == 1 and np.array_equal(flat[0], nodes)
+    assert max(a.size for a in psi_args) <= kernels._CHUNK_NODES
+    x = 1.0 - np.geomspace(kernels._PROFILE_XMIN, 0.5, kernels._PROFILE_PER_SIDE)
+    own = (x > 0.5) & ((1.0 - x) / x > 1e-10)
+    scale = np.clip((1.0 - x[own]) / x[own], 1e-12, 0.25)
+    steps = scale[:, None] * 2.0 ** np.arange(kernels._LADDER_STEPS)
+    # the panels (0, s), (s, 2s), ..., (s 2^K, 1/2) in 1-w per sample
+    assert sum(panels) == np.sum(steps < 0.5) + scale.size
 
 
 @pytest.mark.parametrize("h1,h2", [(0.6, 0.9), (0.55, 0.82), (0.7, 0.99),

@@ -139,6 +139,14 @@ def _cmd_kernel(s: _Settings) -> int:
         raise DomainError(f"s/t underflows to 0 at t={t}, s={u}")
     pair = HurstPair(s.get("h1"), s.get("h2"))
     tab = get_tables(pair.h1, pair.h2)
+    # R = s^(2-2h1) t^(2h2-2h1) rho(s/t), formed left to right with
+    # rho > 1: refuse a product beyond the float range before forming it
+    log_r = ((2.0 - 2.0 * pair.h1) * np.log(u)
+             + (2.0 * pair.h2 - 2.0 * pair.h1) * np.log(t)
+             + max(0.0, float(np.log(tab.rho(u / t)))))
+    if not log_r < np.log(np.finfo(float).max):
+        raise DomainError(
+            f"covariance_smooth_part overflows at t={t}, s={u}")
     vals = {
         "t": t,
         "s": u,

@@ -40,11 +40,12 @@ class EstimatorResult:
     variance_pred is the Gaussian-calculus prediction 1/(d^2 <N>);
     variance_pred_paper is the alternative printed form 1/int h_T s^{1-2H1} ds.
     Both are recorded on every estimate so the normalization discrepancy
-    stays visible in downstream reports.
+    stays visible in downstream reports.  For a path of columns theta_hat
+    and n_T hold one value per column.
     """
 
-    theta_hat: float
-    n_T: float
+    theta_hat: float | np.ndarray
+    n_T: float | np.ndarray
     qv_N: float
     loglik_at: Callable[[float], float]
     variance_pred: float
@@ -55,13 +56,15 @@ def stochastic_integral_N(
     h_T: Callable[[np.ndarray], np.ndarray],
     path: SamplePath,
     scale_hint: float | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Midpoint Stieltjes sum of the weight against path increments.
 
     Also evaluates the same sum on the half-resolution grid (every other
     sample); when ``scale_hint`` (the quadratic variation) is supplied
     and the two disagree by more than 1% of its square root, the grid is
-    flagged as too coarse for the weight's variation.
+    flagged as too coarse for the weight's variation.  The weight is
+    read once, at the fine and the coarse midpoints together.  Returns
+    a float, or one sum per column when the path holds columns.
     """
     t = path.times
     if t.size < _MIN_GRID:
@@ -70,22 +73,25 @@ def stochastic_integral_N(
             f"got {t.size}"
         )
     x = path.values
-    mid = 0.5 * (t[1:] + t[:-1])
-    val = float(np.dot(np.asarray(h_T(mid), dtype=float), np.diff(x)))
     tc, xc = t[::2], x[::2]
     if tc[-1] != t[-1]:
         tc = np.concatenate((tc, t[-1:]))
         xc = np.concatenate((xc, x[-1:]))
+    mid = 0.5 * (t[1:] + t[:-1])
     midc = 0.5 * (tc[1:] + tc[:-1])
-    coarse = float(np.dot(np.asarray(h_T(midc), dtype=float), np.diff(xc)))
-    if scale_hint is not None and abs(val - coarse) > 0.01 * np.sqrt(scale_hint):
-        warnings.warn(
-            f"score integral moved by {abs(val - coarse):.3e} under grid "
-            f"halving; the path grid is too coarse for this weight",
-            AccuracyWarning,
-            stacklevel=2,
-        )
-    return val
+    h = np.asarray(h_T(np.concatenate((mid, midc))), dtype=float)
+    val = np.dot(h[: mid.size], np.diff(x, axis=0))
+    coarse = np.dot(h[mid.size :], np.diff(xc, axis=0))
+    if scale_hint is not None:
+        moved = float(np.max(np.abs(val - coarse)))
+        if moved > 0.01 * np.sqrt(scale_hint):
+            warnings.warn(
+                f"score integral moved by {moved:.3e} under grid "
+                f"halving; the path grid is too coarse for this weight",
+                AccuracyWarning,
+                stacklevel=2,
+            )
+    return float(val) if val.ndim == 0 else val
 
 
 def log_likelihood(n_T: float, qv_N: float, drift_norm: float, theta: float) -> float:
@@ -112,7 +118,8 @@ def predicted_variances(qv: float, constants: DerivedConstants) -> tuple:
 def mle(
     sol: FredholmSolution, path: SamplePath, constants: DerivedConstants
 ) -> EstimatorResult:
-    """Maximum-likelihood drift estimate from one observed path.
+    """Maximum-likelihood drift estimate from one observed path, or one
+    per column.
 
     The path must be the transformed observation on the solution's
     horizon.  The normalization divides the model's drift_norm by sigma

@@ -843,7 +843,7 @@ def _on_horizon(T: float, values: Callable) -> Callable:
     """
     def h_T(t):
         arr = np.asarray(t, float)
-        if np.any(arr <= 0.0) or np.any(arr > T):
+        if (arr <= 0.0).any() or (arr > T).any():
             raise DomainError(f"filter argument must lie in (0, {T}]")
         # the minimum guards roundoff of the division, not out-of-range input
         out = values(arr, np.minimum(arr / T, 1.0))

@@ -10,6 +10,11 @@ incomplete Beta functions.  The inverse recovers the observation through
 a weakly singular convolution, exact per segment, and a Stieltjes sum.
 Both read the path through its linear interpolant, so their error is set
 by how finely the sampling grid, which the caller chooses, resolves it.
+
+Every simulator also takes a list or tuple of seeds and then returns one
+column per seed; column r is, bit for bit, the path the same call draws
+for seed r alone.  The forward transform and the score read such columns
+with the same code as a single path.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.blas import dtrmv
 from scipy.special import betainc
 
 from .errors import AccuracyError, DomainError, IllConditionedError
@@ -47,10 +53,11 @@ _MIN_INTERIOR = 32
 
 @dataclass(frozen=True)
 class SamplePath:
-    """One realized path on a finite grid.
+    """One realized path on a finite grid, or several as columns.
 
     The grid always starts at 0 and every process starts at 0; the label
-    records which process the values represent.
+    records which process the values represent.  ``values`` is 1-d for
+    one path, or 2-d with one row per time and one column per path.
     """
 
     times: np.ndarray
@@ -60,13 +67,15 @@ class SamplePath:
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
         v = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or t.shape != v.shape:
-            raise DomainError("times and values must be 1-d arrays of equal length")
-        if t.size < 2 or t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
+        if t.ndim != 1 or v.ndim not in (1, 2) or v.shape[0] != t.size:
+            raise DomainError("times must be 1-d and values 1-d of equal length, "
+                              "or 2-d with one row per time")
+        # array methods, not np.any/np.all: these checks run on every draw
+        if t.size < 2 or t[0] != 0.0 or (np.diff(t) <= 0.0).any():
             raise DomainError("times must strictly increase from 0")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+        if not (np.isfinite(t).all() and np.isfinite(v).all()):
             raise DomainError("path contains non-finite entries")
-        if v[0] != 0.0:
+        if (v[0] != 0.0).any():
             raise DomainError("all processes start at 0")
         if self.label not in _LABELS:
             raise DomainError(f"unknown path label {self.label!r}")
@@ -112,6 +121,12 @@ def _positive_times(times) -> np.ndarray:
     return t
 
 
+def _grid_from_key(shape: tuple, key: bytes) -> np.ndarray:
+    # grids are validated here, on a model cache miss: a rejected grid
+    # raises and so is never cached, and a warm call skips the checks
+    return _positive_times(np.frombuffer(key, dtype=float).reshape(shape))
+
+
 def _factor(matrix: np.ndarray) -> np.ndarray:
     jitter = 1e-12 * np.trace(matrix) / matrix.shape[0]
     for attempt in range(4):
@@ -149,6 +164,7 @@ def covariance_X(t, s, constants: DerivedConstants):
 
 @lru_cache(maxsize=32)
 def _model_cached(
+    shape: tuple,
     key: bytes,
     process: str,
     theta: float,
@@ -158,7 +174,7 @@ def _model_cached(
     eps: float,
     bconst: float,
 ) -> CovarianceModel:
-    t = np.frombuffer(key, dtype=float)
+    t = _grid_from_key(shape, key)
     if process in ("X", "Y"):
         tab = get_tables(h1, h2)
         lo = np.minimum.outer(t, t)
@@ -181,8 +197,9 @@ def covariance_model(
     times, constants: DerivedConstants, process: str = "X", theta: float = 0.0
 ) -> CovarianceModel:
     """Build (and cache) the factorized covariance of X, Y, or Z."""
-    t = _positive_times(times)
+    t = np.asarray(times, dtype=float)
     return _model_cached(
+        t.shape,
         t.tobytes(),
         process,
         float(theta),
@@ -194,15 +211,47 @@ def covariance_model(
     )
 
 
-def _draw(model: CovarianceModel, seed, label: str) -> SamplePath:
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal(model.times.size)
-    vals = model.chol @ g + model.drift
+def _column(v: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """v as a column when ``like`` holds one path per column."""
+    return v.reshape(v.shape + (1,) * (like.ndim - 1))
+
+
+def _with_origin(times: np.ndarray, vals: np.ndarray, label: str) -> SamplePath:
     return SamplePath(
-        times=np.concatenate(([0.0], model.times)),
-        values=np.concatenate(([0.0], vals)),
+        times=np.concatenate(([0.0], times)),
+        values=np.concatenate((np.zeros((1,) + vals.shape[1:]), vals)),
         label=label,
     )
+
+
+def _factor_draw(chol: np.ndarray, seed) -> np.ndarray:
+    """The lower factor applied to standard normals from ``seed``.
+
+    A list or tuple of seeds gives one column per seed, each drawn as the
+    single seed would be.  The triangular BLAS product reads only the
+    lower half; ``chol.T`` of the C-ordered factor is the Fortran-ordered
+    upper factor, so it is passed in place (a C-ordered array with
+    ``lower=1`` would be copied on every call).
+    """
+    n = chol.shape[0]
+
+    def one(s):
+        g = np.random.default_rng(s).standard_normal(n)
+        return dtrmv(chol.T, g, lower=0, trans=1, overwrite_x=1)
+
+    if not isinstance(seed, (list, tuple)):
+        return one(seed)
+    if len(seed) == 0:
+        raise DomainError("need at least one seed")
+    out = np.empty((n, len(seed)))
+    for j, s in enumerate(seed):
+        out[:, j] = one(s)
+    return out
+
+
+def _draw(model: CovarianceModel, seed, label: str) -> SamplePath:
+    vals = _factor_draw(model.chol, seed)
+    return _with_origin(model.times, vals + _column(model.drift, vals), label)
 
 
 def simulate_X(times, seed, constants: DerivedConstants) -> SamplePath:
@@ -220,21 +269,29 @@ def simulate_Z(times, seed, theta: float, constants: DerivedConstants) -> Sample
 
     Built from two independent fractional Brownian draws rather than a
     factorized joint covariance; the two routes agree in distribution
-    and the transform tests compare them.
+    and the transform tests compare them.  Each seed is spawned into
+    the seeds of its two draws.
     """
-    t = _positive_times(times)
-    full = np.concatenate(([0.0], t))
+    if isinstance(seed, (list, tuple)):
+        pairs = [_spawn_pair(s) for s in seed]
+        s1, s2 = [p[0] for p in pairs], [p[1] for p in pairs]
+    else:
+        s1, s2 = _spawn_pair(seed)
+    b1 = simulate_fbm(constants.hurst.h1, times, s1)
+    b2 = simulate_fbm(constants.hurst.h2, times, s2)
+    vals = (theta * _column(b1.times, b1.values) + constants.sigma * b1.values
+            + b2.values)
+    return SamplePath(times=b1.times, values=vals, label="Z")
+
+
+def _spawn_pair(seed) -> list:
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    s1, s2 = ss.spawn(2)
-    b1 = simulate_fbm(constants.hurst.h1, full, s1)
-    b2 = simulate_fbm(constants.hurst.h2, full, s2)
-    vals = theta * full + constants.sigma * b1.values + b2.values
-    return SamplePath(times=full, values=vals, label="Z")
+    return ss.spawn(2)
 
 
 @lru_cache(maxsize=32)
-def _fbm_model_cached(key: bytes, h: float) -> CovarianceModel:
-    t = np.frombuffer(key, dtype=float)
+def _fbm_model_cached(shape: tuple, key: bytes, h: float) -> CovarianceModel:
+    t = _grid_from_key(shape, key)
     mat = _fbm_cov(h, t[:, None], t[None, :])
     return CovarianceModel(times=t, matrix=mat, drift=np.zeros(t.size), chol=_factor(mat))
 
@@ -247,13 +304,9 @@ def simulate_fbm(h: float, times, seed) -> SamplePath:
     """
     if not 0.5 < h < 1.0:
         raise DomainError(f"require 1/2 < H < 1, got {h}")
-    t = _positive_times(times)
-    model = _fbm_model_cached(t.tobytes(), h)
-    return SamplePath(
-        times=np.concatenate(([0.0], t)),
-        values=np.concatenate(([0.0], model.chol @ np.random.default_rng(seed).standard_normal(t.size))),
-        label="fBm",
-    )
+    t = np.asarray(times, dtype=float)
+    model = _fbm_model_cached(t.shape, t.tobytes(), h)
+    return _with_origin(model.times, _factor_draw(model.chol, seed), "fBm")
 
 
 # ----------------------------------------------------------------- forward
@@ -289,7 +342,7 @@ def _molchan_plan(times_key: bytes, out_key: bytes, h1: float) -> np.ndarray:
 def molchan_transform(
     path: SamplePath, constants: DerivedConstants, out_times=None
 ) -> SamplePath:
-    """Weighted-kernel transform of an observed path.
+    """Weighted-kernel transform of an observed path, or of each column.
 
     Integrates the kernel (t-s)^{1/2-H1} s^{1/2-H1} against the path
     increments, exactly on the piecewise-linear interpolant.  Output
@@ -311,12 +364,8 @@ def molchan_transform(
         if not np.all((outs > 0.0) & (outs <= grid[-1])) or np.any(np.diff(outs) <= 0):
             raise DomainError("output times must be finite and increase within (0, horizon]")
     plan = _molchan_plan(grid.tobytes(), outs.tobytes(), constants.hurst.h1)
-    vals = plan @ (np.diff(path.values) / np.diff(grid))
-    return SamplePath(
-        times=np.concatenate(([0.0], outs)),
-        values=np.concatenate(([0.0], vals)),
-        label="Y",
-    )
+    slopes = np.diff(path.values, axis=0) / _column(np.diff(grid), path.values)
+    return _with_origin(outs, plan @ slopes, "Y")
 
 
 def inverse_transform(path: SamplePath, constants: DerivedConstants) -> SamplePath:
@@ -330,6 +379,8 @@ def inverse_transform(path: SamplePath, constants: DerivedConstants) -> SamplePa
     """
     h1 = constants.hurst.h1
     grid = path.times
+    if path.values.ndim != 1:
+        raise DomainError("the inverse transform takes one path, not columns")
     if grid.size - 2 < _MIN_INTERIOR:
         raise AccuracyError(
             f"path has {grid.size - 1} sample points; the inverse transform "

@@ -43,6 +43,10 @@ _DEFAULT_T_SEQUENCE = (1.0, 5.0, 25.0, 125.0)
 # solver default: horizons beyond ~25 at n=128 sit near the 1e-5 line
 _RESIDUAL_TOL = 1e-4
 
+# replicates drawn and estimated together by run_mc; a block of 512-point
+# paths is 513 x 256 floats (1 MB)
+_MC_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -171,7 +175,9 @@ def run_mc(config: ExperimentConfig) -> MCReport:
     Replicate r draws from the stream seeded by (master_seed, r), the
     same stream at every horizon, and results are aggregated in
     replicate order, so the report is reproducible and independent of
-    any execution schedule.
+    any execution schedule.  Replicates are drawn and estimated as
+    columns, at most ``_MC_BLOCK`` at a time, so the paths in memory do
+    not grow with the replicate count.
     """
     # scipy.stats is slow to import and only this summary of the
     # replicates reads it, so start-up does not pay for it
@@ -183,21 +189,37 @@ def run_mc(config: ExperimentConfig) -> MCReport:
     sols, details = _solve_horizons(config, constants, on_failure="raise")
     exponent = 2.0 - 2.0 * constants.hurst.h2
 
+    def estimate(sol, times, seed):
+        path = simulate_Y(times, seed, theta=theta, constants=constants)
+        return mle(sol, path, constants).theta_hat
+
+    def seed_of(r):
+        return np.random.SeedSequence((config.master_seed, r))
+
     per_t_var = []
     first = None
     for sol, det in zip(sols, details):
         times = _graded_times(det.T, config.path_points)
         est = np.empty(config.replicates)
-        for r in range(config.replicates):
-            seed = np.random.SeedSequence((config.master_seed, r))
+        for r0 in range(0, config.replicates, _MC_BLOCK):
+            block = range(r0, min(r0 + _MC_BLOCK, config.replicates))
             try:
-                path = simulate_Y(times, seed, theta=theta,
-                                  constants=constants)
-                est[r] = mle(sol, path, constants).theta_hat
+                est[block.start:block.stop] = estimate(
+                    sol, times, [seed_of(r) for r in block])
             except Exception as exc:
+                # redo the block one replicate at a time to name the one
+                # that fails; each draws the same path as its column
+                for r in block:
+                    try:
+                        estimate(sol, times, seed_of(r))
+                    except Exception as one:
+                        raise type(one)(
+                            f"replicate {r} (seed ({config.master_seed}, {r})) "
+                            f"at T={det.T}: {one}") from one
                 raise type(exc)(
-                    f"replicate {r} (seed ({config.master_seed}, {r})) "
-                    f"at T={det.T}: {exc}") from exc
+                    f"replicates {block.start} to {block.stop - 1} (seeds "
+                    f"({config.master_seed}, {block.start}) on) at T={det.T}: "
+                    f"{exc}") from exc
         var_hat = float(est.var(ddof=1)) if est.size > 1 else 0.0
         per_t_var.append((det.T, det.T**exponent * var_hat))
         if first is None:

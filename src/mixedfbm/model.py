@@ -31,6 +31,10 @@ class HurstPair:
     h2: float
 
     def __post_init__(self) -> None:
+        for name in ("h1", "h2"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise DomainError(f"require a number {name}, got {value!r}")
         if not self.h1 > 0.5:
             raise DomainError(f"require h1 > 1/2, got h1={self.h1}")
         if not self.h2 > self.h1:

@@ -40,6 +40,11 @@ verbatim below (``_kernel_integrals``, ``_nystrom_extension``,
 forms the quadrature rows and evaluates the solution's spline on every
 kernel-integral node for each call, and is the reference the planned
 audit is tested against in ``test_fredholm.py``.
+
+``stochastic_integral_N`` is the score as it read the filter before it
+took path columns: twice, once at the fine and once at the coarse
+midpoints.  It is kept verbatim as the bitwise reference of the
+one-read score in ``test_estimator.py``.
 """
 import warnings
 from dataclasses import dataclass
@@ -55,6 +60,7 @@ from mixedfbm.fredholm import (_EVAL_OFFSETS, _EXT_OFFSETS, DiscretizedOperator,
                                ResidualReport, _chunks, _graded_map,
                                _graded_map_inv, _KnotSpline,
                                _offsets_in_cells, _rhs_values)
+from mixedfbm.gaussian_sim import SamplePath
 from mixedfbm.kernels import (_CHUNK_NODES, _LADDER_STEPS, DIAG_RTOL,
                               KernelContext, KernelTables, _ladder_rule,
                               _ladder_rule_one)
@@ -742,3 +748,45 @@ def _scan_residuals(op: DiscretizedOperator, lam: float, T: float,
                           on_grid_sup=float(np.max(on)),
                           extension_sup=float(np.max(ext)),
                           worst_u=float(ev_u[worst]))
+
+
+# ---------------------------------------------------------------- score
+
+_MIN_GRID = 128
+
+
+def stochastic_integral_N(
+    h_T: Callable[[np.ndarray], np.ndarray],
+    path: SamplePath,
+    scale_hint: float | None = None,
+) -> float:
+    """Midpoint Stieltjes sum of the weight against path increments.
+
+    Also evaluates the same sum on the half-resolution grid (every other
+    sample); when ``scale_hint`` (the quadratic variation) is supplied
+    and the two disagree by more than 1% of its square root, the grid is
+    flagged as too coarse for the weight's variation.
+    """
+    t = path.times
+    if t.size < _MIN_GRID:
+        raise DomainError(
+            f"need at least {_MIN_GRID} sample points for the score integral, "
+            f"got {t.size}"
+        )
+    x = path.values
+    mid = 0.5 * (t[1:] + t[:-1])
+    val = float(np.dot(np.asarray(h_T(mid), dtype=float), np.diff(x)))
+    tc, xc = t[::2], x[::2]
+    if tc[-1] != t[-1]:
+        tc = np.concatenate((tc, t[-1:]))
+        xc = np.concatenate((xc, x[-1:]))
+    midc = 0.5 * (tc[1:] + tc[:-1])
+    coarse = float(np.dot(np.asarray(h_T(midc), dtype=float), np.diff(xc)))
+    if scale_hint is not None and abs(val - coarse) > 0.01 * np.sqrt(scale_hint):
+        warnings.warn(
+            f"score integral moved by {abs(val - coarse):.3e} under grid "
+            f"halving; the path grid is too coarse for this weight",
+            AccuracyWarning,
+            stacklevel=2,
+        )
+    return val

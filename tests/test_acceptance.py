@@ -177,14 +177,18 @@ def test_criterion_07_simulation_fidelity(cons09):
     # 5% at R=20000; the transform route matches the covariance route
     out8 = np.linspace(0.125, 1.0, 8)
     g512 = graded(512)
-    R = 20000
+    R, B = 20000, 2000
     samp_c = np.empty((R, 8))
     samp_t = np.empty((R, 8))
-    for r in range(R):
-        samp_c[r] = gs.simulate_X(
-            out8, np.random.SeedSequence((606, r)), cons09).values[1:]
-        z = gs.simulate_Z(g512, np.random.SeedSequence((505, r)), 0.0, cons09)
-        samp_t[r] = gs.molchan_transform(z, cons09, out_times=out8).values[1:]
+    for r0 in range(0, R, B):
+        block = range(r0, r0 + B)
+        samp_c[r0:r0 + B] = gs.simulate_X(
+            out8, [np.random.SeedSequence((606, r)) for r in block],
+            cons09).values[1:].T
+        z = gs.simulate_Z(g512, [np.random.SeedSequence((505, r)) for r in block],
+                          0.0, cons09)
+        samp_t[r0:r0 + B] = gs.molchan_transform(
+            z, cons09, out_times=out8).values[1:].T
     ref = gs.covariance_X(out8[:, None], out8[None, :], cons09)
     cov_c = samp_c.T @ samp_c / R
     cov_t = samp_t.T @ samp_t / R

@@ -82,6 +82,19 @@ def test_kernel_reads_t_and_s_from_config(tmp_path, capsys):
     assert "domain error" in stderr
 
 
+def test_kernel_refuses_overflow_before_forming_it():
+    # the smooth covariance part would overflow: exit 2, and numpy never
+    # reaches (and warns about) the overflowing product
+    src = str(Path(mf.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "mixedfbm.cli", "kernel", "--t", "1e300",
+         "--s", "5e299"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 2
+    assert "covariance_smooth_part overflows" in done.stderr
+    assert "RuntimeWarning" not in done.stderr
+
+
 def test_closed_form_command(tmp_path, capsys):
     out = tmp_path / "h0.csv"
     code, stdout, _ = run(capsys, "closed-form", "--h1", "0.6", "--h2", "0.9",

@@ -13,6 +13,7 @@ import pytest
 from scipy import stats
 
 import mixedfbm.fredholm as fr
+import oracles
 from mixedfbm.errors import AccuracyWarning, DomainError
 from mixedfbm.estimator import (EstimatorResult, log_likelihood, mle,
                                 stochastic_integral_N)
@@ -108,6 +109,46 @@ def test_score_integral_refinement_warning(cons, h_fast, grid512):
         stochastic_integral_N(h_fast, path)
     with pytest.warns(AccuracyWarning, match="coarse"):
         stochastic_integral_N(h_fast, path, scale_hint=1e-12)
+
+
+def test_score_reads_the_filter_once_bitwise(cons, h_fast, grid512):
+    # one read at the fine and coarse midpoints together gives the same
+    # bits as the two reads of the reference score, warning or not
+    odd = graded(511)
+    reads = []
+
+    def counted(t):
+        reads.append(t.size)
+        return h_fast(t)
+
+    for r in range(40):
+        grid = grid512 if r % 2 else odd
+        p = simulate_Y(grid, np.random.SeedSequence((808, r)), theta=0.5,
+                       constants=cons)
+        for hint in (None, 1e12):
+            assert stochastic_integral_N(counted, p, scale_hint=hint) == \
+                oracles.stochastic_integral_N(h_fast, p, scale_hint=hint)
+    assert len(reads) == 80
+    with pytest.warns(AccuracyWarning, match="coarse"):
+        new = stochastic_integral_N(h_fast, p, scale_hint=1e-12)
+    with pytest.warns(AccuracyWarning, match="coarse"):
+        assert new == oracles.stochastic_integral_N(h_fast, p, scale_hint=1e-12)
+
+
+def test_score_and_mle_of_columns(cons, sol, h_fast, grid512):
+    # a path of columns gives one score and one estimate per column, each
+    # the single-path value to roundoff
+    seeds = [np.random.SeedSequence((818, r)) for r in range(12)]
+    cols = simulate_Y(grid512, seeds, theta=0.8, constants=cons)
+    many = stochastic_integral_N(h_fast, cols)
+    fit = mle(sol, cols, cons)
+    assert many.shape == fit.theta_hat.shape == (12,)
+    for j in range(12):
+        one = SamplePath(times=cols.times, values=cols.values[:, j], label="Y")
+        assert many[j] == pytest.approx(stochastic_integral_N(h_fast, one),
+                                        rel=1e-13, abs=0.0)
+        assert fit.theta_hat[j] == pytest.approx(mle(sol, one, cons).theta_hat,
+                                                 rel=1e-13, abs=0.0)
 
 
 def test_score_integral_variance_matches_information(cons, sol, h_fast, grid512):

@@ -41,6 +41,21 @@ def test_sample_path_validation():
         gs.SamplePath(times=t, values=np.zeros(3), label="W")
 
 
+def test_sample_path_columns():
+    t = np.array([0.0, 0.5, 1.0])
+    cols = np.array([[0.0, 0.0], [1.0, 2.0], [-0.5, 0.5]])
+    assert gs.SamplePath(times=t, values=cols, label="Y").values.shape == (3, 2)
+    with pytest.raises(DomainError, match="one row per time"):
+        gs.SamplePath(times=t, values=cols.T, label="Y")
+    with pytest.raises(DomainError, match="one row per time"):
+        gs.SamplePath(times=t, values=np.zeros((3, 2, 1)), label="Y")
+    with pytest.raises(DomainError, match="start at 0"):
+        gs.SamplePath(times=t, values=cols + [0.0, 1.0], label="Y")
+    cols[1, 1] = np.inf
+    with pytest.raises(DomainError, match="non-finite"):
+        gs.SamplePath(times=t, values=cols, label="Y")
+
+
 def test_covariance_model_invariants(cons):
     t = np.linspace(0.1, 1.0, 10)
     m = gs.covariance_model(t, cons, "X")
@@ -56,6 +71,29 @@ def test_covariance_model_invariants(cons):
     assert np.allclose(mz.drift, 0.7 * t, rtol=1e-14)
     with pytest.raises(DomainError):
         gs.covariance_model(t, cons, "Q")
+
+
+@pytest.mark.parametrize("bad", [
+    lambda t: t.reshape(2, -1),
+    lambda t: np.where(t == t[3], np.nan, t),
+    lambda t: t[::-1],
+    lambda t: np.concatenate((t[:4], t[3:])),
+])
+def test_warm_model_cache_still_rejects_bad_grids(cons, bad):
+    # grids are validated on a cache miss; a warm call must still reject
+    # every grid the cold path rejects (the 2-d grid has the same bytes
+    # as the valid one)
+    t = np.linspace(0.1, 1.0, 10)
+    gs.covariance_model(t, cons, "Y", theta=0.4)
+    gs.simulate_fbm(0.7, t, 1)
+    with pytest.raises(DomainError):
+        gs.covariance_model(bad(t), cons, "Y", theta=0.4)
+    with pytest.raises(DomainError):
+        gs.simulate_Y(bad(t), 1, 0.4, cons)
+    with pytest.raises(DomainError):
+        gs.simulate_fbm(0.7, bad(t), 1)
+    with pytest.raises(DomainError):
+        gs.simulate_Z(bad(t), 1, 0.4, cons)
 
 
 # ----------------------------------------------------------- covariance_X
@@ -157,6 +195,40 @@ def test_simulate_Z_composition(cons):
     assert np.allclose(z1.values, z0.values + 2.0 * z1.times, rtol=0, atol=1e-14)
     assert z0.label == "Z"
     assert np.array_equal(gs.simulate_Z(t, 11, 0.0, cons).values, z0.values)
+
+
+SIMULATORS = {
+    "X": lambda t, seed, cons: gs.simulate_X(t, seed, cons),
+    "Y": lambda t, seed, cons: gs.simulate_Y(t, seed, 0.7, cons),
+    "Z": lambda t, seed, cons: gs.simulate_Z(t, seed, 0.7, cons),
+    "fBm": lambda t, seed, cons: gs.simulate_fbm(H1, t, seed),
+}
+
+
+@pytest.mark.parametrize("process", sorted(SIMULATORS))
+@pytest.mark.parametrize("kind", ["int", "SeedSequence"])
+def test_seed_batch_columns_are_per_path_draws(cons, process, kind):
+    # column r of a batch is, bit for bit, the path drawn for seed r alone;
+    # SeedSequences are made fresh for each call, as spawning (Z) uses them
+    sim = SIMULATORS[process]
+    t = graded(256)
+    entropy = [5, 17, 2**40, 0]
+
+    def seeds():
+        if kind == "int":
+            return list(entropy)
+        return [np.random.SeedSequence((31, e)) for e in entropy]
+
+    batch = sim(t, seeds(), cons)
+    assert batch.values.shape == (t.size, len(entropy))
+    assert batch.label == sim(t, 1, cons).label
+    for j, seed in enumerate(seeds()):
+        one = sim(t, seed, cons)
+        assert np.array_equal(batch.times, one.times)
+        assert np.array_equal(batch.values[:, j], one.values)
+    assert np.array_equal(sim(t, tuple(seeds()), cons).values, batch.values)
+    with pytest.raises(DomainError, match="at least one seed"):
+        sim(t, [], cons)
 
 
 # -------------------------------------------------------------- transform
@@ -310,6 +382,27 @@ def test_round_trip_simulated_path(cons):
     assert sup <= 0.05 * np.max(np.abs(zt[m]))
 
 
+def test_transform_of_columns(cons):
+    # columns are transformed by the single-path code, each to roundoff of
+    # its own transform (the matrix product sums in another order); the
+    # inverse takes one path only
+    g = graded(512)
+    z = gs.simulate_Z(g, [np.random.SeedSequence((41, r)) for r in range(6)],
+                      0.7, cons)
+    out = np.linspace(0.25, 1.0, 4)
+    for outs in (None, out):
+        y = gs.molchan_transform(z, cons, out_times=outs)
+        assert y.values.shape == (y.times.size, 6)
+        for j in range(6):
+            one = gs.SamplePath(times=g, values=z.values[:, j], label="Z")
+            ref = gs.molchan_transform(one, cons, out_times=outs)
+            assert np.array_equal(y.times, ref.times)
+            scale = np.abs(ref.values).max()
+            assert np.max(np.abs(y.values[:, j] - ref.values)) <= 1e-14 * scale
+    with pytest.raises(DomainError, match="one path"):
+        gs.inverse_transform(gs.molchan_transform(z, cons), cons)
+
+
 def test_inverse_guard(cons):
     short = gs.SamplePath(times=graded(32), values=np.zeros(33), label="Y")
     with pytest.raises(AccuracyError, match="32 sample points; .* needs at least 33"):
@@ -328,13 +421,16 @@ def test_pathwise_matches_covariance_route(cons):
     # transform quadrature together
     g = graded(512)
     out8 = np.linspace(0.125, 1.0, 8)
-    R = 20000
+    R, B = 20000, 2000
     samp_t = np.empty((R, 8))
     samp_c = np.empty((R, 8))
-    for r in range(R):
-        z = gs.simulate_Z(g, np.random.SeedSequence((505, r)), 0.0, cons)
-        samp_t[r] = gs.molchan_transform(z, cons, out_times=out8).values[1:]
-        samp_c[r] = gs.simulate_X(out8, np.random.SeedSequence((606, r)), cons).values[1:]
+    for r0 in range(0, R, B):
+        block = range(r0, r0 + B)
+        z = gs.simulate_Z(g, [np.random.SeedSequence((505, r)) for r in block],
+                          0.0, cons)
+        samp_t[r0:r0 + B] = gs.molchan_transform(z, cons, out_times=out8).values[1:].T
+        samp_c[r0:r0 + B] = gs.simulate_X(
+            out8, [np.random.SeedSequence((606, r)) for r in block], cons).values[1:].T
     ref = gs.covariance_X(out8[:, None], out8[None, :], cons)
     cov_t = samp_t.T @ samp_t / R
     cov_c = samp_c.T @ samp_c / R
@@ -348,12 +444,13 @@ def test_transformed_martingale_variance(cons):
     # whose variance is epsilon * t^{2-2H1}
     g = graded(512)
     out = np.array([0.5, 1.0])
-    R = 8000
+    R, B = 8000, 2000
     samp = np.empty((R, 2))
-    for r in range(R):
-        b = gs.simulate_fbm(H1, g, np.random.SeedSequence((707, r)))
+    for r0 in range(0, R, B):
+        b = gs.simulate_fbm(H1, g, [np.random.SeedSequence((707, r))
+                                    for r in range(r0, r0 + B)])
         z = gs.SamplePath(times=b.times, values=b.values, label="Z")
-        samp[r] = gs.molchan_transform(z, cons, out_times=out).values[1:]
+        samp[r0:r0 + B] = gs.molchan_transform(z, cons, out_times=out).values[1:].T
     var = (samp**2).mean(axis=0)
     ref = cons.epsilon_h1 * out ** (2.0 - 2.0 * H1)
     assert np.max(np.abs(var / ref - 1.0)) < 0.05

@@ -204,12 +204,12 @@ def test_asymptotics_propagates_non_accuracy_errors(monkeypatch):
 
 
 def test_mc_replicate_failure_reports_seed(monkeypatch):
-    calls = {"n": 0}
+    # replicate 2's draw fails, whether alone or as a column of a block
     real = hz.simulate_Y
 
     def flaky(times, seed, theta, constants):
-        calls["n"] += 1
-        if calls["n"] == 3:
+        seeds = seed if isinstance(seed, list) else [seed]
+        if any(s.entropy == (11, 2) for s in seeds):
             raise ValueError("boom")
         return real(times, seed, theta, constants)
 
@@ -219,6 +219,57 @@ def test_mc_replicate_failure_reports_seed(monkeypatch):
         replicates=5, master_seed=11, t_sequence=(1.0,))
     with pytest.raises(ValueError, match=r"replicate 2 \(seed \(11, 2\)\)"):
         run_mc(cfg)
+
+
+def test_mc_block_failure_names_the_block(monkeypatch):
+    # a failure that no single replicate repeats names the whole block
+    real = hz.simulate_Y
+
+    def batch_only(times, seed, theta, constants):
+        if isinstance(seed, list):
+            raise ValueError("boom")
+        return real(times, seed, theta, constants)
+
+    monkeypatch.setattr(hz, "simulate_Y", batch_only)
+    cfg = ExperimentConfig(
+        params=ModelParams(hurst=HurstPair(0.6, 0.9)), grid_n=64,
+        replicates=5, master_seed=11, t_sequence=(1.0,))
+    with pytest.raises(ValueError, match=r"replicates 0 to 4 \(seeds \(11, 0\) on\)"):
+        run_mc(cfg)
+
+
+def test_mc_estimates_match_per_path_mle(monkeypatch):
+    # run_mc estimates columns in blocks of at most _MC_BLOCK replicates;
+    # every estimate is the per-path mle of its replicate's seed to 1e-12
+    blocks, estimates, sols = [], [], []
+    real_sim, real_mle = hz.simulate_Y, hz.mle
+
+    def sim(times, seed, theta, constants):
+        blocks.append(len(seed))
+        return real_sim(times, seed, theta, constants)
+
+    def fit(sol, path, constants):
+        sols.append(sol)
+        res = real_mle(sol, path, constants)
+        estimates.append(res.theta_hat)
+        return res
+
+    monkeypatch.setattr(hz, "simulate_Y", sim)
+    monkeypatch.setattr(hz, "mle", fit)
+    reps = 2 * hz._MC_BLOCK + 7
+    cfg = ExperimentConfig(
+        params=ModelParams(hurst=HurstPair(0.6, 0.9), theta=0.6), grid_n=64,
+        replicates=reps, master_seed=13, t_sequence=(1.0,))
+    report = run_mc(cfg)
+    assert blocks == [hz._MC_BLOCK, hz._MC_BLOCK, 7]
+    est = np.concatenate(estimates)
+    cons = derive_constants(cfg.params)
+    times = hz._graded_times(1.0, cfg.path_points)
+    for r in range(0, reps, 37):
+        path = real_sim(times, np.random.SeedSequence((13, r)), 0.6, cons)
+        one = real_mle(sols[0], path, cons).theta_hat
+        assert est[r] == pytest.approx(one, rel=1e-12, abs=0.0)
+    assert report.mean_hat == pytest.approx(float(est.mean()), rel=1e-15)
 
 
 def test_report_finiteness_guard(rep_tiny):

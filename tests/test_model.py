@@ -31,6 +31,14 @@ class TestHurstPair:
             HurstPair(h1, h2)
         assert fragment in str(exc.value)
 
+    @pytest.mark.parametrize("h1,h2,field", [
+        ("0.6", 0.9, "h1"), (0.6, "0.9", "h2"), (None, 0.9, "h1"),
+        (0.6, [0.9], "h2"), (0.6, math.nan, "h2"), (math.nan, 0.9, "h1"),
+    ])
+    def test_pairs_of_non_numbers_raise_domain_error(self, h1, h2, field):
+        with pytest.raises(DomainError, match=field):
+            HurstPair(h1, h2)
+
     def test_solver_admissibility_gate(self):
         assert HurstPair(0.6, 0.9).solver_admissible
         assert HurstPair(0.6, 0.851).solver_admissible

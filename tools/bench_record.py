@@ -6,13 +6,16 @@ Run from the root of a source checkout.  Runs ``perfbench/run.py`` for
 each workload of ``BENCHMARK.json`` at seeds 1, 2 and 3 untraced (the
 end-to-end metrics) and at seed 1 traced (the per-layer metrics), each
 for the benchmark's ``run_seconds``, then ``perfbench/reference.py``
-(the per-layer baseline table at n = 128, 256, 512).  Writes the parsed
-result line of every run and the reference output, next to the source
+(the per-layer baseline table at n = 128, 256, 512), then times the
+command-line runs users start (``CLI_RUNS``), each twice in a fresh
+process inside a temporary directory.  Writes the parsed result line of
+every run, the reference output and the CLI wall times (``cli_runs``),
+next to the source
 state (git commit, whether the tree was clean, a digest of
 ``src/mixedfbm`` and the line count of each of its files and their
 total, as ``wc -l src/mixedfbm/*.py`` gives them) and the host: nproc,
 Python, numpy, scipy, the BLAS library and the BLAS thread count the
-runs were given.  Takes about eight minutes on 2 vCPUs.
+runs were given.  Takes about nine minutes on 2 vCPUs.
 """
 
 import hashlib
@@ -21,6 +24,8 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -33,11 +38,39 @@ from run import BLAS_ENV  # noqa: E402
 
 SEEDS = (1, 2, 3)
 
+# command lines timed end to end, as ``mixedfbm <argv>``
+CLI_RUNS = (
+    ("solve", "--grid-n", "128"),
+    ("asymptotics",),
+    ("mc", "--replicates", "1000"),
+)
+CLI_REPEATS = 2
+
 
 def _run(argv, env) -> str:
     done = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
                           capture_output=True, text=True, check=True)
     return done.stdout
+
+
+def _cli_runs(env) -> list:
+    """Wall time of each ``CLI_RUNS`` command, ``CLI_REPEATS`` fresh
+    processes each, run from the checkout's ``src`` in a scratch
+    directory that takes their output files."""
+    env = {**env, "PYTHONPATH": str(ROOT / "src")}
+    timed = []
+    for argv in CLI_RUNS:
+        seconds = []
+        for _ in range(CLI_REPEATS):
+            with tempfile.TemporaryDirectory() as tmp:
+                start = time.perf_counter()
+                subprocess.run([sys.executable, "-m", "mixedfbm.cli", *argv],
+                               cwd=tmp, env=env, capture_output=True,
+                               check=True)
+                seconds.append(time.perf_counter() - start)
+        timed.append({"argv": ["mixedfbm", *argv], "wall_s": seconds})
+        print(f"mixedfbm {' '.join(argv)}: done", flush=True)
+    return timed
 
 
 def _git(*argv) -> str:
@@ -76,6 +109,7 @@ def main(argv) -> int:
                          "result": json.loads(line.strip().splitlines()[-1])})
             print(f"{workload} seed {seed} trace {trace}: done", flush=True)
     reference = _run(["perfbench/reference.py"], env).splitlines()
+    cli_runs = _cli_runs(env)
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     record = {
         "commit": _git("rev-parse", "HEAD"),
@@ -93,6 +127,7 @@ def main(argv) -> int:
         "run_seconds": spec["run_seconds"],
         "runs": runs,
         "reference": reference,
+        "cli_runs": cli_runs,
     }
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")

@@ -37,6 +37,11 @@ knot second derivatives (``_spline_map``).  The rows at the probes and
 the integrals at the nodes (``report_plan``, 6.5 n^2 floats) serve only
 ``residual_report``, whose first call builds them.  Each horizon's audit
 is then a few matrix-vector products and one evaluation of the spline.
+
+Each solution owns one filter h_T (``FredholmSolution.filter``), built
+from that spline on first read.  The filter remembers the last grid it
+was evaluated on (one entry, returned as copies), so estimates from many
+paths on one grid evaluate the spline once.
 """
 
 from __future__ import annotations
@@ -505,6 +510,10 @@ class FredholmSolution:
         ``spline.y``; the filter of ``filter_interpolant``.
     worst_u : float
         The probe point in (0, 1) where ``residual_sup`` is attained.
+
+    The solution owns one filter, ``filter``, built from ``spline`` on
+    first read; it remembers the last grid it was evaluated on (one
+    entry, see ``_on_horizon``).
     """
 
     grid: QuadratureGrid
@@ -517,6 +526,12 @@ class FredholmSolution:
     operator: DiscretizedOperator = field(repr=False)
     spline: CubicSpline = field(repr=False)
     worst_u: float
+
+    @cached_property
+    def filter(self) -> Callable:
+        """The filter h_T on (0, T] that ``filter_interpolant`` returns."""
+        return _spline_filter(self.spline, self.horizon_T, self.operator.h1,
+                              self.grid.grading_exponent)
 
 
 class ResidualReport(NamedTuple):
@@ -840,14 +855,32 @@ def _on_horizon(T: float, values: Callable) -> Callable:
 
     Accepts a scalar or array t (scalar in, scalar out); raises
     DomainError outside (0, T].
+
+    The filter remembers its last array argument: an argument with the
+    same shape and float bytes returns a copy of the values stored for
+    it, without the domain check or a new evaluation, since both would
+    give the same result.  The memo holds one entry, sized by that
+    argument, and is freed with the filter (for ``FredholmSolution.filter``,
+    with the solution).  A scalar is evaluated on every call.
     """
-    def h_T(t):
-        arr = np.asarray(t, float)
+    last = (None, None)  # (key, values) of the last array argument, set at once
+
+    def evaluate(arr):
         if (arr <= 0.0).any() or (arr > T).any():
             raise DomainError(f"filter argument must lie in (0, {T}]")
         # the minimum guards roundoff of the division, not out-of-range input
-        out = values(arr, np.minimum(arr / T, 1.0))
-        return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
+        return values(arr, np.minimum(arr / T, 1.0))
+
+    def h_T(t):
+        nonlocal last
+        arr = np.asarray(t, float)
+        if np.isscalar(t) or arr.ndim == 0:
+            return float(evaluate(arr))
+        key = (arr.shape, arr.tobytes())
+        entry = last
+        if entry[0] != key:
+            entry = last = (key, evaluate(arr))
+        return entry[1].copy()
 
     return h_T
 
@@ -884,10 +917,11 @@ def filter_interpolant(sol: FredholmSolution) -> Callable:
     microseconds per point, unlike ``unscale`` which prices a full
     quadrature row per call.  Agrees with the Nystrom extension to
     spline interpolation error, far below the solver residual.  Same
-    domain contract: (0, T].
+    domain contract: (0, T].  Returns the solution's own filter,
+    ``sol.filter``: every call gives the same object, which remembers
+    the last grid it was read on (one entry, returned as copies).
     """
-    return _spline_filter(sol.spline, sol.horizon_T, sol.operator.h1,
-                          sol.grid.grading_exponent)
+    return sol.filter
 
 
 def filter_from_knots(x, y, horizon_T: float, h1: float,

@@ -270,7 +270,8 @@ def simulate_Z(times, seed, theta: float, constants: DerivedConstants) -> Sample
     Built from two independent fractional Brownian draws rather than a
     factorized joint covariance; the two routes agree in distribution
     and the transform tests compare them.  Each seed is spawned into
-    the seeds of its two draws.
+    the seeds of its two draws; a ``SeedSequence`` passed in is left
+    unchanged, so the same object gives the same path every time.
     """
     if isinstance(seed, (list, tuple)):
         pairs = [_spawn_pair(s) for s in seed]
@@ -285,8 +286,11 @@ def simulate_Z(times, seed, theta: float, constants: DerivedConstants) -> Sample
 
 
 def _spawn_pair(seed) -> list:
+    # the first two children ss.spawn(2) would give a fresh seed, derived
+    # without advancing the caller's SeedSequence
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return ss.spawn(2)
+    return [np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (i,),
+                                   pool_size=ss.pool_size) for i in range(2)]
 
 
 @lru_cache(maxsize=32)

@@ -45,6 +45,11 @@ audit is tested against in ``test_fredholm.py``.
 took path columns: twice, once at the fine and once at the coarse
 midpoints.  It is kept verbatim as the bitwise reference of the
 one-read score in ``test_estimator.py``.
+
+``simulate_Z`` is the pathwise draw as it spawned its two fBm seeds with
+``SeedSequence.spawn(2)``, which advances the caller's seed object; it
+is the reference that fresh seeds still give the same Z paths in
+``test_gaussian_sim.py``.
 """
 import warnings
 from dataclasses import dataclass
@@ -60,7 +65,7 @@ from mixedfbm.fredholm import (_EVAL_OFFSETS, _EXT_OFFSETS, DiscretizedOperator,
                                ResidualReport, _chunks, _graded_map,
                                _graded_map_inv, _KnotSpline,
                                _offsets_in_cells, _rhs_values)
-from mixedfbm.gaussian_sim import SamplePath
+from mixedfbm.gaussian_sim import SamplePath, _column, simulate_fbm
 from mixedfbm.kernels import (_CHUNK_NODES, _LADDER_STEPS, DIAG_RTOL,
                               KernelContext, KernelTables, _ladder_rule,
                               _ladder_rule_one)
@@ -790,3 +795,24 @@ def stochastic_integral_N(
             stacklevel=2,
         )
     return val
+
+
+# ----------------------------------------------------------- simulation
+
+def _spawn_pair(seed) -> list:
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return ss.spawn(2)
+
+
+def simulate_Z(times, seed, theta: float, constants: DerivedConstants) -> SamplePath:
+    """Pathwise draw of the raw observation theta*t + sigma*B1 + B2."""
+    if isinstance(seed, (list, tuple)):
+        pairs = [_spawn_pair(s) for s in seed]
+        s1, s2 = [p[0] for p in pairs], [p[1] for p in pairs]
+    else:
+        s1, s2 = _spawn_pair(seed)
+    b1 = simulate_fbm(constants.hurst.h1, times, s1)
+    b2 = simulate_fbm(constants.hurst.h2, times, s2)
+    vals = (theta * _column(b1.times, b1.values) + constants.sigma * b1.values
+            + b2.values)
+    return SamplePath(times=b1.times, values=vals, label="Z")

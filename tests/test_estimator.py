@@ -6,6 +6,7 @@ likelihood is an explicit parabola.  Monte Carlo closes the loop on
 variance and normality.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -220,6 +221,98 @@ def test_filter_spline_built_once_per_solve(monkeypatch, cons, grid512):
     first, second = mle(sol64, path, cons), mle(sol64, path, cons)
     assert len(calls) == 1
     assert first.theta_hat == second.theta_hat
+
+
+def test_filter_interpolant_is_the_solution_filter(sol):
+    assert fr.filter_interpolant(sol) is fr.filter_interpolant(sol)
+    assert fr.filter_interpolant(sol) is sol.filter
+
+
+def test_filter_evaluates_the_spline_once_per_grid(monkeypatch, cons, sol,
+                                                   grid512):
+    # the filter remembers its last grid: mle on many paths of one grid
+    # reads the spline once, and each change of grid once more
+    fresh = dataclasses.replace(sol)
+    calls = []
+    inv = fr._graded_map_inv
+
+    def counting(u, g):
+        calls.append(np.size(u))
+        return inv(u, g)
+
+    monkeypatch.setattr(fr, "_graded_map_inv", counting)
+    odd = graded(511)
+    for grid, expected in ((grid512, 1), (odd, 2), (grid512, 3)):
+        for r in range(5):
+            p = simulate_Y(grid, np.random.SeedSequence((828, r)), theta=0.5,
+                           constants=cons)
+            mle(fresh, p, cons)
+        assert len(calls) == expected
+    assert calls[0] == 512 + 256
+
+
+def test_filter_memo_keeps_the_domain_check(sol, grid512):
+    h = dataclasses.replace(sol).filter
+    mid = 0.5 * (grid512[1:] + grid512[:-1])
+    first = h(mid)
+    for bad_end in (1.0 + 1e-9, 0.0, -0.5):
+        bad = mid.copy()
+        bad[-1] = bad_end
+        for _ in range(2):
+            assert np.array_equal(h(mid), first)
+            with pytest.raises(DomainError):
+                h(bad)
+    with pytest.raises(DomainError):
+        h(0.0)
+    assert h(0.5) == float(h(np.array([0.5]))[0])
+
+
+def test_filter_memo_returns_copies(sol, grid512):
+    h = dataclasses.replace(sol).filter
+    mid = 0.5 * (grid512[1:] + grid512[:-1])
+    cold = h(mid)
+    kept = cold.copy()
+    cold[:] = 0.0
+    warm = h(mid)
+    assert np.array_equal(warm, kept)
+    warm[:] = 7.0
+    assert np.array_equal(h(mid), kept)
+    assert np.array_equal(h(mid.reshape(8, 64)), kept.reshape(8, 64))
+
+
+def test_mle_with_the_filter_memo_is_bitwise_the_reference(cons, sol, grid512):
+    # theta_hat from the remembered filter values has the bits of the
+    # two-read reference score, warning or not; the reference's own
+    # filter is built apart so that it shares no memo with mle
+    fresh = dataclasses.replace(sol)
+    h_ref = dataclasses.replace(sol).filter
+    qv = fr.quadratic_variation_N(sol, cons)
+    d_eff = cons.drift_norm / cons.sigma
+    warned = 0
+    grids = (grid512, graded(511), graded(512, power=1.8))
+    for r in range(42):
+        grid = grids[r // 14]
+        p = simulate_Y(grid, np.random.SeedSequence((838, r)),
+                       theta=1e4 if r % 4 == 3 else 0.5, constants=cons)
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            new = mle(fresh, p, cons).theta_hat
+            ref = oracles.stochastic_integral_N(h_ref, p, scale_hint=qv)
+        assert len(got) in (0, 2)
+        warned += len(got) // 2
+        assert new == ref / (d_eff * qv)
+    assert warned >= 5
+    seeds = [np.random.SeedSequence((848, r)) for r in range(8)]
+    cols = simulate_Y(grid512, seeds, theta=0.8, constants=cons)
+    cold = mle(dataclasses.replace(sol), cols, cons).theta_hat
+    warm = mle(fresh, cols, cons).theta_hat
+    assert np.array_equal(mle(fresh, cols, cons).theta_hat, cold)
+    assert np.array_equal(warm, cold)
+    for j in range(8):
+        one = SamplePath(times=cols.times, values=cols.values[:, j], label="Y")
+        assert cold[j] == pytest.approx(
+            oracles.stochastic_integral_N(h_ref, one, scale_hint=qv)
+            / (d_eff * qv), rel=1e-13, abs=0.0)
 
 
 def test_mle_horizon_mismatch(cons, sol):

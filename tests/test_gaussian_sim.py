@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import oracles
 from mixedfbm import gaussian_sim as gs
 from mixedfbm.errors import AccuracyError, DomainError
 from mixedfbm.kernels import get_tables
@@ -208,8 +209,7 @@ SIMULATORS = {
 @pytest.mark.parametrize("process", sorted(SIMULATORS))
 @pytest.mark.parametrize("kind", ["int", "SeedSequence"])
 def test_seed_batch_columns_are_per_path_draws(cons, process, kind):
-    # column r of a batch is, bit for bit, the path drawn for seed r alone;
-    # SeedSequences are made fresh for each call, as spawning (Z) uses them
+    # column r of a batch is, bit for bit, the path drawn for seed r alone
     sim = SIMULATORS[process]
     t = graded(256)
     entropy = [5, 17, 2**40, 0]
@@ -229,6 +229,39 @@ def test_seed_batch_columns_are_per_path_draws(cons, process, kind):
     assert np.array_equal(sim(t, tuple(seeds()), cons).values, batch.values)
     with pytest.raises(DomainError, match="at least one seed"):
         sim(t, [], cons)
+
+
+def test_simulate_Z_leaves_the_seed_sequence_unchanged(cons):
+    # the same SeedSequence object gives the same path on every call, and
+    # a batch listing it twice gives two equal columns
+    t = graded(256)
+    ss = np.random.SeedSequence((77, 3))
+    first = gs.simulate_Z(t, ss, 0.7, cons)
+    assert ss.n_children_spawned == 0
+    assert np.array_equal(gs.simulate_Z(t, ss, 0.7, cons).values, first.values)
+    twice = gs.simulate_Z(t, [ss, ss], 0.7, cons)
+    assert np.array_equal(twice.values[:, 0], twice.values[:, 1])
+    assert np.array_equal(twice.values[:, 0], first.values)
+
+
+FRESH_SEEDS = {
+    "int": lambda: 11,
+    "entropy tuple": lambda: np.random.SeedSequence((31, 2**40)),
+    "spawn key": lambda: np.random.SeedSequence(9, spawn_key=(4, 2)),
+    "spawned child": lambda: np.random.SeedSequence(5).spawn(3)[2],
+    "pool size": lambda: np.random.SeedSequence(7, pool_size=8),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FRESH_SEEDS))
+def test_simulate_Z_fresh_seeds_match_the_spawned_route(cons, kind):
+    # a fresh seed gives, bit for bit, the path of the spawn(2) route
+    make = FRESH_SEEDS[kind]
+    t = graded(256)
+    assert np.array_equal(gs.simulate_Z(t, make(), 0.7, cons).values,
+                          oracles.simulate_Z(t, make(), 0.7, cons).values)
+    assert np.array_equal(gs.simulate_Z(t, [make(), 3], 0.7, cons).values,
+                          oracles.simulate_Z(t, [make(), 3], 0.7, cons).values)
 
 
 # -------------------------------------------------------------- transform

@@ -8,20 +8,24 @@ end-to-end metrics) and at seed 1 traced (the per-layer metrics), each
 for the benchmark's ``run_seconds``, then ``perfbench/reference.py``
 (the per-layer baseline table at n = 128, 256, 512), then times the
 command-line runs users start (``CLI_RUNS``), each twice in a fresh
-process inside a temporary directory.  Writes the parsed result line of
-every run, the reference output and the CLI wall times (``cli_runs``),
-next to the source
+process inside a temporary directory, and last runs the Tier-1 suite
+once with the verify command of ROADMAP.md (``TIER1``, with the same
+BLAS thread count), keeping its wall time and the passed and failed
+counts of pytest's summary line (``tier1``; errors count as failed).
+Writes the parsed result line of every run, the reference output, the
+CLI wall times (``cli_runs``) and ``tier1``, next to the source
 state (git commit, whether the tree was clean, a digest of
 ``src/mixedfbm`` and the line count of each of its files and their
 total, as ``wc -l src/mixedfbm/*.py`` gives them) and the host: nproc,
 Python, numpy, scipy, the BLAS library and the BLAS thread count the
-runs were given.  Takes about nine minutes on 2 vCPUs.
+runs were given.  Takes about TIME minutes on 2 vCPUs.
 """
 
 import hashlib
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -45,6 +49,9 @@ CLI_RUNS = (
     ("mc", "--replicates", "1000"),
 )
 CLI_REPEATS = 2
+
+# ROADMAP.md's Tier-1 verify command, run from the checkout's root
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
 
 def _run(argv, env) -> str:
@@ -71,6 +78,23 @@ def _cli_runs(env) -> list:
         timed.append({"argv": ["mixedfbm", *argv], "wall_s": seconds})
         print(f"mixedfbm {' '.join(argv)}: done", flush=True)
     return timed
+
+
+def _tier1(env) -> dict:
+    """Wall time and outcome counts of one Tier-1 run; a failing suite
+    is recorded, not raised."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"),
+                                       env.get("PYTHONPATH")) if p)
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, *TIER1], cwd=ROOT,
+                          env={**env, "PYTHONPATH": path},
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    summary = done.stdout.strip().splitlines()[-1]
+    counts = {word: int(n) for n, word in
+              re.findall(r"(\d+) (passed|failed|error)", summary)}
+    return {"wall_s": wall, "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0) + counts.get("error", 0)}
 
 
 def _git(*argv) -> str:
@@ -110,6 +134,9 @@ def main(argv) -> int:
             print(f"{workload} seed {seed} trace {trace}: done", flush=True)
     reference = _run(["perfbench/reference.py"], env).splitlines()
     cli_runs = _cli_runs(env)
+    tier1 = _tier1(env)
+    print(f"tier-1: {tier1['passed']} passed, {tier1['failed']} failed",
+          flush=True)
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     record = {
         "commit": _git("rev-parse", "HEAD"),
@@ -128,6 +155,7 @@ def main(argv) -> int:
         "runs": runs,
         "reference": reference,
         "cli_runs": cli_runs,
+        "tier1": tier1,
     }
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")

@@ -18,7 +18,8 @@ state (git commit, whether the tree was clean, a digest of
 ``src/mixedfbm`` and the line count of each of its files and their
 total, as ``wc -l src/mixedfbm/*.py`` gives them) and the host: nproc,
 Python, numpy, scipy, the BLAS library and the BLAS thread count the
-runs were given.  Takes about TIME minutes on 2 vCPUs.
+runs were given.  Takes about three and a half minutes on 2 vCPUs
+(3 min 19 s for BENCH_14.json, 45 s of it the Tier-1 run).
 """
 
 import hashlib

@@ -4,26 +4,16 @@ __version__ = "0.1.0"
 
 from .closed_form import (
     ConstantChain,
-    FirstKindReport,
     asymptotic_variance,
     constant_chain,
     h0,
     h0_weighted_integral,
-    h_mu,
-    limit_functional,
-    verify_first_kind,
 )
 from .errors import AccuracyError, AccuracyWarning, DomainError, IllConditionedError
-from .estimator import (
-    EstimatorResult,
-    log_likelihood,
-    mle,
-    stochastic_integral_N,
-)
+from .estimator import EstimatorResult, mle, stochastic_integral_N
 from .gaussian_sim import (
     CovarianceModel,
     SamplePath,
-    covariance_X,
     covariance_model,
     inverse_transform,
     molchan_transform,
@@ -40,11 +30,8 @@ from .fredholm import (
     assemble,
     build_grid,
     filter_interpolant,
-    quadratic_variation_N,
     residual_report,
     solve_second_kind,
-    spectrum_report,
-    unscale,
 )
 from .kernels import KernelContext, KernelTables, get_tables
 from .model import DerivedConstants, HurstPair, ModelParams, derive_constants
@@ -69,13 +56,9 @@ __all__ = [
     "assemble",
     "solve_second_kind",
     "residual_report",
-    "unscale",
     "filter_interpolant",
-    "quadratic_variation_N",
-    "spectrum_report",
     "SamplePath",
     "CovarianceModel",
-    "covariance_X",
     "covariance_model",
     "simulate_X",
     "simulate_Y",
@@ -85,16 +68,11 @@ __all__ = [
     "inverse_transform",
     "EstimatorResult",
     "stochastic_integral_N",
-    "log_likelihood",
     "mle",
     "ConstantChain",
-    "FirstKindReport",
     "constant_chain",
     "h0",
-    "verify_first_kind",
     "h0_weighted_integral",
     "asymptotic_variance",
-    "h_mu",
-    "limit_functional",
     "__version__",
 ]

@@ -253,19 +253,46 @@ def _cmd_transform(s: _Settings) -> int:
     return 0
 
 
+def _read_sidecar(side_path: Path):
+    """The solver sidecar's fields and filter knots x, y, checked: any
+    malformed entry raises DomainError."""
+    try:
+        side = json.loads(side_path.read_text())
+    except ValueError as exc:
+        raise DomainError(f"{side_path}: not JSON: {exc}") from exc
+    if not isinstance(side, dict) or "filter_knots" not in side:
+        raise DomainError(f"{side_path} holds no filter knots; rerun solve")
+    for key in ("h1", "h2", "sigma", "T", "grading_exponent", "qv_N"):
+        value = side.get(key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise DomainError(f"{side_path}: {key} must be a number, "
+                              f"got {value!r}")
+    if not 1.0 <= side["grading_exponent"] < np.inf:
+        raise DomainError(f"{side_path}: grading_exponent must be >= 1, "
+                          f"got {side['grading_exponent']}")
+    try:
+        x, y = (np.asarray(side["filter_knots"][k], float) for k in "xy")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"{side_path}: filter knots need number lists "
+                          f"x and y") from exc
+    if not (x.ndim == 1 and x.shape == y.shape and x.size >= 2
+            and np.isfinite(x).all() and np.isfinite(y).all()
+            and (np.diff(x) > 0.0).all()):
+        raise DomainError(f"{side_path}: filter knots need finite x and y "
+                          f"of one length, at least 2, x increasing")
+    return side, x, y
+
+
 def _cmd_estimate(s: _Settings) -> int:
     side_path = Path(s.args.h_file).with_suffix(".json")
     if not side_path.exists():
         raise DomainError(f"missing solver sidecar {side_path}")
-    side = json.loads(side_path.read_text())
-    if "filter_knots" not in side:
-        raise DomainError(f"{side_path} holds no filter knots; rerun solve")
+    side, x, y = _read_sidecar(side_path)
     cons = derive_constants(ModelParams(
         hurst=HurstPair(side["h1"], side["h2"]), sigma=side["sigma"],
         horizon_T=side["T"]))
-    h_T = filter_from_knots(side["filter_knots"]["x"],
-                            side["filter_knots"]["y"], side["T"],
-                            side["h1"], side["grading_exponent"])
+    h_T = filter_from_knots(x, y, side["T"], side["h1"],
+                            side["grading_exponent"])
     path = _read_path_csv(s.args.path_file, "Y")
     res = estimate_with_filter(h_T, side["T"], side["qv_N"], path, cons)
     result = {k: getattr(res, k) for k in (

@@ -5,35 +5,27 @@ equation approach the solution of a first-kind equation.  That limit has
 a closed form: a power-weighted right-sided fractional integral whose
 normalization is produced by a chain of constants, one per inversion
 step.  This module evaluates the closed form (a Gauss hypergeometric
-function), cross-checks it against the discretized kernel operator, and
-gives the weighted integral whose reciprocal is the limiting variance
-scale, a Beta function.  No quadrature is involved.
+function) and gives the weighted integral whose reciprocal is the
+limiting variance scale, a Beta function.  No quadrature is involved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import hyp2f1
 
 from .errors import DomainError
-from .fredholm import FredholmSolution, QuadratureGrid, assemble, unscale
-from .kernels import KernelContext
 from .model import DerivedConstants
 from .numerics import beta_fn, gamma_fn
 
 __all__ = [
     "ConstantChain",
-    "FirstKindReport",
     "constant_chain",
     "h0",
-    "verify_first_kind",
     "asymptotic_variance",
     "h0_weighted_integral",
-    "h_mu",
-    "limit_functional",
 ]
 
 
@@ -138,49 +130,6 @@ def h0(
     return float(out) if np.ndim(v) == 0 else out
 
 
-class FirstKindReport(NamedTuple):
-    """Nodal agreement between the closed form and the kernel operator."""
-
-    max_rel_residual: float
-    ratio_mean: float
-    ratio_spread: float
-    nodes_used: int
-
-
-def verify_first_kind(
-    constants: DerivedConstants, grid: QuadratureGrid
-) -> FirstKindReport:
-    """Cross-check the closed-form weight against the discretized operator.
-
-    Applies the product-quadrature matrix of K to nodal values of the
-    default-normalized h0 and compares with gamma^2 u^{1/2-H1} on nodes
-    inside [0.1, 0.9]; the outermost graded cells are excluded because
-    the discrete rows are least accurate there.
-
-    Returns
-    -------
-    FirstKindReport
-        Worst relative residual, plus mean and spread of the ratio
-        (K h0)(u) / (gamma^2 u^{1/2-H1}).  The spread is scale-free: it
-        tests the shape regardless of any normalization convention.
-    """
-    constants.hurst.require_solver_admissible()
-    ctx = KernelContext(constants=constants)
-    op = assemble(ctx, grid)
-    u = grid.nodes
-    target = constants.gamma_h1**2 * u ** (0.5 - constants.hurst.h1)
-    applied = op.matrix @ np.asarray(h0(u, constants), dtype=float)
-    mask = (u >= 0.1) & (u <= 0.9)
-    ratio = applied[mask] / target[mask]
-    resid = float(np.max(np.abs(applied[mask] - target[mask]) / target[mask]))
-    return FirstKindReport(
-        max_rel_residual=resid,
-        ratio_mean=float(ratio.mean()),
-        ratio_spread=float((ratio.max() - ratio.min()) / abs(ratio.mean())),
-        nodes_used=int(mask.sum()),
-    )
-
-
 def h0_weighted_integral(constants: DerivedConstants) -> float:
     """Weighted integral of the limiting weight: int_0^1 h0(u) u^{1/2-H1} du.
 
@@ -206,49 +155,3 @@ def asymptotic_variance(constants: DerivedConstants) -> float:
     """
     return 1.0 / h0_weighted_integral(constants)
 
-
-def h_mu(
-    solution: FredholmSolution, constants: DerivedConstants
-) -> Callable[[float | np.ndarray], float | np.ndarray]:
-    """Rescale a finite-horizon solution onto the unit interval.
-
-    Returns the callable u -> mu(T) T^{H1-1/2} h_hat(u) on (0, 1], with
-    h_hat extended off the nodes by the solver's interpolation formula.
-    As T grows these rescalings approach the closed-form h0; the
-    approach rate is governed by gamma^2 / mu(T).
-    """
-    T = solution.horizon_T
-    h1 = constants.hurst.h1
-    factor = constants.mu_of_T(T) * T ** (h1 - 0.5)
-    h_T = unscale(solution)
-
-    def weight(u: float | np.ndarray) -> float | np.ndarray:
-        arr = np.asarray(u, dtype=float)
-        if arr.size and (
-            np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr > 1.0)
-        ):
-            raise DomainError("the rescaled weight is defined on (0, 1]")
-        t = arr * T
-        vals = factor * np.asarray(h_T(t), dtype=float) * t ** (0.5 - h1)
-        if np.ndim(u) == 0:
-            return float(vals)
-        return vals
-
-    return weight
-
-
-def limit_functional(
-    solution: FredholmSolution, constants: DerivedConstants
-) -> float:
-    """Grid quadrature of h_mu(u) u^{1/2-H1} for one horizon.
-
-    Uses the nodal solution values directly, so the result is independent
-    of the off-grid extension; multiplied by sigma^2 gamma^2 T^{2-2H2}
-    this reproduces the quadratic variation of the score martingale.
-    """
-    T = solution.horizon_T
-    h1 = constants.hurst.h1
-    grid = solution.grid
-    factor = constants.mu_of_T(T) * T ** (h1 - 0.5)
-    vals = factor * solution.h_hat * grid.nodes ** (0.5 - h1)
-    return float(np.dot(grid.weights, vals))

@@ -1,11 +1,11 @@
-"""Likelihood functionals and the drift estimator.
+"""The score integral and the drift estimator.
 
 The score integral N is a Stieltjes sum of the solver weight against the
-observed path; its compensator is the quadratic variation computed by
-the solver module.  The estimator divides one by the other with a
-normalization fixed by requiring exact unbiasedness on mean paths; the
-printed alternative normalization is carried through every result so
-the two can be compared downstream.
+observed path; its compensator is the quadratic variation ``qv_N`` that
+every solution of the solver module holds.  The estimator divides one
+by the other with a normalization fixed by requiring exact unbiasedness
+on mean paths; the printed alternative normalization is carried through
+every result so the two can be compared downstream.
 """
 
 from __future__ import annotations
@@ -17,14 +17,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import AccuracyWarning, DomainError
-from .fredholm import FredholmSolution, filter_interpolant, quadratic_variation_N
+from .fredholm import FredholmSolution, filter_interpolant
 from .gaussian_sim import SamplePath
 from .model import DerivedConstants
 
 __all__ = [
     "EstimatorResult",
     "stochastic_integral_N",
-    "log_likelihood",
     "mle",
     "estimate_with_filter",
     "predicted_variances",
@@ -47,7 +46,6 @@ class EstimatorResult:
     theta_hat: float | np.ndarray
     n_T: float | np.ndarray
     qv_N: float
-    loglik_at: Callable[[float], float]
     variance_pred: float
     variance_pred_paper: float
 
@@ -94,16 +92,6 @@ def stochastic_integral_N(
     return float(val) if val.ndim == 0 else val
 
 
-def log_likelihood(n_T: float, qv_N: float, drift_norm: float, theta: float) -> float:
-    """Log-density of the observation against the driftless measure.
-
-    Quadratic in theta with exact argmax n_T/(drift_norm qv_N); the
-    drift_norm argument is explicit so normalization variants can be
-    compared directly.
-    """
-    return theta * drift_norm * n_T - 0.5 * theta**2 * drift_norm**2 * qv_N
-
-
 def predicted_variances(qv: float, constants: DerivedConstants) -> tuple:
     """(variance_pred, variance_pred_paper) for the information qv = <N>(T).
 
@@ -125,11 +113,12 @@ def mle(
     horizon.  The normalization divides the model's drift_norm by sigma
     once more: the quadratic variation scales with sigma^2 while the
     mean of the score is sigma-free, and this is the unique choice that
-    keeps mean paths mapping to exactly theta for every sigma.
+    keeps mean paths mapping to exactly theta for every sigma.  The
+    information is the solution's own ``qv_N``, so ``constants`` must be
+    those the solution was solved with.
     """
     return estimate_with_filter(filter_interpolant(sol), sol.horizon_T,
-                                quadratic_variation_N(sol, constants), path,
-                                constants)
+                                sol.qv_N, path, constants)
 
 
 def estimate_with_filter(
@@ -137,7 +126,11 @@ def estimate_with_filter(
     path: SamplePath, constants: DerivedConstants,
 ) -> EstimatorResult:
     """The estimate of ``mle`` from a filter h_T on (0, T] and its
-    information qv, e.g. a filter rebuilt by ``filter_from_knots``."""
+    information qv, e.g. a filter rebuilt by ``filter_from_knots``.
+    Raises DomainError unless qv is positive and finite."""
+    if not (np.isfinite(qv) and qv > 0.0):
+        raise DomainError(
+            f"information <N>(T) must be positive and finite, got {qv}")
     if abs(path.times[-1] - T) > 1e-12 * max(T, 1.0):
         raise DomainError(
             f"path horizon {path.times[-1]} does not match solution horizon {T}"
@@ -149,7 +142,6 @@ def estimate_with_filter(
         theta_hat=n_val / (d_eff * qv),
         n_T=n_val,
         qv_N=qv,
-        loglik_at=lambda theta: log_likelihood(n_val, qv, d_eff, theta),
         variance_pred=variance_pred,
         variance_pred_paper=variance_pred_paper,
     )

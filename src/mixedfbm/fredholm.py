@@ -29,14 +29,12 @@ dense LU per horizon.
 
 The off-grid residual audit depends on the horizon only through the
 solution vector, so all else it needs is built once per operator and
-kept on it.  The first solve builds what every solve reads
-(``DiscretizedOperator.audit_plan``, 11.25 n^2 floats): the quadrature
-rows at the extension samples, and the kernel integrals of the
-solution's spline at the probes as a linear map of its knot values and
-knot second derivatives (``_spline_map``).  The rows at the probes and
-the integrals at the nodes (``report_plan``, 6.5 n^2 floats) serve only
-``residual_report``, whose first call builds them.  Each horizon's audit
-is then a few matrix-vector products and one evaluation of the spline.
+kept on it.  The first solve builds it (``DiscretizedOperator.audit_plan``,
+11.25 n^2 floats): the quadrature rows at the extension samples, and the
+kernel integrals of the solution's spline at the probes as a linear map
+of its knot values and knot second derivatives (``_spline_map``).  Each
+horizon's audit, and each ``residual_report``, is then a few
+matrix-vector products and one evaluation of the spline.
 
 Each solution owns one filter h_T (``FredholmSolution.filter``), built
 from that spline on first read.  The filter remembers the last grid it
@@ -69,16 +67,14 @@ __all__ = [
     "assemble",
     "solve_second_kind",
     "residual_report",
-    "unscale",
     "filter_interpolant",
     "filter_from_knots",
-    "quadratic_variation_N",
-    "spectrum_report",
 ]
 
 _CELL_ORDER = 4     # Gauss nodes per mesh cell
 _NQ_PANEL = 12      # nodes per panel inside the moment engine
 _MAX_PANELS = 30    # dyadic refinement depth toward a singular point
+_NEAR_RADIUS = 2    # cells on each side of a point given product quadrature
 # near-field ladders of scales 2^-d, d = 1.._MAX_PANELS: index d-1, y0, y1
 _LADDER, _LADDER_Y0, _LADDER_Y1, _ = _ladder_panels(
     0.5 ** np.arange(1, _MAX_PANELS + 1), np.nan)
@@ -300,14 +296,13 @@ def _cell_moments(tables: KernelTables, u, left, right,
 
 
 def _apply_near_field(tables: KernelTables, grid: QuadratureGrid,
-                      us: np.ndarray, rows: np.ndarray,
-                      near_radius: int) -> None:
+                      us: np.ndarray, rows: np.ndarray) -> None:
     """Overwrite the near-diagonal cells of plain Nystrom rows in place.
 
     Row i belongs to the point us[i].  Uses k1(s,u) =
     (s*u)^(H1-1/2) * k_sym(s,u): the cell moments of the symmetric
     reduced kernel against the Lagrange basis give quadrature weights
-    exact for the singular factors.  The cells within ``near_radius`` of
+    exact for the singular factors.  The cells within ``_NEAR_RADIUS`` of
     each point, and the first cell, go to one ``_cell_moments`` batch.
     """
     hpow = tables.h1 - 0.5
@@ -316,10 +311,10 @@ def _apply_near_field(tables: KernelTables, grid: QuadratureGrid,
                  0, nc - 1)
     # the window of near cells, plus cell 0 when the window misses it: the
     # left-endpoint weight s^(1-2*H1) always needs declared rules
-    cells = np.hstack([c0[:, None] + np.arange(-near_radius, near_radius + 1),
-                       np.zeros((us.size, 1), int)])
+    window = np.arange(-_NEAR_RADIUS, _NEAR_RADIUS + 1)
+    cells = np.hstack([c0[:, None] + window, np.zeros((us.size, 1), int)])
     near = (cells >= 0) & (cells < nc)
-    near[:, -1] = c0 > near_radius
+    near[:, -1] = c0 > _NEAR_RADIUS
     r, k = np.nonzero(near)
     cell = cells[r, k]
     cols = _CELL_ORDER * cell[:, None] + np.arange(_CELL_ORDER)
@@ -330,7 +325,7 @@ def _apply_near_field(tables: KernelTables, grid: QuadratureGrid,
 
 
 def _quadrature_rows(tables: KernelTables, grid: QuadratureGrid,
-                     near_radius: int, us: np.ndarray) -> np.ndarray:
+                     us: np.ndarray) -> np.ndarray:
     """Quadrature rows at the points us, shape (len(us), n).
 
     Far from the diagonal weights[j] * k1(nodes[j], u); the near cells
@@ -341,7 +336,7 @@ def _quadrature_rows(tables: KernelTables, grid: QuadratureGrid,
     rows = np.empty((us.size, grid.n))
     for sl in _chunks(us.size):
         rows[sl] = grid.weights * tables.k1(grid.nodes[None, :], us[sl, None])
-        _apply_near_field(tables, grid, us[sl], rows[sl], near_radius)
+        _apply_near_field(tables, grid, us[sl], rows[sl])
     return rows
 
 
@@ -361,7 +356,7 @@ class DiscretizedOperator:
     ``matrix[i, j]`` multiplies the nodal value f(nodes[j]) in the
     quadrature of the integral at collocation point nodes[i].  Far from
     the diagonal this is weights[j] * k1(nodes[j], nodes[i]); cells
-    within ``near_radius`` of the collocation point (and the first cell)
+    within ``_NEAR_RADIUS`` of the collocation point (and the first cell)
     carry product-quadrature weights instead.
     """
 
@@ -369,26 +364,11 @@ class DiscretizedOperator:
     grid: QuadratureGrid
     h1: float
     h2: float
-    near_radius: int
     tables: KernelTables = field(repr=False)
 
     @property
     def n(self) -> int:
         return self.grid.n
-
-    def row(self, u: float) -> np.ndarray:
-        """Quadrature row at an arbitrary point u in (0, 1].
-
-        At a grid node this reproduces the matching matrix row exactly,
-        so Nystrom interpolation is consistent with the solve.
-        """
-        if not 0.0 < u <= 1.0:
-            raise DomainError(f"collocation point must lie in (0, 1], got {u}")
-        return self._rows(np.array([u], float))[0]
-
-    def _rows(self, us: np.ndarray) -> np.ndarray:
-        """Quadrature rows at the points us, shape (len(us), n)."""
-        return _quadrature_rows(self.tables, self.grid, self.near_radius, us)
 
     @cached_property
     def audit_plan(self) -> "_AuditPlan":
@@ -397,47 +377,10 @@ class DiscretizedOperator:
         Built on first use (the first solve) and kept with the operator;
         see ``_build_audit_plan``.
         """
-        return _build_audit_plan(self.tables, self.grid, self.near_radius)
-
-    @cached_property
-    def report_plan(self) -> tuple:
-        """What only ``residual_report`` reads, built on its first call:
-        the rows at the probes of ``audit_plan`` and its kernel-integral
-        map at the nodes, 6.5 n^2 floats."""
-        plan = self.audit_plan
-        return (self._rows(plan.probe_u),
-                _spline_integrals(self.tables, self.grid, plan.knots,
-                                  self.grid.nodes))
-
-    def symmetrized(self) -> np.ndarray:
-        """Symmetric part of D^(1/2) * matrix * D^(-1/2), D = diag(weights).
-
-        The similarity transform makes the quadrature form self-adjoint;
-        its symmetric part carries the spectrum used for positivity and
-        norm diagnostics.
-        """
-        rw = np.sqrt(self.grid.weights)
-        s = rw[:, None] * self.matrix / rw[None, :]
-        return 0.5 * (s + s.T)
-
-    def asymmetry(self) -> float:
-        """Relative sup-norm asymmetry of the weighted form.
-
-        Product quadrature treats the two arguments of the kernel
-        asymmetrically near the diagonal, so this is O(percent) by
-        design; the far field agrees to roundoff.
-        """
-        rw = np.sqrt(self.grid.weights)
-        s = rw[:, None] * self.matrix / rw[None, :]
-        return float(np.max(np.abs(s - s.T)) / np.max(np.abs(s)))
-
-    def frobenius_norm(self) -> float:
-        """Frobenius norm of the symmetrized form; estimates ||k1||_L2."""
-        return float(np.linalg.norm(self.symmetrized(), "fro"))
+        return _build_audit_plan(self.tables, self.grid)
 
 
-def assemble(ctx: KernelContext, grid: QuadratureGrid,
-             near_radius: int = 2) -> DiscretizedOperator:
+def assemble(ctx: KernelContext, grid: QuadratureGrid) -> DiscretizedOperator:
     """Assemble the collocation matrix on a grid.
 
     Parameters
@@ -445,9 +388,6 @@ def assemble(ctx: KernelContext, grid: QuadratureGrid,
     ctx : KernelContext
         Kernel context; the Hurst pair must satisfy H2 - H1 > 1/4.
     grid : QuadratureGrid
-    near_radius : int, optional
-        Number of cells on each side of the collocation point assembled
-        with product quadrature.
 
     Returns
     -------
@@ -455,27 +395,12 @@ def assemble(ctx: KernelContext, grid: QuadratureGrid,
     """
     hurst = ctx.constants.hurst
     hurst.require_solver_admissible()
-    if near_radius < 0:
-        raise DomainError(f"near_radius must be >= 0, got {near_radius}")
     tables = get_tables(hurst.h1, hurst.h2)
-    matrix = _quadrature_rows(tables, grid, near_radius, grid.nodes)
+    matrix = _quadrature_rows(tables, grid, grid.nodes)
     if not np.all(np.isfinite(matrix)):
         raise AccuracyError("assembled operator contains non-finite entries")
     return DiscretizedOperator(matrix=matrix, grid=grid,
-                               h1=hurst.h1, h2=hurst.h2,
-                               near_radius=near_radius, tables=tables)
-
-
-def spectrum_report(op: DiscretizedOperator) -> np.ndarray:
-    """Eigenvalues of the symmetrized weighted operator, descending.
-
-    The continuous operator is compact, self-adjoint and nonnegative,
-    so the discrete spectrum should be nonnegative and decay to zero;
-    this report is the diagnostic used in place of a hard uniqueness
-    claim for exceptional horizons.
-    """
-    eig = np.linalg.eigvalsh(op.symmetrized())
-    return eig[::-1]
+                               h1=hurst.h1, h2=hurst.h2, tables=tables)
 
 
 # ----------------------------------------------------------------------
@@ -543,16 +468,10 @@ class ResidualReport(NamedTuple):
     points.  Sensitive to solve errors: a wrong nodal vector cannot
     satisfy the continuous equation.
 
-    on_grid_sup: the same functional evaluated at the collocation nodes.
-
-    extension_sup: off-grid residual with the point value taken from
-    the Nystrom extension formula instead of the spline; measures pure
-    quadrature consistency and is comparable to on_grid_sup.
+    worst_u: the probe point where reconstruction_sup is attained.
     """
 
     reconstruction_sup: float
-    on_grid_sup: float
-    extension_sup: float
     worst_u: float
 
 
@@ -593,15 +512,6 @@ def _offsets_in_cells(grid: QuadratureGrid, offsets) -> np.ndarray:
     xe = np.linspace(0.0, 1.0, grid.n_cells + 1)
     pat = np.asarray(offsets, float)
     return (xe[:-1, None] + (xe[1:] - xe[:-1])[:, None] * pat).ravel()
-
-
-def _nystrom_extension(op: DiscretizedOperator, lam: float, T: float,
-                       h_hat: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """h_hat(u) = rhs(u) - lam * row(u) . h_hat at each point u of us."""
-    applied = np.empty(us.size)
-    for sl in _chunks(us.size):
-        applied[sl] = op._rows(us[sl]) @ h_hat
-    return _rhs_values(us, T, op.h1) - lam * applied
 
 
 def _spline_map(knots: np.ndarray, x: np.ndarray,
@@ -687,8 +597,8 @@ def _spline_integrals(tables: KernelTables, grid: QuadratureGrid,
     return integrals
 
 
-def _build_audit_plan(tables: KernelTables, grid: QuadratureGrid,
-                      near_radius: int) -> _AuditPlan:
+def _build_audit_plan(tables: KernelTables,
+                      grid: QuadratureGrid) -> _AuditPlan:
     """Rows and kernel-integral map of every solve's residual scan: 0.75 n
     rows of n and 3 n maps of 2m = 3.5 n floats, 11.25 n^2 floats."""
     g = grid.grading_exponent
@@ -701,7 +611,7 @@ def _build_audit_plan(tables: KernelTables, grid: QuadratureGrid,
     probe_u = _graded_map(probe_x, g)
     return _AuditPlan(
         ext_u=ext_u,
-        ext_rows=_quadrature_rows(tables, grid, near_radius, ext_u),
+        ext_rows=_quadrature_rows(tables, grid, ext_u),
         knots=knots, order=order, probe_x=probe_x, probe_u=probe_u,
         probe_integrals=_spline_integrals(tables, grid, knots, probe_u))
 
@@ -732,10 +642,8 @@ def _extended_spline(op: DiscretizedOperator, lam: float, T: float,
 
 
 def _scan_residuals(op: DiscretizedOperator, lam: float, T: float,
-                    h_hat: np.ndarray, spline: _KnotSpline,
-                    report_plan: Optional[tuple] = None) -> ResidualReport:
-    """The residual scan on the operator's audit plan; ``on_grid_sup``
-    and ``extension_sup`` need its report plan and are NaN without it."""
+                    spline: _KnotSpline) -> ResidualReport:
+    """The residual scan of the spline on the operator's audit plan."""
     plan = op.audit_plan
     h1 = op.h1
     knot_data = np.concatenate([spline.y, spline(spline.x, 2)])
@@ -743,17 +651,8 @@ def _scan_residuals(op: DiscretizedOperator, lam: float, T: float,
     integral = lam * (plan.probe_integrals @ knot_data)
     rec_val = spline(plan.probe_x) * plan.probe_u ** (0.5 - h1)
     rec = np.abs(rec_val + integral - rhs_u) / rhs_u
-    on_sup = ext_sup = float("nan")
-    if report_plan is not None:
-        probe_rows, node_integrals = report_plan
-        nys_val = rhs_u - lam * (probe_rows @ h_hat)
-        ext_sup = float(np.max(np.abs(nys_val + integral - rhs_u) / rhs_u))
-        rhs = _rhs_values(op.grid.nodes, T, h1)
-        on = h_hat + lam * (node_integrals @ knot_data) - rhs
-        on_sup = float(np.max(np.abs(on) / rhs))
     worst = int(np.argmax(rec))
     return ResidualReport(reconstruction_sup=float(rec[worst]),
-                          on_grid_sup=on_sup, extension_sup=ext_sup,
                           worst_u=float(plan.probe_u[worst]))
 
 
@@ -818,7 +717,7 @@ def solve_second_kind(op: DiscretizedOperator, T: float,
             "approaching a spectral point of the discretized operator",
             AccuracyWarning, stacklevel=2)
     spline = _extended_spline(op, lam, T, h_hat)
-    report = _scan_residuals(op, lam, T, h_hat, spline)
+    report = _scan_residuals(op, lam, T, spline)
     if report.reconstruction_sup > residual_tol:
         warnings.warn(
             f"scanned residual {report.reconstruction_sup:.3e} exceeds "
@@ -833,21 +732,20 @@ def solve_second_kind(op: DiscretizedOperator, T: float,
 
 
 def residual_report(sol: FredholmSolution) -> ResidualReport:
-    """Recompute the full residual diagnostics of a solution.
+    """Rerun the residual scan of the solve from the nodal solution.
 
-    Runs the scan of the solve on the operator's audit plan, so its
-    ``reconstruction_sup`` equals ``sol.residual_sup`` exactly, and adds
-    ``on_grid_sup`` and ``extension_sup`` from the operator's report
-    plan, which the first call builds.
+    Rebuilds the extended spline and scans it on the operator's audit
+    plan, as the solve did, so ``reconstruction_sup`` equals
+    ``sol.residual_sup`` and ``worst_u`` equals ``sol.worst_u`` exactly.
+    Forms no quadrature rows and no kernel integrals.
     """
     op, T = sol.operator, sol.horizon_T
-    return _scan_residuals(op, sol.lam, T, sol.h_hat,
-                           _extended_spline(op, sol.lam, T, sol.h_hat),
-                           op.report_plan)
+    return _scan_residuals(op, sol.lam, T,
+                           _extended_spline(op, sol.lam, T, sol.h_hat))
 
 
 # ----------------------------------------------------------------------
-# unscaling and the information functional
+# the filter and the information functional
 # ----------------------------------------------------------------------
 
 def _on_horizon(T: float, values: Callable) -> Callable:
@@ -885,41 +783,17 @@ def _on_horizon(T: float, values: Callable) -> Callable:
     return h_T
 
 
-def unscale(sol: FredholmSolution) -> Callable:
-    """Filter h_T on (0, T] from the rescaled solution.
-
-    h_T(t) = h_hat(t/T) * t^(H1 - 1/2), with h_hat between nodes given
-    by the Nystrom extension
-
-        h_hat(u) = rhs(u) - lam * sum_j row(u)_j * h_hat_j,
-
-    which reproduces the nodal values exactly at grid images.
-
-    Returns
-    -------
-    callable
-        Accepts a scalar or array t; raises DomainError outside (0, T].
-    """
-    op, T = sol.operator, sol.horizon_T
-
-    def values(t, u):
-        h_hat = _nystrom_extension(op, sol.lam, T, sol.h_hat, np.atleast_1d(u))
-        return h_hat.reshape(np.shape(u)) * t ** (op.h1 - 0.5)
-
-    return _on_horizon(T, values)
-
-
 def filter_interpolant(sol: FredholmSolution) -> Callable:
     """Spline-backed filter h_T for bulk evaluation.
 
     Wraps the solution's extended spline (nodal plus fresh Nystrom
     samples between nodes, built once by the solve) and evaluates in
-    microseconds per point, unlike ``unscale`` which prices a full
-    quadrature row per call.  Agrees with the Nystrom extension to
-    spline interpolation error, far below the solver residual.  Same
-    domain contract: (0, T].  Returns the solution's own filter,
-    ``sol.filter``: every call gives the same object, which remembers
-    the last grid it was read on (one entry, returned as copies).
+    microseconds per point, where the Nystrom extension prices a full
+    quadrature row per point.  Agrees with that extension to spline
+    interpolation error, far below the solver residual.  Domain (0, T].
+    Returns the solution's own filter, ``sol.filter``: every call gives
+    the same object, which remembers the last grid it was read on (one
+    entry, returned as copies).
     """
     return sol.filter
 
@@ -952,12 +826,3 @@ def _quadratic_variation(grid: QuadratureGrid, h_hat: np.ndarray, T: float,
             "the solve failed")
     return qv
 
-
-def quadratic_variation_N(sol: FredholmSolution,
-                          constants: DerivedConstants) -> float:
-    """Information <N>(T): variance of the estimator's Gaussian kernel.
-
-    Strictly positive for a valid solution; nonpositive values raise
-    AccuracyError as a solver failure.
-    """
-    return _quadratic_variation(sol.grid, sol.h_hat, sol.horizon_T, constants)

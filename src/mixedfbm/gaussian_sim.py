@@ -34,7 +34,6 @@ from .numerics import beta_fn
 __all__ = [
     "SamplePath",
     "CovarianceModel",
-    "covariance_X",
     "covariance_model",
     "simulate_X",
     "simulate_Y",
@@ -143,23 +142,6 @@ def _factor(matrix: np.ndarray) -> np.ndarray:
 
 def _fbm_cov(h: float, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     return 0.5 * (t ** (2 * h) + s ** (2 * h) - np.abs(t - s) ** (2 * h))
-
-
-def covariance_X(t, s, constants: DerivedConstants):
-    """Covariance of the transformed observation X = sigma*X1 + X2.
-
-    The martingale part contributes sigma^2 eps (t^s)^{2-2H1}; the
-    transformed second component contributes its two-parameter
-    homogeneous covariance.  Vectorized over broadcastable arguments.
-    """
-    tt, ss = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
-    if np.any(tt < 0.0) or np.any(ss < 0.0):
-        raise DomainError("covariance is defined for nonnegative times")
-    tab = get_tables(constants.hurst.h1, constants.hurst.h2)
-    lo = np.minimum(tt, ss)
-    mart = constants.sigma**2 * constants.epsilon_h1 * lo ** (2.0 - 2.0 * constants.hurst.h1)
-    out = mart + tab.R(tt, ss)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 @lru_cache(maxsize=32)

@@ -39,7 +39,18 @@ verbatim below (``_kernel_integrals``, ``_nystrom_extension``,
 ``_extended_spline``, ``_integrals_at`` and ``_scan_residuals``): it
 forms the quadrature rows and evaluates the solution's spline on every
 kernel-integral node for each call, and is the reference the planned
-audit is tested against in ``test_fredholm.py``.
+audit is tested against in ``test_fredholm.py``.  It alone also gives
+the residual on the grid and the one of the Nystrom extension
+(``ResidualSups``).
+
+Diagnostics that only tests read, moved verbatim from the package: the
+operator's quadrature ``row`` at one point, its ``symmetrized`` weighted
+form with ``asymmetry``, ``frobenius_norm`` and ``spectrum_report``; the
+Nystrom-extended filter ``unscale``; ``quadratic_variation_N``, the
+information recomputed from the nodal solution; the closed form's
+cross-check ``verify_first_kind`` against the operator and the rescaled
+solutions ``h_mu`` and ``limit_functional``; the model covariance
+``covariance_X``; and the drift ``log_likelihood``.
 
 ``stochastic_integral_N`` is the score as it read the filter before it
 took path columns: twice, once at the fine and once at the coarse
@@ -54,7 +65,7 @@ is the reference that fresh seeds still give the same Z paths in
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -62,13 +73,15 @@ from scipy.interpolate import CubicSpline
 from mixedfbm import closed_form
 from mixedfbm.errors import AccuracyWarning, DomainError
 from mixedfbm.fredholm import (_EVAL_OFFSETS, _EXT_OFFSETS, DiscretizedOperator,
-                               ResidualReport, _chunks, _graded_map,
-                               _graded_map_inv, _KnotSpline,
-                               _offsets_in_cells, _rhs_values)
+                               FredholmSolution, QuadratureGrid, _chunks,
+                               _graded_map, _graded_map_inv, _KnotSpline,
+                               _offsets_in_cells, _on_horizon,
+                               _quadratic_variation, _quadrature_rows,
+                               _rhs_values, assemble)
 from mixedfbm.gaussian_sim import SamplePath, _column, simulate_fbm
 from mixedfbm.kernels import (_CHUNK_NODES, _LADDER_STEPS, DIAG_RTOL,
                               KernelContext, KernelTables, _ladder_rule,
-                              _ladder_rule_one)
+                              _ladder_rule_one, get_tables)
 from mixedfbm.model import DerivedConstants
 from mixedfbm.numerics import _base_rule, gamma_fn
 
@@ -700,7 +713,7 @@ def _nystrom_extension(op: DiscretizedOperator, lam: float, T: float,
     """h_hat(u) = rhs(u) - lam * row(u) . h_hat at each point u of us."""
     applied = np.empty(us.size)
     for sl in _chunks(us.size):
-        applied[sl] = op._rows(us[sl]) @ h_hat
+        applied[sl] = _quadrature_rows(op.tables, op.grid, us[sl]) @ h_hat
     return _rhs_values(us, T, op.h1) - lam * applied
 
 
@@ -733,9 +746,25 @@ def _integrals_at(op: DiscretizedOperator, us: np.ndarray,
     return us ** (op.h1 - 0.5) * _kernel_integrals(op.tables, us, phi)
 
 
+class ResidualSups(NamedTuple):
+    """The per-call audit's residuals.
+
+    reconstruction_sup and worst_u as in ``fredholm.ResidualReport``;
+    on_grid_sup: the same functional evaluated at the collocation nodes;
+    extension_sup: the off-grid residual with the point value taken from
+    the Nystrom extension formula instead of the spline, which measures
+    pure quadrature consistency and is comparable to on_grid_sup.
+    """
+
+    reconstruction_sup: float
+    on_grid_sup: float
+    extension_sup: float
+    worst_u: float
+
+
 def _scan_residuals(op: DiscretizedOperator, lam: float, T: float,
                     h_hat: np.ndarray, rhs: np.ndarray,
-                    spline: CubicSpline) -> ResidualReport:
+                    spline: CubicSpline) -> ResidualSups:
     grid = op.grid
     g = grid.grading_exponent
     h1 = op.h1
@@ -749,13 +778,207 @@ def _scan_residuals(op: DiscretizedOperator, lam: float, T: float,
     ext = np.abs(nys_val + integral - rhs_u) / rhs_u
     on = np.abs(h_hat + lam * _integrals_at(op, grid.nodes, spline) - rhs) / rhs
     worst = int(np.argmax(rec))
-    return ResidualReport(reconstruction_sup=float(rec[worst]),
-                          on_grid_sup=float(np.max(on)),
-                          extension_sup=float(np.max(ext)),
-                          worst_u=float(ev_u[worst]))
+    return ResidualSups(reconstruction_sup=float(rec[worst]),
+                        on_grid_sup=float(np.max(on)),
+                        extension_sup=float(np.max(ext)),
+                        worst_u=float(ev_u[worst]))
+
+
+# ----------------------------------------------------------------------
+# operator diagnostics, the Nystrom filter and the information
+# ----------------------------------------------------------------------
+
+def row(op: DiscretizedOperator, u: float) -> np.ndarray:
+    """Quadrature row at an arbitrary point u in (0, 1].
+
+    At a grid node this reproduces the matching matrix row exactly,
+    so Nystrom interpolation is consistent with the solve.
+    """
+    if not 0.0 < u <= 1.0:
+        raise DomainError(f"collocation point must lie in (0, 1], got {u}")
+    return _quadrature_rows(op.tables, op.grid, np.array([u], float))[0]
+
+
+def symmetrized(op: DiscretizedOperator) -> np.ndarray:
+    """Symmetric part of D^(1/2) * matrix * D^(-1/2), D = diag(weights).
+
+    The similarity transform makes the quadrature form self-adjoint;
+    its symmetric part carries the spectrum used for positivity and
+    norm diagnostics.
+    """
+    rw = np.sqrt(op.grid.weights)
+    s = rw[:, None] * op.matrix / rw[None, :]
+    return 0.5 * (s + s.T)
+
+
+def asymmetry(op: DiscretizedOperator) -> float:
+    """Relative sup-norm asymmetry of the weighted form.
+
+    Product quadrature treats the two arguments of the kernel
+    asymmetrically near the diagonal, so this is O(percent) by
+    design; the far field agrees to roundoff.
+    """
+    rw = np.sqrt(op.grid.weights)
+    s = rw[:, None] * op.matrix / rw[None, :]
+    return float(np.max(np.abs(s - s.T)) / np.max(np.abs(s)))
+
+
+def frobenius_norm(op: DiscretizedOperator) -> float:
+    """Frobenius norm of the symmetrized form; estimates ||k1||_L2."""
+    return float(np.linalg.norm(symmetrized(op), "fro"))
+
+
+def spectrum_report(op: DiscretizedOperator) -> np.ndarray:
+    """Eigenvalues of the symmetrized weighted operator, descending.
+
+    The continuous operator is compact, self-adjoint and nonnegative,
+    so the discrete spectrum should be nonnegative and decay to zero;
+    this report is the diagnostic used in place of a hard uniqueness
+    claim for exceptional horizons.
+    """
+    eig = np.linalg.eigvalsh(symmetrized(op))
+    return eig[::-1]
+
+
+def unscale(sol: FredholmSolution) -> Callable:
+    """Filter h_T on (0, T] from the rescaled solution.
+
+    h_T(t) = h_hat(t/T) * t^(H1 - 1/2), with h_hat between nodes given
+    by the Nystrom extension
+
+        h_hat(u) = rhs(u) - lam * sum_j row(u)_j * h_hat_j,
+
+    which reproduces the nodal values exactly at grid images.
+
+    Returns
+    -------
+    callable
+        Accepts a scalar or array t; raises DomainError outside (0, T].
+    """
+    op, T = sol.operator, sol.horizon_T
+
+    def values(t, u):
+        h_hat = _nystrom_extension(op, sol.lam, T, sol.h_hat, np.atleast_1d(u))
+        return h_hat.reshape(np.shape(u)) * t ** (op.h1 - 0.5)
+
+    return _on_horizon(T, values)
+
+
+def quadratic_variation_N(sol: FredholmSolution,
+                          constants: DerivedConstants) -> float:
+    """Information <N>(T): variance of the estimator's Gaussian kernel.
+
+    Strictly positive for a valid solution; nonpositive values raise
+    AccuracyError as a solver failure.
+    """
+    return _quadratic_variation(sol.grid, sol.h_hat, sol.horizon_T, constants)
+
+
+# ----------------------------------------------------------------------
+# the closed form against the operator and the rescaled solutions
+# ----------------------------------------------------------------------
+
+class FirstKindReport(NamedTuple):
+    """Nodal agreement between the closed form and the kernel operator."""
+
+    max_rel_residual: float
+    ratio_mean: float
+    ratio_spread: float
+    nodes_used: int
+
+
+def verify_first_kind(
+    constants: DerivedConstants, grid: QuadratureGrid
+) -> FirstKindReport:
+    """Cross-check the closed-form weight against the discretized operator.
+
+    Applies the product-quadrature matrix of K to nodal values of the
+    default-normalized h0 and compares with gamma^2 u^{1/2-H1} on nodes
+    inside [0.1, 0.9]; the outermost graded cells are excluded because
+    the discrete rows are least accurate there.
+
+    Returns
+    -------
+    FirstKindReport
+        Worst relative residual, plus mean and spread of the ratio
+        (K h0)(u) / (gamma^2 u^{1/2-H1}).  The spread is scale-free: it
+        tests the shape regardless of any normalization convention.
+    """
+    constants.hurst.require_solver_admissible()
+    ctx = KernelContext(constants=constants)
+    op = assemble(ctx, grid)
+    u = grid.nodes
+    target = constants.gamma_h1**2 * u ** (0.5 - constants.hurst.h1)
+    applied = op.matrix @ np.asarray(closed_form.h0(u, constants), dtype=float)
+    mask = (u >= 0.1) & (u <= 0.9)
+    ratio = applied[mask] / target[mask]
+    resid = float(np.max(np.abs(applied[mask] - target[mask]) / target[mask]))
+    return FirstKindReport(
+        max_rel_residual=resid,
+        ratio_mean=float(ratio.mean()),
+        ratio_spread=float((ratio.max() - ratio.min()) / abs(ratio.mean())),
+        nodes_used=int(mask.sum()),
+    )
+
+
+def h_mu(
+    solution: FredholmSolution, constants: DerivedConstants
+) -> Callable[[float | np.ndarray], float | np.ndarray]:
+    """Rescale a finite-horizon solution onto the unit interval.
+
+    Returns the callable u -> mu(T) T^{H1-1/2} h_hat(u) on (0, 1], with
+    h_hat extended off the nodes by the solver's interpolation formula.
+    As T grows these rescalings approach the closed-form h0; the
+    approach rate is governed by gamma^2 / mu(T).
+    """
+    T = solution.horizon_T
+    h1 = constants.hurst.h1
+    factor = constants.mu_of_T(T) * T ** (h1 - 0.5)
+    h_T = unscale(solution)
+
+    def weight(u: float | np.ndarray) -> float | np.ndarray:
+        arr = np.asarray(u, dtype=float)
+        if arr.size and (
+            np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr > 1.0)
+        ):
+            raise DomainError("the rescaled weight is defined on (0, 1]")
+        t = arr * T
+        vals = factor * np.asarray(h_T(t), dtype=float) * t ** (0.5 - h1)
+        if np.ndim(u) == 0:
+            return float(vals)
+        return vals
+
+    return weight
+
+
+def limit_functional(
+    solution: FredholmSolution, constants: DerivedConstants
+) -> float:
+    """Grid quadrature of h_mu(u) u^{1/2-H1} for one horizon.
+
+    Uses the nodal solution values directly, so the result is independent
+    of the off-grid extension; multiplied by sigma^2 gamma^2 T^{2-2H2}
+    this reproduces the quadratic variation of the score martingale.
+    """
+    T = solution.horizon_T
+    h1 = constants.hurst.h1
+    grid = solution.grid
+    factor = constants.mu_of_T(T) * T ** (h1 - 0.5)
+    vals = factor * solution.h_hat * grid.nodes ** (0.5 - h1)
+    return float(np.dot(grid.weights, vals))
 
 
 # ---------------------------------------------------------------- score
+
+def log_likelihood(n_T: float, qv_N: float, drift_norm: float, theta: float) -> float:
+    """Log-density of the observation against the driftless measure.
+
+    Quadratic in theta with exact argmax n_T/(drift_norm qv_N); the
+    drift_norm argument is explicit so normalization variants can be
+    compared directly.
+    """
+    return theta * drift_norm * n_T - 0.5 * theta**2 * drift_norm**2 * qv_N
+
 
 _MIN_GRID = 128
 
@@ -798,6 +1021,23 @@ def stochastic_integral_N(
 
 
 # ----------------------------------------------------------- simulation
+
+def covariance_X(t, s, constants: DerivedConstants):
+    """Covariance of the transformed observation X = sigma*X1 + X2.
+
+    The martingale part contributes sigma^2 eps (t^s)^{2-2H1}; the
+    transformed second component contributes its two-parameter
+    homogeneous covariance.  Vectorized over broadcastable arguments.
+    """
+    tt, ss = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+    if np.any(tt < 0.0) or np.any(ss < 0.0):
+        raise DomainError("covariance is defined for nonnegative times")
+    tab = get_tables(constants.hurst.h1, constants.hurst.h2)
+    lo = np.minimum(tt, ss)
+    mart = constants.sigma**2 * constants.epsilon_h1 * lo ** (2.0 - 2.0 * constants.hurst.h1)
+    out = mart + tab.R(tt, ss)
+    return float(out) if np.ndim(out) == 0 else out
+
 
 def _spawn_pair(seed) -> list:
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)

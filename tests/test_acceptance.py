@@ -15,13 +15,14 @@ from scipy.interpolate import CubicSpline
 
 import mixedfbm as mf
 from mixedfbm import gaussian_sim as gs
-from mixedfbm.closed_form import (h0_weighted_integral, limit_functional,
-                                  verify_first_kind)
+from mixedfbm.closed_form import h0_weighted_integral
 from mixedfbm.fredholm import assemble, build_grid, solve_second_kind
 from mixedfbm.harness import (ExperimentConfig, decay_slope, run_asymptotics,
                               run_mc)
 from mixedfbm.kernels import KernelContext, get_tables
-from oracles import kernel_K12, kernel_K12_dt, kernel_k, kernel_k1
+from oracles import (covariance_X, kernel_K12, kernel_K12_dt, kernel_k,
+                     kernel_k1, limit_functional, symmetrized,
+                     verify_first_kind)
 
 PAIRS = [(0.6, 0.9), (0.55, 0.85), (0.7, 0.99)]
 
@@ -109,7 +110,7 @@ def test_criterion_03_operator_positivity(cons09):
     # symmetrized collocation matrix at n=128: spectrum and quadratic
     # forms bounded below by -1e-8
     op = assemble(KernelContext(constants=cons09), build_grid(128))
-    sym = op.symmetrized()
+    sym = symmetrized(op)
     eig_min = float(np.linalg.eigvalsh(sym)[0])
     assert eig_min >= -1e-8
     rng = np.random.default_rng(3)
@@ -189,7 +190,7 @@ def test_criterion_07_simulation_fidelity(cons09):
                           0.0, cons09)
         samp_t[r0:r0 + B] = gs.molchan_transform(
             z, cons09, out_times=out8).values[1:].T
-    ref = gs.covariance_X(out8[:, None], out8[None, :], cons09)
+    ref = covariance_X(out8[:, None], out8[None, :], cons09)
     cov_c = samp_c.T @ samp_c / R
     cov_t = samp_t.T @ samp_t / R
     err_model = float(np.max(np.abs(cov_c / ref - 1.0)))

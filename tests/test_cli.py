@@ -298,3 +298,50 @@ def test_accuracy_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert "accuracy failure" in stderr
     assert "synthetic failure" in stderr
+
+
+_SIDECAR = {"h1": 0.6, "h2": 0.9, "sigma": 1.0, "T": 1.0,
+            "grading_exponent": 2.0, "qv_N": 0.75,
+            "filter_knots": {"x": np.linspace(0.0, 1.0, 9).tolist(),
+                             "y": np.ones(9).tolist()}}
+
+
+@pytest.mark.parametrize(
+    "sidecar",
+    [
+        {k: v for k, v in _SIDECAR.items() if k != "qv_N"},
+        '{"h1": 0.6,',
+        [1, 2],
+        {**_SIDECAR, "filter_knots": {"x": [0.0, 0.5, 1.0], "y": [1.0, 1.0]}},
+        {**_SIDECAR, "filter_knots": {"x": [0.0, 1.0, 0.5], "y": [1.0] * 3}},
+        {**_SIDECAR, "filter_knots": {"x": [0.0, 1.0]}},
+        {**_SIDECAR, "filter_knots": [0.0, 1.0]},
+        {**_SIDECAR, "grading_exponent": "2"},
+        {**_SIDECAR, "grading_exponent": 0.5},
+        {**_SIDECAR, "qv_N": -3.0},
+        {**_SIDECAR, "qv_N": 0.0},
+    ],
+    ids=["missing-qv", "not-json", "not-an-object", "knots-unequal-lengths",
+         "knots-not-increasing", "knots-without-y", "knots-not-an-object",
+         "grading-string", "grading-below-one", "qv-negative", "qv-zero"],
+)
+def test_malformed_sidecar_exit_2(tmp_path, capsys, sidecar):
+    t = np.linspace(0.0, 1.0, 129)
+    path_csv = tmp_path / "path.csv"
+    np.savetxt(path_csv, np.column_stack([t, np.zeros_like(t)]),
+               delimiter=",", header="t,value", comments="")
+    out = tmp_path / "result.json"
+
+    def estimate(side):
+        text = side if isinstance(side, str) else json.dumps(side)
+        (tmp_path / "h.json").write_text(text)
+        return run(capsys, "estimate", "--h-file", str(tmp_path / "h.csv"),
+                   "--path-file", str(path_csv), "--out", str(out))
+
+    code, _, _ = estimate(_SIDECAR)
+    assert code == 0
+    out.unlink()
+    code, _, stderr = estimate(sidecar)
+    assert code == 2
+    assert "domain error" in stderr
+    assert not out.exists()

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from mixedfbm import closed_form as cf
 from mixedfbm.errors import DomainError
-from mixedfbm.fredholm import (assemble, build_grid, quadratic_variation_N,
-                               solve_second_kind)
+from mixedfbm.fredholm import assemble, build_grid, solve_second_kind
 from mixedfbm.kernels import KernelContext, get_tables
 from mixedfbm.model import HurstPair, ModelParams, derive_constants
 from mixedfbm.numerics import beta_fn, gamma_fn
@@ -38,7 +37,7 @@ def cons_sep():
 
 @pytest.fixture(scope="module")
 def first_kind_report(cons):
-    return cf.verify_first_kind(cons, build_grid(256))
+    return oracles.verify_first_kind(cons, build_grid(256))
 
 
 @pytest.fixture(scope="module")
@@ -303,7 +302,7 @@ def test_first_kind_scaling_consistency(op64, cons):
 def test_first_kind_degenerate_gap_raises():
     c = derive_constants(ModelParams(hurst=HurstPair(0.6, 0.7)))
     with pytest.raises(DomainError, match="h2 - h1 > 1/4"):
-        cf.verify_first_kind(c, build_grid(16))
+        oracles.verify_first_kind(c, build_grid(16))
 
 
 # ------------------------------------------- weighted integral, variance
@@ -344,12 +343,12 @@ def test_asymptotic_variance_value(cons):
 def test_h_mu_callable_matches_nodal_values(sols_by_T, cons):
     sol = sols_by_T[5.0]
     grid = sol.grid
-    w = cf.h_mu(sol, cons)
+    w = oracles.h_mu(sol, cons)
     vals = w(grid.nodes)
     factor = cons.mu_of_T(5.0) * 5.0 ** (H1 - 0.5)
     assert np.allclose(vals, factor * sol.h_hat, rtol=1e-10)
     quad = float(np.dot(grid.weights, vals * grid.nodes ** (0.5 - H1)))
-    assert quad == pytest.approx(cf.limit_functional(sol, cons), rel=1e-10)
+    assert quad == pytest.approx(oracles.limit_functional(sol, cons), rel=1e-10)
     assert isinstance(w(0.5), float)
     assert np.isfinite(w(1.0))
     for bad in (0.0, -0.5, 1.0 + 1e-9, float("nan")):
@@ -362,7 +361,7 @@ def test_h_mu_plug_in_identity(sols_by_T, op128, cons):
     sol = sols_by_T[5.0]
     u = op128.grid.nodes
     g2 = cons.gamma_h1**2
-    hm = cf.h_mu(sol, cons)(u)
+    hm = oracles.h_mu(sol, cons)(u)
     lhs = g2 / cons.mu_of_T(5.0) * hm + op128.matrix @ hm
     rhs = g2 * u ** (0.5 - H1)
     assert np.max(np.abs(lhs - rhs) / rhs) < 1e-12
@@ -376,7 +375,7 @@ def test_h_mu_norm_contraction(sols_by_T, cons, op128):
     frozen = [0.587807899, 0.420662999, 0.309101667, 0.231814388]
     got = []
     for T in (1.0, 5.0, 25.0, 125.0):
-        hm = cf.h_mu(sols_by_T[T], cons)(u)
+        hm = oracles.h_mu(sols_by_T[T], cons)(u)
         got.append(float(np.sqrt(w @ (hm - ref) ** 2) / ref_norm))
     assert all(r < 1.0 for r in got)
     assert all(a > b for a, b in zip(got, got[1:]))
@@ -386,7 +385,7 @@ def test_h_mu_norm_contraction(sols_by_T, cons, op128):
 def test_limit_functional_monotone_convergence(sols_by_T, cons):
     J = cf.h0_weighted_integral(cons)
     gaps = [
-        abs(cf.limit_functional(sols_by_T[T], cons) - J) / J
+        abs(oracles.limit_functional(sols_by_T[T], cons) - J) / J
         for T in (1.0, 5.0, 25.0, 125.0)
     ]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -398,7 +397,7 @@ def test_limit_consistency_large_horizon(sol_sep_T125, cons_sep):
     # wider Hurst separation converges fast enough to get inside 5% by
     # T=125; at (0.6,0.9) the same gap is still ~5.6%, a rate fact
     J = cf.h0_weighted_integral(cons_sep)
-    Jm = cf.limit_functional(sol_sep_T125, cons_sep)
+    Jm = oracles.limit_functional(sol_sep_T125, cons_sep)
     gap = abs(Jm - J) / J
     assert gap < 0.05
     assert gap == pytest.approx(0.03585435818844816, rel=1e-3)
@@ -412,10 +411,10 @@ def test_quadratic_variation_matches_functional(op128, cons):
     for sg in (1.0, 1.7):
         c = derive_constants(ModelParams(hurst=HurstPair(H1, H2), sigma=sg))
         sol = solve_second_kind(op128, 5.0, c, residual_tol=1e-4)
-        qv = quadratic_variation_N(sol, c)
+        qv = sol.qv_N
         alt = (
             5.0 ** (2.0 - 2.0 * H2)
-            * cf.limit_functional(sol, c)
+            * oracles.limit_functional(sol, c)
             * sg**2
             * c.gamma_h1**2
         )

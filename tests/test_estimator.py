@@ -16,7 +16,7 @@ from scipy import stats
 import mixedfbm.fredholm as fr
 import oracles
 from mixedfbm.errors import AccuracyWarning, DomainError
-from mixedfbm.estimator import (EstimatorResult, log_likelihood, mle,
+from mixedfbm.estimator import (EstimatorResult, estimate_with_filter, mle,
                                 stochastic_integral_N)
 from mixedfbm.gaussian_sim import SamplePath, simulate_Y
 from mixedfbm.kernels import KernelContext
@@ -67,7 +67,7 @@ def grid512():
 
 
 def test_filter_interpolant_matches_nystrom(sol, h_fast):
-    h_exact = fr.unscale(sol)
+    h_exact = oracles.unscale(sol)
     pts = np.array([0.001, 0.013, 0.05, 0.11, 0.23, 0.37, 0.52, 0.68, 0.93, 0.999])
     rel = np.abs(h_fast(pts) / h_exact(pts) - 1.0)
     assert np.max(rel) < 1e-5
@@ -93,7 +93,7 @@ def test_score_integral_mean_path(cons, sol, h_fast):
     # deterministic drift path: the sum must reproduce the population
     # mean theta * B * (2-2H1) * <N>/(sigma gamma)^2 of the score
     theta = 0.9
-    qv = fr.quadratic_variation_N(sol, cons)
+    qv = sol.qv_N
     f_int = qv / (cons.sigma * cons.gamma_h1) ** 2
     target = theta * cons.script_b * (2 - 2 * cons.hurst.h1) * f_int
     for n in (512, 1024):
@@ -153,7 +153,7 @@ def test_score_and_mle_of_columns(cons, sol, h_fast, grid512):
 
 
 def test_score_integral_variance_matches_information(cons, sol, h_fast, grid512):
-    qv = fr.quadratic_variation_N(sol, cons)
+    qv = sol.qv_N
     vals = np.empty(2000)
     for r in range(2000):
         p = simulate_Y(grid512, np.random.SeedSequence((909, r)), theta=0.0,
@@ -286,7 +286,7 @@ def test_mle_with_the_filter_memo_is_bitwise_the_reference(cons, sol, grid512):
     # filter is built apart so that it shares no memo with mle
     fresh = dataclasses.replace(sol)
     h_ref = dataclasses.replace(sol).filter
-    qv = fr.quadratic_variation_N(sol, cons)
+    qv = oracles.quadratic_variation_N(sol, cons)
     d_eff = cons.drift_norm / cons.sigma
     warned = 0
     grids = (grid512, graded(511), graded(512, power=1.8))
@@ -313,6 +313,32 @@ def test_mle_with_the_filter_memo_is_bitwise_the_reference(cons, sol, grid512):
         assert cold[j] == pytest.approx(
             oracles.stochastic_integral_N(h_ref, one, scale_hint=qv)
             / (d_eff * qv), rel=1e-13, abs=0.0)
+
+
+def test_mle_reads_the_information_of_the_solution(cons_wide_sigma,
+                                                   sol_wide_sigma):
+    # mle takes <N>(T) from the solution, not from a second computation,
+    # and its estimates keep the bits of the formula that recomputed it
+    # from the nodal solution; sigma != 1 so that both carry sigma
+    cons, sol = cons_wide_sigma, sol_wide_sigma
+    qv = oracles.quadratic_variation_N(sol, cons)
+    d_eff = cons.drift_norm / cons.sigma
+    for grid in (graded(512), graded(511), graded(512, power=1.8)):
+        for r in range(4):
+            p = simulate_Y(grid, np.random.SeedSequence((858, r)),
+                           theta=0.5, constants=cons)
+            res = mle(sol, p, cons)
+            assert res.qv_N is sol.qv_N
+            ref = oracles.stochastic_integral_N(sol.filter, p, scale_hint=qv)
+            assert res.theta_hat == ref / (d_eff * qv)
+
+
+@pytest.mark.parametrize("qv", [-3.0, 0.0, np.nan, np.inf, -np.inf])
+def test_estimate_refuses_information_not_positive_and_finite(cons, sol,
+                                                              grid512, qv):
+    path = SamplePath(times=grid512, values=np.zeros_like(grid512), label="Y")
+    with pytest.raises(DomainError, match="information"):
+        estimate_with_filter(sol.filter, 1.0, qv, path, cons)
 
 
 def test_mle_horizon_mismatch(cons, sol):
@@ -355,11 +381,13 @@ def test_log_likelihood_parabola(cons, sol, grid512):
     path = simulate_Y(grid512, np.random.SeedSequence(42), theta=0.7,
                       constants=cons)
     res = mle(sol, path, cons)
-    assert res.loglik_at(0.0) == 0.0
-    peak = res.loglik_at(res.theta_hat)
+    d = cons.drift_norm / cons.sigma
+    loglik = lambda theta: oracles.log_likelihood(res.n_T, res.qv_N, d, theta)
+    assert loglik(0.0) == 0.0
+    peak = loglik(res.theta_hat)
     assert peak == pytest.approx(0.5 * res.n_T**2 / res.qv_N, rel=1e-12)
     for theta in np.linspace(-2.0, 3.0, 21):
-        assert res.loglik_at(theta) <= peak + 1e-15
+        assert loglik(theta) <= peak + 1e-15
 
 
 def test_log_likelihood_argmax_scaling(cons, sol, grid512):
@@ -372,6 +400,6 @@ def test_log_likelihood_argmax_scaling(cons, sol, grid512):
     for c in (0.5, 2.0, 7.3):
         vertex = res.n_T / ((c * d) * res.qv_N)
         assert vertex == pytest.approx(res.theta_hat / c, rel=1e-14)
-        lo = log_likelihood(res.n_T, res.qv_N, c * d, vertex)
+        lo = oracles.log_likelihood(res.n_T, res.qv_N, c * d, vertex)
         for theta in (vertex * 0.9, vertex * 1.1, 0.0, -1.0):
-            assert log_likelihood(res.n_T, res.qv_N, c * d, theta) <= lo
+            assert oracles.log_likelihood(res.n_T, res.qv_N, c * d, theta) <= lo

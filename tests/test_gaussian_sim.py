@@ -101,21 +101,21 @@ def test_warm_model_cache_still_rejects_bad_grids(cons, bad):
 
 
 def test_covariance_X_basics(cons):
-    assert gs.covariance_X(0.0, 0.7, cons) == 0.0
-    assert gs.covariance_X(0.4, 1.0, cons) == gs.covariance_X(1.0, 0.4, cons)
+    assert oracles.covariance_X(0.0, 0.7, cons) == 0.0
+    assert oracles.covariance_X(0.4, 1.0, cons) == oracles.covariance_X(1.0, 0.4, cons)
     with pytest.raises(DomainError):
-        gs.covariance_X(-0.1, 0.5, cons)
-    arr = gs.covariance_X(np.array([0.2, 0.5]), 0.5, cons)
+        oracles.covariance_X(-0.1, 0.5, cons)
+    arr = oracles.covariance_X(np.array([0.2, 0.5]), 0.5, cons)
     assert arr.shape == (2,)
 
 
 def test_covariance_X_components(cons):
     tab = get_tables(H1, H2)
-    v = gs.covariance_X(1.0, 1.0, cons)
+    v = oracles.covariance_X(1.0, 1.0, cons)
     assert v == pytest.approx(cons.epsilon_h1 + tab.R(1.0, 1.0), rel=1e-14)
     assert v == pytest.approx(2.9912859408633183, rel=1e-12)
     c2 = derive_constants(ModelParams(hurst=HurstPair(H1, H2), sigma=1.7))
-    assert gs.covariance_X(1.0, 1.0, c2) == pytest.approx(
+    assert oracles.covariance_X(1.0, 1.0, c2) == pytest.approx(
         1.7**2 * cons.epsilon_h1 + tab.R(1.0, 1.0), rel=1e-14
     )
 
@@ -140,7 +140,7 @@ def test_simulate_X_matches_covariance(cons):
     for r in range(R):
         samp[r] = gs.simulate_X(t, np.random.SeedSequence((101, r)), cons).values[1:]
     emp = samp.T @ samp / R
-    ref = gs.covariance_X(t[:, None], t[None, :], cons)
+    ref = oracles.covariance_X(t[:, None], t[None, :], cons)
     assert abs(emp[-1, -1] / ref[-1, -1] - 1.0) < 0.03
     assert np.max(np.abs(emp / ref - 1.0)) < 0.05
 
@@ -464,7 +464,7 @@ def test_pathwise_matches_covariance_route(cons):
         samp_t[r0:r0 + B] = gs.molchan_transform(z, cons, out_times=out8).values[1:].T
         samp_c[r0:r0 + B] = gs.simulate_X(
             out8, [np.random.SeedSequence((606, r)) for r in block], cons).values[1:].T
-    ref = gs.covariance_X(out8[:, None], out8[None, :], cons)
+    ref = oracles.covariance_X(out8[:, None], out8[None, :], cons)
     cov_t = samp_t.T @ samp_t / R
     cov_c = samp_c.T @ samp_c / R
     assert np.max(np.abs(cov_t / ref - 1.0)) < 0.05

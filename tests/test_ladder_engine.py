@@ -281,9 +281,9 @@ def test_cell_moments_one_batch_over_all_branches(tables):
 def test_quadrature_rows_match_scalar_rows(cons):
     op = fr.assemble(kernels.KernelContext(constants=cons), fr.build_grid(64))
     us = np.concatenate([op.grid.nodes[::7], [0.5, 1.0, 1e-6]])
-    batch = op._rows(us)
+    batch = fr._quadrature_rows(op.tables, op.grid, us)
     for u, row in zip(us, batch):
-        assert np.max(np.abs(row - op.row(float(u)))) <= 1e-15
+        assert np.max(np.abs(row - oracles.row(op, float(u)))) <= 1e-15
 
 
 def test_kernel_integrals_batch_matches_scalar(tables):
@@ -341,13 +341,13 @@ def _work_counts(monkeypatch, call):
 
 def test_audit_work_counts_do_not_grow_per_point(monkeypatch, cons):
     # the first solve on an operator builds its audit plan: rows at 0.75n
-    # extension points and kernel integrals at the 3n probes; the first
-    # residual_report builds the rest: rows at the 3n probes and kernel
-    # integrals at the n nodes.  Batched, each forms one Gauss-rule batch
-    # per chunk of row points (plus, once per process, the two memoized
-    # kernel-integral ladders) and calls a profile spline about twice
-    # per chunk of points, where per-point loops made ~130 spline calls
-    # and ~130 rule calls per point
+    # extension points and kernel integrals at the 3n probes.  Batched,
+    # it forms one Gauss-rule batch per chunk of row points (plus, once
+    # per process, the two memoized kernel-integral ladders) and calls a
+    # profile spline about twice per chunk of points, where per-point
+    # loops made ~130 spline calls and ~130 rule calls per point.  The
+    # first residual_report reruns the scan on that plan: no rule, no
+    # profile spline
     ctx = kernels.KernelContext(constants=cons)
     chunks = lambda m: -(-m // fr._CHUNK_POINTS)
     counts = {}
@@ -358,13 +358,11 @@ def test_audit_work_counts_do_not_grow_per_point(monkeypatch, cons):
             fr.solve_second_kind(op, 1.0, cons, residual_tol=1e-3)))
         report = _work_counts(monkeypatch,
                               lambda: fr.residual_report(sol[0]))
-        counts[n] = (solve, report)
-        for got, row_points, points in ((solve, 3 * n // 4, 15 * n // 4),
-                                        (report, 3 * n, 4 * n)):
-            assert 0 < got["jacobi_panels"] <= chunks(row_points) + 2
-            assert 0 < got["spline"] <= 2 * points / fr._CHUNK_POINTS + 4
-    for k in (0, 1):
-        assert counts[128][k]["spline"] <= 2 * counts[64][k]["spline"]
+        counts[n] = solve
+        assert 0 < solve["jacobi_panels"] <= chunks(3 * n // 4) + 2
+        assert 0 < solve["spline"] <= 2 * (15 * n // 4) / fr._CHUNK_POINTS + 4
+        assert report == {"jacobi_panels": 0, "spline": 0}
+    assert counts[128]["spline"] <= 2 * counts[64]["spline"]
 
 
 def _audit_points(monkeypatch):
@@ -382,7 +380,7 @@ def _audit_points(monkeypatch):
 
         monkeypatch.setattr(fr, name, counting)
 
-    count("_quadrature_rows", points, lambda *a: a[3].size)
+    count("_quadrature_rows", points, lambda *a: a[2].size)
     count("_kernel_rules", points, lambda *a: a[1].size)
     count("_ladder_rule_one", calls, lambda *a: 1)
     return points, calls
@@ -392,8 +390,7 @@ def test_later_horizons_reuse_the_operators_audit_plan(monkeypatch, cons):
     # the audit's quadrature rows and kernel-integral ladders belong to
     # the operator.  Its first solve forms rows at the 0.75n extension
     # points and kernel integrals at the 3n probes only; a later horizon
-    # forms none.  The first residual_report forms the rows at the 3n
-    # probes and the kernel integrals at the n nodes, once.
+    # forms none, and neither does a residual_report, the first included.
     points, calls = _audit_points(monkeypatch)
 
     def reset():
@@ -410,18 +407,17 @@ def test_later_horizons_reuse_the_operators_audit_plan(monkeypatch, cons):
     fr.solve_second_kind(op, 5.0, cons, residual_tol=1e-3)
     assert points == dict.fromkeys(points, 0)
     assert calls == dict.fromkeys(calls, 0)
-    fr.residual_report(first)
-    assert points == {"_quadrature_rows": 3 * n, "_kernel_rules": n}
-    reset()
-    fr.residual_report(first)
-    assert points == dict.fromkeys(points, 0)
-    assert calls == dict.fromkeys(calls, 0)
+    for _ in range(2):
+        assert fr.residual_report(first).reconstruction_sup == \
+            first.residual_sup
+        assert points == dict.fromkeys(points, 0)
+        assert calls == dict.fromkeys(calls, 0)
 
 
 def test_asymptotics_builds_no_report_plan(monkeypatch):
-    # the horizon ladder reads only what its solves report: rows at the
-    # n nodes (assembly) and the 0.75n extension points, and kernel
-    # integrals at the 3n probes, for all four horizons together
+    # the horizon ladder forms rows at the n nodes (assembly) and the
+    # 0.75n extension points, and kernel integrals at the 3n probes, for
+    # all four horizons together
     points, _ = _audit_points(monkeypatch)
     config = harness.ExperimentConfig(
         params=ModelParams(hurst=HurstPair(H1, H2)))

@@ -115,8 +115,18 @@ def mle(
     mean of the score is sigma-free, and this is the unique choice that
     keeps mean paths mapping to exactly theta for every sigma.  The
     information is the solution's own ``qv_N``, so ``constants`` must be
-    those the solution was solved with.
+    those the solution was solved with: DomainError when their Hurst pair
+    differs from the solution's, or their coupling at its horizon differs
+    from ``sol.lam`` (sigma enters the solve only through the coupling).
     """
+    pair, op = constants.hurst, sol.operator
+    lam = constants.lambda_of_T(sol.horizon_T)
+    if (abs(pair.h1 - op.h1) > 1e-12 or abs(pair.h2 - op.h2) > 1e-12
+            or abs(lam - sol.lam) > 1e-12 * abs(sol.lam)):
+        raise DomainError(
+            f"constants (h1={pair.h1}, h2={pair.h2}, coupling {lam:.6g} at "
+            f"T={sol.horizon_T}) are not those of the solution (h1={op.h1}, "
+            f"h2={op.h2}, coupling {sol.lam:.6g})")
     return estimate_with_filter(filter_interpolant(sol), sol.horizon_T,
                                 sol.qv_N, path, constants)
 

@@ -61,6 +61,13 @@ one-read score in ``test_estimator.py``.
 ``SeedSequence.spawn(2)``, which advances the caller's seed object; it
 is the reference that fresh seeds still give the same Z paths in
 ``test_gaussian_sim.py``.
+
+``model_matrix`` and ``fbm_matrix`` are the covariance models' matrices
+as they were built before the row-blocked fill: each formula broadcast
+over the whole grid at once.  ``factor`` is the Cholesky with jitter as
+it ran before it factored the matrix directly: it always formed
+``matrix + bump * eye``.  Together they are the bitwise references of
+``gaussian_sim._model_cached`` and ``_fbm_model_cached``.
 """
 import warnings
 from dataclasses import dataclass
@@ -71,7 +78,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from mixedfbm import closed_form
-from mixedfbm.errors import AccuracyWarning, DomainError
+from mixedfbm.errors import AccuracyWarning, DomainError, IllConditionedError
 from mixedfbm.fredholm import (_EVAL_OFFSETS, _EXT_OFFSETS, DiscretizedOperator,
                                FredholmSolution, QuadratureGrid, _chunks,
                                _graded_map, _graded_map_inv, _KnotSpline,
@@ -1056,3 +1063,40 @@ def simulate_Z(times, seed, theta: float, constants: DerivedConstants) -> Sample
     vals = (theta * _column(b1.times, b1.values) + constants.sigma * b1.values
             + b2.values)
     return SamplePath(times=b1.times, values=vals, label="Z")
+
+
+def _fbm_cov(h: float, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    return 0.5 * (t ** (2 * h) + s ** (2 * h) - np.abs(t - s) ** (2 * h))
+
+
+def model_matrix(t: np.ndarray, constants: DerivedConstants,
+                 process: str) -> np.ndarray:
+    """Covariance of X or Y (they agree) or Z on the positive grid t."""
+    h1, h2 = constants.hurst.h1, constants.hurst.h2
+    sigma, eps = constants.sigma, constants.epsilon_h1
+    if process in ("X", "Y"):
+        tab = get_tables(h1, h2)
+        lo = np.minimum.outer(t, t)
+        return tab.R(t[:, None], t[None, :]) + sigma**2 * eps * lo ** (2.0 - 2.0 * h1)
+    return sigma**2 * _fbm_cov(h1, t[:, None], t[None, :]) + _fbm_cov(
+        h2, t[:, None], t[None, :]
+    )
+
+
+def fbm_matrix(h: float, t: np.ndarray) -> np.ndarray:
+    """Covariance of fractional Brownian motion on the positive grid t."""
+    return _fbm_cov(h, t[:, None], t[None, :])
+
+
+def factor(matrix: np.ndarray) -> np.ndarray:
+    jitter = 1e-12 * np.trace(matrix) / matrix.shape[0]
+    for attempt in range(4):
+        bump = 0.0 if attempt == 0 else jitter * 10.0 ** (attempt - 1)
+        try:
+            return np.linalg.cholesky(matrix + bump * np.eye(matrix.shape[0]))
+        except np.linalg.LinAlgError:
+            continue
+    raise IllConditionedError(
+        "covariance factorization failed even with jitter; grid too dense "
+        "or parameters too close to degeneracy"
+    )

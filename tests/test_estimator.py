@@ -187,6 +187,20 @@ def test_mle_mean_path_general_sigma(cons_wide_sigma, sol_wide_sigma):
     assert abs(res.theta_hat / 0.9 - 1.0) < 1e-4
 
 
+def test_mle_refuses_constants_of_another_solve(cons, sol, cons_wide_sigma):
+    # constants at sigma = 1.7 read against the sigma = 1 solve once gave
+    # theta_hat = 2.6010 on this mean path of theta = 0.9, silently
+    path = mean_path(graded(1024), 0.9, cons_wide_sigma)
+    with pytest.raises(DomainError, match="not those of the solution"):
+        mle(sol, path, cons_wide_sigma)
+    other_pair = derive_constants(ModelParams(hurst=HurstPair(H1, 0.88)))
+    with pytest.raises(DomainError, match="not those of the solution"):
+        mle(sol, mean_path(graded(1024), 0.9, other_pair), other_pair)
+    # constants derived again from the same model are accepted
+    again = derive_constants(ModelParams(hurst=HurstPair(H1, H2)))
+    assert mle(sol, path, again).theta_hat == mle(sol, path, cons).theta_hat
+
+
 def test_mle_normalization_identities(cons, sol, grid512):
     path = simulate_Y(grid512, np.random.SeedSequence(7), theta=0.4,
                       constants=cons)

@@ -7,7 +7,8 @@ from scipy.integrate import quad
 
 import oracles
 from mixedfbm import gaussian_sim as gs
-from mixedfbm.errors import AccuracyError, DomainError
+from mixedfbm.errors import AccuracyError, DomainError, IllConditionedError
+from mixedfbm.harness import _DEFAULT_T_SEQUENCE
 from mixedfbm.kernels import get_tables
 from mixedfbm.model import HurstPair, ModelParams, derive_constants
 from mixedfbm.numerics import beta_fn
@@ -72,6 +73,115 @@ def test_covariance_model_invariants(cons):
     assert np.allclose(mz.drift, 0.7 * t, rtol=1e-14)
     with pytest.raises(DomainError):
         gs.covariance_model(t, cons, "Q")
+
+
+# ------------------------------------------------ model checks that fail
+
+
+def _spd(n=6, seed=3):
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    return a @ a.T + n * np.eye(n)
+
+
+def _model(matrix, chol):
+    n = matrix.shape[0]
+    return gs.CovarianceModel(times=np.arange(1.0, n + 1.0), matrix=matrix,
+                              drift=np.zeros(n), chol=chol)
+
+
+def test_model_rejects_a_non_symmetric_matrix():
+    m = _spd()
+    chol = np.linalg.cholesky(m)
+    m[0, 1] += 1e-6 * np.abs(m).max()
+    with pytest.raises(IllConditionedError, match="not symmetric"):
+        _model(m, chol)
+
+
+def test_model_rejects_an_indefinite_matrix_with_an_outside_factor():
+    # eigenvalues 1, ..., 5 and -1e-8: below -1e-10 tr, while the factor
+    # of the clipped matrix reproduces it to 1e-8 relative, so only the
+    # positivity check can refuse it
+    n = 6
+    q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((n, n)))
+    lam = np.array([-1e-8, 1.0, 2.0, 3.0, 4.0, 5.0])
+    m = (q * lam) @ q.T
+    m = 0.5 * (m + m.T)
+    chol = np.linalg.cholesky((q * np.maximum(lam, 1e-12)) @ q.T)
+    assert np.linalg.eigvalsh(m)[0] < -1e-10 * np.trace(m)
+    assert (np.linalg.norm(chol @ chol.T - m)
+            <= 1e-8 * np.linalg.norm(m))
+    with pytest.raises(IllConditionedError, match="negative eigenvalue"):
+        _model(m, chol)
+
+
+def test_model_rejects_a_factor_that_does_not_reproduce_the_matrix():
+    m = _spd()
+    with pytest.raises(IllConditionedError, match="does not reproduce"):
+        _model(m, 1.01 * np.linalg.cholesky(m))
+    assert _model(m, np.linalg.cholesky(m)).matrix is m
+
+
+def test_factor_out_of_jitter_raises_and_leaves_the_matrix():
+    m = np.diag([1.0, 1.0, -1.0])
+    before = m.copy()
+    with pytest.raises(IllConditionedError, match="even with jitter"):
+        gs._factor(m)
+    assert np.array_equal(m, before)
+
+
+def test_factor_jitter_rescues_a_singular_matrix():
+    # rank one: the plain factorization meets a zero pivot, the first
+    # jitter passes, and the model built on it is accepted
+    v = np.array([1.0, 2.0, 3.0])
+    m = np.outer(v, v)
+    before = m.copy()
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(m)
+    chol = gs._factor(m)
+    assert np.array_equal(m, before)
+    bump = 1e-12 * np.trace(m) / 3
+    assert np.array_equal(chol, np.linalg.cholesky(m + bump * np.eye(3)))
+    _model(m, chol)
+
+
+# ------------------------------------------------- blocked build, pinned
+
+
+@pytest.mark.parametrize("process", ["X", "Y", "Z", "fBm"])
+def test_blocked_models_match_the_full_broadcast_build(process):
+    # two full row blocks and a partial third; sigma != 1 so that the
+    # martingale and first-fBm terms carry their scale
+    n = 2 * gs._BLOCK_ROWS + 13
+    cons = derive_constants(ModelParams(hurst=HurstPair(H1, H2), sigma=1.3))
+    t = graded(n, power=1.7, horizon=2.0)
+    if process == "fBm":
+        model = gs._fbm_model_cached(t.shape, t.tobytes(), 0.7)
+        ref = oracles.fbm_matrix(0.7, t[1:])
+    else:
+        model = gs.covariance_model(t, cons, process, theta=0.3)
+        ref = oracles.model_matrix(t[1:], cons, process)
+    assert model.matrix.shape == (n, n)
+    assert np.array_equal(model.matrix, ref)
+    assert np.array_equal(model.chol, oracles.factor(ref))
+    # the draws' BLAS product reads the factor from a 64-byte boundary
+    assert model.chol.ctypes.data % 64 == 0 and model.chol.flags.c_contiguous
+
+
+@pytest.mark.parametrize("cached", [gs._model_cached, gs._fbm_model_cached])
+def test_model_caches_are_bounded(cons, cached):
+    # each entry is a dense matrix and its factor, 2 n^2 floats; run_mc
+    # draws on one grid per horizon, and its default horizons still fit
+    cap = cached.cache_info().maxsize
+    assert len(_DEFAULT_T_SEQUENCE) <= cap <= 4
+    cached.cache_clear()
+    for k in range(cap + 3):
+        t = graded(40 + k)
+        if cached is gs._model_cached:
+            gs.covariance_model(t, cons, "Y", theta=0.2)
+        else:
+            gs.simulate_fbm(0.7, t, 1)
+        assert cached.cache_info().currsize <= cap
+    assert cached.cache_info().currsize == cap
 
 
 @pytest.mark.parametrize("bad", [

@@ -13,13 +13,17 @@ once with the verify command of ROADMAP.md (``TIER1``, with the same
 BLAS thread count), keeping its wall time and the passed and failed
 counts of pytest's summary line (``tier1``; errors count as failed).
 Writes the parsed result line of every run, the reference output, the
-CLI wall times (``cli_runs``) and ``tier1``, next to the source
-state (git commit, whether the tree was clean, a digest of
-``src/mixedfbm`` and the line count of each of its files and their
-total, as ``wc -l src/mixedfbm/*.py`` gives them) and the host: nproc,
-Python, numpy, scipy, the BLAS library and the BLAS thread count the
-runs were given.  Takes about three and a half minutes on 2 vCPUs
-(3 min 19 s for BENCH_14.json, 45 s of it the Tier-1 run).
+CLI runs (``cli_runs``: per command, the wall time ``wall_s`` and the
+peak resident set ``peak_rss_mb`` of each run, the latter from the
+child's own ``os.wait4`` rusage; on Linux it counts this script's
+resident set when the child starts, so a bare ``python -c pass`` reads
+33 MB) and ``tier1``, next to the source state (git commit, whether
+the tree was clean, a digest of ``src/mixedfbm`` and the line count of
+each of its files and their total, as ``wc -l src/mixedfbm/*.py`` gives
+them) and the host: nproc, Python, numpy, scipy, the BLAS library and
+the BLAS thread count the runs were given.  Takes about four minutes on 2 vCPUs (3 min 19 s for
+BENCH_14.json, 45 s of it the Tier-1 run, before the 2048-point ``mc``
+run joined ``CLI_RUNS``).
 """
 
 import hashlib
@@ -48,6 +52,8 @@ CLI_RUNS = (
     ("solve", "--grid-n", "128"),
     ("asymptotics",),
     ("mc", "--replicates", "1000"),
+    # the large-grid covariance model: one 2049 x 2049 Y model per horizon
+    ("mc", "--replicates", "200", "--path-points", "2048"),
 )
 CLI_REPEATS = 2
 
@@ -61,22 +67,39 @@ def _run(argv, env) -> str:
     return done.stdout
 
 
+def _timed(argv, cwd, env) -> tuple:
+    """Wall time and peak resident set in MB of one child process; raises
+    CalledProcessError, with the child's stderr, when it fails."""
+    with tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        child = subprocess.Popen(argv, cwd=cwd, env=env,
+                                 stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - start
+        child.returncode = os.waitstatus_to_exitcode(status)
+        if child.returncode:
+            err.seek(0)
+            raise subprocess.CalledProcessError(child.returncode, argv,
+                                                stderr=err.read())
+    return wall, usage.ru_maxrss / 1024.0
+
+
 def _cli_runs(env) -> list:
-    """Wall time of each ``CLI_RUNS`` command, ``CLI_REPEATS`` fresh
-    processes each, run from the checkout's ``src`` in a scratch
-    directory that takes their output files."""
+    """Wall time and peak resident set of each ``CLI_RUNS`` command,
+    ``CLI_REPEATS`` fresh processes each, run from the checkout's ``src``
+    in a scratch directory that takes their output files."""
     env = {**env, "PYTHONPATH": str(ROOT / "src")}
     timed = []
     for argv in CLI_RUNS:
-        seconds = []
+        seconds, peaks = [], []
         for _ in range(CLI_REPEATS):
             with tempfile.TemporaryDirectory() as tmp:
-                start = time.perf_counter()
-                subprocess.run([sys.executable, "-m", "mixedfbm.cli", *argv],
-                               cwd=tmp, env=env, capture_output=True,
-                               check=True)
-                seconds.append(time.perf_counter() - start)
-        timed.append({"argv": ["mixedfbm", *argv], "wall_s": seconds})
+                wall, peak = _timed([sys.executable, "-m", "mixedfbm.cli",
+                                     *argv], tmp, env)
+            seconds.append(wall)
+            peaks.append(peak)
+        timed.append({"argv": ["mixedfbm", *argv], "wall_s": seconds,
+                      "peak_rss_mb": peaks})
         print(f"mixedfbm {' '.join(argv)}: done", flush=True)
     return timed
 

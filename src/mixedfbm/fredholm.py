@@ -37,9 +37,11 @@ horizon's audit, and each ``residual_report``, is then a few
 matrix-vector products and one evaluation of the spline.
 
 Each solution owns one filter h_T (``FredholmSolution.filter``), built
-from that spline on first read.  The filter remembers the last grid it
-was evaluated on (one entry, returned as copies), so estimates from many
-paths on one grid evaluate the spline once.
+from that spline on first read and evaluated afresh on every call.  The
+solution also keeps the filter's values at the midpoints of the last
+path grid an estimate read (``FredholmSolution.midpoint_filter``, set by
+``estimator.mle``), so estimates from many paths on one grid evaluate
+the spline once.
 """
 
 from __future__ import annotations
@@ -437,8 +439,10 @@ class FredholmSolution:
         The probe point in (0, 1) where ``residual_sup`` is attained.
 
     The solution owns one filter, ``filter``, built from ``spline`` on
-    first read; it remembers the last grid it was evaluated on (one
-    entry, see ``_on_horizon``).
+    first read.  ``midpoint_filter`` holds that filter's values at the
+    fine and coarse midpoints of the last path grid ``estimator.mle``
+    read, as (grid bytes, read-only values); None before the first
+    estimate.  It is one entry, replaced on a change of grid.
     """
 
     grid: QuadratureGrid
@@ -451,6 +455,8 @@ class FredholmSolution:
     operator: DiscretizedOperator = field(repr=False)
     spline: CubicSpline = field(repr=False)
     worst_u: float
+    midpoint_filter: Optional[tuple] = field(default=None, init=False,
+                                             repr=False, compare=False)
 
     @cached_property
     def filter(self) -> Callable:
@@ -753,32 +759,14 @@ def _on_horizon(T: float, values: Callable) -> Callable:
 
     Accepts a scalar or array t (scalar in, scalar out); raises
     DomainError outside (0, T].
-
-    The filter remembers its last array argument: an argument with the
-    same shape and float bytes returns a copy of the values stored for
-    it, without the domain check or a new evaluation, since both would
-    give the same result.  The memo holds one entry, sized by that
-    argument, and is freed with the filter (for ``FredholmSolution.filter``,
-    with the solution).  A scalar is evaluated on every call.
     """
-    last = (None, None)  # (key, values) of the last array argument, set at once
-
-    def evaluate(arr):
+    def h_T(t):
+        arr = np.asarray(t, float)
         if (arr <= 0.0).any() or (arr > T).any():
             raise DomainError(f"filter argument must lie in (0, {T}]")
         # the minimum guards roundoff of the division, not out-of-range input
-        return values(arr, np.minimum(arr / T, 1.0))
-
-    def h_T(t):
-        nonlocal last
-        arr = np.asarray(t, float)
-        if np.isscalar(t) or arr.ndim == 0:
-            return float(evaluate(arr))
-        key = (arr.shape, arr.tobytes())
-        entry = last
-        if entry[0] != key:
-            entry = last = (key, evaluate(arr))
-        return entry[1].copy()
+        out = values(arr, np.minimum(arr / T, 1.0))
+        return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
     return h_T
 
@@ -792,8 +780,8 @@ def filter_interpolant(sol: FredholmSolution) -> Callable:
     quadrature row per point.  Agrees with that extension to spline
     interpolation error, far below the solver residual.  Domain (0, T].
     Returns the solution's own filter, ``sol.filter``: every call gives
-    the same object, which remembers the last grid it was read on (one
-    entry, returned as copies).
+    the same object.  It keeps no values; ``estimator.mle`` keeps those
+    of the last path grid on the solution (``midpoint_filter``).
     """
     return sol.filter
 

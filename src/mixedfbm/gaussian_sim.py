@@ -14,13 +14,15 @@ by how finely the sampling grid, which the caller chooses, resolves it.
 Every simulator also takes a list or tuple of seeds and then returns one
 column per seed; column r is, bit for bit, the path the same call draws
 for seed r alone.  The forward transform and the score read such columns
-with the same code as a single path.
+with the same code as a single path.  Every draw on one grid carries the
+same read-only ``times``: its model's grid with the origin prepended,
+validated once, when the model was built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg.blas import dtrmv
@@ -81,6 +83,17 @@ class SamplePath:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
+    @classmethod
+    def _drawn(cls, times: np.ndarray, values: np.ndarray, label: str) -> "SamplePath":
+        """A simulated path on a model's grid ``times`` (origin prepended,
+        validated when the model was built, read-only) whose values start
+        at 0 by construction: only the values' finiteness is checked."""
+        if not np.isfinite(values).all():
+            raise DomainError("path contains non-finite entries")
+        path = object.__new__(cls)
+        path.__dict__.update(times=times, values=values, label=label)
+        return path
+
 
 @dataclass(frozen=True)
 class CovarianceModel:
@@ -91,10 +104,13 @@ class CovarianceModel:
     in row blocks so that no n x n temporary is formed, that
 
     - the matrix M is symmetric to 1e-12 of its largest entry;
-    - the factor L reproduces it: ||L L^T - M||_F <= 1e-8 ||M||_F;
+    - the factor L is lower triangular: its strictly upper part is
+      exactly 0, since the draws read only the lower triangle;
+    - L reproduces M: ||L L^T - M||_F <= 1e-8 ||M||_F, computed on the
+      lower block triangle (``_reconstruction_error``);
     - M has no eigenvalue below -1e-10 tr(M).
 
-    The third holds by Weyl's inequality once the reconstruction error is
+    The last holds by Weyl's inequality once the reconstruction error is
     at most 1e-10 tr(M), since L L^T is positive semi-definite.  A factor
     from ``covariance_model`` or ``simulate_fbm`` is LAPACK's Cholesky
     factor of M + b I with b <= 1e-10 tr(M)/n, so its error is at most
@@ -110,21 +126,45 @@ class CovarianceModel:
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=float)
-        chol = np.asarray(self.chol, dtype=float)
-        atol = 1e-12 * max(m.max(), -m.min(), 1.0)
-        err2 = 0.0
-        for rows in _row_blocks(m.shape[0]):
-            if not (np.abs(m[rows] - m[:, rows].T) <= atol).all():
-                raise IllConditionedError("covariance matrix is not symmetric")
-            diff = chol[rows] @ chol.T
-            diff -= m[rows]
-            err2 += float(np.vdot(diff, diff))
-        err = np.sqrt(err2)
+        err = _reconstruction_error(m, np.asarray(self.chol, dtype=float))
         if not err <= 1e-8 * np.linalg.norm(m):
             raise IllConditionedError("factor does not reproduce the covariance")
         tr = float(np.trace(m))
         if err > 1e-10 * tr and float(np.linalg.eigvalsh(m)[0]) < -1e-10 * tr:
             raise IllConditionedError("covariance matrix has a significantly negative eigenvalue")
+
+    @cached_property
+    def path_times(self) -> np.ndarray:
+        """The grid with the origin prepended: the ``times`` of every draw
+        from this model, built once and read-only."""
+        t = np.concatenate(([0.0], self.times))
+        t.flags.writeable = False
+        return t
+
+
+def _reconstruction_error(m: np.ndarray, chol: np.ndarray) -> float:
+    """||L L^T - M||_F for the lower factor L = ``chol``.
+
+    Summed over the lower block triangle, each block left of the
+    diagonal counted twice for its mirror image: a third of the flops of
+    the full product.  Checked on the way, one row block at a time:
+    IllConditionedError unless M is symmetric to 1e-12 of its largest
+    entry (each pair compared once, from the lower block triangle) and
+    L is exactly 0 above its diagonal.
+    """
+    atol = 1e-12 * max(m.max(), -m.min(), 1.0)
+    err2 = 0.0
+    for rows in _row_blocks(m.shape[0]):
+        lo, hi = rows.start, rows.stop
+        if not (np.abs(m[rows, :hi] - m[:hi, rows].T) <= atol).all():
+            raise IllConditionedError("covariance matrix is not symmetric")
+        if chol[rows, hi:].any() or np.triu(chol[rows, rows], 1).any():
+            raise IllConditionedError("factor is not lower triangular")
+        diff = chol[rows, :hi] @ chol[:hi, :hi].T
+        diff -= m[rows, :hi]
+        left, diag = diff[:, :lo], diff[:, lo:]
+        err2 += 2.0 * float(np.vdot(left, left)) + float(np.vdot(diag, diag))
+    return float(np.sqrt(err2))
 
 
 def _positive_times(times) -> np.ndarray:
@@ -261,42 +301,39 @@ def _column(v: np.ndarray, like: np.ndarray) -> np.ndarray:
     return v.reshape(v.shape + (1,) * (like.ndim - 1))
 
 
-def _with_origin(times: np.ndarray, vals: np.ndarray, label: str) -> SamplePath:
-    return SamplePath(
-        times=np.concatenate(([0.0], times)),
-        values=np.concatenate((np.zeros((1,) + vals.shape[1:]), vals)),
-        label=label,
-    )
-
-
-def _factor_draw(chol: np.ndarray, seed) -> np.ndarray:
-    """The lower factor applied to standard normals from ``seed``.
+def _draw(model: CovarianceModel, seed, label: str,
+          drift: bool = True) -> SamplePath:
+    """The lower factor applied to standard normals from ``seed``, plus
+    the model's drift, as a path on the model's ``path_times``.
 
     A list or tuple of seeds gives one column per seed, each drawn as the
-    single seed would be.  The triangular BLAS product reads only the
-    lower half; ``chol.T`` of the C-ordered factor is the Fortran-ordered
-    upper factor, so it is passed in place (a C-ordered array with
-    ``lower=1`` would be copied on every call).
+    single seed would be.  The origin and the draw are written into one
+    new array.  The triangular BLAS product reads only the lower half;
+    ``chol.T`` of the C-ordered factor is the Fortran-ordered upper
+    factor, so it is passed in place (a C-ordered array with ``lower=1``
+    would be copied on every call).
     """
-    n = chol.shape[0]
+    upper = model.chol.T
+    n = upper.shape[0]
 
-    def one(s):
-        g = np.random.default_rng(s).standard_normal(n)
-        return dtrmv(chol.T, g, lower=0, trans=1, overwrite_x=1)
+    def one(s, g):
+        np.random.default_rng(s).standard_normal(out=g)
+        return dtrmv(upper, g, lower=0, trans=1, overwrite_x=1)
 
-    if not isinstance(seed, (list, tuple)):
-        return one(seed)
-    if len(seed) == 0:
-        raise DomainError("need at least one seed")
-    out = np.empty((n, len(seed)))
-    for j, s in enumerate(seed):
-        out[:, j] = one(s)
-    return out
-
-
-def _draw(model: CovarianceModel, seed, label: str) -> SamplePath:
-    vals = _factor_draw(model.chol, seed)
-    return _with_origin(model.times, vals + _column(model.drift, vals), label)
+    if isinstance(seed, (list, tuple)):
+        if len(seed) == 0:
+            raise DomainError("need at least one seed")
+        out = np.empty((n + 1, len(seed)))
+        g = np.empty(n)
+        for j, s in enumerate(seed):
+            out[1:, j] = one(s, g)
+    else:
+        out = np.empty(n + 1)
+        out[1:] = one(seed, out[1:])
+    out[0] = 0.0
+    if drift:
+        out[1:] += _column(model.drift, out)
+    return SamplePath._drawn(model.path_times, out, label)
 
 
 def simulate_X(times, seed, constants: DerivedConstants) -> SamplePath:
@@ -327,7 +364,7 @@ def simulate_Z(times, seed, theta: float, constants: DerivedConstants) -> Sample
     b2 = simulate_fbm(constants.hurst.h2, times, s2)
     vals = (theta * _column(b1.times, b1.values) + constants.sigma * b1.values
             + b2.values)
-    return SamplePath(times=b1.times, values=vals, label="Z")
+    return SamplePath._drawn(b1.times, vals, "Z")
 
 
 def _spawn_pair(seed) -> list:
@@ -356,7 +393,7 @@ def simulate_fbm(h: float, times, seed) -> SamplePath:
         raise DomainError(f"require 1/2 < H < 1, got {h}")
     t = np.asarray(times, dtype=float)
     model = _fbm_model_cached(t.shape, t.tobytes(), h)
-    return _with_origin(model.times, _factor_draw(model.chol, seed), "fBm")
+    return _draw(model, seed, "fBm", drift=False)
 
 
 # ----------------------------------------------------------------- forward
@@ -415,7 +452,10 @@ def molchan_transform(
             raise DomainError("output times must be finite and increase within (0, horizon]")
     plan = _molchan_plan(grid.tobytes(), outs.tobytes(), constants.hurst.h1)
     slopes = np.diff(path.values, axis=0) / _column(np.diff(grid), path.values)
-    return _with_origin(outs, plan @ slopes, "Y")
+    vals = plan @ slopes
+    return SamplePath(times=np.concatenate(([0.0], outs)),
+                      values=np.concatenate((np.zeros((1,) + vals.shape[1:]), vals)),
+                      label="Y")
 
 
 def inverse_transform(path: SamplePath, constants: DerivedConstants) -> SamplePath:

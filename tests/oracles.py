@@ -68,6 +68,10 @@ over the whole grid at once.  ``factor`` is the Cholesky with jitter as
 it ran before it factored the matrix directly: it always formed
 ``matrix + bump * eye``.  Together they are the bitwise references of
 ``gaussian_sim._model_cached`` and ``_fbm_model_cached``.
+``reconstruction_error`` is the models' factor check as it ran before it
+summed over the lower block triangle: the full product ``chol @ chol.T``,
+one row block at a time.  It is the reference of
+``gaussian_sim._reconstruction_error``.
 """
 import warnings
 from dataclasses import dataclass
@@ -1100,3 +1104,14 @@ def factor(matrix: np.ndarray) -> np.ndarray:
         "covariance factorization failed even with jitter; grid too dense "
         "or parameters too close to degeneracy"
     )
+
+
+def reconstruction_error(matrix: np.ndarray, chol: np.ndarray) -> float:
+    """||chol chol^T - matrix||_F from the full product, 64 rows at a time."""
+    err2 = 0.0
+    for r in range(0, matrix.shape[0], 64):
+        rows = slice(r, min(r + 64, matrix.shape[0]))
+        diff = chol[rows] @ chol.T
+        diff -= matrix[rows]
+        err2 += float(np.vdot(diff, diff))
+    return float(np.sqrt(err2))

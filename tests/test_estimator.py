@@ -14,6 +14,7 @@ import pytest
 from scipy import stats
 
 import mixedfbm.fredholm as fr
+import mixedfbm.gaussian_sim as gs
 import oracles
 from mixedfbm.errors import AccuracyWarning, DomainError
 from mixedfbm.estimator import (EstimatorResult, estimate_with_filter, mle,
@@ -244,8 +245,9 @@ def test_filter_interpolant_is_the_solution_filter(sol):
 
 def test_filter_evaluates_the_spline_once_per_grid(monkeypatch, cons, sol,
                                                    grid512):
-    # the filter remembers its last grid: mle on many paths of one grid
-    # reads the spline once, and each change of grid once more
+    # the solution keeps the filter's values for the last grid mle read:
+    # mle on many paths of one grid reads the spline once, and each
+    # change of grid once more
     fresh = dataclasses.replace(sol)
     calls = []
     inv = fr._graded_map_inv
@@ -263,6 +265,44 @@ def test_filter_evaluates_the_spline_once_per_grid(monkeypatch, cons, sol,
             mle(fresh, p, cons)
         assert len(calls) == expected
     assert calls[0] == 512 + 256
+
+
+def test_warm_grid_pair_derives_nothing_from_the_grid(monkeypatch, cons, sol,
+                                                     grid512):
+    # once a grid has been drawn and estimated on, a further simulate_Y
+    # + mle pair on it neither validates the grid again nor reads the
+    # filter's spline, one path or columns
+    fresh = dataclasses.replace(sol)
+    mle(fresh, simulate_Y(grid512, 1, theta=0.5, constants=cons), cons)
+    calls = []
+    for module, name in ((gs, "_grid_from_key"), (fr, "_graded_map_inv")):
+        real = getattr(module, name)
+
+        def counting(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    for r in range(3):
+        for seed in (np.random.SeedSequence((868, r)), [2 * r, 2 * r + 1]):
+            mle(fresh, simulate_Y(grid512, seed, theta=0.5, constants=cons),
+                cons)
+    assert calls == []
+
+
+def test_mle_keeps_the_last_grid_read_only_on_the_solution(cons, sol, grid512):
+    fresh = dataclasses.replace(sol)
+    assert fresh.midpoint_filter is None
+    for grid in (graded(511), grid512):
+        mle(fresh, simulate_Y(grid, 4, theta=0.5, constants=cons), cons)
+        key, (fine, coarse, appended) = fresh.midpoint_filter
+        assert key == grid.tobytes()
+        assert (fine.size, coarse.size) == (grid.size - 1, grid.size // 2)
+        assert appended == (grid.size % 2 == 0)
+        for values in (fine, coarse):
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+    assert sol.midpoint_filter is not fresh.midpoint_filter
 
 
 def test_filter_memo_keeps_the_domain_check(sol, grid512):

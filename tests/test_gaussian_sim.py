@@ -144,6 +144,27 @@ def test_factor_jitter_rescues_a_singular_matrix():
     _model(m, chol)
 
 
+def test_model_rejects_a_factor_with_entries_above_the_diagonal():
+    # a symmetric square root S reproduces M, S S^T = M, but the draws'
+    # triangular product reads only the lower half of S; one tiny entry
+    # above the diagonal is refused as well, in a diagonal block and
+    # right of it
+    m = _spd()
+    w, v = np.linalg.eigh(m)
+    root = (v * np.sqrt(w)) @ v.T
+    assert np.linalg.norm(root @ root.T - m) <= 1e-12 * np.linalg.norm(m)
+    with pytest.raises(IllConditionedError, match="lower triangular"):
+        _model(m, root)
+    big = _spd(n=2 * gs._BLOCK_ROWS + 13)
+    chol = np.linalg.cholesky(big)
+    _model(big, chol)
+    for i, j in ((70, 75), (3, 100), (130, 140)):
+        bad = chol.copy()
+        bad[i, j] = 1e-300
+        with pytest.raises(IllConditionedError, match="lower triangular"):
+            _model(big, bad)
+
+
 # ------------------------------------------------- blocked build, pinned
 
 
@@ -165,6 +186,32 @@ def test_blocked_models_match_the_full_broadcast_build(process):
     assert np.array_equal(model.chol, oracles.factor(ref))
     # the draws' BLAS product reads the factor from a 64-byte boundary
     assert model.chol.ctypes.data % 64 == 0 and model.chol.flags.c_contiguous
+
+
+@pytest.mark.parametrize("process", ["X", "Y", "Z", "fBm"])
+def test_reconstruction_error_matches_the_full_product(process):
+    # the lower block triangle, each block left of the diagonal counted
+    # twice, gives the error of the full product.  The model's own factor
+    # reproduces M to rounding, about 1e-13 ||M||, and at that level the
+    # two sums of products round differently, by up to 5 % of the error;
+    # so the factor is also perturbed by 1e-3 in its lower triangle, an
+    # error far above rounding, where the two agree to 1e-12
+    cons = derive_constants(ModelParams(hurst=HurstPair(H1, H2), sigma=1.3))
+    rng = np.random.default_rng(12)
+    for n in (2 * gs._BLOCK_ROWS + 13, 512):
+        t = graded(n, power=1.7, horizon=2.0)
+        if process == "fBm":
+            model = gs._fbm_model_cached(t.shape, t.tobytes(), 0.7)
+        else:
+            model = gs.covariance_model(t, cons, process, theta=0.3)
+        norm = np.linalg.norm(model.matrix)
+        assert gs._reconstruction_error(model.matrix, model.chol) <= 1e-12 * norm
+        assert oracles.reconstruction_error(model.matrix, model.chol) <= 1e-12 * norm
+        chol = model.chol * (1.0 + 1e-3 * np.tril(rng.standard_normal((n, n))))
+        ref = oracles.reconstruction_error(model.matrix, chol)
+        assert ref > 1e-5 * norm
+        assert gs._reconstruction_error(model.matrix, chol) == pytest.approx(
+            ref, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("cached", [gs._model_cached, gs._fbm_model_cached])
@@ -339,6 +386,44 @@ def test_seed_batch_columns_are_per_path_draws(cons, process, kind):
     assert np.array_equal(sim(t, tuple(seeds()), cons).values, batch.values)
     with pytest.raises(DomainError, match="at least one seed"):
         sim(t, [], cons)
+
+
+@pytest.mark.parametrize("process", sorted(SIMULATORS))
+def test_draws_on_one_grid_share_one_read_only_times(cons, process):
+    # the model's grid, origin prepended, is built once; every draw on
+    # that grid, one path or columns, carries that same array
+    sim = SIMULATORS[process]
+    t = graded(256)
+    first = sim(t, 1, cons)
+    assert np.array_equal(first.times, t)
+    for seed in (2, [3, 4], (5,)):
+        assert sim(t, seed, cons).times is first.times
+    assert not first.times.flags.writeable
+    with pytest.raises(ValueError):
+        first.times[1] = 0.5
+
+
+@pytest.mark.parametrize("process", sorted(SIMULATORS))
+@pytest.mark.parametrize("seed", [7, [7, 8, 9]])
+def test_draws_pass_every_sample_path_check(cons, process, seed):
+    # a draw skips the grid checks its model already made; built again
+    # by the public constructor, with a writable grid, it passes them all
+    p = SIMULATORS[process](graded(200, power=1.6), seed, cons)
+    again = gs.SamplePath(times=p.times.copy(), values=p.values, label=p.label)
+    assert np.array_equal(again.times, p.times)
+    assert np.array_equal(again.values, p.values)
+
+
+def test_draws_refuse_non_finite_values(cons):
+    # theta b t^(2-2H1) passes the float range for t > 1 at theta = 1e308
+    t = graded(64, horizon=2.0)
+    for seed in (1, [1, 2]):
+        with pytest.raises(DomainError, match="non-finite"), \
+                np.errstate(over="ignore"):
+            gs.simulate_Y(t, seed, 1e308, cons)
+        with pytest.raises(DomainError, match="non-finite"), \
+                np.errstate(invalid="ignore"):
+            gs.simulate_Z(t, seed, np.inf, cons)
 
 
 def test_simulate_Z_leaves_the_seed_sequence_unchanged(cons):

@@ -6,9 +6,13 @@ Run from the root of a source checkout.  Runs ``perfbench/run.py`` for
 each workload of ``BENCHMARK.json`` at seeds 1, 2 and 3 untraced (the
 end-to-end metrics) and at seed 1 traced (the per-layer metrics), each
 for the benchmark's ``run_seconds``, then ``perfbench/reference.py``
-(the per-layer baseline table at n = 128, 256, 512), then times the
-command-line runs users start (``CLI_RUNS``), each twice in a fresh
-process inside a temporary directory, and last runs the Tier-1 suite
+(the per-layer baseline table at n = 128, 256, 512), then times one
+Monte Carlo replicate's two calls (``per_path``: the median
+microseconds per ``simulate_Y`` and per ``mle`` over ``PER_PATH_CALLS``
+single-path calls on the warm default grid, 512 points at T = 1 with an
+n = 128 solve, in a fresh process), then times the command-line runs
+users start (``CLI_RUNS``), each twice in a fresh process inside a
+temporary directory, and last runs the Tier-1 suite
 once with the verify command of ROADMAP.md (``TIER1``, with the same
 BLAS thread count), keeping its wall time and the passed and failed
 counts of pytest's summary line (``tier1``; errors count as failed).
@@ -56,6 +60,34 @@ CLI_RUNS = (
     ("mc", "--replicates", "200", "--path-points", "2048"),
 )
 CLI_REPEATS = 2
+
+# one replicate of the Monte Carlo inner loop, timed call by call in a
+# child process; prints {"simulate_Y_us": ..., "mle_us": ...}
+PER_PATH_CALLS = 2000
+_PER_PATH = f"""
+import json, time
+import numpy as np
+from mixedfbm import estimator, fredholm, gaussian_sim, harness
+from mixedfbm.kernels import KernelContext
+from mixedfbm.model import HurstPair, ModelParams, derive_constants
+cons = derive_constants(ModelParams(hurst=HurstPair(0.6, 0.9)))
+op = fredholm.assemble(KernelContext(constants=cons), fredholm.build_grid(128))
+sol = fredholm.solve_second_kind(op, 1.0, cons)
+times = harness._graded_times(1.0, 512)
+estimator.mle(sol, gaussian_sim.simulate_Y(times, 0, 1.0, cons), cons)
+sim, est = [], []
+for r in range({PER_PATH_CALLS}):
+    seed = np.random.SeedSequence((1, r))
+    t0 = time.perf_counter()
+    path = gaussian_sim.simulate_Y(times, seed, 1.0, cons)
+    t1 = time.perf_counter()
+    estimator.mle(sol, path, cons)
+    t2 = time.perf_counter()
+    sim.append(t1 - t0)
+    est.append(t2 - t1)
+print(json.dumps({{"simulate_Y_us": 1e6 * float(np.median(sim)),
+                  "mle_us": 1e6 * float(np.median(est))}}))
+"""
 
 # ROADMAP.md's Tier-1 verify command, run from the checkout's root
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
@@ -121,6 +153,14 @@ def _tier1(env) -> dict:
             "failed": counts.get("failed", 0) + counts.get("error", 0)}
 
 
+def _per_path(env) -> dict:
+    """Median microseconds per single-path ``simulate_Y`` and ``mle`` on
+    the warm default grid, from the checkout's ``src``."""
+    line = _run(["-c", _PER_PATH], {**env, "PYTHONPATH": str(ROOT / "src")})
+    return {**json.loads(line), "calls": PER_PATH_CALLS, "path_points": 512,
+            "grid_n": 128}
+
+
 def _git(*argv) -> str:
     return subprocess.run(["git", *argv], cwd=ROOT, capture_output=True,
                           text=True, check=True).stdout.strip()
@@ -157,6 +197,7 @@ def main(argv) -> int:
                          "result": json.loads(line.strip().splitlines()[-1])})
             print(f"{workload} seed {seed} trace {trace}: done", flush=True)
     reference = _run(["perfbench/reference.py"], env).splitlines()
+    per_path = _per_path(env)
     cli_runs = _cli_runs(env)
     tier1 = _tier1(env)
     print(f"tier-1: {tier1['passed']} passed, {tier1['failed']} failed",
@@ -178,6 +219,7 @@ def main(argv) -> int:
         "run_seconds": spec["run_seconds"],
         "runs": runs,
         "reference": reference,
+        "per_path": per_path,
         "cli_runs": cli_runs,
         "tier1": tier1,
     }

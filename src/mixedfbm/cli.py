@@ -262,7 +262,8 @@ def _read_sidecar(side_path: Path):
         raise DomainError(f"{side_path}: not JSON: {exc}") from exc
     if not isinstance(side, dict) or "filter_knots" not in side:
         raise DomainError(f"{side_path} holds no filter knots; rerun solve")
-    for key in ("h1", "h2", "sigma", "T", "grading_exponent", "qv_N"):
+    for key in ("h1", "h2", "sigma", "T", "grading_exponent", "lambda",
+                "qv_N"):
         value = side.get(key)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise DomainError(f"{side_path}: {key} must be a number, "
@@ -291,6 +292,13 @@ def _cmd_estimate(s: _Settings) -> int:
     cons = derive_constants(ModelParams(
         hurst=HurstPair(side["h1"], side["h2"]), sigma=side["sigma"],
         horizon_T=side["T"]))
+    # sigma enters the solve only through the coupling, so constants
+    # whose coupling differs from the solve's would give a wrong estimate
+    lam = cons.lambda_of_T(side["T"])
+    if abs(lam - side["lambda"]) > 1e-12 * abs(side["lambda"]):
+        raise DomainError(
+            f"{side_path}: the coupling {lam:.6g} of its h1, h2, sigma and "
+            f"T is not the solve's lambda {side['lambda']:.6g}; rerun solve")
     h_T = filter_from_knots(x, y, side["T"], side["h1"],
                             side["grading_exponent"])
     path = _read_path_csv(s.args.path_file, "Y")

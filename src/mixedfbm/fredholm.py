@@ -34,7 +34,9 @@ kept on it.  The first solve builds it (``DiscretizedOperator.audit_plan``,
 kernel integrals of the solution's spline at the probes as a linear map
 of its knot values and knot second derivatives (``_spline_map``).  Each
 horizon's audit, and each ``residual_report``, is then a few
-matrix-vector products and one evaluation of the spline.
+matrix-vector products and one evaluation of the spline.  The arrays of
+a grid, an operator and its audit plan are read-only, since one operator
+may serve every solve on its Hurst pair and grid (``harness._operator``).
 
 Each solution owns one filter h_T (``FredholmSolution.filter``), built
 from that spline on first read and evaluated afresh on every call.  The
@@ -90,6 +92,13 @@ _CHUNK_POINTS = 16
 _EXT_OFFSETS = (0.17, 0.52, 0.86)
 _EVAL_OFFSETS = (0.06, 0.135, 0.22, 0.30, 0.38, 0.46,
                  0.56, 0.64, 0.72, 0.80, 0.90, 0.965)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, made read-only: grids, operators and audit plans are
+    shared by every solve on them (``harness`` keeps operators)."""
+    a.flags.writeable = False
+    return a
 
 
 # ----------------------------------------------------------------------
@@ -188,8 +197,10 @@ def build_grid(n: int, grading_exponent: float = 2.0) -> QuadratureGrid:
     weights = weights / weights.sum()
     edges = _graded_map(xe, g)
     edges[0], edges[-1] = 0.0, 1.0
-    return QuadratureGrid(n=n, grading_exponent=g, nodes=nodes,
-                          weights=weights, cell_edges=edges, x_nodes=x_nodes)
+    return QuadratureGrid(n=n, grading_exponent=g, nodes=_read_only(nodes),
+                          weights=_read_only(weights),
+                          cell_edges=_read_only(edges),
+                          x_nodes=_read_only(x_nodes))
 
 
 # ----------------------------------------------------------------------
@@ -401,7 +412,7 @@ def assemble(ctx: KernelContext, grid: QuadratureGrid) -> DiscretizedOperator:
     matrix = _quadrature_rows(tables, grid, grid.nodes)
     if not np.all(np.isfinite(matrix)):
         raise AccuracyError("assembled operator contains non-finite entries")
-    return DiscretizedOperator(matrix=matrix, grid=grid,
+    return DiscretizedOperator(matrix=_read_only(matrix), grid=grid,
                                h1=hurst.h1, h2=hurst.h2, tables=tables)
 
 
@@ -615,11 +626,9 @@ def _build_audit_plan(tables: KernelTables,
     knots = xs[order]
     probe_x = _offsets_in_cells(grid, _EVAL_OFFSETS)
     probe_u = _graded_map(probe_x, g)
-    return _AuditPlan(
-        ext_u=ext_u,
-        ext_rows=_quadrature_rows(tables, grid, ext_u),
-        knots=knots, order=order, probe_x=probe_x, probe_u=probe_u,
-        probe_integrals=_spline_integrals(tables, grid, knots, probe_u))
+    return _AuditPlan(*map(_read_only, (
+        ext_u, _quadrature_rows(tables, grid, ext_u), knots, order, probe_x,
+        probe_u, _spline_integrals(tables, grid, knots, probe_u))))
 
 
 class _KnotSpline(CubicSpline):

@@ -302,6 +302,8 @@ def test_accuracy_failure_exit_code(tmp_path, capsys, monkeypatch):
 
 _SIDECAR = {"h1": 0.6, "h2": 0.9, "sigma": 1.0, "T": 1.0,
             "grading_exponent": 2.0, "qv_N": 0.75,
+            "lambda": mf.derive_constants(mf.ModelParams(
+                hurst=mf.HurstPair(0.6, 0.9))).lambda_of_T(1.0),
             "filter_knots": {"x": np.linspace(0.0, 1.0, 9).tolist(),
                              "y": np.ones(9).tolist()}}
 
@@ -320,10 +322,13 @@ _SIDECAR = {"h1": 0.6, "h2": 0.9, "sigma": 1.0, "T": 1.0,
         {**_SIDECAR, "grading_exponent": 0.5},
         {**_SIDECAR, "qv_N": -3.0},
         {**_SIDECAR, "qv_N": 0.0},
+        {k: v for k, v in _SIDECAR.items() if k != "lambda"},
+        {**_SIDECAR, "sigma": 1.7},
     ],
     ids=["missing-qv", "not-json", "not-an-object", "knots-unequal-lengths",
          "knots-not-increasing", "knots-without-y", "knots-not-an-object",
-         "grading-string", "grading-below-one", "qv-negative", "qv-zero"],
+         "grading-string", "grading-below-one", "qv-negative", "qv-zero",
+         "lambda-missing", "sigma-edited"],
 )
 def test_malformed_sidecar_exit_2(tmp_path, capsys, sidecar):
     t = np.linspace(0.0, 1.0, 129)

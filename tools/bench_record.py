@@ -10,7 +10,11 @@ for the benchmark's ``run_seconds``, then ``perfbench/reference.py``
 Monte Carlo replicate's two calls (``per_path``: the median
 microseconds per ``simulate_Y`` and per ``mle`` over ``PER_PATH_CALLS``
 single-path calls on the warm default grid, 512 points at T = 1 with an
-n = 128 solve, in a fresh process), then times the command-line runs
+n = 128 solve, in a fresh process), then times the default horizon
+ladder (``ladder``: one cold ``run_asymptotics``, which builds the kernel
+tables, the operator and its audit plan, then the median of
+``LADDER_CALLS`` warm calls on the harness's memoized operator, and the
+memo's ``cache_info``, in a fresh process), then times the command-line runs
 users start (``CLI_RUNS``), each twice in a fresh process inside a
 temporary directory, and last runs the Tier-1 suite
 once with the verify command of ROADMAP.md (``TIER1``, with the same
@@ -89,6 +93,28 @@ print(json.dumps({{"simulate_Y_us": 1e6 * float(np.median(sim)),
                   "mle_us": 1e6 * float(np.median(est))}}))
 """
 
+# the default horizon ladder (T = 1, 5, 25, 125 at n = 128), cold and
+# then warm, in a child process; prints {"cold_s": ..., "warm_ms": ...,
+# "cache_info": ...}
+LADDER_CALLS = 20
+_LADDER = f"""
+import json, time
+import numpy as np
+from mixedfbm import harness
+from mixedfbm.model import HurstPair, ModelParams
+config = harness.ExperimentConfig(params=ModelParams(hurst=HurstPair(0.6, 0.9)))
+t0 = time.perf_counter()
+harness.run_asymptotics(config)
+cold = time.perf_counter() - t0
+warm = []
+for _ in range({LADDER_CALLS}):
+    t0 = time.perf_counter()
+    harness.run_asymptotics(config)
+    warm.append(time.perf_counter() - t0)
+print(json.dumps({{"cold_s": cold, "warm_ms": 1e3 * float(np.median(warm)),
+                  "cache_info": harness._operator.cache_info()._asdict()}}))
+"""
+
 # ROADMAP.md's Tier-1 verify command, run from the checkout's root
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
@@ -161,6 +187,13 @@ def _per_path(env) -> dict:
             "grid_n": 128}
 
 
+def _ladder(env) -> dict:
+    """Cold and warm times of the default horizon ladder, from the
+    checkout's ``src``."""
+    line = _run(["-c", _LADDER], {**env, "PYTHONPATH": str(ROOT / "src")})
+    return {**json.loads(line), "calls": LADDER_CALLS, "grid_n": 128}
+
+
 def _git(*argv) -> str:
     return subprocess.run(["git", *argv], cwd=ROOT, capture_output=True,
                           text=True, check=True).stdout.strip()
@@ -198,6 +231,7 @@ def main(argv) -> int:
             print(f"{workload} seed {seed} trace {trace}: done", flush=True)
     reference = _run(["perfbench/reference.py"], env).splitlines()
     per_path = _per_path(env)
+    ladder = _ladder(env)
     cli_runs = _cli_runs(env)
     tier1 = _tier1(env)
     print(f"tier-1: {tier1['passed']} passed, {tier1['failed']} failed",
@@ -220,6 +254,7 @@ def main(argv) -> int:
         "runs": runs,
         "reference": reference,
         "per_path": per_path,
+        "ladder": ladder,
         "cli_runs": cli_runs,
         "tier1": tier1,
     }

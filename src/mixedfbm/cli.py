@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -293,9 +294,10 @@ def _cmd_estimate(s: _Settings) -> int:
         hurst=HurstPair(side["h1"], side["h2"]), sigma=side["sigma"],
         horizon_T=side["T"]))
     # sigma enters the solve only through the coupling, so constants
-    # whose coupling differs from the solve's would give a wrong estimate
+    # whose coupling differs from the solve's would give a wrong estimate;
+    # isclose is False for a NaN or infinite lambda
     lam = cons.lambda_of_T(side["T"])
-    if abs(lam - side["lambda"]) > 1e-12 * abs(side["lambda"]):
+    if not math.isclose(lam, side["lambda"], rel_tol=1e-12):
         raise DomainError(
             f"{side_path}: the coupling {lam:.6g} of its h1, h2, sigma and "
             f"T is not the solve's lambda {side['lambda']:.6g}; rerun solve")

@@ -34,9 +34,7 @@ kept on it.  The first solve builds it (``DiscretizedOperator.audit_plan``,
 kernel integrals of the solution's spline at the probes as a linear map
 of its knot values and knot second derivatives (``_spline_map``).  Each
 horizon's audit, and each ``residual_report``, is then a few
-matrix-vector products and one evaluation of the spline.  The arrays of
-a grid, an operator and its audit plan are read-only, since one operator
-may serve every solve on its Hurst pair and grid (``harness._operator``).
+matrix-vector products and one evaluation of the spline.
 
 Each solution owns one filter h_T (``FredholmSolution.filter``), built
 from that spline on first read and evaluated afresh on every call.  The
@@ -92,13 +90,6 @@ _CHUNK_POINTS = 16
 _EXT_OFFSETS = (0.17, 0.52, 0.86)
 _EVAL_OFFSETS = (0.06, 0.135, 0.22, 0.30, 0.38, 0.46,
                  0.56, 0.64, 0.72, 0.80, 0.90, 0.965)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """``a`` itself, made read-only: grids, operators and audit plans are
-    shared by every solve on them (``harness`` keeps operators)."""
-    a.flags.writeable = False
-    return a
 
 
 # ----------------------------------------------------------------------
@@ -197,10 +188,8 @@ def build_grid(n: int, grading_exponent: float = 2.0) -> QuadratureGrid:
     weights = weights / weights.sum()
     edges = _graded_map(xe, g)
     edges[0], edges[-1] = 0.0, 1.0
-    return QuadratureGrid(n=n, grading_exponent=g, nodes=_read_only(nodes),
-                          weights=_read_only(weights),
-                          cell_edges=_read_only(edges),
-                          x_nodes=_read_only(x_nodes))
+    return QuadratureGrid(n=n, grading_exponent=g, nodes=nodes,
+                          weights=weights, cell_edges=edges, x_nodes=x_nodes)
 
 
 # ----------------------------------------------------------------------
@@ -213,16 +202,17 @@ def _lagrange_basis(cell_nodes: np.ndarray, s: np.ndarray) -> np.ndarray:
     cell_nodes has shape (4,), or (4, ...) broadcasting against s for
     one cell per point.
     """
+    # each difference s - node is formed once and serves three products
+    diff = [s - cell_nodes[k] for k in range(_CELL_ORDER)]
     out = np.empty((_CELL_ORDER,) + s.shape)
     for i in range(_CELL_ORDER):
-        num = np.ones_like(s)
+        k0, k1, k2 = (k for k in range(_CELL_ORDER) if k != i)
         den = 1.0
-        for k in range(_CELL_ORDER):
-            if k == i:
-                continue
-            num *= s - cell_nodes[k]
+        for k in (k0, k1, k2):
             den *= cell_nodes[i] - cell_nodes[k]
-        out[i] = num / den
+        np.multiply(diff[k0], diff[k1], out=out[i])
+        out[i] *= diff[k2]
+        out[i] /= den
     return out
 
 
@@ -412,7 +402,7 @@ def assemble(ctx: KernelContext, grid: QuadratureGrid) -> DiscretizedOperator:
     matrix = _quadrature_rows(tables, grid, grid.nodes)
     if not np.all(np.isfinite(matrix)):
         raise AccuracyError("assembled operator contains non-finite entries")
-    return DiscretizedOperator(matrix=_read_only(matrix), grid=grid,
+    return DiscretizedOperator(matrix=matrix, grid=grid,
                                h1=hurst.h1, h2=hurst.h2, tables=tables)
 
 
@@ -559,14 +549,16 @@ def _spline_map(knots: np.ndarray, x: np.ndarray,
     h = np.diff(knots)
     t = x.ravel() - np.repeat(np.tile(knots[:-1], rows), counts)
     t *= np.repeat(np.tile(1.0 / h, rows), counts)
-    # w t^k in row k; the zero column closes the last interval
-    powers = np.zeros((4, t.size + 1))
-    powers[0, :-1] = w.ravel()
-    for k in (1, 2, 3):
-        np.multiply(powers[k - 1, :-1], t, out=powers[k, :-1])
-    # reduceat returns an entry, not 0, for an empty interval
-    s0, s1, s2, s3 = (np.add.reduceat(powers, starts, axis=1)
-                      * (counts > 0)).reshape(4, rows, m - 1)
+    # w t^k for k = 0..3 in turn, in one buffer (so the working set stays
+    # in cache) whose zero entry closes the last interval; reduceat
+    # returns an entry, not 0, for an empty interval
+    term = np.append(w.ravel(), 0.0)
+    sums = []
+    for k in range(4):
+        if k:
+            term[:-1] *= t
+        sums.append(np.add.reduceat(term, starts) * (counts > 0))
+    s0, s1, s2, s3 = (v.reshape(rows, m - 1) for v in sums)
     c = h * h / 6.0
     out = np.zeros((rows, 2, m))
     out[:, 0, :-1] = s0 - s1
@@ -626,9 +618,11 @@ def _build_audit_plan(tables: KernelTables,
     knots = xs[order]
     probe_x = _offsets_in_cells(grid, _EVAL_OFFSETS)
     probe_u = _graded_map(probe_x, g)
-    return _AuditPlan(*map(_read_only, (
-        ext_u, _quadrature_rows(tables, grid, ext_u), knots, order, probe_x,
-        probe_u, _spline_integrals(tables, grid, knots, probe_u))))
+    return _AuditPlan(
+        ext_u=ext_u,
+        ext_rows=_quadrature_rows(tables, grid, ext_u),
+        knots=knots, order=order, probe_x=probe_x, probe_u=probe_u,
+        probe_integrals=_spline_integrals(tables, grid, knots, probe_u))
 
 
 class _KnotSpline(CubicSpline):

@@ -5,16 +5,6 @@ replicate observations and estimates each one; run_asymptotics never
 simulates, since the estimator is Gaussian with variance 1/(d^2 <N>(T))
 known exactly from the solver, and tabulates that variance across
 horizons.  Both produce the same report type and share the exporters.
-
-After scale reduction the discretized operator depends on the Hurst pair
-and the grid size only (sigma and T enter through the coupling and the
-right-hand side), so both routes take it, with the residual-audit plan
-its first solve builds, from one bounded process-wide memo keyed on
-(HurstPair, grid_n), ``_operator``.  A sigma sweep, or run_mc and
-run_asymptotics on one configuration, share one operator, and a warm
-horizon ladder costs one LU and one residual scan per horizon.  Each
-solution's ``operator`` is shared with every other solve on its pair and
-grid, and its arrays are read-only.
 """
 
 from __future__ import annotations
@@ -24,7 +14,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +21,10 @@ import numpy as np
 from .closed_form import asymptotic_variance
 from .errors import AccuracyError, AccuracyWarning, DomainError
 from .estimator import mle, predicted_variances
-from .fredholm import (DiscretizedOperator, assemble, build_grid,
-                       solve_second_kind)
+from .fredholm import assemble, build_grid, solve_second_kind
 from .gaussian_sim import simulate_Y
 from .kernels import KernelContext
-from .model import DerivedConstants, HurstPair, ModelParams, derive_constants
+from .model import DerivedConstants, ModelParams, derive_constants
 
 __all__ = [
     "ExperimentConfig",
@@ -146,18 +134,6 @@ def _scaled_limit(constants: DerivedConstants) -> float:
     return asymptotic_variance(constants) / constants.delta_paper**2
 
 
-# each entry is the n^2-float matrix and its 11.25 n^2-float audit plan,
-# 1.6 MB at n = 128 and 25.7 MB at n = 512; two entries hold one
-# (pair, n) at a time plus an (n, 2n) convergence pair
-@lru_cache(maxsize=2)
-def _operator(hurst: HurstPair, grid_n: int) -> DiscretizedOperator:
-    """The assembled operator of every solve on this pair and grid size."""
-    # assemble is looked up at call time, so a wrapper put on this
-    # module's assemble sees every cold build
-    ctx = KernelContext(constants=derive_constants(ModelParams(hurst=hurst)))
-    return assemble(ctx, build_grid(grid_n))
-
-
 def _solve_horizons(config: ExperimentConfig, constants: DerivedConstants,
                     on_failure: str):
     """Solve once per horizon; returns (solutions, details) in T order.
@@ -166,7 +142,8 @@ def _solve_horizons(config: ExperimentConfig, constants: DerivedConstants,
     warns on an AccuracyError (IllConditionedError included) and returns
     the partial table.  Any other exception propagates.
     """
-    op = _operator(constants.hurst, config.grid_n)
+    op = assemble(KernelContext(constants=constants),
+                  build_grid(config.grid_n))
     exponent = 2.0 - 2.0 * constants.hurst.h2
     sols, details = [], []
     for T in config.t_sequence:

@@ -55,6 +55,10 @@ DIAG_RTOL = 1e-8
 
 _PROFILE_XMIN = 1e-12
 _PROFILE_PER_SIDE = 1500
+# points per block of a profile evaluation: its few work arrays stay at
+# 64 kB, in cache and in the allocator's heap (larger ones can be mapped
+# and faulted in afresh on each call)
+_EVAL_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -184,23 +188,65 @@ class _EdgeSpline:
     (Holder) corrections at the endpoints interpolate with uniform
     relative accuracy in these coordinates.  Evaluation clamps beyond
     the sampled range, matching profiles with finite endpoint limits.
+
+    Both charts are scipy CubicSplines on the same breakpoints, which
+    are uniform to rounding, and the spline evaluates them itself: a
+    point's interval is its scaled distance from the first breakpoint,
+    corrected by one comparison each way, where CubicSpline searches for
+    it (several times slower on the scattered points of the solver's
+    batches).  The cubic is then summed as CubicSpline sums it, so the
+    values are CubicSpline's, bit for bit.  Points go in blocks of
+    ``_EVAL_BLOCK``, each worked on in place.
     """
 
     def __init__(self, sample_fn):
         grid = np.geomspace(_PROFILE_XMIN, 0.5, _PROFILE_PER_SIDE)
-        self._left = CubicSpline(np.log(grid), sample_fn(grid))
-        self._right = CubicSpline(np.log(grid), sample_fn(1.0 - grid))
+        breaks = np.log(grid)
+        self._left = CubicSpline(breaks, sample_fn(grid))
+        self._right = CubicSpline(breaks, sample_fn(1.0 - grid))
+        self._breaks = breaks
+        self._per_break = (breaks.size - 1) / (breaks[-1] - breaks[0])
+        # powers 3..0 of both charts side by side, the right chart's
+        # interval i in column i + breaks.size - 1
+        self._coef = np.hstack([self._left.c, self._right.c])
 
     def __call__(self, x):
         xa = np.atleast_1d(np.asarray(x, dtype=float))
-        xa = np.clip(xa, _PROFILE_XMIN, 1.0 - _PROFILE_XMIN)
-        out = np.empty_like(xa)
-        left = xa <= 0.5
-        if left.any():
-            out[left] = self._left(np.log(xa[left]))
-        if (~left).any():
-            out[~left] = self._right(np.log(1.0 - xa[~left]))
-        return out if np.ndim(x) else float(out[0])
+        flat = xa.ravel()
+        out = np.empty(flat.size)
+        for b0 in range(0, flat.size, _EVAL_BLOCK):
+            block = slice(b0, b0 + _EVAL_BLOCK)
+            self._evaluate(flat[block], out[block])
+        return out.reshape(xa.shape) if np.ndim(x) else float(out[0])
+
+    def _evaluate(self, x, out) -> None:
+        """The spline at the points x, written into out."""
+        y = np.clip(x, _PROFILE_XMIN, 1.0 - _PROFILE_XMIN)
+        right = y > 0.5
+        np.subtract(1.0, y, out=y, where=right)
+        np.log(y, out=y)
+        breaks = self._breaks
+        s = y - breaks[0]
+        s *= self._per_break
+        with np.errstate(invalid="ignore"):  # NaN in, NaN out
+            i = s.astype(np.intp)
+        # the scaled distance is within one interval of the point's;
+        # below the first breakpoint the first cubic continues
+        np.clip(i, 1, breaks.size - 3, out=i)
+        # every index is in range, so no take needs its bounds check
+        take = partial(np.ndarray.take, mode="clip")
+        i -= y < take(breaks, i, out=s)
+        i += y >= take(breaks[1:], i, out=s)
+        np.subtract(y, take(breaks, i, out=s), out=s)
+        np.add(i, breaks.size - 1, out=i, where=right)
+        # the sum c3 + c2 s + c1 s^2 + c0 s^3, term by term; y is free
+        c0, c1, c2, c3 = self._coef
+        term, s2 = y, s * s
+        take(c3, i, out=out)
+        out += np.multiply(take(c2, i, out=term), s, out=term)
+        out += np.multiply(take(c1, i, out=term), s2, out=term)
+        s2 *= s
+        out += np.multiply(take(c0, i, out=term), s2, out=term)
 
 
 def _euler_integral(x, p: float, b: float, q: float):

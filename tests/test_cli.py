@@ -4,6 +4,7 @@ main() is driven in-process; every invocation writes inside tmp_path.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -324,11 +325,13 @@ _SIDECAR = {"h1": 0.6, "h2": 0.9, "sigma": 1.0, "T": 1.0,
         {**_SIDECAR, "qv_N": 0.0},
         {k: v for k, v in _SIDECAR.items() if k != "lambda"},
         {**_SIDECAR, "sigma": 1.7},
+        {**_SIDECAR, "lambda": math.nan},
+        {**_SIDECAR, "lambda": math.inf},
     ],
     ids=["missing-qv", "not-json", "not-an-object", "knots-unequal-lengths",
          "knots-not-increasing", "knots-without-y", "knots-not-an-object",
          "grading-string", "grading-below-one", "qv-negative", "qv-zero",
-         "lambda-missing", "sigma-edited"],
+         "lambda-missing", "sigma-edited", "lambda-nan", "lambda-inf"],
 )
 def test_malformed_sidecar_exit_2(tmp_path, capsys, sidecar):
     t = np.linspace(0.0, 1.0, 129)

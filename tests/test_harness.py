@@ -272,81 +272,6 @@ def test_mc_estimates_match_per_path_mle(monkeypatch):
     assert report.mean_hat == pytest.approx(float(est.mean()), rel=1e-15)
 
 
-# ------------------------------------------------------------ operator memo
-
-@pytest.fixture
-def cold():
-    """An empty operator memo, so hit and miss counts start at zero."""
-    hz._operator.cache_clear()
-
-
-def _ladder_config(sigma=1.0, t_sequence=(1.0, 5.0, 25.0)):
-    return ExperimentConfig(
-        params=ModelParams(hurst=HurstPair(0.6, 0.9), sigma=sigma),
-        grid_n=64, path_points=128, replicates=2, t_sequence=t_sequence)
-
-
-def _solutions(cfg):
-    sols, _ = hz._solve_horizons(cfg, derive_constants(cfg.params),
-                                 on_failure="raise")
-    return sols
-
-
-def test_sigma_and_horizons_share_one_operator(cold):
-    # the operator depends on the Hurst pair and grid only: sigma and
-    # the horizons enter through the coupling and the right-hand side
-    sols = _solutions(_ladder_config())
-    sols += _solutions(_ladder_config(sigma=1.7, t_sequence=(2.0, 10.0, 50.0)))
-    assert len(sols) == 6
-    assert all(sol.operator is sols[0].operator for sol in sols)
-    assert sols[3].lam != sols[0].lam
-    run_mc(_ladder_config(sigma=1.7))
-    run_asymptotics(_ladder_config())
-    info = hz._operator.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
-
-
-def test_another_grid_or_pair_misses_and_the_memo_stays_bounded(cold):
-    pair, other = HurstPair(0.6, 0.9), HurstPair(0.6, 0.95)
-    base = hz._operator(pair, 32)
-    assert hz._operator(pair, 32) is base
-    assert hz._operator(pair, 64) is not base
-    assert hz._operator(other, 32) is not base
-    info = hz._operator.cache_info()
-    assert (info.misses, info.hits) == (3, 1)
-    assert info.currsize == info.maxsize == 2
-    # the least recently used key was dropped and is built afresh
-    assert hz._operator(pair, 32) is not base
-    assert hz._operator.cache_info().currsize == 2
-
-
-def test_warm_operator_is_read_only(cold):
-    cfg = _ladder_config()
-    _solutions(cfg)
-    op = _solutions(cfg)[0].operator
-    assert hz._operator.cache_info().hits == 1
-    for array in (op.matrix, op.grid.nodes, op.audit_plan.ext_rows,
-                  op.audit_plan.probe_integrals):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0.0
-
-
-def test_warm_asymptotics_report_equals_cold(cold):
-    cfg = _ladder_config()
-    first = run_asymptotics(cfg)
-    again = run_asymptotics(cfg)
-    info = hz._operator.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    assert again == first
-
-
-def test_inadmissible_pair_leaves_no_memo_entry(cold):
-    with pytest.raises(DomainError, match="1/4"):
-        hz._operator(HurstPair(0.6, 0.8), 64)
-    info = hz._operator.cache_info()
-    assert (info.misses, info.currsize) == (1, 0)
-
-
 def test_report_finiteness_guard(rep_tiny):
     with pytest.raises(AccuracyError, match="finite"):
         MCReport(theta_true=0.0, mean_hat=math.nan, se_mean=0.0, var_hat=0.0,

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from mixedfbm import fredholm
+from mixedfbm import fredholm, kernels
 from mixedfbm.errors import DomainError
 from mixedfbm.estimator import mle
 from mixedfbm.gaussian_sim import SamplePath
@@ -197,6 +197,57 @@ class TestProfileTables:
         G = np.asarray(tables.k1(s[:, None], s[None, :]))
         eig = np.linalg.eigvalsh(0.5 * (G + G.T))
         assert eig.min() >= -1e-10 * np.trace(G)
+
+
+class TestProfileEvaluation:
+    """The profiles' own evaluation against the CubicSplines they hold."""
+
+    def _charts(self, spl, x):
+        # CubicSpline's own evaluation of each chart, as the tables once
+        # evaluated their profiles
+        xa = np.clip(x, kernels._PROFILE_XMIN, 1.0 - kernels._PROFILE_XMIN)
+        left = xa <= 0.5
+        out = np.empty_like(xa)
+        out[left] = spl._left(np.log(xa[left]))
+        out[~left] = spl._right(np.log(1.0 - xa[~left]))
+        return out
+
+    def test_breaks_guess_within_one_interval(self, tables):
+        # the scaled distance of breakpoint k from the first lies in
+        # interval k - 1 or k, so one comparison each way finds every
+        # point's interval
+        breaks = tables.c._breaks
+        guess = ((breaks - breaks[0]) * tables.c._per_break).astype(int)
+        assert set(guess - np.arange(breaks.size)) <= {-1, 0}
+
+    @pytest.mark.parametrize("name", ["c", "rho", "psi_d", "m"])
+    def test_bit_for_bit_cubic_spline(self, tables, name):
+        spl = getattr(tables, name)
+        rng = np.random.default_rng(7)
+        grid = np.geomspace(kernels._PROFILE_XMIN, 0.5,
+                            kernels._PROFILE_PER_SIDE)
+        edges = [0.0, 1.0, -1.0, 2.0, 1e-300, 1e-12, 1.0 - 1e-12, 0.5,
+                 np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)]
+        x = np.concatenate([rng.uniform(0.0, 1.0, 50_000),
+                            np.geomspace(1e-14, 0.5, 20_000),
+                            1.0 - np.geomspace(1e-14, 0.5, 20_000),
+                            grid, 1.0 - grid, np.nextafter(grid, 0.0),
+                            np.nextafter(grid, 1.0), edges])
+        assert x.size > kernels._EVAL_BLOCK
+        got = spl(x)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        assert np.array_equal(got.view(np.int64), self._charts(spl, x).view(np.int64))
+
+    def test_shapes_scalars_and_nan(self, tables):
+        spl = tables.c
+        x = np.linspace(0.01, 0.99, 24).reshape(4, 6)
+        assert np.array_equal(spl(x), self._charts(spl, x.ravel()).reshape(4, 6))
+        assert np.array_equal(spl(x.T), spl(x).T)
+        assert isinstance(spl(0.3), float)
+        assert spl(0.3) == spl(np.array([0.3]))[0]
+        assert spl(np.empty(0)).shape == (0,)
+        with np.errstate(invalid="raise"):
+            assert np.isnan(spl(np.array([0.2, np.nan])))[1]
 
 
 class TestCovariance:

@@ -11,10 +11,10 @@ Monte Carlo replicate's two calls (``per_path``: the median
 microseconds per ``simulate_Y`` and per ``mle`` over ``PER_PATH_CALLS``
 single-path calls on the warm default grid, 512 points at T = 1 with an
 n = 128 solve, in a fresh process), then times the default horizon
-ladder (``ladder``: one cold ``run_asymptotics``, which builds the kernel
-tables, the operator and its audit plan, then the median of
-``LADDER_CALLS`` warm calls on the harness's memoized operator, and the
-memo's ``cache_info``, in a fresh process), then times the command-line runs
+ladder (``ladder``: one cold ``run_asymptotics``, which also builds the
+kernel tables, then the median of ``LADDER_CALLS`` calls on the warm
+tables, each assembling its operator and building its audit plan, in a
+fresh process), then times the command-line runs
 users start (``CLI_RUNS``), each twice in a fresh process inside a
 temporary directory, and last runs the Tier-1 suite
 once with the verify command of ROADMAP.md (``TIER1``, with the same
@@ -93,9 +93,9 @@ print(json.dumps({{"simulate_Y_us": 1e6 * float(np.median(sim)),
                   "mle_us": 1e6 * float(np.median(est))}}))
 """
 
-# the default horizon ladder (T = 1, 5, 25, 125 at n = 128), cold and
-# then warm, in a child process; prints {"cold_s": ..., "warm_ms": ...,
-# "cache_info": ...}
+# the default horizon ladder (T = 1, 5, 25, 125 at n = 128), with cold
+# and then warm kernel tables, in a child process; prints
+# {"cold_s": ..., "warm_ms": ...}
 LADDER_CALLS = 20
 _LADDER = f"""
 import json, time
@@ -111,8 +111,7 @@ for _ in range({LADDER_CALLS}):
     t0 = time.perf_counter()
     harness.run_asymptotics(config)
     warm.append(time.perf_counter() - t0)
-print(json.dumps({{"cold_s": cold, "warm_ms": 1e3 * float(np.median(warm)),
-                  "cache_info": harness._operator.cache_info()._asdict()}}))
+print(json.dumps({{"cold_s": cold, "warm_ms": 1e3 * float(np.median(warm))}}))
 """
 
 # ROADMAP.md's Tier-1 verify command, run from the checkout's root

@@ -221,7 +221,8 @@ class _EdgeSpline:
 
     def _evaluate(self, x, out) -> None:
         """The spline at the points x, written into out."""
-        y = np.clip(x, _PROFILE_XMIN, 1.0 - _PROFILE_XMIN)
+        y = np.maximum(x, _PROFILE_XMIN)
+        np.minimum(y, 1.0 - _PROFILE_XMIN, out=y)
         right = y > 0.5
         np.subtract(1.0, y, out=y, where=right)
         np.log(y, out=y)
@@ -232,7 +233,8 @@ class _EdgeSpline:
             i = s.astype(np.intp)
         # the scaled distance is within one interval of the point's;
         # below the first breakpoint the first cubic continues
-        np.clip(i, 1, breaks.size - 3, out=i)
+        np.maximum(i, 1, out=i)
+        np.minimum(i, breaks.size - 3, out=i)
         # every index is in range, so no take needs its bounds check
         take = partial(np.ndarray.take, mode="clip")
         i -= y < take(breaks, i, out=s)

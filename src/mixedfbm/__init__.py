@@ -10,7 +10,7 @@ from .closed_form import (
     h0_weighted_integral,
 )
 from .errors import AccuracyError, AccuracyWarning, DomainError, IllConditionedError
-from .estimator import EstimatorResult, mle, stochastic_integral_N
+from .estimator import EstimatorResult, mle
 from .gaussian_sim import (
     CovarianceModel,
     SamplePath,
@@ -27,6 +27,7 @@ from .fredholm import (
     FredholmSolution,
     QuadratureGrid,
     ResidualReport,
+    SolutionRecord,
     assemble,
     build_grid,
     filter_interpolant,
@@ -52,6 +53,7 @@ __all__ = [
     "DiscretizedOperator",
     "FredholmSolution",
     "ResidualReport",
+    "SolutionRecord",
     "build_grid",
     "assemble",
     "solve_second_kind",
@@ -67,7 +69,6 @@ __all__ = [
     "molchan_transform",
     "inverse_transform",
     "EstimatorResult",
-    "stochastic_integral_N",
     "mle",
     "ConstantChain",
     "constant_chain",

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -21,9 +20,8 @@ import numpy as np
 from . import __version__
 from .closed_form import asymptotic_variance, h0
 from .errors import AccuracyError, DomainError, IllConditionedError
-from .estimator import estimate_with_filter
-from .fredholm import (assemble, build_grid, filter_from_knots,
-                       solve_second_kind)
+from .estimator import mle
+from .fredholm import SolutionRecord, assemble, build_grid, solve_second_kind
 from .gaussian_sim import (SamplePath, inverse_transform, molchan_transform,
                            simulate_fbm, simulate_X, simulate_Y, simulate_Z)
 from .harness import (ExperimentConfig, _graded_times, decay_slope,
@@ -84,6 +82,11 @@ class _Settings:
                 if isinstance(value, bool) or not isinstance(value, kind):
                     raise DomainError(f"{args.config}: {name} must be {what}, "
                                       f"got {value!r}")
+
+    def given(self, name):
+        """The value set by flag or config file; None for a default."""
+        v = getattr(self.args, name, None)
+        return self.file_vals.get(name) if v is None else v
 
     def get(self, name, fallback=None):
         v = getattr(self.args, name, None)
@@ -180,22 +183,9 @@ def _cmd_solve(s: _Settings) -> int:
     out = Path(s.get("out") or "h.csv")
     _write_rows(out, ("node_u", "node_t", "h_hat", "h_T", "weight"),
                 zip(grid.nodes, node_t, sol.h_hat, h_T, grid.weights))
-    sidecar = {
-        "h1": cons.hurst.h1,
-        "h2": cons.hurst.h2,
-        "sigma": cons.sigma,
-        "theta": params.theta,
-        "T": T,
-        "grid_n": s.get("grid_n"),
-        "grading_exponent": grid.grading_exponent,
-        "lambda": sol.lam,
-        "qv_N": sol.qv_N,
-        "residual_sup": sol.residual_sup,
-        "condition": sol.condition,
-        "library_version": __version__,
-        "filter_knots": {"x": sol.spline.x.tolist(),
-                         "y": sol.spline.y.tolist()},
-    }
+    sidecar = {**sol.record.to_json(), "theta": params.theta,
+               "grid_n": s.get("grid_n"), "residual_sup": sol.residual_sup,
+               "condition": sol.condition, "library_version": __version__}
     side_path = out.with_suffix(".json")
     side_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     print(f"solved T={T} n={s.get('grid_n')}: residual_sup="
@@ -254,57 +244,27 @@ def _cmd_transform(s: _Settings) -> int:
     return 0
 
 
-def _read_sidecar(side_path: Path):
-    """The solver sidecar's fields and filter knots x, y, checked: any
-    malformed entry raises DomainError."""
-    try:
-        side = json.loads(side_path.read_text())
-    except ValueError as exc:
-        raise DomainError(f"{side_path}: not JSON: {exc}") from exc
-    if not isinstance(side, dict) or "filter_knots" not in side:
-        raise DomainError(f"{side_path} holds no filter knots; rerun solve")
-    for key in ("h1", "h2", "sigma", "T", "grading_exponent", "lambda",
-                "qv_N"):
-        value = side.get(key)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise DomainError(f"{side_path}: {key} must be a number, "
-                              f"got {value!r}")
-    if not 1.0 <= side["grading_exponent"] < np.inf:
-        raise DomainError(f"{side_path}: grading_exponent must be >= 1, "
-                          f"got {side['grading_exponent']}")
-    try:
-        x, y = (np.asarray(side["filter_knots"][k], float) for k in "xy")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"{side_path}: filter knots need number lists "
-                          f"x and y") from exc
-    if not (x.ndim == 1 and x.shape == y.shape and x.size >= 2
-            and np.isfinite(x).all() and np.isfinite(y).all()
-            and (np.diff(x) > 0.0).all()):
-        raise DomainError(f"{side_path}: filter knots need finite x and y "
-                          f"of one length, at least 2, x increasing")
-    return side, x, y
-
-
 def _cmd_estimate(s: _Settings) -> int:
     side_path = Path(s.args.h_file).with_suffix(".json")
     if not side_path.exists():
         raise DomainError(f"missing solver sidecar {side_path}")
-    side, x, y = _read_sidecar(side_path)
-    cons = derive_constants(ModelParams(
-        hurst=HurstPair(side["h1"], side["h2"]), sigma=side["sigma"],
-        horizon_T=side["T"]))
-    # sigma enters the solve only through the coupling, so constants
-    # whose coupling differs from the solve's would give a wrong estimate;
-    # isclose is False for a NaN or infinite lambda
-    lam = cons.lambda_of_T(side["T"])
-    if not math.isclose(lam, side["lambda"], rel_tol=1e-12):
-        raise DomainError(
-            f"{side_path}: the coupling {lam:.6g} of its h1, h2, sigma and "
-            f"T is not the solve's lambda {side['lambda']:.6g}; rerun solve")
-    h_T = filter_from_knots(x, y, side["T"], side["h1"],
-                            side["grading_exponent"])
+    try:
+        side = json.loads(side_path.read_text())
+    except ValueError as exc:
+        raise DomainError(f"{side_path}: not JSON: {exc}") from exc
+    record = SolutionRecord.from_json(side, str(side_path))
+    # the model is the solve's; a flag or config value that differs
+    # from it would otherwise be ignored silently
+    pair = record.constants.hurst
+    for name, solved in (("h1", pair.h1), ("h2", pair.h2),
+                         ("sigma", record.constants.sigma),
+                         ("t_horizon", record.horizon_T)):
+        given = s.given(name)
+        if given is not None and given != solved:
+            raise DomainError(f"{name}={given} is not the solve's {solved} "
+                              f"in {side_path}; rerun solve")
     path = _read_path_csv(s.args.path_file, "Y")
-    res = estimate_with_filter(h_T, side["T"], side["qv_N"], path, cons)
+    res = mle(record, path)
     result = {k: getattr(res, k) for k in (
         "theta_hat", "n_T", "qv_N", "variance_pred", "variance_pred_paper")}
     text = json.dumps(result, indent=2, sort_keys=True)

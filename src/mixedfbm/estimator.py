@@ -1,11 +1,13 @@
 """The score integral and the drift estimator.
 
 The score integral N is a Stieltjes sum of the solver weight against the
-observed path; its compensator is the quadratic variation ``qv_N`` that
-every solution of the solver module holds.  The estimator divides one
-by the other with a normalization fixed by requiring exact unbiasedness
-on mean paths; the printed alternative normalization is carried through
-every result so the two can be compared downstream.
+observed path; its compensator is the quadratic variation ``qv_N``.
+Both are read from one ``SolutionRecord``, a solution's own or one read
+back from a ``solve`` sidecar, which also carries the model constants.
+The estimator divides one by the other with a normalization fixed by
+requiring exact unbiasedness on mean paths; the printed alternative
+normalization is carried through every result so the two can be
+compared downstream.
 """
 
 from __future__ import annotations
@@ -18,15 +20,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import AccuracyWarning, DomainError
-from .fredholm import FredholmSolution, filter_interpolant
+from .fredholm import FredholmSolution, SolutionRecord, filter_interpolant
 from .gaussian_sim import SamplePath
 from .model import DerivedConstants
 
 __all__ = [
     "EstimatorResult",
-    "stochastic_integral_N",
     "mle",
-    "estimate_with_filter",
     "predicted_variances",
 ]
 
@@ -57,10 +57,8 @@ def _midpoint_weights(h_T: Callable[[np.ndarray], np.ndarray],
     other sample, the last one kept), read in one call, and whether the
     half grid appends the last sample: (fine, coarse, appended)."""
     if t.size < _MIN_GRID:
-        raise DomainError(
-            f"need at least {_MIN_GRID} sample points for the score integral, "
-            f"got {t.size}"
-        )
+        raise DomainError(f"need at least {_MIN_GRID} sample points for the "
+                          f"score integral, got {t.size}")
     tc = t[::2]
     appended = bool(tc[-1] != t[-1])
     if appended:
@@ -73,10 +71,13 @@ def _midpoint_weights(h_T: Callable[[np.ndarray], np.ndarray],
 
 def _score(weights: tuple, x: np.ndarray,
            scale_hint: float | None) -> float | np.ndarray:
-    """The midpoint sums of the weights of ``_midpoint_weights`` against
-    the increments of the path values x (one path, or one per column) on
-    the grid and its half; warns when they disagree (see
-    ``stochastic_integral_N``) and returns the fine sum."""
+    """Midpoint Stieltjes sums of the weights of ``_midpoint_weights``
+    against the increments of the path values x (one path, or one per
+    column) on the grid and on its half (every other sample).  When
+    ``scale_hint`` (the quadratic variation) is supplied and the two
+    sums disagree by more than 1% of its square root, the grid is
+    flagged as too coarse for the weight's variation.  Returns the fine
+    sum, a float or one per column."""
     fine, coarse, appended = weights
     xc = x[::2]
     if appended:
@@ -98,23 +99,6 @@ def _score(weights: tuple, x: np.ndarray,
     return val
 
 
-def stochastic_integral_N(
-    h_T: Callable[[np.ndarray], np.ndarray],
-    path: SamplePath,
-    scale_hint: float | None = None,
-) -> float | np.ndarray:
-    """Midpoint Stieltjes sum of the weight against path increments.
-
-    Also evaluates the same sum on the half-resolution grid (every other
-    sample); when ``scale_hint`` (the quadratic variation) is supplied
-    and the two disagree by more than 1% of its square root, the grid is
-    flagged as too coarse for the weight's variation.  The weight is
-    read once, at the fine and the coarse midpoints together.  Returns
-    a float, or one sum per column when the path holds columns.
-    """
-    return _score(_midpoint_weights(h_T, path.times), path.values, scale_hint)
-
-
 def predicted_variances(qv: float, constants: DerivedConstants) -> tuple:
     """(variance_pred, variance_pred_paper) for the information qv = <N>(T).
 
@@ -127,78 +111,50 @@ def predicted_variances(qv: float, constants: DerivedConstants) -> tuple:
 
 
 def mle(
-    sol: FredholmSolution, path: SamplePath, constants: DerivedConstants
+    sol: FredholmSolution | SolutionRecord, path: SamplePath,
+    constants: DerivedConstants | None = None,
 ) -> EstimatorResult:
     """Maximum-likelihood drift estimate from one observed path, or one
     per column.
 
-    The path must be the transformed observation on the solution's
-    horizon.  The normalization divides the model's drift_norm by sigma
-    once more: the quadratic variation scales with sigma^2 while the
-    mean of the score is sigma-free, and this is the unique choice that
-    keeps mean paths mapping to exactly theta for every sigma.  The
-    information is the solution's own ``qv_N``, so ``constants`` must be
-    those the solution was solved with: DomainError when their Hurst pair
-    differs from the solution's, or their coupling at its horizon differs
-    from ``sol.lam`` (sigma enters the solve only through the coupling).
-
-    The filter's values at the path grid's midpoints are kept on the
-    solution for the last grid read (``sol.midpoint_filter``), so every
-    further path on that grid costs its two sums; the checks that depend
+    ``sol`` is a solution or its ``SolutionRecord``, from which the
+    filter, the information ``qv_N`` and the model constants are read;
+    the path is the transformed observation on its horizon.  The
+    normalization divides drift_norm by sigma once more: the quadratic
+    variation scales with sigma^2 while the mean of the score is
+    sigma-free, so only this maps mean paths to exactly theta for every
+    sigma.  ``constants``, when given, are only checked: DomainError
+    when their Hurst pair, or coupling at the horizon, is not the
+    solve's.  The filter's values at the path grid's midpoints are kept
+    on the record for the last grid read (``midpoint_filter``), so a
+    further path on that grid costs two sums; the checks that depend
     only on the grid run when it is first read.
     """
-    pair, op = constants.hurst, sol.operator
-    lam = constants.lambda_of_T(sol.horizon_T)
-    if (abs(pair.h1 - op.h1) > 1e-12 or abs(pair.h2 - op.h2) > 1e-12
-            or abs(lam - sol.lam) > 1e-12 * abs(sol.lam)):
-        raise DomainError(
-            f"constants (h1={pair.h1}, h2={pair.h2}, coupling {lam:.6g} at "
-            f"T={sol.horizon_T}) are not those of the solution (h1={op.h1}, "
-            f"h2={op.h2}, coupling {sol.lam:.6g})")
+    rec = sol.record if isinstance(sol, FredholmSolution) else sol
+    if constants is not None and constants is not rec.constants:
+        pair, own = constants.hurst, rec.constants.hurst
+        lam = constants.lambda_of_T(rec.horizon_T)
+        if (abs(pair.h1 - own.h1) > 1e-12 or abs(pair.h2 - own.h2) > 1e-12
+                or abs(lam - rec.lam) > 1e-12 * abs(rec.lam)):
+            raise DomainError(
+                f"constants (h1={pair.h1}, h2={pair.h2}, coupling {lam:.6g} "
+                f"at T={rec.horizon_T}) are not those of the solution "
+                f"(h1={own.h1}, h2={own.h2}, coupling {rec.lam:.6g})")
     key = path.times.tobytes()
-    entry = sol.midpoint_filter
+    entry = rec.midpoint_filter
     if entry is None or entry[0] != key:
-        _check_qv_and_horizon(sol.horizon_T, sol.qv_N, path)
+        T = rec.horizon_T
+        if abs(path.times[-1] - T) > 1e-12 * max(T, 1.0):
+            raise DomainError(f"path horizon {path.times[-1]} does not "
+                              f"match solution horizon {T}")
         # looked up at call time, so a wrapper put on this module's
         # filter_interpolant sees every build
-        weights = _midpoint_weights(filter_interpolant(sol), path.times)
+        weights = _midpoint_weights(filter_interpolant(rec), path.times)
         for values in weights[:2]:
             values.flags.writeable = False
         entry = (key, weights)
-        object.__setattr__(sol, "midpoint_filter", entry)
-    return _result(_score(entry[1], path.values, sol.qv_N), sol.qv_N,
-                   constants)
-
-
-def _check_qv_and_horizon(T: float, qv: float, path: SamplePath) -> None:
-    if not (np.isfinite(qv) and qv > 0.0):
-        raise DomainError(
-            f"information <N>(T) must be positive and finite, got {qv}")
-    if abs(path.times[-1] - T) > 1e-12 * max(T, 1.0):
-        raise DomainError(
-            f"path horizon {path.times[-1]} does not match solution horizon {T}"
-        )
-
-
-def _result(n_val, qv: float, constants: DerivedConstants) -> EstimatorResult:
-    d_eff = constants.drift_norm / constants.sigma
-    variance_pred, variance_pred_paper = predicted_variances(qv, constants)
-    return EstimatorResult(
-        theta_hat=n_val / (d_eff * qv),
-        n_T=n_val,
-        qv_N=qv,
-        variance_pred=variance_pred,
-        variance_pred_paper=variance_pred_paper,
-    )
-
-
-def estimate_with_filter(
-    h_T: Callable[[np.ndarray], np.ndarray], T: float, qv: float,
-    path: SamplePath, constants: DerivedConstants,
-) -> EstimatorResult:
-    """The estimate of ``mle`` from a filter h_T on (0, T] and its
-    information qv, e.g. a filter rebuilt by ``filter_from_knots``.
-    Raises DomainError unless qv is positive and finite."""
-    _check_qv_and_horizon(T, qv, path)
-    return _result(stochastic_integral_N(h_T, path, scale_hint=qv), qv,
-                   constants)
+        object.__setattr__(rec, "midpoint_filter", entry)
+    qv, cons = rec.qv_N, rec.constants
+    n_val = _score(entry[1], path.values, qv)
+    return EstimatorResult(n_val / (cons.drift_norm / cons.sigma * qv), n_val,
+                           qv, *predicted_variances(qv, cons))

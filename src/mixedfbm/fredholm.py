@@ -36,16 +36,18 @@ of its knot values and knot second derivatives (``_spline_map``).  Each
 horizon's audit, and each ``residual_report``, is then a few
 matrix-vector products and one evaluation of the spline.
 
-Each solution owns one filter h_T (``FredholmSolution.filter``), built
-from that spline on first read and evaluated afresh on every call.  The
-solution also keeps the filter's values at the midpoints of the last
-path grid an estimate read (``FredholmSolution.midpoint_filter``, set by
-``estimator.mle``), so estimates from many paths on one grid evaluate
-the spline once.
+What an estimate reads of a solution is one record,
+``FredholmSolution.record`` (``SolutionRecord``); the ``solve`` sidecar
+is that record written out and read back.  The record owns the filter
+h_T (``filter``), built from the spline on first read, and keeps its
+values at the midpoints of the last path grid an estimate read
+(``midpoint_filter``, set by ``estimator.mle``), so estimates from many
+paths on one grid evaluate the spline once.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -57,20 +59,20 @@ from scipy.interpolate import CubicSpline
 from .errors import AccuracyError, AccuracyWarning, DomainError, IllConditionedError
 from .kernels import (KernelContext, KernelTables, get_tables,
                       _ladder_panels, _ladder_rule_one)
-from .model import DerivedConstants
+from .model import DerivedConstants, HurstPair, ModelParams, derive_constants
 from .numerics import jacobi_panels, solve_dense
 
 __all__ = [
     "QuadratureGrid",
     "DiscretizedOperator",
     "FredholmSolution",
+    "SolutionRecord",
     "ResidualReport",
     "build_grid",
     "assemble",
     "solve_second_kind",
     "residual_report",
     "filter_interpolant",
-    "filter_from_knots",
 ]
 
 _CELL_ORDER = 4     # Gauss nodes per mesh cell
@@ -432,18 +434,18 @@ class FredholmSolution:
         1-norm condition estimate of I + lam * matrix.
     operator : DiscretizedOperator
         The operator the solve used; kept for Nystrom interpolation.
-    spline : CubicSpline
+    spline : _KnotSpline
         The residual audit's reconstruction of the solution (see
         ``_extended_spline``), with knots ``spline.x`` and values
         ``spline.y``; the filter of ``filter_interpolant``.
     worst_u : float
         The probe point in (0, 1) where ``residual_sup`` is attained.
+    constants : DerivedConstants
+        The constants the solve was given.
 
-    The solution owns one filter, ``filter``, built from ``spline`` on
-    first read.  ``midpoint_filter`` holds that filter's values at the
-    fine and coarse midpoints of the last path grid ``estimator.mle``
-    read, as (grid bytes, read-only values); None before the first
-    estimate.  It is one entry, replaced on a change of grid.
+    ``record``, built on first read, is what an estimate reads of the
+    solution; ``filter`` is its filter.  A solve at an overridden
+    coupling has neither: both raise DomainError.
     """
 
     grid: QuadratureGrid
@@ -454,16 +456,21 @@ class FredholmSolution:
     qv_N: float
     condition: float
     operator: DiscretizedOperator = field(repr=False)
-    spline: CubicSpline = field(repr=False)
+    spline: _KnotSpline = field(repr=False)
     worst_u: float
-    midpoint_filter: Optional[tuple] = field(default=None, init=False,
-                                             repr=False, compare=False)
+    constants: DerivedConstants = field(repr=False)
 
     @cached_property
+    def record(self) -> SolutionRecord:
+        """The ``SolutionRecord`` of this solve."""
+        return SolutionRecord(self.constants, self.horizon_T,
+                              self.grid.grading_exponent, self.spline,
+                              self.lam, self.qv_N)
+
+    @property
     def filter(self) -> Callable:
         """The filter h_T on (0, T] that ``filter_interpolant`` returns."""
-        return _spline_filter(self.spline, self.horizon_T, self.operator.h1,
-                              self.grid.grading_exponent)
+        return self.record.filter
 
 
 class ResidualReport(NamedTuple):
@@ -737,7 +744,8 @@ def solve_second_kind(op: DiscretizedOperator, T: float,
     return FredholmSolution(grid=op.grid, h_hat=h_hat, horizon_T=float(T),
                             lam=lam, residual_sup=report.reconstruction_sup,
                             qv_N=qv, condition=float(cond), operator=op,
-                            spline=spline, worst_u=report.worst_u)
+                            spline=spline, worst_u=report.worst_u,
+                            constants=constants)
 
 
 def residual_report(sol: FredholmSolution) -> ResidualReport:
@@ -774,34 +782,108 @@ def _on_horizon(T: float, values: Callable) -> Callable:
     return h_T
 
 
-def filter_interpolant(sol: FredholmSolution) -> Callable:
-    """Spline-backed filter h_T for bulk evaluation.
-
-    Wraps the solution's extended spline (nodal plus fresh Nystrom
-    samples between nodes, built once by the solve) and evaluates in
-    microseconds per point, where the Nystrom extension prices a full
-    quadrature row per point.  Agrees with that extension to spline
-    interpolation error, far below the solver residual.  Domain (0, T].
-    Returns the solution's own filter, ``sol.filter``: every call gives
-    the same object.  It keeps no values; ``estimator.mle`` keeps those
-    of the last path grid on the solution (``midpoint_filter``).
-    """
+def filter_interpolant(sol: FredholmSolution | SolutionRecord) -> Callable:
+    """Spline-backed filter h_T on (0, T] of a solution or its record:
+    the record's own ``filter``, the same object on every call.  It
+    agrees with the Nystrom extension to spline interpolation error, far
+    below the solver residual, at microseconds per point."""
     return sol.filter
 
 
-def filter_from_knots(x, y, horizon_T: float, h1: float,
-                      grading_exponent: float) -> Callable:
-    """The filter of ``filter_interpolant`` rebuilt, bit for bit, from
-    the knots ``sol.spline.x``, ``sol.spline.y`` of its solution."""
-    return _spline_filter(CubicSpline(x, y), float(horizon_T), h1,
-                          grading_exponent)
+_KNOT_RULE = ("filter knots need finite number lists x and y of one "
+              "length, at least 2, x increasing")
 
 
-def _spline_filter(spline: CubicSpline, T: float, h1: float,
-                   g: float) -> Callable:
-    # h_T(t) = T^(H1 - 1/2) * spline(x), x the mesh pre-image of t/T
-    scale = T ** (h1 - 0.5)
-    return _on_horizon(T, lambda t, u: scale * spline(_graded_map_inv(u, g)))
+@dataclass(frozen=True)
+class SolutionRecord:
+    """What an estimate reads of one solve, and the ``solve`` sidecar:
+    the model's ``constants``, ``horizon_T``, the mesh's
+    ``grading_exponent``, the solution's ``spline`` (its knots give the
+    filter h_T, ``filter``, built on first read), the coupling ``lam``
+    and the information ``qv_N``.  DomainError for a scalar that is not
+    a number, a grading exponent below 1, a ``qv_N`` not positive and
+    finite, knot values not one per knot (the spline itself requires
+    finite, increasing knots), or a ``lam`` that is not
+    ``constants.lambda_of_T(horizon_T)`` to 1e-12 relative: sigma enters
+    the solve only through the coupling.  ``midpoint_filter`` holds the
+    filter's values at the fine and coarse midpoints of the last path
+    grid ``estimator.mle`` read, as (grid bytes, read-only values).
+    """
+
+    constants: DerivedConstants
+    horizon_T: float
+    grading_exponent: float
+    spline: _KnotSpline = field(repr=False)
+    lam: float
+    qv_N: float
+    midpoint_filter: Optional[tuple] = field(default=None, init=False,
+                                             repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for name, value in (("sigma", self.constants.sigma),
+                            ("T", self.horizon_T),
+                            ("grading_exponent", self.grading_exponent),
+                            ("lambda", self.lam), ("qv_N", self.qv_N)):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise DomainError(f"{name} must be a number, got {value!r}")
+        if not 1.0 <= self.grading_exponent < np.inf:
+            raise DomainError(f"grading_exponent must be >= 1, got "
+                              f"{self.grading_exponent}")
+        if not (np.isfinite(self.qv_N) and self.qv_N > 0.0):
+            raise DomainError(f"information <N>(T) must be positive and "
+                              f"finite, got {self.qv_N}")
+        if self.spline.y.shape != self.spline.x.shape:
+            raise DomainError(_KNOT_RULE)
+        # isclose is False for a NaN or infinite lam
+        lam = self.constants.lambda_of_T(self.horizon_T)
+        if not math.isclose(lam, self.lam, rel_tol=1e-12):
+            raise DomainError(
+                f"the coupling {lam:.6g} of the constants at "
+                f"T={self.horizon_T} is not the solve's lambda "
+                f"{self.lam:.6g}; rerun solve")
+
+    @cached_property
+    def filter(self) -> Callable:
+        """The filter h_T on (0, T], built from the spline on first read."""
+        # h_T(t) = T^(H1 - 1/2) * spline(x), x the mesh pre-image of t/T
+        spline, g = self.spline, self.grading_exponent
+        scale = self.horizon_T ** (self.constants.hurst.h1 - 0.5)
+        return _on_horizon(self.horizon_T, lambda t, u: scale * spline(
+            _graded_map_inv(u, g)))
+
+    def to_json(self) -> dict:
+        """The record as a JSON object, read back by ``from_json``."""
+        pair = self.constants.hurst
+        return {"h1": pair.h1, "h2": pair.h2, "sigma": self.constants.sigma,
+                "T": self.horizon_T, "grading_exponent": self.grading_exponent,
+                "lambda": self.lam, "qv_N": self.qv_N,
+                "filter_knots": {"x": self.spline.x.tolist(),
+                                 "y": self.spline.y.tolist()}}
+
+    @classmethod
+    def from_json(cls, obj, source: str = "solution record") -> SolutionRecord:
+        """The record that ``to_json`` wrote, from its parsed JSON object;
+        DomainError, naming ``source``, for any malformed entry."""
+        try:
+            if not isinstance(obj, dict) or "filter_knots" not in obj:
+                raise DomainError("holds no filter knots; rerun solve")
+            try:
+                x, y = (np.asarray(obj["filter_knots"][k], float)
+                        for k in "xy")
+                spline = _KnotSpline(x, y)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DomainError(_KNOT_RULE) from exc
+            # HurstPair and ModelParams refuse a missing or non-number
+            # h1, h2, sigma or T, and the record a bool sigma or T
+            constants = derive_constants(ModelParams(
+                hurst=HurstPair(obj.get("h1"), obj.get("h2")),
+                sigma=obj.get("sigma"), horizon_T=obj.get("T")))
+            return cls(constants=constants, horizon_T=obj["T"],
+                       grading_exponent=obj.get("grading_exponent"),
+                       spline=spline, lam=obj.get("lambda"),
+                       qv_N=obj.get("qv_N"))
+        except DomainError as exc:
+            raise DomainError(f"{source}: {exc}") from exc
 
 
 def _quadratic_variation(grid: QuadratureGrid, h_hat: np.ndarray, T: float,

@@ -191,7 +191,7 @@ def run_mc(config: ExperimentConfig) -> MCReport:
 
     def estimate(sol, times, seed):
         path = simulate_Y(times, seed, theta=theta, constants=constants)
-        return mle(sol, path, constants).theta_hat
+        return mle(sol, path).theta_hat
 
     def seed_of(r):
         return np.random.SeedSequence((config.master_seed, r))

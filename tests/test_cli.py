@@ -139,16 +139,17 @@ def test_solve_simulate_estimate_pipeline(tmp_path, capsys):
     result = json.loads(result_json.read_text())
     assert sorted(result) == ["n_T", "qv_N", "theta_hat", "variance_pred",
                               "variance_pred_paper"]
-    # the CLI rebuilds the library's filter from the sidecar knots, so it
-    # reproduces mle on the same solve and path
+    # the CLI reads the solve's record back from the sidecar and calls
+    # mle on it, so it reproduces mle on the same solve and path bit for
+    # bit
     cons = mf.derive_constants(mf.ModelParams(hurst=mf.HurstPair(0.6, 0.9)))
     op = mf.assemble(mf.KernelContext(constants=cons), mf.build_grid(64))
     sol = mf.solve_second_kind(op, 1.0, cons)
     data = np.loadtxt(path_csv, delimiter=",", skiprows=1)
     lib = mf.mle(sol, mf.SamplePath(times=data[:, 0], values=data[:, 1],
-                                    label="Y"), cons)
+                                    label="Y"))
     for key in result:
-        assert result[key] == pytest.approx(getattr(lib, key), rel=1e-12)
+        assert result[key] == getattr(lib, key)
     assert result["theta_hat"] == pytest.approx(-3.035517370008652, rel=1e-9)
     assert result["variance_pred"] == pytest.approx(1.9887584394769093,
                                                     rel=1e-9)
@@ -309,7 +310,7 @@ _SIDECAR = {"h1": 0.6, "h2": 0.9, "sigma": 1.0, "T": 1.0,
                              "y": np.ones(9).tolist()}}
 
 
-@pytest.mark.parametrize(
+_MALFORMED_SIDECARS = pytest.mark.parametrize(
     "sidecar",
     [
         {k: v for k, v in _SIDECAR.items() if k != "qv_N"},
@@ -333,23 +334,73 @@ _SIDECAR = {"h1": 0.6, "h2": 0.9, "sigma": 1.0, "T": 1.0,
          "grading-string", "grading-below-one", "qv-negative", "qv-zero",
          "lambda-missing", "sigma-edited", "lambda-nan", "lambda-inf"],
 )
-def test_malformed_sidecar_exit_2(tmp_path, capsys, sidecar):
+
+
+def _estimate(tmp_path, capsys, sidecar, *argv):
+    """Run `estimate` on the sidecar (a JSON object, or raw text) and a
+    zero path of 129 points on [0, 1], writing tmp_path/result.json."""
     t = np.linspace(0.0, 1.0, 129)
     path_csv = tmp_path / "path.csv"
     np.savetxt(path_csv, np.column_stack([t, np.zeros_like(t)]),
                delimiter=",", header="t,value", comments="")
+    text = sidecar if isinstance(sidecar, str) else json.dumps(sidecar)
+    (tmp_path / "h.json").write_text(text)
+    return run(capsys, "estimate", "--h-file", str(tmp_path / "h.csv"),
+               "--path-file", str(path_csv),
+               "--out", str(tmp_path / "result.json"), *argv)
+
+
+@_MALFORMED_SIDECARS
+def test_malformed_sidecar_exit_2(tmp_path, capsys, sidecar):
     out = tmp_path / "result.json"
-
-    def estimate(side):
-        text = side if isinstance(side, str) else json.dumps(side)
-        (tmp_path / "h.json").write_text(text)
-        return run(capsys, "estimate", "--h-file", str(tmp_path / "h.csv"),
-                   "--path-file", str(path_csv), "--out", str(out))
-
-    code, _, _ = estimate(_SIDECAR)
+    code, _, _ = _estimate(tmp_path, capsys, _SIDECAR)
     assert code == 0
     out.unlink()
-    code, _, stderr = estimate(sidecar)
+    code, _, stderr = _estimate(tmp_path, capsys, sidecar)
     assert code == 2
     assert "domain error" in stderr
     assert not out.exists()
+
+
+@_MALFORMED_SIDECARS
+def test_record_refuses_malformed_sidecar(sidecar):
+    # the raw text of the not-JSON case is no JSON object either
+    assert mf.SolutionRecord.from_json(_SIDECAR).qv_N == 0.75
+    with pytest.raises(mf.DomainError, match="h.json"):
+        mf.SolutionRecord.from_json(sidecar, "h.json")
+
+
+@pytest.mark.parametrize("key, other", [("h1", 0.61), ("h2", 0.88),
+                                        ("sigma", 1.7), ("t_horizon", 3.0)])
+def test_estimate_refuses_model_values_of_another_solve(tmp_path, capsys,
+                                                        key, other):
+    # estimate reads its model from the solve; a value given by flag or
+    # config must be the solve's, or the estimate would silently ignore it
+    flag = "--" + key.replace("_", "-")
+    solved = {"h1": 0.6, "h2": 0.9, "sigma": 1.0, "t_horizon": 1.0}[key]
+    out, cfg = tmp_path / "result.json", tmp_path / "cfg.json"
+    for value, expect in ((other, 2), (solved, 0)):
+        cfg.write_text(json.dumps({key: value}))
+        for argv in ((flag, str(value)), ("--config", str(cfg))):
+            code, _, stderr = _estimate(tmp_path, capsys, _SIDECAR, *argv)
+            assert code == expect
+            assert out.exists() == (expect == 0)
+            if expect:
+                assert f"domain error: {key}=" in stderr
+            else:
+                out.unlink()
+
+
+def test_estimate_compares_only_values_given(tmp_path, capsys):
+    # a solve at sigma = 1.7 is estimated on with no model flags: the
+    # default sigma = 1 is not a value given, so it is not compared
+    cons = mf.derive_constants(mf.ModelParams(hurst=mf.HurstPair(0.6, 0.9),
+                                              sigma=1.7))
+    side = {**_SIDECAR, "sigma": 1.7, "lambda": cons.lambda_of_T(1.0)}
+    code, _, _ = _estimate(tmp_path, capsys, side)
+    assert code == 0
+    code, _, _ = _estimate(tmp_path, capsys, side, "--sigma", "1.7")
+    assert code == 0
+    code, _, stderr = _estimate(tmp_path, capsys, side, "--sigma", "1")
+    assert code == 2
+    assert "sigma=1.0 is not the solve's 1.7" in stderr

@@ -7,18 +7,19 @@ variance and normality.
 """
 
 import dataclasses
+import json
 import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import mixedfbm.estimator as estimator
 import mixedfbm.fredholm as fr
 import mixedfbm.gaussian_sim as gs
 import oracles
 from mixedfbm.errors import AccuracyWarning, DomainError
-from mixedfbm.estimator import (EstimatorResult, estimate_with_filter, mle,
-                                stochastic_integral_N)
+from mixedfbm.estimator import EstimatorResult, mle
 from mixedfbm.gaussian_sim import SamplePath, simulate_Y
 from mixedfbm.kernels import KernelContext
 from mixedfbm.model import HurstPair, ModelParams, derive_constants
@@ -28,6 +29,14 @@ H1, H2 = 0.6, 0.9
 
 def graded(n, power=2.0, horizon=1.0):
     return horizon * (np.arange(n + 1) / n) ** power
+
+
+def stochastic_integral_N(h_T, path, scale_hint=None):
+    """The score integral of ``mle``: the weight h_T read once at the
+    midpoints of the path grid and of its half, then summed against the
+    path's increments on both grids."""
+    return estimator._score(estimator._midpoint_weights(h_T, path.times),
+                            path.values, scale_hint)
 
 
 def mean_path(times, theta, constants):
@@ -202,6 +211,57 @@ def test_mle_refuses_constants_of_another_solve(cons, sol, cons_wide_sigma):
     assert mle(sol, path, again).theta_hat == mle(sol, path, cons).theta_hat
 
 
+def _assert_same_result(res, ref):
+    for f in dataclasses.fields(EstimatorResult):
+        assert np.array_equal(getattr(res, f.name), getattr(ref, f.name))
+
+
+def test_mle_reads_its_model_from_the_solution(cons, sol, grid512):
+    # the constants are optional and never enter the numbers: with them,
+    # without them, or from the record, every field keeps its bits
+    again = derive_constants(ModelParams(hurst=HurstPair(H1, H2)))
+    one = simulate_Y(grid512, np.random.SeedSequence(31), theta=0.7,
+                     constants=cons)
+    cols = simulate_Y(grid512, [np.random.SeedSequence((32, r))
+                                for r in range(6)], theta=0.7, constants=cons)
+    for path in (one, cols):
+        ref = mle(sol, path, cons)
+        for res in (mle(sol, path), mle(sol, path, again),
+                    mle(sol.record, path)):
+            _assert_same_result(res, ref)
+
+
+def test_mle_of_the_record_read_back_from_json(sol, sol_wide_sigma, grid512):
+    # the solve sidecar is the record written out and read back; at
+    # sigma != 1 the constants derived again from it carry sigma too
+    for solution in (sol, sol_wide_sigma):
+        cons = solution.constants
+        back = fr.SolutionRecord.from_json(
+            json.loads(json.dumps(solution.record.to_json())))
+        assert back.to_json() == solution.record.to_json()
+        one = simulate_Y(grid512, np.random.SeedSequence(33), theta=0.7,
+                         constants=cons)
+        cols = simulate_Y(grid512, [np.random.SeedSequence((34, r))
+                                    for r in range(6)], theta=0.7,
+                          constants=cons)
+        for path in (one, cols):
+            _assert_same_result(mle(back, path), mle(solution, path))
+
+
+def test_overridden_coupling_has_no_record(cons, sol, grid512):
+    # the solve at a diagnostic coupling solves and reports, but its
+    # filter and information belong to no model: no record, no estimate
+    odd = fr.solve_second_kind(sol.operator, 1.0, cons,
+                               lam_override=2.0 * sol.lam,
+                               residual_tol=np.inf)
+    assert odd.qv_N > 0.0
+    path = mean_path(grid512, 0.9, cons)
+    for read in (lambda: odd.record, lambda: odd.filter,
+                 lambda: mle(odd, path)):
+        with pytest.raises(DomainError, match="coupling"):
+            read()
+
+
 def test_mle_normalization_identities(cons, sol, grid512):
     path = simulate_Y(grid512, np.random.SeedSequence(7), theta=0.4,
                       constants=cons)
@@ -292,17 +352,17 @@ def test_warm_grid_pair_derives_nothing_from_the_grid(monkeypatch, cons, sol,
 
 def test_mle_keeps_the_last_grid_read_only_on_the_solution(cons, sol, grid512):
     fresh = dataclasses.replace(sol)
-    assert fresh.midpoint_filter is None
+    assert fresh.record.midpoint_filter is None
     for grid in (graded(511), grid512):
         mle(fresh, simulate_Y(grid, 4, theta=0.5, constants=cons), cons)
-        key, (fine, coarse, appended) = fresh.midpoint_filter
+        key, (fine, coarse, appended) = fresh.record.midpoint_filter
         assert key == grid.tobytes()
         assert (fine.size, coarse.size) == (grid.size - 1, grid.size // 2)
         assert appended == (grid.size % 2 == 0)
         for values in (fine, coarse):
             with pytest.raises(ValueError):
                 values[0] = 0.0
-    assert sol.midpoint_filter is not fresh.midpoint_filter
+    assert sol.record.midpoint_filter is not fresh.record.midpoint_filter
 
 
 def test_filter_memo_keeps_the_domain_check(sol, grid512):
@@ -388,11 +448,9 @@ def test_mle_reads_the_information_of_the_solution(cons_wide_sigma,
 
 
 @pytest.mark.parametrize("qv", [-3.0, 0.0, np.nan, np.inf, -np.inf])
-def test_estimate_refuses_information_not_positive_and_finite(cons, sol,
-                                                              grid512, qv):
-    path = SamplePath(times=grid512, values=np.zeros_like(grid512), label="Y")
+def test_estimate_refuses_information_not_positive_and_finite(sol, qv):
     with pytest.raises(DomainError, match="information"):
-        estimate_with_filter(sol.filter, 1.0, qv, path, cons)
+        dataclasses.replace(sol.record, qv_N=qv)
 
 
 def test_mle_horizon_mismatch(cons, sol):

@@ -248,7 +248,7 @@ def test_mc_estimates_match_per_path_mle(monkeypatch):
         blocks.append(len(seed))
         return real_sim(times, seed, theta, constants)
 
-    def fit(sol, path, constants):
+    def fit(sol, path, constants=None):
         sols.append(sol)
         res = real_mle(sol, path, constants)
         estimates.append(res.theta_hat)

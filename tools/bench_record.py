@@ -16,7 +16,9 @@ kernel tables, then the median of ``LADDER_CALLS`` calls on the warm
 tables, each assembling its operator and building its audit plan, in a
 fresh process), then times the command-line runs
 users start (``CLI_RUNS``), each twice in a fresh process inside a
-temporary directory, and last runs the Tier-1 suite
+temporary directory, after the untimed commands that prepare its inputs
+there (``CLI_SETUP``), then the import of ``mixedfbm.cli`` in as many
+fresh processes (``import_s``), and last runs the Tier-1 suite
 once with the verify command of ROADMAP.md (``TIER1``, with the same
 BLAS thread count), keeping its wall time and the passed and failed
 counts of pytest's summary line (``tier1``; errors count as failed).
@@ -62,7 +64,15 @@ CLI_RUNS = (
     ("mc", "--replicates", "1000"),
     # the large-grid covariance model: one 2049 x 2049 Y model per horizon
     ("mc", "--replicates", "200", "--path-points", "2048"),
+    ("estimate", "--h-file", "h.csv", "--path-file", "y.csv"),
 )
+# untimed commands that prepare a timed command's inputs, run first in
+# its directory
+CLI_SETUP = {
+    "estimate": (("solve", "--grid-n", "128"),
+                 ("simulate", "--process", "Y", "--seed", "7",
+                  "--out", "y.csv")),
+}
 CLI_REPEATS = 2
 
 # one replicate of the Monte Carlo inner loop, timed call by call in a
@@ -78,14 +88,14 @@ cons = derive_constants(ModelParams(hurst=HurstPair(0.6, 0.9)))
 op = fredholm.assemble(KernelContext(constants=cons), fredholm.build_grid(128))
 sol = fredholm.solve_second_kind(op, 1.0, cons)
 times = harness._graded_times(1.0, 512)
-estimator.mle(sol, gaussian_sim.simulate_Y(times, 0, 1.0, cons), cons)
+estimator.mle(sol, gaussian_sim.simulate_Y(times, 0, 1.0, cons))
 sim, est = [], []
 for r in range({PER_PATH_CALLS}):
     seed = np.random.SeedSequence((1, r))
     t0 = time.perf_counter()
     path = gaussian_sim.simulate_Y(times, seed, 1.0, cons)
     t1 = time.perf_counter()
-    estimator.mle(sol, path, cons)
+    estimator.mle(sol, path)
     t2 = time.perf_counter()
     sim.append(t1 - t0)
     est.append(t2 - t1)
@@ -144,13 +154,18 @@ def _timed(argv, cwd, env) -> tuple:
 def _cli_runs(env) -> list:
     """Wall time and peak resident set of each ``CLI_RUNS`` command,
     ``CLI_REPEATS`` fresh processes each, run from the checkout's ``src``
-    in a scratch directory that takes their output files."""
+    in a scratch directory that takes their output files and, first, the
+    inputs that its ``CLI_SETUP`` commands write untimed."""
     env = {**env, "PYTHONPATH": str(ROOT / "src")}
     timed = []
     for argv in CLI_RUNS:
         seconds, peaks = [], []
         for _ in range(CLI_REPEATS):
             with tempfile.TemporaryDirectory() as tmp:
+                for setup in CLI_SETUP.get(argv[0], ()):
+                    subprocess.run([sys.executable, "-m", "mixedfbm.cli",
+                                    *setup], cwd=tmp, env=env,
+                                   capture_output=True, check=True)
                 wall, peak = _timed([sys.executable, "-m", "mixedfbm.cli",
                                      *argv], tmp, env)
             seconds.append(wall)
@@ -159,6 +174,15 @@ def _cli_runs(env) -> list:
                       "peak_rss_mb": peaks})
         print(f"mixedfbm {' '.join(argv)}: done", flush=True)
     return timed
+
+
+def _import_s(env) -> list:
+    """Wall time of ``import mixedfbm.cli`` in ``CLI_REPEATS`` fresh
+    processes, from the checkout's ``src``: the start-up every command
+    line run pays."""
+    env = {**env, "PYTHONPATH": str(ROOT / "src")}
+    return [_timed([sys.executable, "-c", "import mixedfbm.cli"], ROOT,
+                   env)[0] for _ in range(CLI_REPEATS)]
 
 
 def _tier1(env) -> dict:
@@ -232,6 +256,7 @@ def main(argv) -> int:
     per_path = _per_path(env)
     ladder = _ladder(env)
     cli_runs = _cli_runs(env)
+    import_s = _import_s(env)
     tier1 = _tier1(env)
     print(f"tier-1: {tier1['passed']} passed, {tier1['failed']} failed",
           flush=True)
@@ -255,6 +280,7 @@ def main(argv) -> int:
         "per_path": per_path,
         "ladder": ladder,
         "cli_runs": cli_runs,
+        "import_s": import_s,
         "tier1": tier1,
     }
     out.write_text(json.dumps(record, indent=1) + "\n")

@@ -266,7 +266,7 @@ def _cmd_estimate(s: _Settings) -> int:
     path = _read_path_csv(s.args.path_file, "Y")
     res = mle(record, path)
     result = {k: getattr(res, k) for k in (
-        "theta_hat", "n_T", "qv_N", "variance_pred", "variance_pred_paper")}
+        "theta_hat", "n_T", "qv_N", "variance_pred")}
     text = json.dumps(result, indent=2, sort_keys=True)
     out = Path(s.get("out") or "result.json")
     out.write_text(text + "\n")

@@ -5,9 +5,7 @@ observed path; its compensator is the quadratic variation ``qv_N``.
 Both are read from one ``SolutionRecord``, a solution's own or one read
 back from a ``solve`` sidecar, which also carries the model constants.
 The estimator divides one by the other with a normalization fixed by
-requiring exact unbiasedness on mean paths; the printed alternative
-normalization is carried through every result so the two can be
-compared downstream.
+requiring exact unbiasedness on mean paths.
 """
 
 from __future__ import annotations
@@ -37,18 +35,14 @@ _MIN_GRID = 128
 class EstimatorResult:
     """Point estimate with the functionals it was built from.
 
-    variance_pred is the Gaussian-calculus prediction 1/(d^2 <N>);
-    variance_pred_paper is the alternative printed form 1/int h_T s^{1-2H1} ds.
-    Both are recorded on every estimate so the normalization discrepancy
-    stays visible in downstream reports.  For a path of columns theta_hat
-    and n_T hold one value per column.
+    variance_pred is the Gaussian-calculus prediction 1/(d^2 <N>).  For
+    a path of columns theta_hat and n_T hold one value per column.
     """
 
     theta_hat: float | np.ndarray
     n_T: float | np.ndarray
     qv_N: float
     variance_pred: float
-    variance_pred_paper: float
 
 
 def _midpoint_weights(h_T: Callable[[np.ndarray], np.ndarray],
@@ -99,15 +93,11 @@ def _score(weights: tuple, x: np.ndarray,
     return val
 
 
-def predicted_variances(qv: float, constants: DerivedConstants) -> tuple:
-    """(variance_pred, variance_pred_paper) for the information qv = <N>(T).
-
-    variance_pred = 1/(d^2 qv) with d = drift_norm/sigma, the estimator's
-    normalization (see ``mle``); variance_pred_paper = (sigma gamma)^2/qv.
-    """
+def predicted_variances(qv: float, constants: DerivedConstants) -> float:
+    """variance_pred = 1/(d^2 qv) for the information qv = <N>(T), with
+    d = drift_norm/sigma the estimator's normalization (see ``mle``)."""
     d_eff = constants.drift_norm / constants.sigma
-    return (1.0 / (d_eff**2 * qv),
-            (constants.sigma * constants.gamma_h1) ** 2 / qv)
+    return 1.0 / (d_eff**2 * qv)
 
 
 def mle(
@@ -157,4 +147,4 @@ def mle(
     qv, cons = rec.qv_N, rec.constants
     n_val = _score(entry[1], path.values, qv)
     return EstimatorResult(n_val / (cons.drift_norm / cons.sigma * qv), n_val,
-                           qv, *predicted_variances(qv, cons))
+                           qv, predicted_variances(qv, cons))

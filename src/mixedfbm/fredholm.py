@@ -31,10 +31,10 @@ The off-grid residual audit depends on the horizon only through the
 solution vector, so all else it needs is built once per operator and
 kept on it.  The first solve builds it (``DiscretizedOperator.audit_plan``,
 11.25 n^2 floats): the quadrature rows at the extension samples, and the
-kernel integrals of the solution's spline at the probes as a linear map
-of its knot values and knot second derivatives (``_spline_map``).  Each
-horizon's audit, and each ``residual_report``, is then a few
-matrix-vector products and one evaluation of the spline.
+kernel integrals of the solution's ``KnotSpline`` at the probes as a
+linear map of its knot values and knot second derivatives
+(``_spline_map``).  Each horizon's audit, and each ``residual_report``,
+is then a few matrix-vector products and one evaluation of the spline.
 
 What an estimate reads of a solution is one record,
 ``FredholmSolution.record`` (``SolutionRecord``); the ``solve`` sidecar
@@ -54,13 +54,12 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import AccuracyError, AccuracyWarning, DomainError, IllConditionedError
 from .kernels import (KernelContext, KernelTables, get_tables,
                       _ladder_panels, _ladder_rule_one)
 from .model import DerivedConstants, HurstPair, ModelParams, derive_constants
-from .numerics import jacobi_panels, solve_dense
+from .numerics import KnotSpline, jacobi_panels, solve_dense
 
 __all__ = [
     "QuadratureGrid",
@@ -434,7 +433,7 @@ class FredholmSolution:
         1-norm condition estimate of I + lam * matrix.
     operator : DiscretizedOperator
         The operator the solve used; kept for Nystrom interpolation.
-    spline : _KnotSpline
+    spline : KnotSpline
         The residual audit's reconstruction of the solution (see
         ``_extended_spline``), with knots ``spline.x`` and values
         ``spline.y``; the filter of ``filter_interpolant``.
@@ -456,7 +455,7 @@ class FredholmSolution:
     qv_N: float
     condition: float
     operator: DiscretizedOperator = field(repr=False)
-    spline: _KnotSpline = field(repr=False)
+    spline: KnotSpline = field(repr=False)
     worst_u: float
     constants: DerivedConstants = field(repr=False)
 
@@ -539,7 +538,7 @@ def _spline_map(knots: np.ndarray, x: np.ndarray,
         S(x) = (1-t) y_i + t y_(i+1)
                + h^2/6 ((-t^3 + 3t^2 - 2t) M_i + (t^3 - t) M_(i+1)),
 
-    which continues the end pieces beyond the knots, as CubicSpline
+    which continues the end pieces beyond the knots, as KnotSpline
     does.  Returns shape (rows, 2m): columns :m act on y, columns m: on
     M.  Each row of x must be ascending, so that the entries falling in
     one interval are contiguous: the power sums sum w t^k, k = 0..3, of
@@ -632,16 +631,8 @@ def _build_audit_plan(tables: KernelTables,
         probe_integrals=_spline_integrals(tables, grid, knots, probe_u))
 
 
-class _KnotSpline(CubicSpline):
-    """Cubic spline that keeps its knot values ``y``, so it can be rebuilt."""
-
-    def __init__(self, x, y):
-        super().__init__(x, y)
-        self.y = np.asarray(y, float)
-
-
 def _extended_spline(op: DiscretizedOperator, lam: float, T: float,
-                     h_hat: np.ndarray) -> _KnotSpline:
+                     h_hat: np.ndarray) -> KnotSpline:
     """Spline through nodal and freshly extended samples of the solution.
 
     Works in the bounded variable phi(u) = h_hat(u) * u^(H1 - 1/2) and
@@ -654,15 +645,15 @@ def _extended_spline(op: DiscretizedOperator, lam: float, T: float,
     hpow = op.h1 - 0.5
     vals = np.concatenate([h_hat * op.grid.nodes ** hpow,
                            ext * plan.ext_u ** hpow])
-    return _KnotSpline(plan.knots, vals[plan.order])
+    return KnotSpline(plan.knots, vals[plan.order])
 
 
 def _scan_residuals(op: DiscretizedOperator, lam: float, T: float,
-                    spline: _KnotSpline) -> ResidualReport:
+                    spline: KnotSpline) -> ResidualReport:
     """The residual scan of the spline on the operator's audit plan."""
     plan = op.audit_plan
     h1 = op.h1
-    knot_data = np.concatenate([spline.y, spline(spline.x, 2)])
+    knot_data = np.concatenate([spline.y, spline.second_derivatives()])
     rhs_u = _rhs_values(plan.probe_u, T, h1)
     integral = lam * (plan.probe_integrals @ knot_data)
     rec_val = spline(plan.probe_x) * plan.probe_u ** (0.5 - h1)
@@ -791,19 +782,18 @@ def filter_interpolant(sol: FredholmSolution | SolutionRecord) -> Callable:
 
 
 _KNOT_RULE = ("filter knots need finite number lists x and y of one "
-              "length, at least 2, x increasing")
+              "length, at least 4, x increasing")
 
 
 @dataclass(frozen=True)
 class SolutionRecord:
     """What an estimate reads of one solve, and the ``solve`` sidecar:
     the model's ``constants``, ``horizon_T``, the mesh's
-    ``grading_exponent``, the solution's ``spline`` (its knots give the
-    filter h_T, ``filter``, built on first read), the coupling ``lam``
-    and the information ``qv_N``.  DomainError for a scalar that is not
-    a number, a grading exponent below 1, a ``qv_N`` not positive and
-    finite, knot values not one per knot (the spline itself requires
-    finite, increasing knots), or a ``lam`` that is not
+    ``grading_exponent``, the solution's ``spline``, a ``KnotSpline``
+    (its knots give the filter h_T, ``filter``, built on first read),
+    the coupling ``lam`` and the information ``qv_N``.  DomainError for
+    a scalar that is not a number, a grading exponent below 1, a
+    ``qv_N`` not positive and finite, or a ``lam`` that is not
     ``constants.lambda_of_T(horizon_T)`` to 1e-12 relative: sigma enters
     the solve only through the coupling.  ``midpoint_filter`` holds the
     filter's values at the fine and coarse midpoints of the last path
@@ -813,7 +803,7 @@ class SolutionRecord:
     constants: DerivedConstants
     horizon_T: float
     grading_exponent: float
-    spline: _KnotSpline = field(repr=False)
+    spline: KnotSpline = field(repr=False)
     lam: float
     qv_N: float
     midpoint_filter: Optional[tuple] = field(default=None, init=False,
@@ -832,8 +822,6 @@ class SolutionRecord:
         if not (np.isfinite(self.qv_N) and self.qv_N > 0.0):
             raise DomainError(f"information <N>(T) must be positive and "
                               f"finite, got {self.qv_N}")
-        if self.spline.y.shape != self.spline.x.shape:
-            raise DomainError(_KNOT_RULE)
         # isclose is False for a NaN or infinite lam
         lam = self.constants.lambda_of_T(self.horizon_T)
         if not math.isclose(lam, self.lam, rel_tol=1e-12):
@@ -868,13 +856,12 @@ class SolutionRecord:
             if not isinstance(obj, dict) or "filter_knots" not in obj:
                 raise DomainError("holds no filter knots; rerun solve")
             try:
-                x, y = (np.asarray(obj["filter_knots"][k], float)
-                        for k in "xy")
-                spline = _KnotSpline(x, y)
+                knots = obj["filter_knots"]
+                spline = KnotSpline(knots["x"], knots["y"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise DomainError(_KNOT_RULE) from exc
-            # HurstPair and ModelParams refuse a missing or non-number
-            # h1, h2, sigma or T, and the record a bool sigma or T
+            # HurstPair and ModelParams refuse a missing, bool or
+            # non-number h1, h2, sigma or T
             constants = derive_constants(ModelParams(
                 hurst=HurstPair(obj.get("h1"), obj.get("h2")),
                 sigma=obj.get("sigma"), horizon_T=obj.get("T")))

@@ -110,7 +110,6 @@ class MCReport:
     se_mean: float
     var_hat: float
     var_pred: float
-    var_pred_paper: float
     ks_stat: float
     ks_pvalue: float
     per_T_scaled_var: tuple
@@ -119,8 +118,8 @@ class MCReport:
 
     def __post_init__(self) -> None:
         scalars = (self.theta_true, self.mean_hat, self.se_mean, self.var_hat,
-                   self.var_pred, self.var_pred_paper, self.ks_stat,
-                   self.ks_pvalue, self.asymptotic_var_closed_form)
+                   self.var_pred, self.ks_stat, self.ks_pvalue,
+                   self.asymptotic_var_closed_form)
         if not all(math.isfinite(v) for v in scalars):
             raise AccuracyError(f"report fields must be finite, got {scalars}")
 
@@ -156,7 +155,7 @@ def _solve_horizons(config: ExperimentConfig, constants: DerivedConstants,
             warnings.warn(f"solve failed at T={T}: {exc}", AccuracyWarning,
                           stacklevel=3)
             continue
-        var_exact = predicted_variances(sol.qv_N, constants)[0]
+        var_exact = predicted_variances(sol.qv_N, constants)
         sols.append(sol)
         details.append(HorizonDetail(
             T=float(T),
@@ -223,15 +222,12 @@ def run_mc(config: ExperimentConfig) -> MCReport:
         var_hat = float(est.var(ddof=1)) if est.size > 1 else 0.0
         per_t_var.append((det.T, det.T**exponent * var_hat))
         if first is None:
-            var_pred, var_pred_paper = predicted_variances(det.qv_N,
-                                                           constants)
-            z = (est - theta) / np.sqrt(var_pred)
+            z = (est - theta) / np.sqrt(det.var_exact)
             ks = stats.kstest(z, "norm")
             first = dict(
                 mean_hat=float(est.mean()),
                 var_hat=var_hat,
-                var_pred=var_pred,
-                var_pred_paper=var_pred_paper,
+                var_pred=det.var_exact,
                 ks_stat=float(ks.statistic),
                 ks_pvalue=float(ks.pvalue),
             )
@@ -270,7 +266,6 @@ def run_asymptotics(config: ExperimentConfig) -> MCReport:
         se_mean=0.0,
         var_hat=head.var_exact,
         var_pred=head.var_exact,
-        var_pred_paper=predicted_variances(head.qv_N, constants)[1],
         ks_stat=0.0,
         ks_pvalue=1.0,
         per_T_scaled_var=tuple((d.T, d.scaled_var) for d in details),
@@ -327,7 +322,7 @@ def _config_echo(config: ExperimentConfig) -> dict:
 
 
 _MC_COLUMNS = ("theta_true", "mean_hat", "se_mean", "var_hat", "var_pred",
-               "var_pred_paper", "ks_stat", "ks_pvalue")
+               "ks_stat", "ks_pvalue")
 _ASY_COLUMNS = ("T", "var_exact", "scaled_var", "qv_N", "lambda",
                 "residual_sup")
 

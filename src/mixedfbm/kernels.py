@@ -38,11 +38,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import hyp2f1
 
 from .model import DerivedConstants, _beta
-from .numerics import beta_fn, jacobi_panels
+from .numerics import KnotSpline, _cubic_sum, beta_fn, jacobi_panels
 
 __all__ = [
     "KernelContext",
@@ -189,21 +188,21 @@ class _EdgeSpline:
     relative accuracy in these coordinates.  Evaluation clamps beyond
     the sampled range, matching profiles with finite endpoint limits.
 
-    Both charts are scipy CubicSplines on the same breakpoints, which
-    are uniform to rounding, and the spline evaluates them itself: a
-    point's interval is its scaled distance from the first breakpoint,
-    corrected by one comparison each way, where CubicSpline searches for
-    it (several times slower on the scattered points of the solver's
-    batches).  The cubic is then summed as CubicSpline sums it, so the
-    values are CubicSpline's, bit for bit.  Points go in blocks of
+    Both charts are ``KnotSpline``s on the same breakpoints, which are
+    uniform to rounding, and the spline evaluates them itself: a point's
+    interval is its scaled distance from the first breakpoint, corrected
+    by one comparison each way, where a chart searches for it (several
+    times slower on the scattered points of the solver's batches).  The
+    cubic is then summed as the charts sum it (``_cubic_sum``), so the
+    values are theirs, bit for bit.  Points go in blocks of
     ``_EVAL_BLOCK``, each worked on in place.
     """
 
     def __init__(self, sample_fn):
         grid = np.geomspace(_PROFILE_XMIN, 0.5, _PROFILE_PER_SIDE)
         breaks = np.log(grid)
-        self._left = CubicSpline(breaks, sample_fn(grid))
-        self._right = CubicSpline(breaks, sample_fn(1.0 - grid))
+        self._left = KnotSpline(breaks, sample_fn(grid))
+        self._right = KnotSpline(breaks, sample_fn(1.0 - grid))
         self._breaks = breaks
         self._per_break = (breaks.size - 1) / (breaks[-1] - breaks[0])
         # powers 3..0 of both charts side by side, the right chart's
@@ -241,14 +240,7 @@ class _EdgeSpline:
         i += y >= take(breaks[1:], i, out=s)
         np.subtract(y, take(breaks, i, out=s), out=s)
         np.add(i, breaks.size - 1, out=i, where=right)
-        # the sum c3 + c2 s + c1 s^2 + c0 s^3, term by term; y is free
-        c0, c1, c2, c3 = self._coef
-        term, s2 = y, s * s
-        take(c3, i, out=out)
-        out += np.multiply(take(c2, i, out=term), s, out=term)
-        out += np.multiply(take(c1, i, out=term), s2, out=term)
-        s2 *= s
-        out += np.multiply(take(c0, i, out=term), s2, out=term)
+        _cubic_sum(self._coef, i, s, out, y)  # y is free
 
 
 def _euler_integral(x, p: float, b: float, q: float):

@@ -33,7 +33,7 @@ class HurstPair:
     def __post_init__(self) -> None:
         for name in ("h1", "h2"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise DomainError(f"require a number {name}, got {value!r}")
         if not self.h1 > 0.5:
             raise DomainError(f"require h1 > 1/2, got h1={self.h1}")
@@ -68,7 +68,8 @@ class ModelParams:
     def __post_init__(self) -> None:
         for name in ("sigma", "theta", "horizon_T"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                               and math.isfinite(value)):
                 raise DomainError(f"require a finite number {name}, got {value!r}")
             if name != "theta" and not value > 0:
                 raise DomainError(f"require {name} > 0, got {value}")

@@ -1,4 +1,4 @@
-"""Gauss-Jacobi panels, special functions and a guarded dense solve.
+"""Gauss-Jacobi panels, special functions, a dense solve and a spline.
 
 ``jacobi_panels`` is the one source of Gauss rules in the package: it
 maps n-point rules for integrals with algebraic endpoint singularities
@@ -8,8 +8,8 @@ maps n-point rules for integrals with algebraic endpoint singularities
 onto many panels at once, from one base rule on [-1, 1] per exponent
 pair (``_base_rule``; scipy's Golub-Welsch solve, memoized).  Beside
 it: the gamma and beta functions on their positive domain (log-gamma
-keeps large beta arguments from overflowing) and a dense linear solve
-with a condition-number guard.
+keeps large beta arguments from overflowing), a dense linear solve
+with a condition-number guard and the package's one cubic spline.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ __all__ = [
     "beta_fn",
     "jacobi_panels",
     "solve_dense",
+    "KnotSpline",
 ]
 
 
@@ -121,3 +122,70 @@ def solve_dense(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
             f"backward error {backward:.3e} exceeds 1e-10 after refinement "
             f"(cond ~ {cond:.3e})")
     return x, cond
+
+
+class KnotSpline:
+    """Not-a-knot cubic spline through the knots (x, y) (de Boor, *A
+    Practical Guide to Splines*, ch. IV), formed and summed as scipy's
+    CubicSpline is, bit for bit: knot slopes from one tridiagonal solve,
+    then ``c``, each interval's cubic in powers 3..0 of the offset from
+    its left knot.  DomainError unless x holds at least 4 finite,
+    increasing knots and y one finite value per knot.
+    """
+
+    def __init__(self, x, y):
+        x, y = np.array(x, dtype=float), np.array(y, dtype=float)
+        if not (x.ndim == 1 and x.size >= 4 and y.shape == x.shape
+                and np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+                and np.all(np.diff(x) > 0.0)):
+            raise DomainError("a spline needs at least 4 finite, increasing "
+                              "knots and one finite value per knot")
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        # rows: upper, main and lower diagonal of the slope system
+        band = np.zeros((3, x.size))
+        band[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        band[0, 2:] = dx[:-1]
+        band[-1, :-2] = dx[1:]
+        rhs = np.empty(x.size)
+        rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        d = x[2] - x[0]
+        band[1, 0], band[0, 1] = dx[1], d
+        rhs[0] = ((dx[0] + 2*d) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        band[1, -1], band[-1, -2] = dx[-2], d
+        rhs[-1] = (dx[-1]**2*slope[-2] + (2*d + dx[-1])*dx[-2]*slope[-1]) / d
+        s = scipy.linalg.solve_banded((1, 1), band, rhs, overwrite_ab=True,
+                                      overwrite_b=True, check_finite=False)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x, self.y = x, y
+        self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+    def __call__(self, x) -> np.ndarray:
+        """The spline at the points x, an array of x's shape; the end
+        cubics extend past the knots."""
+        x = np.asarray(x, dtype=float)
+        i = np.searchsorted(self.x, x, side="right")
+        i = np.clip(i, 1, self.x.size - 1) - 1
+        out, s = np.empty(x.shape), x - self.x[i]
+        _cubic_sum(self.c, i, s, out, np.empty(x.shape))
+        return out
+
+    def second_derivatives(self) -> np.ndarray:
+        """At each knot, of the cubic from it; at the last, of the last."""
+        c0, c1 = self.c[:2]
+        h = self.x[-1] - self.x[-2]
+        return np.append(c1 * 2, c1[-1] * 2 + (c0[-1] * h) * 6)
+
+
+def _cubic_sum(c, i, s, out, term) -> None:
+    """out = c3 + c2 s + c1 s^2 + c0 s^3 at the intervals i, summed as
+    scipy's PPoly sums it; term is scratch.  i must be in range: the
+    takes skip their bounds check."""
+    c0, c1, c2, c3 = c
+    s2 = s * s
+    c3.take(i, out=out, mode="clip")
+    out += np.multiply(c2.take(i, out=term, mode="clip"), s, out=term)
+    out += np.multiply(c1.take(i, out=term, mode="clip"), s2, out=term)
+    s2 *= s
+    out += np.multiply(c0.take(i, out=term, mode="clip"), s2, out=term)

@@ -79,13 +79,12 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from mixedfbm import closed_form
 from mixedfbm.errors import AccuracyWarning, DomainError, IllConditionedError
 from mixedfbm.fredholm import (_EVAL_OFFSETS, _EXT_OFFSETS, DiscretizedOperator,
                                FredholmSolution, QuadratureGrid, _chunks,
-                               _graded_map, _graded_map_inv, _KnotSpline,
+                               _graded_map, _graded_map_inv,
                                _offsets_in_cells, _on_horizon,
                                _quadratic_variation, _quadrature_rows,
                                _rhs_values, assemble)
@@ -94,7 +93,7 @@ from mixedfbm.kernels import (_CHUNK_NODES, _LADDER_STEPS, DIAG_RTOL,
                               KernelContext, KernelTables, _ladder_rule,
                               _ladder_rule_one, get_tables)
 from mixedfbm.model import DerivedConstants
-from mixedfbm.numerics import _base_rule, gamma_fn
+from mixedfbm.numerics import KnotSpline, _base_rule, gamma_fn
 
 # ----------------------------------------------------------------------
 # Gauss-Jacobi rules, one panel at a time
@@ -729,7 +728,7 @@ def _nystrom_extension(op: DiscretizedOperator, lam: float, T: float,
 
 
 def _extended_spline(op: DiscretizedOperator, lam: float, T: float,
-                     h_hat: np.ndarray) -> _KnotSpline:
+                     h_hat: np.ndarray) -> KnotSpline:
     """Spline through nodal and freshly extended samples of the solution.
 
     Works in the bounded variable phi(u) = h_hat(u) * u^(H1 - 1/2) and
@@ -745,11 +744,11 @@ def _extended_spline(op: DiscretizedOperator, lam: float, T: float,
     xs = np.concatenate([grid.x_nodes, extra_x])
     vals = np.concatenate([h_hat * grid.nodes ** hpow, ext * extra_u ** hpow])
     order = np.argsort(xs)
-    return _KnotSpline(xs[order], vals[order])
+    return KnotSpline(xs[order], vals[order])
 
 
 def _integrals_at(op: DiscretizedOperator, us: np.ndarray,
-                  spline: CubicSpline) -> np.ndarray:
+                  spline: KnotSpline) -> np.ndarray:
     """int_0^1 k1(s, u) * h_rec(s) ds at each point u of us, for the
     reconstructed solution."""
     g = op.grid.grading_exponent
@@ -775,7 +774,7 @@ class ResidualSups(NamedTuple):
 
 def _scan_residuals(op: DiscretizedOperator, lam: float, T: float,
                     h_hat: np.ndarray, rhs: np.ndarray,
-                    spline: CubicSpline) -> ResidualSups:
+                    spline: KnotSpline) -> ResidualSups:
     grid = op.grid
     g = grid.grading_exponent
     h1 = op.h1

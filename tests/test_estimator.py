@@ -180,7 +180,6 @@ def test_mle_zero_path(cons, sol, grid512):
     assert res.n_T == 0.0
     assert res.qv_N > 0.0
     assert res.variance_pred > 0.0
-    assert res.variance_pred_paper > 0.0
 
 
 def test_mle_mean_path_unit_sigma(cons, sol):
@@ -273,8 +272,6 @@ def test_mle_normalization_identities(cons, sol, grid512):
     assert res.theta_hat == pytest.approx(
         res.n_T / (cons.drift_norm * res.qv_N), rel=1e-14)
     assert res.variance_pred == pytest.approx(1.0 / (d**2 * res.qv_N), rel=1e-14)
-    assert res.variance_pred_paper == pytest.approx(
-        (cons.sigma * cons.gamma_h1) ** 2 / res.qv_N, rel=1e-14)
 
 
 def test_filter_spline_built_once_per_solve(monkeypatch, cons, grid512):

@@ -93,8 +93,6 @@ def test_mc_unbiased_variance_and_normality(rep_mc):
     det = rep_mc.per_T_detail[0]
     d = cons.drift_norm / cons.sigma
     assert rep_mc.var_pred == pytest.approx(1.0 / (d**2 * det.qv_N), rel=1e-12)
-    assert rep_mc.var_pred_paper == pytest.approx(
-        (cons.sigma * cons.gamma_h1) ** 2 / det.qv_N, rel=1e-12)
     assert rep_mc.se_mean == pytest.approx(
         math.sqrt(rep_mc.var_hat / 2000), rel=1e-14)
 
@@ -275,7 +273,7 @@ def test_mc_estimates_match_per_path_mle(monkeypatch):
 def test_report_finiteness_guard(rep_tiny):
     with pytest.raises(AccuracyError, match="finite"):
         MCReport(theta_true=0.0, mean_hat=math.nan, se_mean=0.0, var_hat=0.0,
-                 var_pred=1.0, var_pred_paper=1.0, ks_stat=0.0, ks_pvalue=1.0,
+                 var_pred=1.0, ks_stat=0.0, ks_pvalue=1.0,
                  per_T_scaled_var=rep_tiny.per_T_scaled_var,
                  asymptotic_var_closed_form=1.0,
                  per_T_detail=rep_tiny.per_T_detail)
@@ -284,7 +282,7 @@ def test_report_finiteness_guard(rep_tiny):
 def test_decay_slope_needs_two_horizons(rep_tiny):
     short = MCReport(
         theta_true=0.0, mean_hat=0.0, se_mean=0.0, var_hat=0.0, var_pred=1.0,
-        var_pred_paper=1.0, ks_stat=0.0, ks_pvalue=1.0,
+        ks_stat=0.0, ks_pvalue=1.0,
         per_T_scaled_var=rep_tiny.per_T_scaled_var[:1],
         asymptotic_var_closed_form=1.0,
         per_T_detail=rep_tiny.per_T_detail[:1])
@@ -302,7 +300,7 @@ def test_export_schema_and_round_trip(rep_asy, tmp_path):
     mc_path, asy_path = export_report(rep_asy, cfg, "csv")
     mc_lines = mc_path.read_text().strip().split("\n")
     assert len(mc_lines) == 2
-    assert all(len(line.split(",")) == 8 for line in mc_lines)
+    assert all(len(line.split(",")) == 7 for line in mc_lines)
     asy_lines = asy_path.read_text().strip().split("\n")
     assert len(asy_lines) == 1 + 5
     assert all(len(line.split(",")) == 6 for line in asy_lines)
@@ -336,7 +334,7 @@ def test_export_guards(rep_tiny, tmp_path):
 
     empty = MCReport(
         theta_true=0.0, mean_hat=0.0, se_mean=0.0, var_hat=0.0, var_pred=1.0,
-        var_pred_paper=1.0, ks_stat=0.0, ks_pvalue=1.0,
+        ks_stat=0.0, ks_pvalue=1.0,
         per_T_scaled_var=(), asymptotic_var_closed_form=1.0, per_T_detail=())
     with pytest.raises(DomainError, match="empty"):
         export_report(empty, cfg, "csv")

@@ -200,11 +200,11 @@ class TestProfileTables:
 
 
 class TestProfileEvaluation:
-    """The profiles' own evaluation against the CubicSplines they hold."""
+    """The profiles' own evaluation against the KnotSpline charts they hold."""
 
     def _charts(self, spl, x):
-        # CubicSpline's own evaluation of each chart, as the tables once
-        # evaluated their profiles
+        # each KnotSpline chart's own evaluation, which searches for the
+        # interval of every point
         xa = np.clip(x, kernels._PROFILE_XMIN, 1.0 - kernels._PROFILE_XMIN)
         left = xa <= 0.5
         out = np.empty_like(xa)

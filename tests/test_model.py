@@ -67,6 +67,16 @@ class TestHurstPair:
         with pytest.raises(DomainError, match=field):
             ModelParams(hurst=HurstPair(0.6, 0.9), **{field: value})
 
+    @pytest.mark.parametrize("field", ["h1", "h2", "sigma", "theta",
+                                       "horizon_T"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bools_are_not_numbers(self, field, flag):
+        # bool is a numbers.Real, so True would pass as 1 and False as 0
+        kwargs = {"h1": 0.6, "h2": 0.9, field: flag}
+        with pytest.raises(DomainError, match=f"require a (finite )?number {field}"):
+            pair = HurstPair(kwargs.pop("h1"), kwargs.pop("h2"))
+            ModelParams(hurst=pair, **kwargs)
+
 
 class TestDerivedConstants:
     def test_alpha_exact(self):

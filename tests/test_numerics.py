@@ -1,12 +1,15 @@
-"""Gauss-Jacobi panels, the reference rules, and the guarded dense solve."""
+"""Gauss-Jacobi panels, the reference rules, the guarded dense solve and
+the cubic spline."""
 import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from mixedfbm.errors import AccuracyWarning, DomainError, IllConditionedError
-from mixedfbm import numerics
-from mixedfbm.numerics import beta_fn, gamma_fn, jacobi_panels, solve_dense
+from mixedfbm import fredholm, kernels, numerics
+from mixedfbm.numerics import (KnotSpline, beta_fn, gamma_fn, jacobi_panels,
+                               solve_dense)
 from oracles import frac_integral_right, jacobi_rule, singular_integral
 
 # the exponent pairs and intervals of the weight-sum checks
@@ -124,3 +127,36 @@ class TestSolveDense:
     def test_shape_guard(self):
         with pytest.raises(DomainError):
             solve_dense(np.ones((3, 4)), np.ones(3))
+
+
+def test_knot_spline_is_scipy_cubic_spline():
+    # coefficients, values past both ends and knot second derivatives
+    # equal scipy's not-a-knot CubicSpline, on the profiles' log breaks,
+    # the residual audit's knots and random knots; malformed knots are
+    # refused
+    rng = np.random.default_rng(3)
+    knot_sets = {"log breaks": np.log(np.geomspace(
+        kernels._PROFILE_XMIN, 0.5, kernels._PROFILE_PER_SIDE))}
+    for n in (64, 128, 512):
+        grid = fredholm.build_grid(n)
+        ext = fredholm._offsets_in_cells(grid, fredholm._EXT_OFFSETS)
+        knot_sets[f"audit n={n}"] = np.sort(np.concatenate([grid.x_nodes, ext]))
+    for k, size in enumerate((4, 5, 37, 400)):
+        knot_sets[f"random {k}"] = np.cumsum(rng.uniform(1e-3, 2.0, size))
+    for name, x in knot_sets.items():
+        y = rng.normal(size=x.size) * 10.0 ** rng.uniform(-3, 3)
+        ours, ref = KnotSpline(x, y), CubicSpline(x, y)
+        span = x[-1] - x[0]
+        at = rng.uniform(x[0] - 0.25 * span, x[-1] + 0.25 * span, 5000)
+        assert at.min() < x[0] and at.max() > x[-1]
+        assert np.array_equal(ours.c, ref.c), name
+        assert np.array_equal(ours(at), ref(at)), name
+        assert np.array_equal(ours.second_derivatives(), ref(x, 2)), name
+
+    x, y = np.arange(5.0), np.ones(5)
+    for bad_x, bad_y in ((x[:3], y[:3]), (x[[0, 2, 1, 3, 4]], y),
+                         (np.r_[x[:4], x[3]], y), (np.r_[x[:4], np.nan], y),
+                         (np.r_[x[:4], np.inf], y), (x, np.r_[y[:4], np.nan]),
+                         (x, np.r_[y[:4], np.inf]), (x, y[:4]), (x, np.ones(6))):
+        with pytest.raises(DomainError):
+            KnotSpline(bad_x, bad_y)

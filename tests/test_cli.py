@@ -334,9 +334,10 @@ _MALFORMED_SIDECARS = pytest.mark.parametrize(
         {**_SIDECAR, "lambda": math.inf},
     ],
     ids=["missing-qv", "not-json", "not-an-object", "knots-unequal-lengths",
-         "knots-not-increasing", "knots-three", "knots-nan-y", "knots-without-y", "knots-not-an-object",
-         "grading-string", "grading-below-one", "qv-negative", "qv-zero",
-         "lambda-missing", "sigma-edited", "lambda-nan", "lambda-inf"],
+         "knots-not-increasing", "knots-three", "knots-nan-y",
+         "knots-without-y", "knots-not-an-object", "grading-string",
+         "grading-below-one", "qv-negative", "qv-zero", "lambda-missing",
+         "sigma-edited", "lambda-nan", "lambda-inf"],
 )
 
 

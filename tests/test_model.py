@@ -73,7 +73,8 @@ class TestHurstPair:
     def test_bools_are_not_numbers(self, field, flag):
         # bool is a numbers.Real, so True would pass as 1 and False as 0
         kwargs = {"h1": 0.6, "h2": 0.9, field: flag}
-        with pytest.raises(DomainError, match=f"require a (finite )?number {field}"):
+        with pytest.raises(DomainError,
+                           match=f"require a (finite )?number {field}"):
             pair = HurstPair(kwargs.pop("h1"), kwargs.pop("h2"))
             ModelParams(hurst=pair, **kwargs)
 

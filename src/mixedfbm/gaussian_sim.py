@@ -21,7 +21,7 @@ validated once, when the model was built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -100,12 +100,13 @@ class CovarianceModel:
     """Covariance description of one process on a positive time grid.
 
     The grid excludes 0 (where every process is deterministically 0);
-    drift holds the mean function on the same grid.  Construction checks,
-    in row blocks so that no n x n temporary is formed, that
+    drift holds the mean function on the same grid.  The matrix M is
+    only passed in, and the model keeps its factor L.  Construction
+    checks, in row blocks so that no n x n temporary is formed, that
 
-    - the matrix M is symmetric to 1e-12 of its largest entry;
-    - the factor L is lower triangular: its strictly upper part is
-      exactly 0, since the draws read only the lower triangle;
+    - M is symmetric to 1e-12 of its largest entry;
+    - L is lower triangular: its strictly upper part is exactly 0,
+      since the draws read only the lower triangle;
     - L reproduces M: ||L L^T - M||_F <= 1e-8 ||M||_F, computed on the
       lower block triangle (``_reconstruction_error``);
     - M has no eigenvalue below -1e-10 tr(M).
@@ -120,12 +121,12 @@ class CovarianceModel:
     """
 
     times: np.ndarray
-    matrix: np.ndarray
+    matrix: InitVar[np.ndarray]
     drift: np.ndarray
     chol: np.ndarray
 
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
+    def __post_init__(self, matrix) -> None:
+        m = np.asarray(matrix, dtype=float)
         err = _reconstruction_error(m, np.asarray(self.chol, dtype=float))
         if not err <= 1e-8 * np.linalg.norm(m):
             raise IllConditionedError("factor does not reproduce the covariance")
@@ -140,6 +141,13 @@ class CovarianceModel:
         t = np.concatenate(([0.0], self.times))
         t.flags.writeable = False
         return t
+
+    def _with_drift(self, drift: np.ndarray) -> "CovarianceModel":
+        """This model with another mean, sharing the grid, ``path_times``
+        and the factor, whose checks are not run again."""
+        model = object.__new__(CovarianceModel)
+        model.__dict__.update(self.__dict__, path_times=self.path_times, drift=drift)
+        return model
 
 
 def _reconstruction_error(m: np.ndarray, chol: np.ndarray) -> float:
@@ -178,12 +186,6 @@ def _positive_times(times) -> np.ndarray:
     if t.size == 0 or t[0] <= 0.0:
         raise DomainError("need at least one strictly positive time")
     return t
-
-
-def _grid_from_key(shape: tuple, key: bytes) -> np.ndarray:
-    # grids are validated here, on a model cache miss: a rejected grid
-    # raises and so is never cached, and a warm call skips the checks
-    return _positive_times(np.frombuffer(key, dtype=float).reshape(shape))
 
 
 def _factor(matrix: np.ndarray) -> np.ndarray:
@@ -233,67 +235,78 @@ def _row_blocks(n: int):
     return (slice(r, min(r + _BLOCK_ROWS, n)) for r in range(0, n, _BLOCK_ROWS))
 
 
-def _fill(t: np.ndarray, entries) -> np.ndarray:
-    """The matrix entries(t_i, t_j), evaluated one row block at a time."""
-    mat = np.empty((t.size, t.size))
-    for rows in _row_blocks(t.size):
-        mat[rows] = entries(t[rows, None], t[None, :])
-    return mat
-
-
 def _fbm_cov(h: float, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     return 0.5 * (t ** (2 * h) + s ** (2 * h) - np.abs(t - s) ** (2 * h))
 
 
-# each entry holds the matrix and its factor, 2 n^2 floats: 4 MB for a
-# 512-point grid, 64 MB for 2048 points
-@lru_cache(maxsize=4)
-def _model_cached(
-    shape: tuple,
-    key: bytes,
-    process: str,
-    theta: float,
-    h1: float,
-    h2: float,
-    sigma: float,
-    eps: float,
-    bconst: float,
-) -> CovarianceModel:
-    t = _grid_from_key(shape, key)
+def _cov_key(constants: DerivedConstants, process: str) -> tuple:
+    """The covariance of X, Y or Z; X and Y differ only in their mean."""
+    h1, h2, sigma = constants.hurst.h1, constants.hurst.h2, constants.sigma
     if process in ("X", "Y"):
-        tab = get_tables(h1, h2)
-        mart = sigma**2 * eps
-        mat = _fill(t, lambda ti, tj: tab.R(ti, tj)
-                    + mart * np.minimum(ti, tj) ** (2.0 - 2.0 * h1))
-        if process == "Y":
-            drift = theta * bconst * t ** (2.0 - 2.0 * h1)
+        return ("XY", h1, h2, sigma, constants.epsilon_h1)
+    if process == "Z":
+        return ("Z", h1, h2, sigma)
+    raise DomainError(f"unknown process {process!r}")
+
+
+def _matrix(t: np.ndarray, cov: tuple) -> np.ndarray:
+    """The covariance ``cov`` (a ``_cov_key`` or ("fBm", h)) on the
+    positive grid t, evaluated one row block at a time."""
+    kind, h1 = cov[0], cov[1]
+    if kind == "XY":
+        tab, mart = get_tables(h1, cov[2]), cov[3]**2 * cov[4]
+    mat = np.empty((t.size, t.size))
+    for rows in _row_blocks(t.size):
+        ti, tj = t[rows, None], t[None, :]
+        if kind == "XY":
+            mat[rows] = tab.R(ti, tj) + mart * np.minimum(ti, tj) ** (2.0 - 2.0 * h1)
+        elif kind == "Z":
+            mat[rows] = cov[3]**2 * _fbm_cov(h1, ti, tj) + _fbm_cov(cov[2], ti, tj)
         else:
-            drift = np.zeros(t.size)
-    elif process == "Z":
-        mat = _fill(t, lambda ti, tj: sigma**2 * _fbm_cov(h1, ti, tj)
-                    + _fbm_cov(h2, ti, tj))
-        drift = theta * t
-    else:
-        raise DomainError(f"unknown process {process!r}")
-    return CovarianceModel(times=t, matrix=mat, drift=drift, chol=_factor(mat))
+            mat[rows] = _fbm_cov(h1, ti, tj)
+    return mat
+
+
+# one entry per grid and covariance: the factor, n^2 floats (2 MB at 512
+# points), and O(n) more, so the cache holds at most 8 n^2 floats
+@lru_cache(maxsize=8)
+def _factor_cached(shape: tuple, key: bytes, cov: tuple) -> tuple:
+    """The checked driftless model of ``cov`` on the grid, and the unit
+    shape of its drift: t^(2-2H1) for Y, t for Z, None for fBm.  A grid
+    is validated on a miss only: a rejected grid is never cached."""
+    t = _positive_times(np.frombuffer(key, dtype=float).reshape(shape))
+    mat = _matrix(t, cov)
+    model = CovarianceModel(times=t, matrix=mat, drift=np.zeros(t.size),
+                            chol=_factor(mat))
+    return model, (t ** (2.0 - 2.0 * cov[1]) if cov[0] == "XY"
+                   else t if cov[0] == "Z" else None)
+
+
+def _cached(times, cov: tuple) -> tuple:
+    t = np.asarray(times, dtype=float)
+    return _factor_cached(t.shape, t.tobytes(), cov)
+
+
+def _finite_theta(theta) -> float:
+    # refused before any cache lookup, where each NaN is a new key
+    theta = float(theta)
+    if not abs(theta) < np.inf:
+        raise DomainError(f"require a finite number theta, got {theta!r}")
+    return theta
 
 
 def covariance_model(
     times, constants: DerivedConstants, process: str = "X", theta: float = 0.0
 ) -> CovarianceModel:
-    """Build (and cache) the factorized covariance of X, Y, or Z."""
-    t = np.asarray(times, dtype=float)
-    return _model_cached(
-        t.shape,
-        t.tobytes(),
-        process,
-        float(theta),
-        constants.hurst.h1,
-        constants.hurst.h2,
-        constants.sigma,
-        constants.epsilon_h1,
-        constants.script_b,
-    )
+    """The factorized covariance of X, Y, or Z, with its drift.  X and Y
+    share one cached factor at every theta; the drift, theta b t^(2-2H1)
+    for Y and theta t for Z, is formed per call."""
+    theta = _finite_theta(theta)
+    model, unit = _cached(times, _cov_key(constants, process))
+    if process == "X":
+        return model
+    scale = theta * constants.script_b if process == "Y" else theta
+    return model._with_drift(scale * unit)
 
 
 def _column(v: np.ndarray, like: np.ndarray) -> np.ndarray:
@@ -301,8 +314,7 @@ def _column(v: np.ndarray, like: np.ndarray) -> np.ndarray:
     return v.reshape(v.shape + (1,) * (like.ndim - 1))
 
 
-def _draw(model: CovarianceModel, seed, label: str,
-          drift: bool = True) -> SamplePath:
+def _draw(model: CovarianceModel, seed, label: str) -> SamplePath:
     """The lower factor applied to standard normals from ``seed``, plus
     the model's drift, as a path on the model's ``path_times``.
 
@@ -331,8 +343,7 @@ def _draw(model: CovarianceModel, seed, label: str,
         out = np.empty(n + 1)
         out[1:] = one(seed, out[1:])
     out[0] = 0.0
-    if drift:
-        out[1:] += _column(model.drift, out)
+    out[1:] += _column(model.drift, out)
     return SamplePath._drawn(model.path_times, out, label)
 
 
@@ -355,6 +366,7 @@ def simulate_Z(times, seed, theta: float, constants: DerivedConstants) -> Sample
     the seeds of its two draws; a ``SeedSequence`` passed in is left
     unchanged, so the same object gives the same path every time.
     """
+    theta = _finite_theta(theta)
     if isinstance(seed, (list, tuple)):
         pairs = [_spawn_pair(s) for s in seed]
         s1, s2 = [p[0] for p in pairs], [p[1] for p in pairs]
@@ -375,25 +387,12 @@ def _spawn_pair(seed) -> list:
                                    pool_size=ss.pool_size) for i in range(2)]
 
 
-# 2 n^2 floats per entry, as for the models above
-@lru_cache(maxsize=4)
-def _fbm_model_cached(shape: tuple, key: bytes, h: float) -> CovarianceModel:
-    t = _grid_from_key(shape, key)
-    mat = _fill(t, lambda ti, tj: _fbm_cov(h, ti, tj))
-    return CovarianceModel(times=t, matrix=mat, drift=np.zeros(t.size), chol=_factor(mat))
-
-
 def simulate_fbm(h: float, times, seed) -> SamplePath:
-    """Exact fractional Brownian draw on an arbitrary grid.
-
-    The draw is the Cholesky factor of the covariance on the grid (kept
-    for the last 4 grids) applied to standard normals from ``seed``.
-    """
+    """Exact fractional Brownian draw on an arbitrary grid: the cached
+    Cholesky factor of its covariance applied to normals from ``seed``."""
     if not 0.5 < h < 1.0:
         raise DomainError(f"require 1/2 < H < 1, got {h}")
-    t = np.asarray(times, dtype=float)
-    model = _fbm_model_cached(t.shape, t.tobytes(), h)
-    return _draw(model, seed, "fBm", drift=False)
+    return _draw(_cached(times, ("fBm", h))[0], seed, "fBm")
 
 
 # ----------------------------------------------------------------- forward

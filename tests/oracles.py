@@ -67,7 +67,7 @@ as they were built before the row-blocked fill: each formula broadcast
 over the whole grid at once.  ``factor`` is the Cholesky with jitter as
 it ran before it factored the matrix directly: it always formed
 ``matrix + bump * eye``.  Together they are the bitwise references of
-``gaussian_sim._model_cached`` and ``_fbm_model_cached``.
+``gaussian_sim._matrix`` and of the factors in ``_factor_cached``.
 ``reconstruction_error`` is the models' factor check as it ran before it
 summed over the lower block triangle: the full product ``chol @ chol.T``,
 one row block at a time.  It is the reference of

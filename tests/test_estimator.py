@@ -332,7 +332,7 @@ def test_warm_grid_pair_derives_nothing_from_the_grid(monkeypatch, cons, sol,
     fresh = dataclasses.replace(sol)
     mle(fresh, simulate_Y(grid512, 1, theta=0.5, constants=cons), cons)
     calls = []
-    for module, name in ((gs, "_grid_from_key"), (fr, "_graded_map_inv")):
+    for module, name in ((gs, "_positive_times"), (fr, "_graded_map_inv")):
         real = getattr(module, name)
 
         def counting(*args, real=real, name=name):

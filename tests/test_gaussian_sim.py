@@ -60,19 +60,46 @@ def test_sample_path_columns():
 
 def test_covariance_model_invariants(cons):
     t = np.linspace(0.1, 1.0, 10)
+    gs._factor_cached.cache_clear()
     m = gs.covariance_model(t, cons, "X")
-    assert np.allclose(m.matrix, m.matrix.T, rtol=0, atol=1e-14)
-    assert np.linalg.eigvalsh(m.matrix)[0] >= -1e-10 * np.trace(m.matrix)
+    mat = gs._matrix(t, gs._cov_key(cons, "X"))
+    assert np.allclose(mat, mat.T, rtol=0, atol=1e-14)
+    assert np.linalg.eigvalsh(mat)[0] >= -1e-10 * np.trace(mat)
     rec = m.chol @ m.chol.T
-    assert np.linalg.norm(rec - m.matrix) <= 1e-8 * np.linalg.norm(m.matrix)
+    assert np.linalg.norm(rec - mat) <= 1e-8 * np.linalg.norm(mat)
     assert np.all(m.drift == 0.0)
-    my = gs.covariance_model(t, cons, "Y", theta=0.7)
-    assert np.allclose(my.drift, 0.7 * cons.script_b * t ** (2 - 2 * H1), rtol=1e-14)
-    assert np.allclose(my.matrix, m.matrix, rtol=0, atol=0)
+    assert not hasattr(m, "matrix")
+    # X and Y share one covariance: one miss, one factor at every theta,
+    # and the drift is the unit shape scaled per call
+    power = t ** (2 - 2 * H1)
+    for theta in (0.5, 0.7):
+        my = gs.covariance_model(t, cons, "Y", theta=theta)
+        assert my.chol is m.chol and my.path_times is m.path_times
+        assert np.array_equal(my.drift, theta * cons.script_b * power)
+    assert gs._factor_cached.cache_info().misses == 1
+    assert np.all(m.drift == 0.0)
     mz = gs.covariance_model(t, cons, "Z", theta=0.7)
-    assert np.allclose(mz.drift, 0.7 * t, rtol=1e-14)
+    assert np.array_equal(mz.drift, 0.7 * t)
+    assert gs._factor_cached.cache_info().misses == 2
     with pytest.raises(DomainError):
         gs.covariance_model(t, cons, "Q")
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+def test_non_finite_theta_is_refused_before_the_cache(cons, theta):
+    # each NaN is a new cache key: refused before the lookup, it neither
+    # builds a factor nor pushes a valid entry out
+    t = np.linspace(0.1, 1.0, 10)
+    gs.covariance_model(t, cons, "Y", theta=0.5)
+    before = gs._factor_cached.cache_info()
+    for call in (lambda: gs.covariance_model(t, cons, "Y", theta),
+                 lambda: gs.covariance_model(t, cons, "Z", theta),
+                 lambda: gs.simulate_Y(t, 1, theta, cons),
+                 lambda: gs.simulate_Z(t, 1, theta, cons)):
+        with pytest.raises(DomainError, match="require a finite number theta"):
+            call()
+    after = gs._factor_cached.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
 
 
 # ------------------------------------------------ model checks that fail
@@ -118,7 +145,7 @@ def test_model_rejects_a_factor_that_does_not_reproduce_the_matrix():
     m = _spd()
     with pytest.raises(IllConditionedError, match="does not reproduce"):
         _model(m, 1.01 * np.linalg.cholesky(m))
-    assert _model(m, np.linalg.cholesky(m)).matrix is m
+    _model(m, np.linalg.cholesky(m))
 
 
 def test_factor_out_of_jitter_raises_and_leaves_the_matrix():
@@ -176,13 +203,15 @@ def test_blocked_models_match_the_full_broadcast_build(process):
     cons = derive_constants(ModelParams(hurst=HurstPair(H1, H2), sigma=1.3))
     t = graded(n, power=1.7, horizon=2.0)
     if process == "fBm":
-        model = gs._fbm_model_cached(t.shape, t.tobytes(), 0.7)
+        model = gs._factor_cached(t.shape, t.tobytes(), ("fBm", 0.7))[0]
+        mat = gs._matrix(t[1:], ("fBm", 0.7))
         ref = oracles.fbm_matrix(0.7, t[1:])
     else:
         model = gs.covariance_model(t, cons, process, theta=0.3)
+        mat = gs._matrix(t[1:], gs._cov_key(cons, process))
         ref = oracles.model_matrix(t[1:], cons, process)
-    assert model.matrix.shape == (n, n)
-    assert np.array_equal(model.matrix, ref)
+    assert mat.shape == (n, n)
+    assert np.array_equal(mat, ref)
     assert np.array_equal(model.chol, oracles.factor(ref))
     # the draws' BLAS product reads the factor from a 64-byte boundary
     assert model.chol.ctypes.data % 64 == 0 and model.chol.flags.c_contiguous
@@ -200,33 +229,36 @@ def test_reconstruction_error_matches_the_full_product(process):
     rng = np.random.default_rng(12)
     for n in (2 * gs._BLOCK_ROWS + 13, 512):
         t = graded(n, power=1.7, horizon=2.0)
-        if process == "fBm":
-            model = gs._fbm_model_cached(t.shape, t.tobytes(), 0.7)
-        else:
-            model = gs.covariance_model(t, cons, process, theta=0.3)
-        norm = np.linalg.norm(model.matrix)
-        assert gs._reconstruction_error(model.matrix, model.chol) <= 1e-12 * norm
-        assert oracles.reconstruction_error(model.matrix, model.chol) <= 1e-12 * norm
+        cov = ("fBm", 0.7) if process == "fBm" else gs._cov_key(cons, process)
+        model = gs._factor_cached(t.shape, t.tobytes(), cov)[0]
+        mat = gs._matrix(t[1:], cov)
+        norm = np.linalg.norm(mat)
+        assert gs._reconstruction_error(mat, model.chol) <= 1e-12 * norm
+        assert oracles.reconstruction_error(mat, model.chol) <= 1e-12 * norm
         chol = model.chol * (1.0 + 1e-3 * np.tril(rng.standard_normal((n, n))))
-        ref = oracles.reconstruction_error(model.matrix, chol)
+        ref = oracles.reconstruction_error(mat, chol)
         assert ref > 1e-5 * norm
-        assert gs._reconstruction_error(model.matrix, chol) == pytest.approx(
+        assert gs._reconstruction_error(mat, chol) == pytest.approx(
             ref, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("cached", [gs._model_cached, gs._fbm_model_cached])
-def test_model_caches_are_bounded(cons, cached):
-    # each entry is a dense matrix and its factor, 2 n^2 floats; run_mc
-    # draws on one grid per horizon, and its default horizons still fit
+def test_model_caches_are_bounded(cons):
+    # one cache for the X/Y, Z and fBm factors: an entry holds its n x n
+    # factor and O(n) more, so at most 8 n^2 floats in all; run_mc draws
+    # on one grid per horizon, and its default horizons still fit
+    cached = gs._factor_cached
     cap = cached.cache_info().maxsize
-    assert len(_DEFAULT_T_SEQUENCE) <= cap <= 4
+    assert len(_DEFAULT_T_SEQUENCE) <= cap == 8
     cached.cache_clear()
     for k in range(cap + 3):
         t = graded(40 + k)
-        if cached is gs._model_cached:
-            gs.covariance_model(t, cons, "Y", theta=0.2)
-        else:
-            gs.simulate_fbm(0.7, t, 1)
+        n = t.size - 1
+        cov = gs._cov_key(cons, "XZ"[k % 2]) if k % 3 else ("fBm", 0.7)
+        model, unit = cached(t.shape, t.tobytes(), cov)
+        # grid, drift, path_times and unit shape: 4 n + 1 floats at most
+        arrays = {**vars(model), "path_times": model.path_times, "unit": unit}
+        held = [a.size for a in arrays.values() if isinstance(a, np.ndarray)]
+        assert max(held) == n * n and sum(held) <= n * n + 5 * n
         assert cached.cache_info().currsize <= cap
     assert cached.cache_info().currsize == cap
 
@@ -422,8 +454,8 @@ def test_draws_refuse_non_finite_values(cons):
                 np.errstate(over="ignore"):
             gs.simulate_Y(t, seed, 1e308, cons)
         with pytest.raises(DomainError, match="non-finite"), \
-                np.errstate(invalid="ignore"):
-            gs.simulate_Z(t, seed, np.inf, cons)
+                np.errstate(over="ignore"):
+            gs.simulate_Z(t, seed, 1e308, cons)
 
 
 def test_simulate_Z_leaves_the_seed_sequence_unchanged(cons):

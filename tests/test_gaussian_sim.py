@@ -242,7 +242,13 @@ def test_reconstruction_error_matches_the_full_product(process):
             ref, rel=1e-12, abs=0.0)
 
 
-def test_model_caches_are_bounded(cons):
+# the ids name the covariance families that fill the one factor cache:
+# the mixed model's X/Y and Z covariances, and plain fBm covariances
+@pytest.mark.parametrize("family", [
+    pytest.param("model", id="_model_cached"),
+    pytest.param("fbm", id="_fbm_model_cached"),
+])
+def test_model_caches_are_bounded(cons, family):
     # one cache for the X/Y, Z and fBm factors: an entry holds its n x n
     # factor and O(n) more, so at most 8 n^2 floats in all; run_mc draws
     # on one grid per horizon, and its default horizons still fit
@@ -253,13 +259,21 @@ def test_model_caches_are_bounded(cons):
     for k in range(cap + 3):
         t = graded(40 + k)
         n = t.size - 1
-        cov = gs._cov_key(cons, "XZ"[k % 2]) if k % 3 else ("fBm", 0.7)
+        if family == "model":
+            cov = gs._cov_key(cons, "XZ"[k % 2])
+        else:
+            cov = ("fBm", 0.55 + 0.1 * (k % 3))
         model, unit = cached(t.shape, t.tobytes(), cov)
         # grid, drift, path_times and unit shape: 4 n + 1 floats at most
         arrays = {**vars(model), "path_times": model.path_times, "unit": unit}
         held = [a.size for a in arrays.values() if isinstance(a, np.ndarray)]
         assert max(held) == n * n and sum(held) <= n * n + 5 * n
         assert cached.cache_info().currsize <= cap
+    assert cached.cache_info().currsize == cap
+    # the other family shares the cache and so stays within the same bound
+    t = graded(40)
+    other = ("fBm", 0.7) if family == "model" else gs._cov_key(cons, "Y")
+    cached(t.shape, t.tobytes(), other)
     assert cached.cache_info().currsize == cap
 
 

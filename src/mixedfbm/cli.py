@@ -211,6 +211,8 @@ def _cmd_closed_form(s: _Settings) -> int:
 def _cmd_simulate(s: _Settings) -> int:
     _, cons = s.constants()
     times = _graded_times(s.get("t_horizon"), s.get("path_points"))
+    if s.get("seed") < 0:
+        raise DomainError(f"require seed >= 0, got {s.get('seed')}")
     seed = np.random.SeedSequence(s.get("seed"))
     proc = s.args.process
     if proc == "X":

@@ -21,6 +21,7 @@ validated once, when the model was built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
 
@@ -104,11 +105,13 @@ class CovarianceModel:
     only passed in, and the model keeps its factor L.  Construction
     checks, in row blocks so that no n x n temporary is formed, that
 
+    - every entry of M is finite (DomainError otherwise);
     - M is symmetric to 1e-12 of its largest entry;
     - L is lower triangular: its strictly upper part is exactly 0,
       since the draws read only the lower triangle;
     - L reproduces M: ||L L^T - M||_F <= 1e-8 ||M||_F, computed on the
-      lower block triangle (``_reconstruction_error``);
+      lower block triangle, with both sides in units of max |M| so that
+      neither overflows at a large horizon (``_reconstruction_error``);
     - M has no eigenvalue below -1e-10 tr(M).
 
     The last holds by Weyl's inequality once the reconstruction error is
@@ -127,11 +130,12 @@ class CovarianceModel:
 
     def __post_init__(self, matrix) -> None:
         m = np.asarray(matrix, dtype=float)
-        err = _reconstruction_error(m, np.asarray(self.chol, dtype=float))
-        if not err <= 1e-8 * np.linalg.norm(m):
+        scale = _scale(m)
+        err, norm = _reconstruction_error(m, np.asarray(self.chol, dtype=float), scale)
+        if not err <= 1e-8 * norm:
             raise IllConditionedError("factor does not reproduce the covariance")
-        tr = float(np.trace(m))
-        if err > 1e-10 * tr and float(np.linalg.eigvalsh(m)[0]) < -1e-10 * tr:
+        tr = float((m.diagonal() / scale).sum())
+        if err > 1e-10 * tr and float(np.linalg.eigvalsh(m / scale)[0]) < -1e-10 * tr:
             raise IllConditionedError("covariance matrix has a significantly negative eigenvalue")
 
     @cached_property
@@ -150,8 +154,20 @@ class CovarianceModel:
         return model
 
 
-def _reconstruction_error(m: np.ndarray, chol: np.ndarray) -> float:
-    """||L L^T - M||_F for the lower factor L = ``chol``.
+def _scale(m: np.ndarray) -> float:
+    """The power of two just above max |M|, by which the checks divide M
+    so that no sum of its squares overflows.  The division is exact, so
+    below overflow the checks decide as they would on M itself.
+    DomainError unless every entry of M is finite."""
+    hi, lo = float(m.max()), float(m.min())
+    if not (np.isfinite(hi) and np.isfinite(lo)):
+        raise DomainError("covariance matrix has a non-finite entry")
+    return math.ldexp(1.0, math.frexp(max(hi, -lo))[1])
+
+
+def _reconstruction_error(m: np.ndarray, chol: np.ndarray, scale: float) -> tuple:
+    """||L L^T - M||_F and ||M||_F, both divided by ``scale`` (``_scale``),
+    for the lower factor L = ``chol``.
 
     Summed over the lower block triangle, each block left of the
     diagonal counted twice for its mirror image: a third of the flops of
@@ -161,18 +177,27 @@ def _reconstruction_error(m: np.ndarray, chol: np.ndarray) -> float:
     L is exactly 0 above its diagonal.
     """
     atol = 1e-12 * max(m.max(), -m.min(), 1.0)
-    err2 = 0.0
+    inv = 1.0 / scale
+    err2 = norm2 = 0.0
     for rows in _row_blocks(m.shape[0]):
         lo, hi = rows.start, rows.stop
-        if not (np.abs(m[rows, :hi] - m[:hi, rows].T) <= atol).all():
+        block = m[rows, :hi]
+        if not (np.abs(block - m[:hi, rows].T) <= atol).all():
             raise IllConditionedError("covariance matrix is not symmetric")
         if chol[rows, hi:].any() or np.triu(chol[rows, rows], 1).any():
             raise IllConditionedError("factor is not lower triangular")
         diff = chol[rows, :hi] @ chol[:hi, :hi].T
-        diff -= m[rows, :hi]
-        left, diag = diff[:, :lo], diff[:, lo:]
-        err2 += 2.0 * float(np.vdot(left, left)) + float(np.vdot(diag, diag))
-    return float(np.sqrt(err2))
+        diff -= block
+        diff *= inv
+        err2 += _folded_sq(diff, lo)
+        norm2 += _folded_sq(block * inv, lo)
+    return float(np.sqrt(err2)), float(np.sqrt(norm2))
+
+
+def _folded_sq(a: np.ndarray, lo: int) -> float:
+    # a row block's squares, those left of column lo counted twice
+    left, diag = a[:, :lo], a[:, lo:]
+    return 2.0 * float(np.vdot(left, left)) + float(np.vdot(diag, diag))
 
 
 def _positive_times(times) -> np.ndarray:
@@ -191,7 +216,9 @@ def _positive_times(times) -> np.ndarray:
 def _factor(matrix: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of the matrix; when that fails, of the matrix
     plus the first of 1, 10 and 100 times 1e-12 tr/n on its diagonal that
-    factors.  The jitter is added in place and the diagonal restored."""
+    factors.  The jitter is added in place and the diagonal restored.
+    DomainError, before LAPACK sees it, unless every entry is finite."""
+    _scale(matrix)
     try:
         return _aligned(np.linalg.cholesky(matrix))
     except np.linalg.LinAlgError:
@@ -275,7 +302,10 @@ def _factor_cached(shape: tuple, key: bytes, cov: tuple) -> tuple:
     shape of its drift: t^(2-2H1) for Y, t for Z, None for fBm.  A grid
     is validated on a miss only: a rejected grid is never cached."""
     t = _positive_times(np.frombuffer(key, dtype=float).reshape(shape))
-    mat = _matrix(t, cov)
+    # at a large horizon an entry overflows, and _factor refuses it as
+    # non-finite: numpy need not warn on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat = _matrix(t, cov)
     model = CovarianceModel(times=t, matrix=mat, drift=np.zeros(t.size),
                             chol=_factor(mat))
     return model, (t ** (2.0 - 2.0 * cov[1]) if cov[0] == "XY"
@@ -358,33 +388,8 @@ def simulate_Y(times, seed, theta: float, constants: DerivedConstants) -> Sample
 
 
 def simulate_Z(times, seed, theta: float, constants: DerivedConstants) -> SamplePath:
-    """Pathwise draw of the raw observation theta*t + sigma*B1 + B2.
-
-    Built from two independent fractional Brownian draws rather than a
-    factorized joint covariance; the two routes agree in distribution
-    and the transform tests compare them.  Each seed is spawned into
-    the seeds of its two draws; a ``SeedSequence`` passed in is left
-    unchanged, so the same object gives the same path every time.
-    """
-    theta = _finite_theta(theta)
-    if isinstance(seed, (list, tuple)):
-        pairs = [_spawn_pair(s) for s in seed]
-        s1, s2 = [p[0] for p in pairs], [p[1] for p in pairs]
-    else:
-        s1, s2 = _spawn_pair(seed)
-    b1 = simulate_fbm(constants.hurst.h1, times, s1)
-    b2 = simulate_fbm(constants.hurst.h2, times, s2)
-    vals = (theta * _column(b1.times, b1.values) + constants.sigma * b1.values
-            + b2.values)
-    return SamplePath._drawn(b1.times, vals, "Z")
-
-
-def _spawn_pair(seed) -> list:
-    # the first two children ss.spawn(2) would give a fresh seed, derived
-    # without advancing the caller's SeedSequence
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (i,),
-                                   pool_size=ss.pool_size) for i in range(2)]
+    """Exact draw of the raw observation theta*t + sigma*B1 + B2."""
+    return _draw(covariance_model(times, constants, "Z", theta), seed, "Z")
 
 
 def simulate_fbm(h: float, times, seed) -> SamplePath:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,6 +62,13 @@ class ExperimentConfig:
     output_dir: str = "."
 
     def __post_init__(self) -> None:
+        for name in ("grid_n", "path_points", "replicates", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"require an integer {name}, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.master_seed < 0:
+            raise DomainError(f"require master_seed >= 0, got {self.master_seed}")
         if self.replicates < 1:
             raise DomainError(f"require replicates >= 1, got {self.replicates}")
         if self.path_points < 128:
@@ -125,6 +133,8 @@ class MCReport:
 
 
 def _graded_times(T: float, n: int) -> np.ndarray:
+    if n < 1:
+        raise DomainError(f"require path_points >= 1, got {n}")
     return T * (np.arange(n + 1) / n) ** 2.0
 
 

@@ -57,10 +57,11 @@ took path columns: twice, once at the fine and once at the coarse
 midpoints.  It is kept verbatim as the bitwise reference of the
 one-read score in ``test_estimator.py``.
 
-``simulate_Z`` is the pathwise draw as it spawned its two fBm seeds with
-``SeedSequence.spawn(2)``, which advances the caller's seed object; it
-is the reference that fresh seeds still give the same Z paths in
-``test_gaussian_sim.py``.
+``simulate_Z`` is the pathwise draw of the raw observation as the
+package made it before it drew Z from its factorized covariance: the
+sum theta t + sigma B1 + B2 of two independent fBm draws, whose seeds
+are the first two children of each seed.  It is the pathwise reference
+of the Z law in ``test_gaussian_sim.py``.
 
 ``model_matrix`` and ``fbm_matrix`` are the covariance models' matrices
 as they were built before the row-blocked fill: each formula broadcast
@@ -88,7 +89,7 @@ from mixedfbm.fredholm import (_EVAL_OFFSETS, _EXT_OFFSETS, DiscretizedOperator,
                                _offsets_in_cells, _on_horizon,
                                _quadratic_variation, _quadrature_rows,
                                _rhs_values, assemble)
-from mixedfbm.gaussian_sim import SamplePath, _column, simulate_fbm
+from mixedfbm.gaussian_sim import SamplePath, _column, _finite_theta, simulate_fbm
 from mixedfbm.kernels import (_CHUNK_NODES, _LADDER_STEPS, DIAG_RTOL,
                               KernelContext, KernelTables, _ladder_rule,
                               _ladder_rule_one, get_tables)
@@ -1049,13 +1050,16 @@ def covariance_X(t, s, constants: DerivedConstants):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _spawn_pair(seed) -> list:
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return ss.spawn(2)
-
-
 def simulate_Z(times, seed, theta: float, constants: DerivedConstants) -> SamplePath:
-    """Pathwise draw of the raw observation theta*t + sigma*B1 + B2."""
+    """Pathwise draw of the raw observation theta*t + sigma*B1 + B2.
+
+    Built from two independent fractional Brownian draws rather than a
+    factorized joint covariance; the two routes agree in distribution
+    and the transform tests compare them.  Each seed is spawned into
+    the seeds of its two draws; a ``SeedSequence`` passed in is left
+    unchanged, so the same object gives the same path every time.
+    """
+    theta = _finite_theta(theta)
     if isinstance(seed, (list, tuple)):
         pairs = [_spawn_pair(s) for s in seed]
         s1, s2 = [p[0] for p in pairs], [p[1] for p in pairs]
@@ -1065,7 +1069,15 @@ def simulate_Z(times, seed, theta: float, constants: DerivedConstants) -> Sample
     b2 = simulate_fbm(constants.hurst.h2, times, s2)
     vals = (theta * _column(b1.times, b1.values) + constants.sigma * b1.values
             + b2.values)
-    return SamplePath(times=b1.times, values=vals, label="Z")
+    return SamplePath._drawn(b1.times, vals, "Z")
+
+
+def _spawn_pair(seed) -> list:
+    # the first two children ss.spawn(2) would give a fresh seed, derived
+    # without advancing the caller's SeedSequence
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return [np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (i,),
+                                   pool_size=ss.pool_size) for i in range(2)]
 
 
 def _fbm_cov(h: float, t: np.ndarray, s: np.ndarray) -> np.ndarray:

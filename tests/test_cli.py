@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +267,7 @@ _MALFORMED_FILES = {
         ("asymptotics", "--theta", "nan"),
         ("kernel", "--t", "1e308", "--s", "1e-308"),
         ("transform", "--path-file", "{tmp}/path-text-cell.csv"),
+        ("simulate", "--seed", "-1"),
         ("constants", "--config", "{tmp}/config-broken.json"),
         ("constants", "--config", "{tmp}/config-h1-string.json"),
         ("constants", "--config", "{tmp}/config-list.json"),
@@ -275,8 +277,8 @@ _MALFORMED_FILES = {
          "kernel-t-nan", "kernel-s-above-t", "kernel-h1-below-half",
          "constants-sigma-infinite", "solve-sigma-infinite",
          "asymptotics-theta-nan", "kernel-ratio-underflows",
-         "transform-path-text-cell", "config-not-json", "config-h1-string",
-         "config-not-an-object"],
+         "transform-path-text-cell", "simulate-seed-negative",
+         "config-not-json", "config-h1-string", "config-not-an-object"],
 )
 def test_edge_inputs_exit_2(tmp_path, capsys, argv):
     for name, text in _MALFORMED_FILES.items():
@@ -287,6 +289,28 @@ def test_edge_inputs_exit_2(tmp_path, capsys, argv):
     assert code == 2
     assert "domain error" in stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("--process", "Z", "--t-horizon", "1e200", "--path-points", "4"), 2),
+    (("--process", "Y", "--t-horizon", "1e150", "--path-points", "4"), 0),
+    (("--path-points", "0"), 2),
+], ids=["Z-covariance-overflows", "Y-squared-norm-overflows",
+        "path-points-zero"])
+def test_simulate_edges_raise_no_numpy_warning(tmp_path, capsys, argv, code):
+    # an overflowing covariance is a domain error, and where only its
+    # squared norm overflows the factor is checked in range and accepted;
+    # either way numpy does not warn, and a refused factor is not cached
+    from mixedfbm.gaussian_sim import _factor_cached
+    _factor_cached.cache_clear()
+    out = tmp_path / "path.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, _, stderr = run(capsys, "simulate", *argv, "--out", str(out))
+    assert got == code
+    assert out.exists() == (code == 0)
+    assert ("domain error" in stderr) == (code == 2)
+    assert _factor_cached.cache_info().currsize == (code == 0)
 
 
 def test_accuracy_failure_exit_code(tmp_path, capsys, monkeypatch):

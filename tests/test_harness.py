@@ -67,6 +67,23 @@ def test_config_validation():
         ExperimentConfig(params=params, t_sequence=(-1.0, 2.0))
     with pytest.raises(DomainError, match="positive"):
         ExperimentConfig(params=params, t_sequence=())
+    # numpy integers are integers, kept as int so the JSON echo takes them
+    cfg = ExperimentConfig(params=params, grid_n=np.int64(64),
+                           master_seed=np.uint8(3))
+    assert type(cfg.grid_n) is int and type(cfg.master_seed) is int
+
+
+@pytest.mark.parametrize("field, value", [
+    ("replicates", 2.5), ("replicates", True), ("master_seed", 1.5),
+    ("master_seed", -1), ("path_points", 512.5), ("grid_n", 128.0),
+    ("grid_n", "128"), ("path_points", None),
+])
+def test_config_refuses_non_integer_sizes(field, value):
+    # refused when the config is built, naming the field, not later by
+    # run_mc with a TypeError or a misleading path-horizon mismatch
+    params = ModelParams(hurst=HurstPair(0.6, 0.9))
+    with pytest.raises(DomainError, match=field):
+        ExperimentConfig(params=params, **{field: value})
 
 
 def test_mc_single_replicate_deterministic(cfg_tiny, rep_tiny, tmp_path):

@@ -65,6 +65,8 @@ CLI_RUNS = (
     # the large-grid covariance model: one 2049 x 2049 Y model per horizon
     ("mc", "--replicates", "200", "--path-points", "2048"),
     ("estimate", "--h-file", "h.csv", "--path-file", "y.csv"),
+    # the one Z route: a cold 2048 x 2048 Z factor and one draw from it
+    ("simulate", "--process", "Z", "--path-points", "2048"),
 )
 # untimed commands that prepare a timed command's inputs, run first in
 # its directory

@@ -10,8 +10,6 @@ ran but missed its tolerance), 1 for I/O problems.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from pathlib import Path
 
@@ -24,7 +22,8 @@ from .estimator import mle
 from .fredholm import SolutionRecord, assemble, build_grid, solve_second_kind
 from .gaussian_sim import (SamplePath, inverse_transform, molchan_transform,
                            simulate_fbm, simulate_X, simulate_Y, simulate_Z)
-from .harness import (ExperimentConfig, _graded_times, decay_slope,
+from .harness import (_DEFAULT_T_SEQUENCE, ExperimentConfig, _graded_times,
+                      _read_json, _write_csv, _write_json, decay_slope,
                       export_report, gap_slope, run_asymptotics, run_mc)
 from .kernels import KernelContext, get_tables
 from .model import HurstPair, ModelParams, derive_constants
@@ -67,11 +66,7 @@ class _Settings:
         self.args = args
         self.file_vals = {}
         if getattr(args, "config", None):
-            with open(args.config) as fh:
-                try:
-                    self.file_vals = json.load(fh)
-                except ValueError as exc:
-                    raise DomainError(f"{args.config}: not JSON: {exc}") from exc
+            self.file_vals = _read_json(args.config)
             if not isinstance(self.file_vals, dict):
                 raise DomainError(f"{args.config}: need a JSON object, got "
                                   f"{type(self.file_vals).__name__}")
@@ -106,14 +101,6 @@ class _Settings:
         return params, derive_constants(params)
 
 
-def _write_rows(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(float(v)) for v in row])
-
-
 def _read_path_csv(fname: str, label: str) -> SamplePath:
     try:
         data = np.loadtxt(fname, delimiter=",", skiprows=1, ndmin=2)
@@ -126,11 +113,7 @@ def _read_path_csv(fname: str, label: str) -> SamplePath:
 
 def _cmd_constants(s: _Settings) -> int:
     _, cons = s.constants()
-    text = json.dumps(cons.as_dict(), indent=2, sort_keys=True)
-    print(text)
-    out = s.get("out")
-    if out:
-        Path(out).write_text(text + "\n")
+    print(_write_json(s.get("out") or None, cons.as_dict()))
     return 0
 
 
@@ -163,11 +146,7 @@ def _cmd_kernel(s: _Settings) -> int:
     overflow = sorted(k for k, v in vals.items() if not np.isfinite(v))
     if overflow:
         raise DomainError(f"{', '.join(overflow)} not finite at t={t}, s={u}")
-    text = json.dumps(vals, indent=2, sort_keys=True)
-    print(text)
-    out = s.get("out")
-    if out:
-        Path(out).write_text(text + "\n")
+    print(_write_json(s.get("out") or None, vals))
     return 0
 
 
@@ -181,13 +160,13 @@ def _cmd_solve(s: _Settings) -> int:
     node_t = grid.nodes * T
     h_T = sol.h_hat * node_t ** (h1 - 0.5)
     out = Path(s.get("out") or "h.csv")
-    _write_rows(out, ("node_u", "node_t", "h_hat", "h_T", "weight"),
-                zip(grid.nodes, node_t, sol.h_hat, h_T, grid.weights))
+    _write_csv(out, ("node_u", "node_t", "h_hat", "h_T", "weight"),
+               zip(grid.nodes, node_t, sol.h_hat, h_T, grid.weights))
     sidecar = {**sol.record.to_json(), "theta": params.theta,
                "grid_n": s.get("grid_n"), "residual_sup": sol.residual_sup,
                "condition": sol.condition, "library_version": __version__}
     side_path = out.with_suffix(".json")
-    side_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    _write_json(side_path, sidecar)
     print(f"solved T={T} n={s.get('grid_n')}: residual_sup="
           f"{sol.residual_sup:.3e} qv_N={sol.qv_N!r} -> {out}, {side_path}")
     return 0
@@ -202,7 +181,7 @@ def _cmd_closed_form(s: _Settings) -> int:
     out = s.get("out")
     if out:
         v = np.linspace(0.0, 1.0, s.args.points + 2)[1:-1]
-        _write_rows(out, ("v", "h0"), zip(v, h0(v, cons)))
+        _write_csv(out, ("v", "h0"), zip(v, h0(v, cons)))
         print(f"wrote {s.args.points} samples of the limiting filter "
               f"to {out}")
     return 0
@@ -226,7 +205,7 @@ def _cmd_simulate(s: _Settings) -> int:
     else:
         raise DomainError(f"unknown process {proc!r}")
     out = Path(s.get("out") or "path.csv")
-    _write_rows(out, ("t", "value"), zip(path.times, path.values))
+    _write_csv(out, ("t", "value"), zip(path.times, path.values))
     print(f"simulated {proc} on {times.size} points to {out}")
     return 0
 
@@ -240,7 +219,7 @@ def _cmd_transform(s: _Settings) -> int:
         path = _read_path_csv(s.args.path_file, "Z")
         res = molchan_transform(path, cons)
     out = Path(s.get("out") or "transformed.csv")
-    _write_rows(out, ("t", "value"), zip(res.times, res.values))
+    _write_csv(out, ("t", "value"), zip(res.times, res.values))
     print(f"transformed {path.times.size} -> {res.times.size} points "
           f"to {out}")
     return 0
@@ -250,11 +229,7 @@ def _cmd_estimate(s: _Settings) -> int:
     side_path = Path(s.args.h_file).with_suffix(".json")
     if not side_path.exists():
         raise DomainError(f"missing solver sidecar {side_path}")
-    try:
-        side = json.loads(side_path.read_text())
-    except ValueError as exc:
-        raise DomainError(f"{side_path}: not JSON: {exc}") from exc
-    record = SolutionRecord.from_json(side, str(side_path))
+    record = SolutionRecord.from_json(_read_json(side_path), str(side_path))
     # the model is the solve's; a flag or config value that differs
     # from it would otherwise be ignored silently
     pair = record.constants.hurst
@@ -269,10 +244,7 @@ def _cmd_estimate(s: _Settings) -> int:
     res = mle(record, path)
     result = {k: getattr(res, k) for k in (
         "theta_hat", "n_T", "qv_N", "variance_pred")}
-    text = json.dumps(result, indent=2, sort_keys=True)
-    out = Path(s.get("out") or "result.json")
-    out.write_text(text + "\n")
-    print(text)
+    print(_write_json(s.get("out") or "result.json", result))
     return 0
 
 
@@ -300,8 +272,7 @@ def _experiment_config(s: _Settings, default_ts) -> ExperimentConfig:
 def _cmd_mc(s: _Settings) -> int:
     config = _experiment_config(s, default_ts=None)
     report = run_mc(config)
-    paths = export_report(report, config, "csv")
-    paths += export_report(report, config, "json")
+    paths = export_report(report, config)
     print(f"mc: R={config.replicates} theta={report.theta_true} "
           f"mean_hat={report.mean_hat!r} se={report.se_mean!r} "
           f"var_hat/var_pred={report.var_hat / report.var_pred:.4f} "
@@ -311,10 +282,9 @@ def _cmd_mc(s: _Settings) -> int:
 
 
 def _cmd_asymptotics(s: _Settings) -> int:
-    config = _experiment_config(s, default_ts=(1.0, 5.0, 25.0, 125.0))
+    config = _experiment_config(s, default_ts=_DEFAULT_T_SEQUENCE)
     report = run_asymptotics(config)
-    paths = export_report(report, config, "csv")
-    paths += export_report(report, config, "json")
+    paths = export_report(report, config)
     h1, h2 = config.params.hurst.h1, config.params.hurst.h2
     print(f"asymptotics: tail slope={decay_slope(report):.4f} "
           f"(law {-(2.0 - 2.0 * h2):.4f}), gap slope="

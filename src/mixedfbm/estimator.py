@@ -118,8 +118,14 @@ def mle(
     solve's.  The filter's values at the path grid's midpoints are kept
     on the record for the last grid read (``midpoint_filter``), so a
     further path on that grid costs two sums; the checks that depend
-    only on the grid run when it is first read.
+    only on the grid run when it is first read.  DomainError unless the
+    path is labelled "Y" or "X", a transformed observation: a raw Z path
+    (transform it with ``molchan_transform``) or an fBm path would give
+    a wrong estimate with no error.
     """
+    if path.label not in ("Y", "X"):
+        raise DomainError(f"mle reads a transformed path (label Y or X), "
+                          f"got a {path.label!r} path")
     rec = sol.record if isinstance(sol, FredholmSolution) else sol
     if constants is not None and constants is not rec.constants:
         pair, own = constants.hurst, rec.constants.hurst

@@ -220,7 +220,7 @@ def _factor(matrix: np.ndarray) -> np.ndarray:
     DomainError, before LAPACK sees it, unless every entry is finite."""
     _scale(matrix)
     try:
-        return _aligned(np.linalg.cholesky(matrix))
+        return np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
         pass
     jitter = 1e-12 * np.trace(matrix) / matrix.shape[0]
@@ -229,7 +229,7 @@ def _factor(matrix: np.ndarray) -> np.ndarray:
         for scale in (1.0, 10.0, 100.0):
             np.fill_diagonal(matrix, diag + jitter * scale)
             try:
-                return _aligned(np.linalg.cholesky(matrix))
+                return np.linalg.cholesky(matrix)
             except np.linalg.LinAlgError:
                 continue
     finally:
@@ -240,18 +240,17 @@ def _factor(matrix: np.ndarray) -> np.ndarray:
     )
 
 
-def _aligned(a: np.ndarray) -> np.ndarray:
-    """A copy of ``a`` whose data starts on a 64-byte boundary.
+def _aligned_square(n: int) -> np.ndarray:
+    """An uninitialized n x n array whose data starts on a 64-byte
+    boundary.
 
     A fresh large array starts 16 bytes past a page, and BLAS ``dtrmv``
     reads a 512 x 512 factor 10-15 % slower there than from a 64-byte
     boundary; every draw pays that.
     """
-    buf = np.empty(a.size + 8)
+    buf = np.empty(n * n + 8)
     start = (-buf.ctypes.data % 64) // 8
-    out = buf[start:start + a.size].reshape(a.shape)
-    out[...] = a
-    return out
+    return buf[start:start + n * n].reshape(n, n)
 
 
 _BLOCK_ROWS = 64
@@ -278,11 +277,12 @@ def _cov_key(constants: DerivedConstants, process: str) -> tuple:
 
 def _matrix(t: np.ndarray, cov: tuple) -> np.ndarray:
     """The covariance ``cov`` (a ``_cov_key`` or ("fBm", h)) on the
-    positive grid t, evaluated one row block at a time."""
+    positive grid t, evaluated one row block at a time into a 64-byte
+    aligned array (``_aligned_square``)."""
     kind, h1 = cov[0], cov[1]
     if kind == "XY":
         tab, mart = get_tables(h1, cov[2]), cov[3]**2 * cov[4]
-    mat = np.empty((t.size, t.size))
+    mat = _aligned_square(t.size)
     for rows in _row_blocks(t.size):
         ti, tj = t[rows, None], t[None, :]
         if kind == "XY":
@@ -300,14 +300,22 @@ def _matrix(t: np.ndarray, cov: tuple) -> np.ndarray:
 def _factor_cached(shape: tuple, key: bytes, cov: tuple) -> tuple:
     """The checked driftless model of ``cov`` on the grid, and the unit
     shape of its drift: t^(2-2H1) for Y, t for Z, None for fBm.  A grid
-    is validated on a miss only: a rejected grid is never cached."""
+    is validated on a miss only: a rejected grid is never cached.
+
+    At most two n x n arrays are held: the matrix and LAPACK's factor.
+    Once the model has checked the factor against the matrix, the factor
+    is copied over the matrix, into its aligned buffer, and kept there.
+    """
     t = _positive_times(np.frombuffer(key, dtype=float).reshape(shape))
     # at a large horizon an entry overflows, and _factor refuses it as
     # non-finite: numpy need not warn on the way
     with np.errstate(over="ignore", invalid="ignore"):
         mat = _matrix(t, cov)
+    chol = _factor(mat)
     model = CovarianceModel(times=t, matrix=mat, drift=np.zeros(t.size),
-                            chol=_factor(mat))
+                            chol=chol)
+    mat[...] = chol
+    object.__setattr__(model, "chol", mat)
     return model, (t ** (2.0 - 2.0 * cov[1]) if cov[0] == "XY"
                    else t if cov[0] == "Z" else None)
 
@@ -402,11 +410,11 @@ def simulate_fbm(h: float, times, seed) -> SamplePath:
 
 # ----------------------------------------------------------------- forward
 
-# each plan holds n_out x (n_grid - 1) floats (2 MB for a 512-point
-# path), so only the last few grids are kept
-@lru_cache(maxsize=4)
-def _molchan_plan(times_key: bytes, out_key: bytes, h1: float) -> np.ndarray:
-    """Matrix mapping segment slopes to transform values.
+def _molchan_plan(grid: np.ndarray, outs: np.ndarray, h1: float) -> np.ndarray:
+    """Matrix mapping segment slopes to transform values, built per call
+    one row block at a time, so that only one block of temporaries is
+    held beside it (n_out x (n_grid - 1) floats, 2 MB for a 512-point
+    path).
 
     A segment [s_k, s_k+1] of the linear interpolant has constant slope;
     its share of the transform at t is that slope times the integral of
@@ -414,8 +422,6 @@ def _molchan_plan(times_key: bytes, out_key: bytes, h1: float) -> np.ndarray:
     t^(2-2H1) B(p, p) [I_x_hi(p, p) - I_x_lo(p, p)] with p = 3/2-H1,
     x = min(s, t)/t and I the regularized incomplete Beta function.
     """
-    grid = np.frombuffer(times_key, dtype=float)
-    outs = np.frombuffer(out_key, dtype=float)
     below = np.searchsorted(grid, outs) - 1
     if np.any(below < _MIN_INTERIOR):
         raise AccuracyError(
@@ -423,10 +429,12 @@ def _molchan_plan(times_key: bytes, out_key: bytes, h1: float) -> np.ndarray:
             f"need at least {_MIN_INTERIOR} to resolve the path"
         )
     p = 1.5 - h1
-    x = np.minimum(grid[None, :], outs[:, None]) / outs[:, None]
-    plan = np.diff(betainc(p, p, x), axis=1)
-    plan *= (beta_fn(p, p) * outs ** (2.0 - 2.0 * h1))[:, None]
-    plan.flags.writeable = False
+    scale = beta_fn(p, p) * outs ** (2.0 - 2.0 * h1)
+    plan = np.empty((outs.size, grid.size - 1))
+    for rows in _row_blocks(outs.size):
+        x = np.minimum(grid[None, :], outs[rows, None]) / outs[rows, None]
+        plan[rows] = np.diff(betainc(p, p, x), axis=1)
+        plan[rows] *= scale[rows, None]
     return plan
 
 
@@ -454,7 +462,7 @@ def molchan_transform(
         # NaN fails both comparisons, so it is rejected with the rest
         if not np.all((outs > 0.0) & (outs <= grid[-1])) or np.any(np.diff(outs) <= 0):
             raise DomainError("output times must be finite and increase within (0, horizon]")
-    plan = _molchan_plan(grid.tobytes(), outs.tobytes(), constants.hurst.h1)
+    plan = _molchan_plan(grid, outs, constants.hurst.h1)
     slopes = np.diff(path.values, axis=0) / _column(np.diff(grid), path.values)
     vals = plan @ slopes
     return SamplePath(times=np.concatenate(([0.0], outs)),

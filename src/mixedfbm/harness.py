@@ -14,7 +14,7 @@ import json
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -186,8 +186,13 @@ def run_mc(config: ExperimentConfig) -> MCReport:
     replicate order, so the report is reproducible and independent of
     any execution schedule.  Replicates are drawn and estimated as
     columns, at most ``_MC_BLOCK`` at a time, so the paths in memory do
-    not grow with the replicate count.
+    not grow with the replicate count.  DomainError, before any solve,
+    for fewer than 2 replicates: one draw has no sample variance.
     """
+    if config.replicates < 2:
+        raise DomainError(
+            f"run_mc needs replicates >= 2 for a sample variance, got "
+            f"{config.replicates}")
     # scipy.stats is slow to import and only this summary of the
     # replicates reads it, so start-up does not pay for it
     from scipy import stats
@@ -229,7 +234,7 @@ def run_mc(config: ExperimentConfig) -> MCReport:
                     f"replicates {block.start} to {block.stop - 1} (seeds "
                     f"({config.master_seed}, {block.start}) on) at T={det.T}: "
                     f"{exc}") from exc
-        var_hat = float(est.var(ddof=1)) if est.size > 1 else 0.0
+        var_hat = float(est.var(ddof=1))
         per_t_var.append((det.T, det.T**exponent * var_hat))
         if first is None:
             z = (est - theta) / np.sqrt(det.var_exact)
@@ -315,71 +320,74 @@ def _tail_slope(report: MCReport, value) -> float:
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
+    # every field of the config and of its model, the Hurst pair as h1, h2
     p = config.params
-    return {
-        "h1": p.hurst.h1,
-        "h2": p.hurst.h2,
-        "sigma": p.sigma,
-        "theta": p.theta,
-        "horizon_T": p.horizon_T,
-        "grid_n": config.grid_n,
-        "path_points": config.path_points,
-        "replicates": config.replicates,
-        "master_seed": config.master_seed,
-        "t_sequence": list(config.t_sequence),
-        "output_dir": config.output_dir,
-    }
+    echo = {"h1": p.hurst.h1, "h2": p.hurst.h2}
+    for obj, nested in ((p, "hurst"), (config, "params")):
+        echo.update((f.name, getattr(obj, f.name))
+                    for f in fields(obj) if f.name != nested)
+    return echo
+
+
+def _write_csv(path, header, rows) -> None:
+    """The package's CSV: a header line, then one line per row with each
+    value written as ``repr(float(v))``, each line ended by a bare
+    newline."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for row in rows:
+            w.writerow([repr(float(v)) for v in row])
+
+
+def _write_json(path, obj) -> str:
+    """The package's JSON text of obj: sorted keys and a 2-space indent.
+    Written to path with a final newline unless path is None; returned
+    without it."""
+    text = json.dumps(obj, indent=2, sort_keys=True)
+    if path is not None:
+        Path(path).write_text(text + "\n")
+    return text
+
+
+def _read_json(path):
+    """The JSON value in the file at path; DomainError if it is not JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise DomainError(f"{path}: not JSON: {exc}") from exc
 
 
 _MC_COLUMNS = ("theta_true", "mean_hat", "se_mean", "var_hat", "var_pred",
                "ks_stat", "ks_pvalue")
-_ASY_COLUMNS = ("T", "var_exact", "scaled_var", "qv_N", "lambda",
-                "residual_sup")
+# per-horizon columns: (name in the exports, HorizonDetail field)
+_HORIZON_COLUMNS = (("T", "T"), ("var_exact", "var_exact"),
+                    ("scaled_var", "scaled_var"), ("qv_N", "qv_N"),
+                    ("lambda", "lam"), ("residual_sup", "residual_sup"))
 
 
-def export_report(report: MCReport, config: ExperimentConfig,
-                  fmt: str) -> tuple:
-    """Persist a report under config.output_dir; returns written paths.
-
-    csv writes mc_summary.csv (one row) and asymptotics.csv (one row
-    per solved horizon); json writes report.json mirroring every field
-    plus the config echo and library version.  Output is byte-identical
-    for identical reports.
+def export_report(report: MCReport, config: ExperimentConfig) -> tuple:
+    """Persist a report under config.output_dir; returns the paths of
+    mc_summary.csv (one row), asymptotics.csv (one row per solved
+    horizon) and report.json (every field, the config echo and the
+    library version).  Output is byte-identical for identical reports.
     """
+    from . import __version__
+
     if len(report.per_T_scaled_var) == 0 or len(report.per_T_detail) == 0:
         raise DomainError("refusing to export an empty report")
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        mc_path = out / "mc_summary.csv"
-        with open(mc_path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(_MC_COLUMNS)
-            w.writerow([repr(float(getattr(report, c))) for c in _MC_COLUMNS])
-        asy_path = out / "asymptotics.csv"
-        with open(asy_path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(_ASY_COLUMNS)
-            for d in report.per_T_detail:
-                w.writerow([repr(float(v)) for v in
-                            (d.T, d.var_exact, d.scaled_var, d.qv_N, d.lam,
-                             d.residual_sup)])
-        return (mc_path, asy_path)
-    if fmt == "json":
-        from . import __version__
-        payload = {c: getattr(report, c) for c in _MC_COLUMNS}
-        payload["per_T_scaled_var"] = [list(p) for p in
-                                       report.per_T_scaled_var]
-        payload["asymptotic_var_closed_form"] = \
-            report.asymptotic_var_closed_form
-        payload["per_T_detail"] = [
-            {k: getattr(d, k if k != "lambda" else "lam")
-             for k in _ASY_COLUMNS} for d in report.per_T_detail]
-        payload["config"] = _config_echo(config)
-        payload["library_version"] = __version__
-        json_path = out / "report.json"
-        with open(json_path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return (json_path,)
-    raise DomainError(f"unknown export format {fmt!r}; use csv or json")
+    paths = (out / "mc_summary.csv", out / "asymptotics.csv",
+             out / "report.json")
+    names = [name for name, _ in _HORIZON_COLUMNS]
+    rows = [[getattr(d, field) for _, field in _HORIZON_COLUMNS]
+            for d in report.per_T_detail]
+    _write_csv(paths[0], _MC_COLUMNS,
+               [[getattr(report, c) for c in _MC_COLUMNS]])
+    _write_csv(paths[1], names, rows)
+    payload = {f.name: getattr(report, f.name) for f in fields(report)}
+    payload.update(per_T_detail=[dict(zip(names, row)) for row in rows],
+                   config=_config_echo(config), library_version=__version__)
+    _write_json(paths[2], payload)
+    return paths

@@ -268,6 +268,7 @@ _MALFORMED_FILES = {
         ("kernel", "--t", "1e308", "--s", "1e-308"),
         ("transform", "--path-file", "{tmp}/path-text-cell.csv"),
         ("simulate", "--seed", "-1"),
+        ("mc", "--replicates", "1"),
         ("constants", "--config", "{tmp}/config-broken.json"),
         ("constants", "--config", "{tmp}/config-h1-string.json"),
         ("constants", "--config", "{tmp}/config-list.json"),
@@ -278,6 +279,7 @@ _MALFORMED_FILES = {
          "constants-sigma-infinite", "solve-sigma-infinite",
          "asymptotics-theta-nan", "kernel-ratio-underflows",
          "transform-path-text-cell", "simulate-seed-negative",
+         "mc-one-replicate",
          "config-not-json", "config-h1-string", "config-not-an-object"],
 )
 def test_edge_inputs_exit_2(tmp_path, capsys, argv):

@@ -450,6 +450,18 @@ def test_estimate_refuses_information_not_positive_and_finite(sol, qv):
         dataclasses.replace(sol.record, qv_N=qv)
 
 
+def test_mle_refuses_a_path_that_is_not_transformed(cons, sol, grid512):
+    # a raw Z or an fBm path used to give an estimate with no error; only
+    # Y and X, the transformed observation, are read
+    z = gs.simulate_Z(grid512, 5, 1.0, cons)
+    for path in (z, gs.simulate_fbm(0.7, grid512, 5)):
+        with pytest.raises(DomainError, match="label Y or X"):
+            mle(sol, path)
+    for path in (simulate_Y(grid512, 5, 1.0, cons),
+                 gs.simulate_X(grid512, 5, cons), gs.molchan_transform(z, cons)):
+        assert np.isfinite(mle(sol, path).theta_hat)
+
+
 def test_mle_horizon_mismatch(cons, sol):
     t = graded(512, horizon=0.5)
     path = SamplePath(times=t, values=np.zeros_like(t), label="X")

@@ -1,11 +1,13 @@
 """Exact simulation, the path transform, and their cross-validation."""
 
+import tracemalloc
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import betainc
 
 import oracles
 from mixedfbm import gaussian_sim as gs
@@ -253,6 +255,22 @@ def test_blocked_models_match_the_full_broadcast_build(process):
     assert np.array_equal(mat, ref)
     assert np.array_equal(model.chol, oracles.factor(ref))
     # the draws' BLAS product reads the factor from a 64-byte boundary
+    assert model.chol.ctypes.data % 64 == 0 and model.chol.flags.c_contiguous
+
+
+def test_factor_build_holds_two_matrices(cons):
+    # the matrix and LAPACK's factor; the checked factor is then copied
+    # into the matrix's aligned buffer, not into a third array
+    gs.covariance_model(graded(8), cons, "Y", 0.5)  # warm kernel tables
+    t = graded(1024)
+    gs._factor_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        model = gs.covariance_model(t, cons, "Y", 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * model.chol.nbytes
     assert model.chol.ctypes.data % 64 == 0 and model.chol.flags.c_contiguous
 
 
@@ -616,24 +634,18 @@ def test_molchan_incomplete_beta_oracle(cons):
             assert got == pytest.approx(float(ref), rel=1e-13)
 
 
-def test_molchan_plan_cache_is_bounded(cons):
-    # plans are O(n^2) each; new grids must evict old plans, not pile up
-    cap = gs._molchan_plan.cache_info().maxsize
-    assert cap <= 4
-    gs._molchan_plan.cache_clear()
-    for k in range(cap + 3):
-        g = graded(64, power=2.0 + 0.1 * k)
-        z = gs.SamplePath(times=g, values=g.copy(), label="Z")
-        gs.molchan_transform(z, cons)
-        assert gs._molchan_plan.cache_info().currsize <= cap
-    assert gs._molchan_plan.cache_info().currsize == cap
-    # a cached plan is one read-only float matrix over the segments
-    hits = gs._molchan_plan.cache_info().hits
-    plan = gs._molchan_plan(g.tobytes(), g[33:].tobytes(), H1)
-    assert gs._molchan_plan.cache_info().hits == hits + 1
-    assert isinstance(plan, np.ndarray) and plan.dtype == np.float64
-    assert plan.shape == (g.size - 33, g.size - 1)
-    assert not plan.flags.writeable
+def test_molchan_plan_is_built_per_call_with_the_whole_formula_bits():
+    # no cache keeps a plan; the row blocks give the bits of the formula
+    # applied to the whole matrix at once
+    assert not hasattr(gs._molchan_plan, "cache_info")
+    g = graded(256)
+    outs = g[33:]
+    assert outs.size > 3 * gs._BLOCK_ROWS
+    p = 1.5 - H1
+    x = np.minimum(g[None, :], outs[:, None]) / outs[:, None]
+    whole = np.diff(betainc(p, p, x), axis=1)
+    whole *= (beta_fn(p, p) * outs ** (2.0 - 2.0 * H1))[:, None]
+    assert np.array_equal(gs._molchan_plan(g, outs, H1), whole)
 
 
 def test_molchan_zero_path(cons):

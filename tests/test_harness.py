@@ -23,7 +23,7 @@ from mixedfbm.model import HurstPair, ModelParams, derive_constants
 def cfg_tiny():
     return ExperimentConfig(
         params=ModelParams(hurst=HurstPair(0.6, 0.9), theta=0.0),
-        grid_n=64, replicates=1, master_seed=9, t_sequence=(1.0,))
+        grid_n=64, replicates=2, master_seed=9, t_sequence=(1.0,))
 
 
 @pytest.fixture(scope="module")
@@ -86,18 +86,27 @@ def test_config_refuses_non_integer_sizes(field, value):
         ExperimentConfig(params=params, **{field: value})
 
 
-def test_mc_single_replicate_deterministic(cfg_tiny, rep_tiny, tmp_path):
+def test_mc_refuses_one_replicate_and_is_deterministic(cfg_tiny, rep_tiny,
+                                                        tmp_path, monkeypatch):
+    # one draw has no sample variance: refused before any solve, not
+    # reported as a variance of 0
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before refusing")
+
+    monkeypatch.setattr(hz, "_solve_horizons", no_solve)
+    with pytest.raises(DomainError, match="replicates >= 2"):
+        run_mc(dataclasses.replace(cfg_tiny, replicates=1))
+    monkeypatch.undo()
+
     again = run_mc(cfg_tiny)
     assert again == rep_tiny
-    assert rep_tiny.var_hat == 0.0
-    assert rep_tiny.se_mean == 0.0
+    assert rep_tiny.var_hat > 0.0
+    assert rep_tiny.se_mean == math.sqrt(rep_tiny.var_hat / 2)
     assert math.isfinite(rep_tiny.mean_hat)
-    cfg = ExperimentConfig(
-        params=cfg_tiny.params, grid_n=64, replicates=1, master_seed=9,
-        t_sequence=(1.0,), output_dir=str(tmp_path))
+    cfg = dataclasses.replace(cfg_tiny, output_dir=str(tmp_path))
     blobs = []
     for rep in (rep_tiny, again):
-        paths = export_report(rep, cfg, "csv") + export_report(rep, cfg, "json")
+        paths = export_report(rep, cfg)
         blobs.append(b"".join(p.read_bytes() for p in paths))
     assert blobs[0] == blobs[1]
 
@@ -314,7 +323,9 @@ def test_export_schema_and_round_trip(rep_asy, tmp_path):
         params=ModelParams(hurst=HurstPair(0.6, 0.9), theta=1.0),
         grid_n=128, t_sequence=(1.0, 5.0, 25.0, 75.0, 125.0),
         output_dir=str(tmp_path))
-    mc_path, asy_path = export_report(rep_asy, cfg, "csv")
+    mc_path, asy_path, json_path = export_report(rep_asy, cfg)
+    assert [p.name for p in (mc_path, asy_path, json_path)] == \
+        ["mc_summary.csv", "asymptotics.csv", "report.json"]
     mc_lines = mc_path.read_text().strip().split("\n")
     assert len(mc_lines) == 2
     assert all(len(line.split(",")) == 7 for line in mc_lines)
@@ -325,7 +336,6 @@ def test_export_schema_and_round_trip(rep_asy, tmp_path):
     assert row[0] == 1.0
     assert row[1] == rep_asy.per_T_detail[0].var_exact
 
-    (json_path,) = export_report(rep_asy, cfg, "json")
     data = json.loads(json_path.read_text())
     assert data["library_version"]
     assert data["config"]["h1"] == 0.6
@@ -346,15 +356,12 @@ def test_export_guards(rep_tiny, tmp_path):
     cfg = ExperimentConfig(
         params=ModelParams(hurst=HurstPair(0.6, 0.9)), grid_n=64,
         replicates=1, t_sequence=(1.0,), output_dir=str(tmp_path))
-    with pytest.raises(DomainError, match="format"):
-        export_report(rep_tiny, cfg, "yaml")
-
     empty = MCReport(
         theta_true=0.0, mean_hat=0.0, se_mean=0.0, var_hat=0.0, var_pred=1.0,
         ks_stat=0.0, ks_pvalue=1.0,
         per_T_scaled_var=(), asymptotic_var_closed_form=1.0, per_T_detail=())
     with pytest.raises(DomainError, match="empty"):
-        export_report(empty, cfg, "csv")
+        export_report(empty, cfg)
 
     blocker = tmp_path / "file"
     blocker.write_text("x")
@@ -363,4 +370,30 @@ def test_export_guards(rep_tiny, tmp_path):
         replicates=1, t_sequence=(1.0,),
         output_dir=str(blocker / "sub"))
     with pytest.raises(OSError):
-        export_report(rep_tiny, bad, "csv")
+        export_report(rep_tiny, bad)
+
+
+def test_config_echo_reads_every_field(cfg_tiny):
+    # a field added to ExperimentConfig or ModelParams is echoed as is
+    echo = hz._config_echo(cfg_tiny)
+    own = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"params"}
+    model = {f.name for f in dataclasses.fields(ModelParams)} - {"hurst"}
+    assert set(echo) == own | model | {"h1", "h2"}
+    assert echo["h2"] == 0.9 and echo["replicates"] == 2
+    assert echo["t_sequence"] == (1.0,)
+
+
+def test_file_formats(tmp_path):
+    # the one CSV writer, JSON writer and JSON reader of the package
+    path = tmp_path / "a.json"
+    text = hz._write_json(path, {"b": 0.1, "a": [1.0, 2]})
+    assert text == '{\n  "a": [\n    1.0,\n    2\n  ],\n  "b": 0.1\n}'
+    assert path.read_text() == text + "\n"
+    assert hz._write_json(None, (3,)) == "[\n  3\n]"
+    assert hz._read_json(path) == {"a": [1.0, 2], "b": 0.1}
+    (tmp_path / "bad.json").write_text('{"a": 1,')
+    with pytest.raises(DomainError, match="bad.json: not JSON"):
+        hz._read_json(tmp_path / "bad.json")
+    path = tmp_path / "a.csv"
+    hz._write_csv(path, ("x", "y"), [(1, 0.1), (np.float64(1 / 3), 2e-300)])
+    assert path.read_bytes() == b"x,y\n1.0,0.1\n0.3333333333333333,2e-300\n"

@@ -67,6 +67,9 @@ CLI_RUNS = (
     ("estimate", "--h-file", "h.csv", "--path-file", "y.csv"),
     # the one Z route: a cold 2048 x 2048 Z factor and one draw from it
     ("simulate", "--process", "Z", "--path-points", "2048"),
+    # the forward transform of a 2048-point Z path: its plan, built per
+    # call, is 2016 x 2048 floats
+    ("transform", "--path-file", "z.csv"),
 )
 # untimed commands that prepare a timed command's inputs, run first in
 # its directory
@@ -74,6 +77,8 @@ CLI_SETUP = {
     "estimate": (("solve", "--grid-n", "128"),
                  ("simulate", "--process", "Y", "--seed", "7",
                   "--out", "y.csv")),
+    "transform": (("simulate", "--process", "Z", "--path-points", "2048",
+                   "--seed", "7", "--out", "z.csv"),),
 }
 CLI_REPEATS = 2
 

@@ -26,7 +26,8 @@ from .harness import (_DEFAULT_T_SEQUENCE, ExperimentConfig, _graded_times,
                       _read_json, _write_csv, _write_json, decay_slope,
                       export_report, gap_slope, run_asymptotics, run_mc)
 from .kernels import KernelContext, get_tables
-from .model import HurstPair, ModelParams, derive_constants
+from .model import (HurstPair, ModelParams, check_int, check_real,
+                    derive_constants)
 
 _DEFAULTS = {
     "h1": 0.6,
@@ -39,6 +40,7 @@ _DEFAULTS = {
     "replicates": 100,
     "seed": 0,
 }
+_CONFIG_KEYS = {*_DEFAULTS, "t", "s", "points", "t_sequence", "out"}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -70,13 +72,16 @@ class _Settings:
             if not isinstance(self.file_vals, dict):
                 raise DomainError(f"{args.config}: need a JSON object, got "
                                   f"{type(self.file_vals).__name__}")
-            for name, default in _DEFAULTS.items():
-                value = self.file_vals.get(name, default)
-                kind, what = ((int, "an integer") if isinstance(default, int)
-                              else ((int, float), "a number"))
-                if isinstance(value, bool) or not isinstance(value, kind):
-                    raise DomainError(f"{args.config}: {name} must be {what}, "
-                                      f"got {value!r}")
+            try:
+                for name, value in self.file_vals.items():
+                    if name not in _CONFIG_KEYS:
+                        raise DomainError(f"no command reads the key {name!r}")
+                    if name in _DEFAULTS:
+                        check = (check_int if isinstance(_DEFAULTS[name], int)
+                                 else check_real)
+                        check(name, value)
+            except DomainError as exc:
+                raise DomainError(f"{args.config}: {exc}") from exc
 
     def given(self, name):
         """The value set by flag or config file; None for a default."""
@@ -119,9 +124,9 @@ def _cmd_constants(s: _Settings) -> int:
 
 def _cmd_kernel(s: _Settings) -> int:
     t, u = s.get("t", 0.7), s.get("s", 0.4)
-    if not (isinstance(t, (int, float)) and isinstance(u, (int, float))
-            and 0.0 < u < t < np.inf):
-        raise DomainError(f"need finite 0 < s < t, got t={t}, s={u}")
+    if not (check_real("s", u, positive=True)
+            < check_real("t", t, positive=True)):
+        raise DomainError(f"need s < t, got t={t}, s={u}")
     if not u / t > 0.0:
         raise DomainError(f"s/t underflows to 0 at t={t}, s={u}")
     pair = HurstPair(s.get("h1"), s.get("h2"))
@@ -174,25 +179,21 @@ def _cmd_solve(s: _Settings) -> int:
 
 def _cmd_closed_form(s: _Settings) -> int:
     _, cons = s.constants()
-    if s.args.points < 1:
-        raise DomainError(f"--points must be at least 1, got {s.args.points}")
+    points = check_int("points", s.get("points", 199), minimum=1)
     if s.args.asymptotic_variance:
         print(f"asymptotic_variance={asymptotic_variance(cons)!r}")
     out = s.get("out")
     if out:
-        v = np.linspace(0.0, 1.0, s.args.points + 2)[1:-1]
+        v = np.linspace(0.0, 1.0, points + 2)[1:-1]
         _write_csv(out, ("v", "h0"), zip(v, h0(v, cons)))
-        print(f"wrote {s.args.points} samples of the limiting filter "
-              f"to {out}")
+        print(f"wrote {points} samples of the limiting filter to {out}")
     return 0
 
 
 def _cmd_simulate(s: _Settings) -> int:
     _, cons = s.constants()
     times = _graded_times(s.get("t_horizon"), s.get("path_points"))
-    if s.get("seed") < 0:
-        raise DomainError(f"require seed >= 0, got {s.get('seed')}")
-    seed = np.random.SeedSequence(s.get("seed"))
+    seed = np.random.SeedSequence(check_int("seed", s.get("seed"), minimum=0))
     proc = s.args.process
     if proc == "X":
         path = simulate_X(times, seed, cons)
@@ -200,10 +201,8 @@ def _cmd_simulate(s: _Settings) -> int:
         path = simulate_Y(times, seed, s.get("theta"), cons)
     elif proc == "Z":
         path = simulate_Z(times, seed, s.get("theta"), cons)
-    elif proc == "fbm":
+    else:  # "fbm"; argparse allows no other choice
         path = simulate_fbm(cons.hurst.h1, times, seed)
-    else:
-        raise DomainError(f"unknown process {proc!r}")
     out = Path(s.get("out") or "path.csv")
     _write_csv(out, ("t", "value"), zip(path.times, path.values))
     print(f"simulated {proc} on {times.size} points to {out}")
@@ -320,8 +319,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("closed-form",
                        help="limiting filter and asymptotic variance")
     _add_common(p)
-    p.add_argument("--points", type=int, default=199,
-                   help="curve samples when writing --out")
+    p.add_argument("--points", type=int,
+                   help="curve samples when writing --out (default 199)")
     p.add_argument("--asymptotic-variance", action="store_true",
                    dest="asymptotic_variance",
                    help="print the limiting variance (an exact "

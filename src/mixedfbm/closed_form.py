@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import hyp2f1
 
 from .errors import DomainError
-from .model import DerivedConstants
+from .model import DerivedConstants, check_real
 from .numerics import beta_fn, gamma_fn
 
 __all__ = [
@@ -68,8 +68,7 @@ def constant_chain(C: float, constants: DerivedConstants) -> ConstantChain:
         All six constants.  ``c1``, ``c2`` are proportional to ``C``;
         ``c3`` through ``c6`` to ``1/C``.
     """
-    if not (np.isfinite(C) and C > 0.0):
-        raise DomainError(f"chain coefficient must be positive and finite, got {C}")
+    check_real("chain coefficient C", C, positive=True)
     h1 = constants.hurst.h1
     h2 = constants.hurst.h2
     b2 = constants.beta_h2

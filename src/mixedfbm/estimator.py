@@ -129,9 +129,8 @@ def mle(
     rec = sol.record if isinstance(sol, FredholmSolution) else sol
     if constants is not None and constants is not rec.constants:
         pair, own = constants.hurst, rec.constants.hurst
-        lam = constants.lambda_of_T(rec.horizon_T)
-        if (abs(pair.h1 - own.h1) > 1e-12 or abs(pair.h2 - own.h2) > 1e-12
-                or abs(lam - rec.lam) > 1e-12 * abs(rec.lam)):
+        if not constants.same_model(own, rec.horizon_T, rec.lam):
+            lam = constants.lambda_of_T(rec.horizon_T)
             raise DomainError(
                 f"constants (h1={pair.h1}, h2={pair.h2}, coupling {lam:.6g} "
                 f"at T={rec.horizon_T}) are not those of the solution "

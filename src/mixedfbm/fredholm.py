@@ -47,7 +47,6 @@ paths on one grid evaluate the spline once.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -58,7 +57,8 @@ import numpy as np
 from .errors import AccuracyError, AccuracyWarning, DomainError, IllConditionedError
 from .kernels import (KernelContext, KernelTables, get_tables,
                       _ladder_panels, _ladder_rule_one)
-from .model import DerivedConstants, HurstPair, ModelParams, derive_constants
+from .model import (DerivedConstants, HurstPair, ModelParams, check_int,
+                    check_real, derive_constants)
 from .numerics import KnotSpline, jacobi_panels, solve_dense
 
 __all__ = [
@@ -76,6 +76,7 @@ __all__ = [
 
 _CELL_ORDER = 4     # Gauss nodes per mesh cell
 _NQ_PANEL = 12      # nodes per panel inside the moment engine
+_NQ_KERNEL = 24     # nodes per ladder rule of the audit's kernel integrals
 _MAX_PANELS = 30    # dyadic refinement depth toward a singular point
 _NEAR_RADIUS = 2    # cells on each side of a point given product quadrature
 # near-field ladders of scales 2^-d, d = 1.._MAX_PANELS: index d-1, y0, y1
@@ -171,13 +172,11 @@ def build_grid(n: int, grading_exponent: float = 2.0) -> QuadratureGrid:
     DomainError
         If ``n`` or ``grading_exponent`` is out of range.
     """
-    if int(n) != n or n < 8:
-        raise DomainError(f"grid size must be an integer >= 8, got {n}")
-    n = int(n)
+    n = check_int("grid size n", n, minimum=8)
     if n % _CELL_ORDER != 0:
         raise DomainError(f"grid size must be a multiple of {_CELL_ORDER}, got {n}")
-    g = float(grading_exponent)
-    if not np.isfinite(g) or g < 1.0:
+    g = check_real("grading_exponent", grading_exponent)
+    if g < 1.0:
         raise DomainError(f"grading exponent must be >= 1, got {grading_exponent}")
 
     m = n // _CELL_ORDER
@@ -492,7 +491,7 @@ def _rhs_values(u, T: float, h1: float):
     return (np.asarray(u, float) * T) ** (0.5 - h1)
 
 
-def _kernel_rules(tables: KernelTables, us: np.ndarray, nq: int = 24):
+def _kernel_rules(tables: KernelTables, us: np.ndarray):
     """Quadrature rules for int_0^1 k_sym(s, u) phi(s) ds at the points us.
 
     Yields (sl, s, w) for each chunk sl of at most _CHUNK_POINTS points:
@@ -507,8 +506,8 @@ def _kernel_rules(tables: KernelTables, us: np.ndarray, nq: int = 24):
     h1, h2 = tables.h1, tables.h2
     p0 = 1.0 - 2.0 * h1
     qd = 2.0 * (h2 - h1) - 1.0
-    zl, wl = _ladder_rule_one(p0, qd, nq, 1e-9, 1e-9)
-    zr, wr = _ladder_rule_one(qd, 0.0, nq, 1e-9, 1e-9)
+    zl, wl = _ladder_rule_one(p0, qd, _NQ_KERNEL, 1e-9, 1e-9)
+    zr, wr = _ladder_rule_one(qd, 0.0, _NQ_KERNEL, 1e-9, 1e-9)
     # ascending nodes make each row of s ascending
     il, ir = np.argsort(zl), np.argsort(zr)
     zl, wl, zr, wr = zl[il], wl[il], zr[ir], wr[ir]
@@ -698,10 +697,9 @@ def solve_second_kind(op: DiscretizedOperator, T: float,
         off the top eigenvalue and 4.5e7 on it; physical couplings stay
         near 3e3.
     """
-    if T <= 0.0 or not np.isfinite(T):
-        raise DomainError(f"horizon must be positive, got {T}")
-    pair = constants.hurst
-    if abs(pair.h1 - op.h1) > 1e-12 or abs(pair.h2 - op.h2) > 1e-12:
+    T = check_real("T", T, positive=True)
+    if not constants.same_model(op):
+        pair = constants.hurst
         raise DomainError(
             f"constants are for ({pair.h1}, {pair.h2}) but the operator "
             f"was assembled at ({op.h1}, {op.h2})")
@@ -792,12 +790,12 @@ class SolutionRecord:
     ``grading_exponent``, the solution's ``spline``, a ``KnotSpline``
     (its knots give the filter h_T, ``filter``, built on first read),
     the coupling ``lam`` and the information ``qv_N``.  DomainError for
-    a scalar that is not a number, a grading exponent below 1, a
-    ``qv_N`` not positive and finite, or a ``lam`` that is not
-    ``constants.lambda_of_T(horizon_T)`` to 1e-12 relative: sigma enters
-    the solve only through the coupling.  ``midpoint_filter`` holds the
-    filter's values at the fine and coarse midpoints of the last path
-    grid ``estimator.mle`` read, as (grid bytes, read-only values).
+    a scalar that is not a finite number, a grading exponent below 1, a
+    ``qv_N`` not positive, or a ``lam`` that is not the coupling of the
+    constants at ``horizon_T``: sigma enters the solve only through it.
+    ``midpoint_filter`` holds the filter's values at the fine and coarse
+    midpoints of the last path grid ``estimator.mle`` read, as (grid
+    bytes, read-only values).
     """
 
     constants: DerivedConstants
@@ -810,21 +808,15 @@ class SolutionRecord:
                                              repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name, value in (("sigma", self.constants.sigma),
-                            ("T", self.horizon_T),
-                            ("grading_exponent", self.grading_exponent),
-                            ("lambda", self.lam), ("qv_N", self.qv_N)):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise DomainError(f"{name} must be a number, got {value!r}")
-        if not 1.0 <= self.grading_exponent < np.inf:
+        check_real("T", self.horizon_T, positive=True)
+        if check_real("grading_exponent", self.grading_exponent) < 1.0:
             raise DomainError(f"grading_exponent must be >= 1, got "
                               f"{self.grading_exponent}")
-        if not (np.isfinite(self.qv_N) and self.qv_N > 0.0):
-            raise DomainError(f"information <N>(T) must be positive and "
-                              f"finite, got {self.qv_N}")
-        # isclose is False for a NaN or infinite lam
-        lam = self.constants.lambda_of_T(self.horizon_T)
-        if not math.isclose(lam, self.lam, rel_tol=1e-12):
+        check_real("lambda", self.lam)
+        check_real("information <N>(T) qv_N", self.qv_N, positive=True)
+        if not self.constants.same_model(self.constants.hurst,
+                                         self.horizon_T, self.lam):
+            lam = self.constants.lambda_of_T(self.horizon_T)
             raise DomainError(
                 f"the coupling {lam:.6g} of the constants at "
                 f"T={self.horizon_T} is not the solve's lambda "

@@ -31,7 +31,7 @@ from scipy.special import betainc
 
 from .errors import AccuracyError, DomainError, IllConditionedError
 from .kernels import get_tables
-from .model import DerivedConstants
+from .model import DerivedConstants, check_real
 from .numerics import beta_fn
 
 __all__ = [
@@ -46,7 +46,7 @@ __all__ = [
     "inverse_transform",
 ]
 
-_LABELS = ("Z", "Y", "X", "X1", "X2", "fBm")
+_LABELS = ("Z", "Y", "X", "fBm")
 
 # interior sample points required below each requested transform time;
 # the transform is exact on the interpolant, so this sets its resolution
@@ -325,21 +325,14 @@ def _cached(times, cov: tuple) -> tuple:
     return _factor_cached(t.shape, t.tobytes(), cov)
 
 
-def _finite_theta(theta) -> float:
-    # refused before any cache lookup, where each NaN is a new key
-    theta = float(theta)
-    if not abs(theta) < np.inf:
-        raise DomainError(f"require a finite number theta, got {theta!r}")
-    return theta
-
-
 def covariance_model(
     times, constants: DerivedConstants, process: str = "X", theta: float = 0.0
 ) -> CovarianceModel:
     """The factorized covariance of X, Y, or Z, with its drift.  X and Y
     share one cached factor at every theta; the drift, theta b t^(2-2H1)
     for Y and theta t for Z, is formed per call."""
-    theta = _finite_theta(theta)
+    # refused before any cache lookup, where each NaN is a new key
+    theta = check_real("theta", theta)
     model, unit = _cached(times, _cov_key(constants, process))
     if process == "X":
         return model
@@ -403,7 +396,7 @@ def simulate_Z(times, seed, theta: float, constants: DerivedConstants) -> Sample
 def simulate_fbm(h: float, times, seed) -> SamplePath:
     """Exact fractional Brownian draw on an arbitrary grid: the cached
     Cholesky factor of its covariance applied to normals from ``seed``."""
-    if not 0.5 < h < 1.0:
+    if not 0.5 < check_real("H", h) < 1.0:
         raise DomainError(f"require 1/2 < H < 1, got {h}")
     return _draw(_cached(times, ("fBm", h))[0], seed, "fBm")
 

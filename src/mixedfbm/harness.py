@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -25,7 +24,8 @@ from .estimator import mle, predicted_variances
 from .fredholm import assemble, build_grid, solve_second_kind
 from .gaussian_sim import simulate_Y
 from .kernels import KernelContext
-from .model import DerivedConstants, ModelParams, derive_constants
+from .model import (DerivedConstants, ModelParams, check_int, check_real,
+                    derive_constants)
 
 __all__ = [
     "ExperimentConfig",
@@ -62,23 +62,18 @@ class ExperimentConfig:
     output_dir: str = "."
 
     def __post_init__(self) -> None:
-        for name in ("grid_n", "path_points", "replicates", "master_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DomainError(f"require an integer {name}, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.master_seed < 0:
-            raise DomainError(f"require master_seed >= 0, got {self.master_seed}")
-        if self.replicates < 1:
-            raise DomainError(f"require replicates >= 1, got {self.replicates}")
-        if self.path_points < 128:
-            raise DomainError(
-                f"require path_points >= 128, got {self.path_points}")
+        for name, minimum in (("grid_n", None), ("path_points", 128),
+                              ("replicates", 1), ("master_seed", 0)):
+            object.__setattr__(self, name, check_int(
+                name, getattr(self, name), minimum))
         try:
-            ts = tuple(float(T) for T in self.t_sequence)
+            # the CLI's --t-sequence gives strings
+            ts = tuple(check_real("t_sequence entry",
+                                  float(T) if isinstance(T, str) else T)
+                       for T in self.t_sequence)
         except (TypeError, ValueError) as exc:
             raise DomainError(f"t_sequence must hold numbers: {exc}") from exc
-        if len(ts) == 0 or any(not 0.0 < t < np.inf for t in ts):
+        if len(ts) == 0 or any(t <= 0.0 for t in ts):
             raise DomainError("t_sequence must hold positive finite horizons")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise DomainError(f"t_sequence must be strictly increasing: {ts}")
@@ -133,8 +128,7 @@ class MCReport:
 
 
 def _graded_times(T: float, n: int) -> np.ndarray:
-    if n < 1:
-        raise DomainError(f"require path_points >= 1, got {n}")
+    n = check_int("path_points", n, minimum=1)
     return T * (np.arange(n + 1) / n) ** 2.0
 
 
@@ -189,10 +183,7 @@ def run_mc(config: ExperimentConfig) -> MCReport:
     not grow with the replicate count.  DomainError, before any solve,
     for fewer than 2 replicates: one draw has no sample variance.
     """
-    if config.replicates < 2:
-        raise DomainError(
-            f"run_mc needs replicates >= 2 for a sample variance, got "
-            f"{config.replicates}")
+    check_int("replicates", config.replicates, minimum=2)
     # scipy.stats is slow to import and only this summary of the
     # replicates reads it, so start-up does not pay for it
     from scipy import stats

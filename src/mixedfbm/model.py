@@ -13,14 +13,40 @@ import numbers
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .numerics import beta_fn, gamma_fn
+from .numerics import beta_fn
 
 __all__ = [
+    "check_real",
+    "check_int",
     "HurstPair",
     "ModelParams",
     "DerivedConstants",
     "derive_constants",
 ]
+
+
+def check_real(name: str, value, positive: bool = False) -> float:
+    """``value`` as a float: DomainError, naming ``name``, unless it is a
+    finite real number and not a bool (``True`` would pass as 1), and,
+    when ``positive``, above 0.  The package's one scalar number check."""
+    # exact floats and ints skip the slow ABC check: simulate_* run it per draw
+    if not ((type(value) in (float, int) or (not isinstance(value, bool)
+             and isinstance(value, numbers.Real))) and math.isfinite(value)):
+        raise DomainError(f"require a finite number {name}, got {value!r}")
+    if positive and not value > 0:
+        raise DomainError(f"require {name} > 0, got {value}")
+    return float(value)
+
+
+def check_int(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as an int: DomainError, naming ``name``, unless it is an
+    integer (numpy's too) and not a bool, and at least ``minimum`` when
+    one is given.  The package's one scalar integer check."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"require an integer {name}, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise DomainError(f"require {name} >= {minimum}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -31,10 +57,8 @@ class HurstPair:
     h2: float
 
     def __post_init__(self) -> None:
-        for name in ("h1", "h2"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise DomainError(f"require a number {name}, got {value!r}")
+        check_real("h1", self.h1)
+        check_real("h2", self.h2)
         if not self.h1 > 0.5:
             raise DomainError(f"require h1 > 1/2, got h1={self.h1}")
         if not self.h2 > self.h1:
@@ -66,13 +90,9 @@ class ModelParams:
     horizon_T: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("sigma", "theta", "horizon_T"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
-                                               and math.isfinite(value)):
-                raise DomainError(f"require a finite number {name}, got {value!r}")
-            if name != "theta" and not value > 0:
-                raise DomainError(f"require {name} > 0, got {value}")
+        check_real("sigma", self.sigma, positive=True)
+        check_real("theta", self.theta)
+        check_real("horizon_T", self.horizon_T, positive=True)
 
 
 def _alpha(h: float) -> float:
@@ -153,6 +173,17 @@ class DerivedConstants:
         return self.mu_of_T(T) / (self.sigma * self.sigma
                                   * (self.gamma_h1 * self.gamma_h1))
 
+    def same_model(self, pair, T: float | None = None,
+                   lam: float | None = None) -> bool:
+        """Whether ``pair.h1``, ``pair.h2`` (of a ``HurstPair`` or an
+        operator) and, when given, the coupling ``lam`` at horizon T are
+        these constants': the pair to 1e-12, the coupling to 1e-12
+        relative (never a NaN or infinite ``lam``)."""
+        return (abs(self.hurst.h1 - pair.h1) <= 1e-12
+                and abs(self.hurst.h2 - pair.h2) <= 1e-12
+                and (lam is None or math.isclose(self.lambda_of_T(T), lam,
+                                                 rel_tol=1e-12)))
+
     def as_dict(self) -> dict:
         """Scalar fields only, for JSON dumps."""
         return {
@@ -182,13 +213,6 @@ def derive_constants(params: ModelParams) -> DerivedConstants:
     Returns
     -------
     DerivedConstants
-
-    Raises
-    ------
-    DomainError
-        If the Hurst pair violates an ordering inequality; the message
-        names the inequality that failed (raised at HurstPair
-        construction, re-checked here for defensive use).
     """
     hp = params.hurst
     h1, h2 = hp.h1, hp.h2

@@ -89,11 +89,11 @@ from mixedfbm.fredholm import (_EVAL_OFFSETS, _EXT_OFFSETS, DiscretizedOperator,
                                _offsets_in_cells, _on_horizon,
                                _quadratic_variation, _quadrature_rows,
                                _rhs_values, assemble)
-from mixedfbm.gaussian_sim import SamplePath, _column, _finite_theta, simulate_fbm
+from mixedfbm.gaussian_sim import SamplePath, _column, simulate_fbm
 from mixedfbm.kernels import (_CHUNK_NODES, _LADDER_STEPS, DIAG_RTOL,
                               KernelContext, KernelTables, _ladder_rule,
                               _ladder_rule_one, get_tables)
-from mixedfbm.model import DerivedConstants
+from mixedfbm.model import DerivedConstants, check_real
 from mixedfbm.numerics import KnotSpline, _base_rule, gamma_fn
 
 # ----------------------------------------------------------------------
@@ -1059,7 +1059,7 @@ def simulate_Z(times, seed, theta: float, constants: DerivedConstants) -> Sample
     the seeds of its two draws; a ``SeedSequence`` passed in is left
     unchanged, so the same object gives the same path every time.
     """
-    theta = _finite_theta(theta)
+    theta = check_real("theta", theta)
     if isinstance(seed, (list, tuple)):
         pairs = [_spawn_pair(s) for s in seed]
         s1, s2 = [p[0] for p in pairs], [p[1] for p in pairs]

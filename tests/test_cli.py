@@ -84,6 +84,20 @@ def test_kernel_reads_t_and_s_from_config(tmp_path, capsys):
     assert "domain error" in stderr
 
 
+def test_closed_form_reads_points_from_config(tmp_path, capsys):
+    # as kernel reads t and s: flag > config file > default (199)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "h0.csv"
+    cfg.write_text(json.dumps({"points": 3}))
+    for argv, rows in (((), 3), (("--points", "5"), 5)):
+        code, stdout, _ = run(capsys, "closed-form", "--config", str(cfg),
+                              *argv, "--out", str(out))
+        assert code == 0
+        assert len(out.read_text().splitlines()) == rows + 1
+        assert f"wrote {rows} samples" in stdout
+    code, _, _ = run(capsys, "closed-form", "--out", str(out))
+    assert code == 0 and len(out.read_text().splitlines()) == 200
+
+
 def test_kernel_refuses_overflow_before_forming_it():
     # the smooth covariance part would overflow: exit 2, and numpy never
     # reaches (and warns about) the overflowing product
@@ -247,6 +261,8 @@ _MALFORMED_FILES = {
     "config-broken.json": '{"h1": 0.6,',
     "config-h1-string.json": '{"h1": "0.6"}',
     "config-list.json": "[1, 2]",
+    "config-unread-key.json": '{"replicats": 5}',
+    "config-points-zero.json": '{"points": 0}',
 }
 
 
@@ -272,6 +288,8 @@ _MALFORMED_FILES = {
         ("constants", "--config", "{tmp}/config-broken.json"),
         ("constants", "--config", "{tmp}/config-h1-string.json"),
         ("constants", "--config", "{tmp}/config-list.json"),
+        ("mc", "--config", "{tmp}/config-unread-key.json"),
+        ("closed-form", "--config", "{tmp}/config-points-zero.json"),
     ],
     ids=["points-negative", "points-zero", "t-sequence-not-a-number",
          "t-sequence-infinite", "kernel-at-origin", "kernel-s-negative",
@@ -280,7 +298,8 @@ _MALFORMED_FILES = {
          "asymptotics-theta-nan", "kernel-ratio-underflows",
          "transform-path-text-cell", "simulate-seed-negative",
          "mc-one-replicate",
-         "config-not-json", "config-h1-string", "config-not-an-object"],
+         "config-not-json", "config-h1-string", "config-not-an-object",
+         "config-key-unread", "config-points-zero"],
 )
 def test_edge_inputs_exit_2(tmp_path, capsys, argv):
     for name, text in _MALFORMED_FILES.items():

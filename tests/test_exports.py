@@ -3,7 +3,8 @@
 A name in a module's ``__all__`` must be referenced somewhere in
 ``src``, ``perfbench/`` or ``tools/`` other than its own definition and
 the export lists; diagnostics that only tests read live in
-``tests/oracles.py``.
+``tests/oracles.py``.  And the package's scalar checks live in one
+module: only ``model`` tests for a bool.
 """
 import ast
 import importlib
@@ -40,3 +41,23 @@ def test_every_export_has_a_caller(module):
         "mixedfbm" if module == "__init__" else f"mixedfbm.{module}")
     unused = sorted(set(getattr(mod, "__all__", ())) - _references())
     assert unused == [], f"{module} exports names nothing calls: {unused}"
+
+
+def _bool_checks(path: Path) -> int:
+    """Calls isinstance(..., bool), or with bool in a tuple, in a file."""
+    count = 0
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            kinds = node.args[1]
+            kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            count += any(isinstance(k, ast.Name) and k.id == "bool"
+                         for k in kinds)
+    return count
+
+
+def test_one_scalar_check():
+    # a bool is a numbers.Integral, so each scalar check must refuse it
+    # by name; model's check_real and check_int are the only ones
+    found = {p.name: _bool_checks(p) for p in PACKAGE.glob("*.py")}
+    assert {k: v for k, v in found.items() if v} == {"model.py": 2}

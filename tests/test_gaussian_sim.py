@@ -89,7 +89,7 @@ def test_covariance_model_invariants(cons):
         gs.covariance_model(t, cons, "Q")
 
 
-@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf, True, "1"])
 def test_non_finite_theta_is_refused_before_the_cache(cons, theta):
     # each NaN is a new cache key: refused before the lookup, it neither
     # builds a factor nor pushes a valid entry out

@@ -1,12 +1,20 @@
 """Parameter validation and derived constants."""
+import dataclasses
+import json
 import math
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.special import gamma as sp_gamma
 
+from mixedfbm import fredholm as fr
+from mixedfbm import gaussian_sim as gs
+from mixedfbm.cli import main
 from mixedfbm.errors import DomainError
+from mixedfbm.harness import ExperimentConfig
+from mixedfbm.kernels import KernelContext
 from mixedfbm.model import HurstPair, ModelParams, derive_constants
 
 
@@ -146,3 +154,127 @@ class TestDerivedConstants:
         assert d["h1"] == 0.6 and d["h2"] == 0.9
         for v in d.values():
             assert isinstance(v, float)
+
+    def test_same_model_tolerances(self):
+        # one comparison for the solve, its record and mle: the pair to
+        # 1e-12 absolute, the coupling at T to 1e-12 relative
+        cons = constants_for(0.6, 0.9, sigma=1.5)
+        lam = cons.lambda_of_T(5.0)
+        def pair(h1, h2):
+            return SimpleNamespace(h1=h1, h2=h2)
+        assert cons.same_model(cons.hurst)
+        assert cons.same_model(pair(0.6 + 5e-13, 0.9 - 5e-13), 5.0,
+                               lam * (1 + 5e-13))
+        assert not cons.same_model(pair(0.6 + 2e-12, 0.9))
+        assert not cons.same_model(pair(0.6, 0.9 - 2e-12))
+        for other in (lam * (1 + 2e-12), math.nan, math.inf):
+            assert not cons.same_model(cons.hurst, 5.0, other)
+
+
+# ------------------------------------------- one scalar check per input
+
+@pytest.fixture(scope="module")
+def small_solve():
+    cons = constants_for(0.6, 0.9)
+    op = fr.assemble(KernelContext(constants=cons), fr.build_grid(64))
+    return cons, op, fr.solve_second_kind(op, 1.0, cons, residual_tol=1.0)
+
+
+def _cli(command, key, *argv):
+    """The CLI with ``key`` set in a config file; DomainError on exit 2."""
+    def call(ctx, value):
+        if isinstance(value, np.generic):
+            value = value.item()
+        cfg = ctx.tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code = main([command, "--config", str(cfg), *argv,
+                     "--out", str(ctx.tmp_path / "out")])
+        err = ctx.capsys.readouterr().err
+        if code == 2:
+            raise DomainError(err)
+        assert code == 0, err
+    return call
+
+
+def _record(ctx, **changes):
+    return dataclasses.replace(ctx.sol.record, **changes)
+
+
+_T = np.linspace(0.0, 1.0, 33)
+_PAIR = HurstPair(0.6, 0.9)
+
+# every scalar entry point: id, kind, a value it reads (or its function
+# of ctx), read as a numpy scalar, and the call of it with one value;
+# ctx holds the solve, tmp_path and capsys
+_ENTRY_POINTS = [
+    ("HurstPair-h1", "real", 0.6, lambda ctx, v: HurstPair(v, 0.9)),
+    ("HurstPair-h2", "real", 0.9, lambda ctx, v: HurstPair(0.6, v)),
+    *[(f"ModelParams-{name}", "real", 1.0,
+       lambda ctx, v, name=name: ModelParams(hurst=_PAIR, **{name: v}))
+      for name in ("sigma", "theta", "horizon_T")],
+    *[(f"ExperimentConfig-{name}", "int", valid,
+       lambda ctx, v, name=name: ExperimentConfig(
+           params=ModelParams(hurst=_PAIR), **{name: v}))
+      for name, valid in (("grid_n", 128), ("path_points", 512),
+                          ("replicates", 2), ("master_seed", 0))],
+    ("SolutionRecord-T", "real", 1.0, lambda ctx, v: fr.SolutionRecord(
+        constants=ctx.cons, horizon_T=v, grading_exponent=2.0,
+        spline=ctx.sol.record.spline, lam=ctx.sol.lam, qv_N=ctx.sol.qv_N)),
+    ("SolutionRecord-grading_exponent", "real", 2.0,
+     lambda ctx, v: _record(ctx, grading_exponent=v)),
+    ("SolutionRecord-lam", "real", lambda ctx: ctx.sol.lam,
+     lambda ctx, v: _record(ctx, lam=v)),
+    ("SolutionRecord-qv_N", "real", 0.75,
+     lambda ctx, v: _record(ctx, qv_N=v)),
+    ("build_grid-n", "int", 64, lambda ctx, v: fr.build_grid(v)),
+    ("build_grid-grading_exponent", "real", 2.0,
+     lambda ctx, v: fr.build_grid(64, v)),
+    ("solve_second_kind-T", "real", 1.0, lambda ctx, v: fr.solve_second_kind(
+        ctx.op, v, ctx.cons, residual_tol=1.0)),
+    ("covariance_model-Y-theta", "real", 0.5,
+     lambda ctx, v: gs.covariance_model(_T, ctx.cons, "Y", v)),
+    ("covariance_model-Z-theta", "real", 0.5,
+     lambda ctx, v: gs.covariance_model(_T, ctx.cons, "Z", v)),
+    ("simulate_Y-theta", "real", 0.5,
+     lambda ctx, v: gs.simulate_Y(_T, 1, v, ctx.cons)),
+    ("simulate_Z-theta", "real", 0.5,
+     lambda ctx, v: gs.simulate_Z(_T, 1, v, ctx.cons)),
+    *[(f"cli-config-{key}", kind, valid, _cli("constants", key))
+      for key, kind, valid in (
+          ("h1", "real", 0.6), ("h2", "real", 0.9), ("sigma", "real", 1.0),
+          ("theta", "real", 0.0), ("t_horizon", "real", 1.0),
+          ("grid_n", "int", 128), ("path_points", "int", 512),
+          ("replicates", "int", 100))],
+    ("cli-kernel-t", "real", 0.9, _cli("kernel", "t")),
+    ("cli-kernel-s", "real", 0.2, _cli("kernel", "s")),
+    ("cli-closed-form-points", "int", 3, _cli("closed-form", "points")),
+    ("cli-simulate-seed", "int", 7,
+     _cli("simulate", "seed", "--path-points", "128")),
+]
+
+
+@pytest.mark.parametrize("kind, valid, call", [e[1:] for e in _ENTRY_POINTS],
+                         ids=[e[0] for e in _ENTRY_POINTS])
+def test_every_scalar_entry_point_checks_alike(tmp_path, capsys, small_solve,
+                                               kind, valid, call):
+    # a bool, a NaN, an infinity or a string is refused at every entry
+    # point, and a float where an integer is due; numpy scalars are read
+    cons, op, sol = small_solve
+    ctx = SimpleNamespace(cons=cons, op=op, sol=sol, tmp_path=tmp_path,
+                          capsys=capsys)
+    bad = [True, math.nan, math.inf, "1"] + ([128.0] if kind == "int" else [])
+    for value in bad:
+        with pytest.raises(DomainError):
+            call(ctx, value)
+    if callable(valid):
+        valid = valid(ctx)
+    call(ctx, np.float64(valid) if kind == "real" else np.int64(valid))
+
+
+def test_t_sequence_reads_strings_but_not_bools():
+    params = ModelParams(hurst=_PAIR)
+    cfg = ExperimentConfig(params=params, t_sequence=("1", np.float64(5.0), 25))
+    assert cfg.t_sequence == (1.0, 5.0, 25.0)
+    for bad in (True, math.nan, "inf", None):
+        with pytest.raises(DomainError, match="t_sequence"):
+            ExperimentConfig(params=params, t_sequence=(0.5, bad))

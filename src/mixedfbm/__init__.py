@@ -7,7 +7,6 @@ from .closed_form import (
     asymptotic_variance,
     constant_chain,
     h0,
-    h0_weighted_integral,
 )
 from .errors import AccuracyError, AccuracyWarning, DomainError, IllConditionedError
 from .estimator import EstimatorResult, mle
@@ -73,7 +72,6 @@ __all__ = [
     "ConstantChain",
     "constant_chain",
     "h0",
-    "h0_weighted_integral",
     "asymptotic_variance",
     "__version__",
 ]

@@ -323,8 +323,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="curve samples when writing --out (default 199)")
     p.add_argument("--asymptotic-variance", action="store_true",
                    dest="asymptotic_variance",
-                   help="print the limiting variance (an exact "
-                        "Gamma/Beta formula)")
+                   help="print V_H2, the large-T limit of "
+                        "T^(2-2H2) Var that asymptotics prints (an exact "
+                        "Gamma formula; no sigma enters)")
     p.set_defaults(func=_cmd_closed_form)
 
     p = sub.add_parser("simulate", help="draw one sample path to CSV")

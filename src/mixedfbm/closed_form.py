@@ -1,12 +1,12 @@
-"""Limiting weight of the drift estimator and its variance functional.
+"""Limiting weight of the drift estimator and the limit of its variance.
 
 As the horizon grows, the rescaled solutions of the second-kind filter
 equation approach the solution of a first-kind equation.  That limit has
 a closed form: a power-weighted right-sided fractional integral whose
 normalization is produced by a chain of constants, one per inversion
 step.  This module evaluates the closed form (a Gauss hypergeometric
-function) and gives the weighted integral whose reciprocal is the
-limiting variance scale, a Beta function.  No quadrature is involved.
+function) and the large-horizon limit of the scaled estimation variance,
+a ratio of Gamma functions.  No quadrature is involved.
 """
 
 from __future__ import annotations
@@ -18,14 +18,13 @@ from scipy.special import hyp2f1
 
 from .errors import DomainError
 from .model import DerivedConstants, check_real
-from .numerics import beta_fn, gamma_fn
+from .numerics import gamma_fn
 
 __all__ = [
     "ConstantChain",
     "constant_chain",
     "h0",
     "asymptotic_variance",
-    "h0_weighted_integral",
 ]
 
 
@@ -129,28 +128,19 @@ def h0(
     return float(out) if np.ndim(v) == 0 else out
 
 
-def h0_weighted_integral(constants: DerivedConstants) -> float:
-    """Weighted integral of the limiting weight: int_0^1 h0(u) u^{1/2-H1} du.
-
-    Exchanging the order of integration in the fractional integral of
-    ``h0`` (alpha = H1 - 1/2) integrates u^{1-2H1} (t-u)^{alpha-1} over
-    (0, t) to B(2-2H1, alpha) t^{1/2-H1}.  Against the profile
-    t^{H1-H2} (1-t)^{1/2-H2} the t-integral is a Beta function too, and
-    Gamma(alpha) cancels: J = c6 Gamma(2-2H1) / Gamma(3/2-H1)
-    B(3/2-H2, 3/2-H2), the functional the rescaled solutions converge to.
-    """
-    h1, h2 = constants.hurst.h1, constants.hurst.h2
-    c6 = constant_chain(1.0 / constants.gamma_h1**2, constants).c6
-    return float(c6 * gamma_fn(2.0 - 2.0 * h1) / gamma_fn(1.5 - h1)
-                 * beta_fn(1.5 - h2, 1.5 - h2))
-
-
 def asymptotic_variance(constants: DerivedConstants) -> float:
-    """Limiting variance scale: reciprocal of the h0 weighted integral.
+    """Large-horizon limit of the scaled estimation variance.
 
-    The horizon-scaled estimation variance T^{2-2H2} Var converges to a
-    constant proportional to this value; see the harness module for the
-    empirical comparison that pins the proportionality.
+    By self-similarity T^{2-2H2} Var at (T, sigma) equals its value at
+    (T sigma^{1/(H1-H2)}, 1), so the limit does not depend on sigma: as
+    T grows the rougher component fades and the model becomes
+    theta t + B_H2, whose drift MLE has the constant
+
+        V_H2 = 2 H2 Gamma(3-2H2) Gamma(H2+1/2) / Gamma(3/2-H2)
+
+    (Le Breton 1998; Norros, Valkeila and Virtamo 1999).  Only H2
+    enters.
     """
-    return 1.0 / h0_weighted_integral(constants)
-
+    h2 = constants.hurst.h2
+    return (2.0 * h2 * gamma_fn(3.0 - 2.0 * h2) * gamma_fn(h2 + 0.5)
+            / gamma_fn(1.5 - h2))

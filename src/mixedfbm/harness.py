@@ -104,8 +104,9 @@ class MCReport:
     run_mc, the exact one for run_asymptotics.
 
     asymptotic_var_closed_form is the T -> infinity limit of the scaled
-    variance, 1/(delta^2 J) with J the weighted integral of the
-    limiting filter; per_T_scaled_var converges to it from above.
+    variance, V_H2 of ``closed_form.asymptotic_variance``, which does not
+    depend on sigma; the exact per_T_scaled_var of run_asymptotics
+    converges to it from above at every sigma.
     """
 
     theta_true: float
@@ -130,11 +131,6 @@ class MCReport:
 def _graded_times(T: float, n: int) -> np.ndarray:
     n = check_int("path_points", n, minimum=1)
     return T * (np.arange(n + 1) / n) ** 2.0
-
-
-def _scaled_limit(constants: DerivedConstants) -> float:
-    # T^(2-2H2) Var = 1/(delta^2 J_mu(T)); asymptotic_variance() is 1/J
-    return asymptotic_variance(constants) / constants.delta_paper**2
 
 
 def _solve_horizons(config: ExperimentConfig, constants: DerivedConstants,
@@ -242,7 +238,7 @@ def run_mc(config: ExperimentConfig) -> MCReport:
         theta_true=theta,
         se_mean=math.sqrt(first["var_hat"] / config.replicates),
         per_T_scaled_var=tuple(per_t_var),
-        asymptotic_var_closed_form=_scaled_limit(constants),
+        asymptotic_var_closed_form=asymptotic_variance(constants),
         per_T_detail=tuple(details),
         **first,
     )
@@ -275,7 +271,7 @@ def run_asymptotics(config: ExperimentConfig) -> MCReport:
         ks_stat=0.0,
         ks_pvalue=1.0,
         per_T_scaled_var=tuple((d.T, d.scaled_var) for d in details),
-        asymptotic_var_closed_form=_scaled_limit(constants),
+        asymptotic_var_closed_form=asymptotic_variance(constants),
         per_T_detail=tuple(details),
     )
 
@@ -292,10 +288,11 @@ def decay_slope(report: MCReport) -> float:
 
 
 def gap_slope(report: MCReport) -> float:
-    """Log-log slope of scaled_var minus the closed-form limit over the
-    last horizon pair: the gap that decays like T^(-2(H2-H1)), read
-    without the transient of ``decay_slope``.  NaN unless both gaps are
-    positive (the scaled variance approaches its limit from above)."""
+    """Log-log slope of scaled_var minus the closed-form limit V_H2 over
+    the last horizon pair: the gap that decays like T^(-2(H2-H1)) at
+    every sigma, read without the transient of ``decay_slope``.  NaN
+    unless both gaps are positive (the exact scaled variance approaches
+    its limit from above)."""
     limit = report.asymptotic_var_closed_form
     return _tail_slope(report, lambda d: d.scaled_var - limit)
 

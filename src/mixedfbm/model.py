@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -29,9 +30,16 @@ def check_real(name: str, value, positive: bool = False) -> float:
     """``value`` as a float: DomainError, naming ``name``, unless it is a
     finite real number and not a bool (``True`` would pass as 1), and,
     when ``positive``, above 0.  The package's one scalar number check."""
-    # exact floats and ints skip the slow ABC check: simulate_* run it per draw
-    if not ((type(value) in (float, int) or (not isinstance(value, bool)
-             and isinstance(value, numbers.Real))) and math.isfinite(value)):
+    # floats (np.float64 too) and ints skip the slow ABC check: simulate_*
+    # run it per draw.  An int is bounded exactly (math.isfinite overflows;
+    # a float bound would be cast to float32 for an np.float32 and pass its
+    # inf) and named by its size, since repr fails beyond 4300 digits
+    if type(value) is int:
+        if abs(value) > sys.float_info.max:
+            raise DomainError(f"require a finite number {name}, got an int "
+                              f"of {value.bit_length()} bits")
+    elif not ((isinstance(value, float) or (not isinstance(value, bool)
+               and isinstance(value, numbers.Real))) and math.isfinite(value)):
         raise DomainError(f"require a finite number {name}, got {value!r}")
     if positive and not value > 0:
         raise DomainError(f"require {name} > 0, got {value}")

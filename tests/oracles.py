@@ -29,10 +29,14 @@ to the arguments, so the evaluators satisfy the kernels' scaling laws to
 float roundoff.  They are the references for ``KernelTables`` in
 ``test_kernels.py`` and for acceptance criteria 1 and 2.
 ``h0`` is the layered quadrature of the limiting weight's fractional
-integral that the hypergeometric formula in ``closed_form`` replaced, and
-``h0_weighted_integral`` the quadrature of the closed-form weight that
-its exact Beta-function integral replaced; both are the references of
-their formulas in ``test_closed_form.py``.
+integral that the hypergeometric formula in ``closed_form`` replaced;
+it is the reference of that formula in ``test_closed_form.py``.
+``h0_weighted_integral_beta`` is the exact Beta-function integral J of
+the closed-form weight, moved from ``closed_form`` once its variance
+limit became the Gamma formula V_H2, and ``h0_weighted_integral_quad``
+the quadrature of the weight that the Beta formula replaced; the
+quadrature checks the formula, and 1/(delta^2 J) at sigma = 1 checks
+V_H2 by the route through the constant chain.
 
 The residual audit as it ran before the per-operator audit plan is kept
 verbatim below (``_kernel_integrals``, ``_nystrom_extension``,
@@ -94,7 +98,7 @@ from mixedfbm.kernels import (_CHUNK_NODES, _LADDER_STEPS, DIAG_RTOL,
                               KernelContext, KernelTables, _ladder_rule,
                               _ladder_rule_one, get_tables)
 from mixedfbm.model import DerivedConstants, check_real
-from mixedfbm.numerics import KnotSpline, _base_rule, gamma_fn
+from mixedfbm.numerics import KnotSpline, _base_rule, beta_fn, gamma_fn
 
 # ----------------------------------------------------------------------
 # Gauss-Jacobi rules, one panel at a time
@@ -477,15 +481,33 @@ def k1_l2_norm(tables: KernelTables, n: int = 96) -> float:
     return float(np.sqrt(val))
 
 
-def h0_weighted_integral(constants: DerivedConstants) -> float:
+def h0_weighted_integral_beta(constants: DerivedConstants) -> float:
+    """Weighted integral of the limiting weight: int_0^1 h0(u) u^{1/2-H1} du.
+
+    Exchanging the order of integration in the fractional integral of
+    ``h0`` (alpha = H1 - 1/2) integrates u^{1-2H1} (t-u)^{alpha-1} over
+    (0, t) to B(2-2H1, alpha) t^{1/2-H1}.  Against the profile
+    t^{H1-H2} (1-t)^{1/2-H2} the t-integral is a Beta function too, and
+    Gamma(alpha) cancels: J = c6 Gamma(2-2H1) / Gamma(3/2-H1)
+    B(3/2-H2, 3/2-H2).  No sigma enters J; the weighted integrals of the
+    rescaled solutions (``limit_functional``) reach sigma^2 J, and
+    1/(delta^2 J) = sigma^2 V_H2 with delta = ``delta_paper``.
+    """
+    h1, h2 = constants.hurst.h1, constants.hurst.h2
+    c6 = closed_form.constant_chain(1.0 / constants.gamma_h1**2, constants).c6
+    return float(c6 * gamma_fn(2.0 - 2.0 * h1) / gamma_fn(1.5 - h1)
+                 * beta_fn(1.5 - h2, 1.5 - h2))
+
+
+def h0_weighted_integral_quad(constants: DerivedConstants) -> float:
     """int_0^1 h0(u) u^(1/2-H1) du by quadrature of the closed-form h0.
 
-    The layered rule that computed ``closed_form.h0_weighted_integral``
-    before its Beta-function formula, unchanged: near zero the integrand
-    carries the two branches u^(1/2-H2) and u^(1-2H1), of which the
-    stronger goes into the rule's weight, near one it behaves like
-    (1-u)^(H1-H2), and the bounded remainder is integrated on geometric
-    ladders of scale 1e-9 at both ends, with 24 nodes per panel.
+    The layered rule that computed the weighted integral before its
+    Beta-function formula, ``h0_weighted_integral_beta``, unchanged: near
+    zero the integrand carries the two branches u^(1/2-H2) and u^(1-2H1),
+    of which the stronger goes into the rule's weight, near one it behaves
+    like (1-u)^(H1-H2), and the bounded remainder is integrated on
+    geometric ladders of scale 1e-9 at both ends, with 24 nodes per panel.
     """
     h1, h2 = constants.hurst.h1, constants.hurst.h2
     p = min(0.5 - h2, 1.0 - 2.0 * h1)

@@ -15,14 +15,13 @@ from scipy.interpolate import CubicSpline
 
 import mixedfbm as mf
 from mixedfbm import gaussian_sim as gs
-from mixedfbm.closed_form import h0_weighted_integral
 from mixedfbm.fredholm import assemble, build_grid, solve_second_kind
 from mixedfbm.harness import (ExperimentConfig, decay_slope, run_asymptotics,
                               run_mc)
 from mixedfbm.kernels import KernelContext, get_tables
-from oracles import (covariance_X, kernel_K12, kernel_K12_dt, kernel_k,
-                     kernel_k1, limit_functional, symmetrized,
-                     verify_first_kind)
+from oracles import (covariance_X, h0_weighted_integral_beta, kernel_K12,
+                     kernel_K12_dt, kernel_k, kernel_k1, limit_functional,
+                     symmetrized, verify_first_kind)
 
 PAIRS = [(0.6, 0.9), (0.55, 0.85), (0.7, 0.99)]
 
@@ -162,7 +161,7 @@ def test_criterion_05_closed_form_against_operator(cons09):
 def test_criterion_06_rescaled_solutions_approach_limit(cons_sep):
     # weighted integrals of the rescaled finite-horizon solutions
     # approach the closed-form value monotonically; final gap <= 5%
-    limit = h0_weighted_integral(cons_sep)
+    limit = h0_weighted_integral_beta(cons_sep)
     op = assemble(KernelContext(constants=cons_sep), build_grid(128))
     gaps = []
     for T in (1.0, 5.0, 25.0, 125.0):

@@ -118,7 +118,7 @@ def test_closed_form_command(tmp_path, capsys):
                           "--out", str(out))
     assert code == 0
     printed = float(stdout.split("asymptotic_variance=")[1].split()[0])
-    assert printed == pytest.approx(0.7917047464716586, rel=1e-9)
+    assert printed == 0.9846842994633481
     rows = np.loadtxt(out, delimiter=",", skiprows=1)
     assert rows.shape == (9, 2)
     cons = mf.derive_constants(mf.ModelParams(hurst=mf.HurstPair(0.6, 0.9)))
@@ -227,6 +227,20 @@ def test_asymptotics_command(tmp_path, capsys):
     assert "gap slope" in stdout and "(law -0.6000)" in stdout
     lines = (out_dir / "asymptotics.csv").read_text().strip().split("\n")
     assert len(lines) == 4
+
+
+def test_asymptotics_limit_does_not_depend_on_sigma(tmp_path, capsys):
+    # the default ladder at sigma = 1.7 reads the gap to the same limit as
+    # at sigma = 1, decaying at the law -2(h2 - h1)
+    printed = {}
+    for sigma in ("1.0", "1.7"):
+        code, stdout, _ = run(capsys, "asymptotics", "--sigma", sigma,
+                              "--out", str(tmp_path / sigma))
+        assert code == 0
+        slope = float(stdout.split("gap slope=")[1].split()[0])
+        assert abs(slope - (-0.6)) <= 0.05
+        printed[sigma] = stdout.split("-> limit ")[1].split()[0]
+    assert printed["1.7"] == printed["1.0"] == repr(0.9846842994633481)
 
 
 def test_cli_import_leaves_scipy_stats_out():

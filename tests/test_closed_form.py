@@ -309,11 +309,11 @@ def test_first_kind_degenerate_gap_raises():
 
 
 def test_weighted_integral_frozen_and_refined(cons):
-    val = cf.h0_weighted_integral(cons)
+    val = oracles.h0_weighted_integral_beta(cons)
     assert val == pytest.approx(1.2630971387460261, rel=1e-9)
     # the layered quadrature of h0 that the Beta-function formula
     # replaced is off by 1.0e-11 here, its own error
-    assert abs(val / oracles.h0_weighted_integral(cons) - 1.0) <= 1e-10
+    assert abs(val / oracles.h0_weighted_integral_quad(cons) - 1.0) <= 1e-10
 
 
 @settings(max_examples=25, deadline=None, database=None, derandomize=True)
@@ -325,16 +325,33 @@ def test_weighted_integral_matches_quadrature(h1, frac):
     # pairs down to h1 = 0.5005)
     h2 = h1 + 0.2505 + frac * (0.99 - h1 - 0.2505)
     c = derive_constants(ModelParams(hurst=HurstPair(h1, h2)))
-    J = cf.h0_weighted_integral(c)
+    J = oracles.h0_weighted_integral_beta(c)
     assert J > 0.0
-    assert abs(J / oracles.h0_weighted_integral(c) - 1.0) <= 5e-8
+    assert abs(J / oracles.h0_weighted_integral_quad(c) - 1.0) <= 5e-8
 
 
 def test_asymptotic_variance_value(cons):
+    # V_H2 = 2 H2 Gamma(3-2H2) Gamma(H2+1/2) / Gamma(3/2-H2), the same at
+    # every sigma, correctly rounded at (0.6, 0.9)
     av = cf.asymptotic_variance(cons)
-    assert av > 0
-    assert av == pytest.approx(0.7917047464716586, rel=1e-9)
-    assert av == pytest.approx(1.0 / cf.h0_weighted_integral(cons), rel=1e-15)
+    assert av == 0.9846842994633481
+    h = mpmath.mpf("0.9")
+    exact = (2 * h * mpmath.gamma(3 - 2 * h) * mpmath.gamma(h + 0.5)
+             / mpmath.gamma(1.5 - h))
+    assert av == pytest.approx(float(exact), rel=1e-15)
+    for sigma in (0.5, 1.7, 3.0):
+        c = derive_constants(ModelParams(hurst=HurstPair(H1, H2), sigma=sigma))
+        assert cf.asymptotic_variance(c) == av
+
+
+@pytest.mark.parametrize("h1, h2", [(0.6, 0.9), (0.6, 0.95), (0.7, 0.98),
+                                    (0.55, 0.85)])
+def test_asymptotic_variance_matches_the_chain_route(h1, h2):
+    # the route through the constant chain: 1/(delta^2 J) with J the
+    # weighted integral of h0, at sigma = 1 where delta carries no sigma
+    c = derive_constants(ModelParams(hurst=HurstPair(h1, h2)))
+    chain = 1.0 / (c.delta_paper**2 * oracles.h0_weighted_integral_beta(c))
+    assert abs(chain / cf.asymptotic_variance(c) - 1.0) <= 1e-14
 
 
 # --------------------------------------------------- finite-horizon limit
@@ -383,7 +400,7 @@ def test_h_mu_norm_contraction(sols_by_T, cons, op128):
 
 
 def test_limit_functional_monotone_convergence(sols_by_T, cons):
-    J = cf.h0_weighted_integral(cons)
+    J = oracles.h0_weighted_integral_beta(cons)
     gaps = [
         abs(oracles.limit_functional(sols_by_T[T], cons) - J) / J
         for T in (1.0, 5.0, 25.0, 125.0)
@@ -396,7 +413,7 @@ def test_limit_functional_monotone_convergence(sols_by_T, cons):
 def test_limit_consistency_large_horizon(sol_sep_T125, cons_sep):
     # wider Hurst separation converges fast enough to get inside 5% by
     # T=125; at (0.6,0.9) the same gap is still ~5.6%, a rate fact
-    J = cf.h0_weighted_integral(cons_sep)
+    J = oracles.h0_weighted_integral_beta(cons_sep)
     Jm = oracles.limit_functional(sol_sep_T125, cons_sep)
     gap = abs(Jm - J) / J
     assert gap < 0.05

@@ -156,6 +156,37 @@ def test_gap_slope_reads_the_decay_law():
     assert math.isnan(gap_slope(below))
 
 
+@pytest.mark.parametrize("sigma, ts", [(0.5, (1.0, 2.0, 5.0)),
+                                       (1.7, (1.0, 5.0, 25.0, 125.0))])
+def test_asymptotics_scaling_identity(sigma, ts):
+    # self-similarity: the ladder at (T, sigma) reads the scaled variance
+    # of the sigma = 1 ladder at T sigma^(1/(H1-H2)), so both report one
+    # limit, and the gap still decays at the law -2(H2-H1)
+    h1, h2 = 0.6, 0.9
+    rep = run_asymptotics(ExperimentConfig(
+        params=ModelParams(hurst=HurstPair(h1, h2), sigma=sigma),
+        t_sequence=ts))
+    ref = run_asymptotics(ExperimentConfig(
+        params=ModelParams(hurst=HurstPair(h1, h2)),
+        t_sequence=tuple(T * sigma ** (1.0 / (h1 - h2)) for T in ts)))
+    for (_, got), (_, want) in zip(rep.per_T_scaled_var, ref.per_T_scaled_var,
+                                   strict=True):
+        assert abs(got / want - 1.0) <= 1e-14
+    assert rep.asymptotic_var_closed_form == ref.asymptotic_var_closed_form
+    assert abs(gap_slope(rep) - (-0.6)) <= 0.05
+
+
+def test_reports_take_the_limit_from_asymptotic_variance(cfg_tiny,
+                                                         monkeypatch):
+    # both runs read the limit through the module name that a traced
+    # benchmark run wraps, so the traced layer is the one that computes it
+    monkeypatch.setattr(hz, "asymptotic_variance", lambda constants: 0.125)
+    assert run_mc(cfg_tiny).asymptotic_var_closed_form == 0.125
+    asy = run_asymptotics(dataclasses.replace(cfg_tiny,
+                                              t_sequence=(1.0, 2.0, 5.0)))
+    assert asy.asymptotic_var_closed_form == 0.125
+
+
 def test_asymptotics_exact_route_scalars(rep_asy):
     assert rep_asy.theta_true == 1.0
     assert rep_asy.mean_hat == 1.0

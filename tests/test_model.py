@@ -258,11 +258,13 @@ _ENTRY_POINTS = [
 def test_every_scalar_entry_point_checks_alike(tmp_path, capsys, small_solve,
                                                kind, valid, call):
     # a bool, a NaN, an infinity or a string is refused at every entry
-    # point, and a float where an integer is due; numpy scalars are read
+    # point, and a float where an integer is due, or an int beyond the
+    # float range where a number is; numpy scalars are read
     cons, op, sol = small_solve
     ctx = SimpleNamespace(cons=cons, op=op, sol=sol, tmp_path=tmp_path,
                           capsys=capsys)
-    bad = [True, math.nan, math.inf, "1"] + ([128.0] if kind == "int" else [])
+    bad = [True, math.nan, math.inf, "1"] + (
+        [128.0] if kind == "int" else [10**400])
     for value in bad:
         with pytest.raises(DomainError):
             call(ctx, value)
@@ -275,6 +277,6 @@ def test_t_sequence_reads_strings_but_not_bools():
     params = ModelParams(hurst=_PAIR)
     cfg = ExperimentConfig(params=params, t_sequence=("1", np.float64(5.0), 25))
     assert cfg.t_sequence == (1.0, 5.0, 25.0)
-    for bad in (True, math.nan, "inf", None):
+    for bad in (True, math.nan, "inf", None, 10**400, 10**5000):
         with pytest.raises(DomainError, match="t_sequence"):
             ExperimentConfig(params=params, t_sequence=(0.5, bad))

@@ -167,7 +167,7 @@ def _cmd_solve(s: _Settings) -> int:
     out = Path(s.get("out") or "h.csv")
     _write_csv(out, ("node_u", "node_t", "h_hat", "h_T", "weight"),
                zip(grid.nodes, node_t, sol.h_hat, h_T, grid.weights))
-    sidecar = {**sol.record.to_json(), "theta": params.theta,
+    sidecar = {**sol.to_json(), "theta": params.theta,
                "grid_n": s.get("grid_n"), "residual_sup": sol.residual_sup,
                "condition": sol.condition, "library_version": __version__}
     side_path = out.with_suffix(".json")
@@ -228,13 +228,15 @@ def _cmd_estimate(s: _Settings) -> int:
     side_path = Path(s.args.h_file).with_suffix(".json")
     if not side_path.exists():
         raise DomainError(f"missing solver sidecar {side_path}")
-    record = SolutionRecord.from_json(_read_json(side_path), str(side_path))
-    # the model is the solve's; a flag or config value that differs
-    # from it would otherwise be ignored silently
+    sidecar = _read_json(side_path)
+    record = SolutionRecord.from_json(sidecar, str(side_path))
+    # the model and grid are the solve's; a flag or config value that
+    # differs from them would otherwise be ignored silently
     pair = record.constants.hurst
     for name, solved in (("h1", pair.h1), ("h2", pair.h2),
                          ("sigma", record.constants.sigma),
-                         ("t_horizon", record.horizon_T)):
+                         ("t_horizon", record.horizon_T),
+                         ("grid_n", sidecar.get("grid_n"))):
         given = s.given(name)
         if given is not None and given != solved:
             raise DomainError(f"{name}={given} is not the solve's {solved} "

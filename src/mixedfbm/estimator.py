@@ -2,8 +2,8 @@
 
 The score integral N is a Stieltjes sum of the solver weight against the
 observed path; its compensator is the quadratic variation ``qv_N``.
-Both are read from one ``SolutionRecord``, a solution's own or one read
-back from a ``solve`` sidecar, which also carries the model constants.
+Both are read from one ``SolutionRecord``, a solution or one read back
+from a ``solve`` sidecar, which also carries the model constants.
 The estimator divides one by the other with a normalization fixed by
 requiring exact unbiasedness on mean paths.
 """
@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AccuracyWarning, DomainError
-from .fredholm import FredholmSolution, SolutionRecord, filter_interpolant
+from .fredholm import SolutionRecord, filter_interpolant
 from .gaussian_sim import SamplePath
 from .model import DerivedConstants
 
@@ -101,13 +101,13 @@ def predicted_variances(qv: float, constants: DerivedConstants) -> float:
 
 
 def mle(
-    sol: FredholmSolution | SolutionRecord, path: SamplePath,
+    sol: SolutionRecord, path: SamplePath,
     constants: DerivedConstants | None = None,
 ) -> EstimatorResult:
     """Maximum-likelihood drift estimate from one observed path, or one
     per column.
 
-    ``sol`` is a solution or its ``SolutionRecord``, from which the
+    ``sol`` is a solution or a ``SolutionRecord`` read back, from which the
     filter, the information ``qv_N`` and the model constants are read;
     the path is the transformed observation on its horizon.  The
     normalization divides drift_norm by sigma once more: the quadratic
@@ -116,7 +116,7 @@ def mle(
     sigma.  ``constants``, when given, are only checked: DomainError
     when their Hurst pair, or coupling at the horizon, is not the
     solve's.  The filter's values at the path grid's midpoints are kept
-    on the record for the last grid read (``midpoint_filter``), so a
+    on ``sol`` for the last grid read (``midpoint_filter``), so a
     further path on that grid costs two sums; the checks that depend
     only on the grid run when it is first read.  DomainError unless the
     path is labelled "Y" or "X", a transformed observation: a raw Z path
@@ -126,30 +126,29 @@ def mle(
     if path.label not in ("Y", "X"):
         raise DomainError(f"mle reads a transformed path (label Y or X), "
                           f"got a {path.label!r} path")
-    rec = sol.record if isinstance(sol, FredholmSolution) else sol
-    if constants is not None and constants is not rec.constants:
-        pair, own = constants.hurst, rec.constants.hurst
-        if not constants.same_model(own, rec.horizon_T, rec.lam):
-            lam = constants.lambda_of_T(rec.horizon_T)
+    if constants is not None and constants is not sol.constants:
+        pair, own = constants.hurst, sol.constants.hurst
+        if not constants.same_model(own, sol.horizon_T, sol.lam):
+            lam = constants.lambda_of_T(sol.horizon_T)
             raise DomainError(
                 f"constants (h1={pair.h1}, h2={pair.h2}, coupling {lam:.6g} "
-                f"at T={rec.horizon_T}) are not those of the solution "
-                f"(h1={own.h1}, h2={own.h2}, coupling {rec.lam:.6g})")
+                f"at T={sol.horizon_T}) are not those of the solution "
+                f"(h1={own.h1}, h2={own.h2}, coupling {sol.lam:.6g})")
     key = path.times.tobytes()
-    entry = rec.midpoint_filter
+    entry = sol.midpoint_filter
     if entry is None or entry[0] != key:
-        T = rec.horizon_T
+        T = sol.horizon_T
         if abs(path.times[-1] - T) > 1e-12 * max(T, 1.0):
             raise DomainError(f"path horizon {path.times[-1]} does not "
                               f"match solution horizon {T}")
         # looked up at call time, so a wrapper put on this module's
         # filter_interpolant sees every build
-        weights = _midpoint_weights(filter_interpolant(rec), path.times)
+        weights = _midpoint_weights(filter_interpolant(sol), path.times)
         for values in weights[:2]:
             values.flags.writeable = False
         entry = (key, weights)
-        object.__setattr__(rec, "midpoint_filter", entry)
-    qv, cons = rec.qv_N, rec.constants
+        object.__setattr__(sol, "midpoint_filter", entry)
+    qv, cons = sol.qv_N, sol.constants
     n_val = _score(entry[1], path.values, qv)
     return EstimatorResult(n_val / (cons.drift_norm / cons.sigma * qv), n_val,
                            qv, predicted_variances(qv, cons))

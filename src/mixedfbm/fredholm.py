@@ -36,13 +36,13 @@ linear map of its knot values and knot second derivatives
 (``_spline_map``).  Each horizon's audit, and each ``residual_report``,
 is then a few matrix-vector products and one evaluation of the spline.
 
-What an estimate reads of a solution is one record,
-``FredholmSolution.record`` (``SolutionRecord``); the ``solve`` sidecar
-is that record written out and read back.  The record owns the filter
-h_T (``filter``), built from the spline on first read, and keeps its
-values at the midpoints of the last path grid an estimate read
-(``midpoint_filter``, set by ``estimator.mle``), so estimates from many
-paths on one grid evaluate the spline once.
+What an estimate reads of a solution is a ``SolutionRecord``; a
+``FredholmSolution`` is one, with the solve's diagnostics added, and the
+``solve`` sidecar is its record fields written out and read back.  The
+record owns the filter h_T (``filter``), built from the spline on first
+read, and keeps its values at the midpoints of the last path grid an
+estimate read (``midpoint_filter``, set by ``estimator.mle``), so
+estimates from many paths on one grid evaluate the spline once.
 """
 
 from __future__ import annotations
@@ -410,67 +410,6 @@ def assemble(ctx: KernelContext, grid: QuadratureGrid) -> DiscretizedOperator:
 # second-kind solve
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FredholmSolution:
-    """Solution of the rescaled second-kind equation at one horizon.
-
-    Fields
-    ------
-    grid : QuadratureGrid
-    h_hat : array
-        Nodal values of the rescaled filter on (0,1).
-    horizon_T : float
-    lam : float
-        Coupling constant multiplying the integral operator.
-    residual_sup : float
-        Sup over 3n off-grid probe points of the relative residual of
-        the continuous equation, with the solution reconstructed
-        independently of the solve (see ``residual_report``).
-    qv_N : float
-        Information <N>(T) of the drift estimator.
-    condition : float
-        1-norm condition estimate of I + lam * matrix.
-    operator : DiscretizedOperator
-        The operator the solve used; kept for Nystrom interpolation.
-    spline : KnotSpline
-        The residual audit's reconstruction of the solution (see
-        ``_extended_spline``), with knots ``spline.x`` and values
-        ``spline.y``; the filter of ``filter_interpolant``.
-    worst_u : float
-        The probe point in (0, 1) where ``residual_sup`` is attained.
-    constants : DerivedConstants
-        The constants the solve was given.
-
-    ``record``, built on first read, is what an estimate reads of the
-    solution; ``filter`` is its filter.  A solve at an overridden
-    coupling has neither: both raise DomainError.
-    """
-
-    grid: QuadratureGrid
-    h_hat: np.ndarray = field(repr=False)
-    horizon_T: float
-    lam: float
-    residual_sup: float
-    qv_N: float
-    condition: float
-    operator: DiscretizedOperator = field(repr=False)
-    spline: KnotSpline = field(repr=False)
-    worst_u: float
-    constants: DerivedConstants = field(repr=False)
-
-    @cached_property
-    def record(self) -> SolutionRecord:
-        """The ``SolutionRecord`` of this solve."""
-        return SolutionRecord(self.constants, self.horizon_T,
-                              self.grid.grading_exponent, self.spline,
-                              self.lam, self.qv_N)
-
-    @property
-    def filter(self) -> Callable:
-        """The filter h_T on (0, T] that ``filter_interpolant`` returns."""
-        return self.record.filter
-
-
 class ResidualReport(NamedTuple):
     """Residual diagnostics of a solution.
 
@@ -664,8 +603,7 @@ def _scan_residuals(op: DiscretizedOperator, lam: float, T: float,
 
 def solve_second_kind(op: DiscretizedOperator, T: float,
                       constants: DerivedConstants,
-                      residual_tol: float = 1e-5,
-                      lam_override: Optional[float] = None) -> FredholmSolution:
+                      residual_tol: float = 1e-5) -> FredholmSolution:
     """Solve the rescaled equation at horizon T and audit the residual.
 
     Parameters
@@ -679,8 +617,6 @@ def solve_second_kind(op: DiscretizedOperator, T: float,
     residual_tol : float, optional
         The solution is flagged with an AccuracyWarning when the scanned
         residual exceeds this.
-    lam_override : float, optional
-        Diagnostic seam replacing the physical coupling.
 
     Returns
     -------
@@ -703,8 +639,7 @@ def solve_second_kind(op: DiscretizedOperator, T: float,
         raise DomainError(
             f"constants are for ({pair.h1}, {pair.h2}) but the operator "
             f"was assembled at ({op.h1}, {op.h2})")
-    lam = float(constants.lambda_of_T(T)) if lam_override is None \
-        else float(lam_override)
+    lam = float(constants.lambda_of_T(T))
     rhs = _rhs_values(op.grid.nodes, T, op.h1)
     system = np.eye(op.n) + lam * op.matrix
     try:
@@ -730,11 +665,12 @@ def solve_second_kind(op: DiscretizedOperator, T: float,
             "solution is returned but should not be trusted at this "
             "tolerance", AccuracyWarning, stacklevel=2)
     qv = _quadratic_variation(op.grid, h_hat, T, constants)
-    return FredholmSolution(grid=op.grid, h_hat=h_hat, horizon_T=float(T),
-                            lam=lam, residual_sup=report.reconstruction_sup,
-                            qv_N=qv, condition=float(cond), operator=op,
-                            spline=spline, worst_u=report.worst_u,
-                            constants=constants)
+    return FredholmSolution(
+        constants=constants, horizon_T=T,
+        grading_exponent=op.grid.grading_exponent, spline=spline, lam=lam,
+        qv_N=qv, grid=op.grid, h_hat=h_hat,
+        residual_sup=report.reconstruction_sup, condition=float(cond),
+        operator=op, worst_u=report.worst_u)
 
 
 def residual_report(sol: FredholmSolution) -> ResidualReport:
@@ -771,9 +707,9 @@ def _on_horizon(T: float, values: Callable) -> Callable:
     return h_T
 
 
-def filter_interpolant(sol: FredholmSolution | SolutionRecord) -> Callable:
-    """Spline-backed filter h_T on (0, T] of a solution or its record:
-    the record's own ``filter``, the same object on every call.  It
+def filter_interpolant(sol: SolutionRecord) -> Callable:
+    """Spline-backed filter h_T on (0, T] of a solution or a record read
+    back: the record's own ``filter``, the same object on every call.  It
     agrees with the Nystrom extension to spline interpolation error, far
     below the solver residual, at microseconds per point."""
     return sol.filter
@@ -840,8 +776,8 @@ class SolutionRecord:
                 "filter_knots": {"x": self.spline.x.tolist(),
                                  "y": self.spline.y.tolist()}}
 
-    @classmethod
-    def from_json(cls, obj, source: str = "solution record") -> SolutionRecord:
+    @staticmethod
+    def from_json(obj, source: str = "solution record") -> SolutionRecord:
         """The record that ``to_json`` wrote, from its parsed JSON object;
         DomainError, naming ``source``, for any malformed entry."""
         try:
@@ -857,12 +793,46 @@ class SolutionRecord:
             constants = derive_constants(ModelParams(
                 hurst=HurstPair(obj.get("h1"), obj.get("h2")),
                 sigma=obj.get("sigma"), horizon_T=obj.get("T")))
-            return cls(constants=constants, horizon_T=obj["T"],
-                       grading_exponent=obj.get("grading_exponent"),
-                       spline=spline, lam=obj.get("lambda"),
-                       qv_N=obj.get("qv_N"))
+            return SolutionRecord(
+                constants=constants, horizon_T=obj["T"],
+                grading_exponent=obj.get("grading_exponent"), spline=spline,
+                lam=obj.get("lambda"), qv_N=obj.get("qv_N"))
         except DomainError as exc:
             raise DomainError(f"{source}: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class FredholmSolution(SolutionRecord):
+    """Solution of the rescaled second-kind equation at one horizon.
+
+    A ``SolutionRecord``, checked as every record is: its ``spline`` is
+    the residual audit's reconstruction of the solution (see
+    ``_extended_spline``) and its ``grading_exponent`` the grid's.  The
+    solve adds these fields.
+
+    Fields
+    ------
+    grid : QuadratureGrid
+    h_hat : array
+        Nodal values of the rescaled filter on (0,1).
+    residual_sup : float
+        Sup over 3n off-grid probe points of the relative residual of
+        the continuous equation, with the solution reconstructed
+        independently of the solve (see ``residual_report``).
+    condition : float
+        1-norm condition estimate of I + lam * matrix.
+    operator : DiscretizedOperator
+        The operator the solve used; kept for Nystrom interpolation.
+    worst_u : float
+        The probe point in (0, 1) where ``residual_sup`` is attained.
+    """
+
+    grid: QuadratureGrid
+    h_hat: np.ndarray = field(repr=False)
+    residual_sup: float
+    condition: float
+    operator: DiscretizedOperator = field(repr=False)
+    worst_u: float
 
 
 def _quadratic_variation(grid: QuadratureGrid, h_hat: np.ndarray, T: float,

@@ -53,7 +53,11 @@ def check_int(name: str, value, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"require an integer {name}, got {value!r}")
     if minimum is not None and value < minimum:
-        raise DomainError(f"require {name} >= {minimum}, got {value}")
+        # str() fails beyond 4300 digits: a huge int is named by its
+        # size, as check_real names it
+        got = (value if abs(value) <= sys.float_info.max
+               else f"an int of {int(value).bit_length()} bits")
+        raise DomainError(f"require {name} >= {minimum}, got {got}")
     return int(value)
 
 

@@ -435,24 +435,37 @@ def test_record_refuses_malformed_sidecar(sidecar):
 
 
 @pytest.mark.parametrize("key, other", [("h1", 0.61), ("h2", 0.88),
-                                        ("sigma", 1.7), ("t_horizon", 3.0)])
+                                        ("sigma", 1.7), ("t_horizon", 3.0),
+                                        ("grid_n", 256)])
 def test_estimate_refuses_model_values_of_another_solve(tmp_path, capsys,
                                                         key, other):
-    # estimate reads its model from the solve; a value given by flag or
-    # config must be the solve's, or the estimate would silently ignore it
+    # estimate reads its model and grid from the solve; a value given by
+    # flag or config must be the solve's, or the estimate would silently
+    # ignore it
     flag = "--" + key.replace("_", "-")
-    solved = {"h1": 0.6, "h2": 0.9, "sigma": 1.0, "t_horizon": 1.0}[key]
+    solved = {"h1": 0.6, "h2": 0.9, "sigma": 1.0, "t_horizon": 1.0,
+              "grid_n": 128}[key]
+    side = {**_SIDECAR, "grid_n": 128}
     out, cfg = tmp_path / "result.json", tmp_path / "cfg.json"
     for value, expect in ((other, 2), (solved, 0)):
         cfg.write_text(json.dumps({key: value}))
         for argv in ((flag, str(value)), ("--config", str(cfg))):
-            code, _, stderr = _estimate(tmp_path, capsys, _SIDECAR, *argv)
+            code, _, stderr = _estimate(tmp_path, capsys, side, *argv)
             assert code == expect
             assert out.exists() == (expect == 0)
             if expect:
                 assert f"domain error: {key}=" in stderr
             else:
                 out.unlink()
+
+
+def test_estimate_refuses_a_grid_n_the_sidecar_does_not_hold(tmp_path,
+                                                            capsys):
+    # a sidecar without grid_n confirms no grid a flag or config gives
+    code, _, stderr = _estimate(tmp_path, capsys, _SIDECAR,
+                                "--grid-n", "128")
+    assert code == 2
+    assert "grid_n=128 is not the solve's None" in stderr
 
 
 def test_estimate_compares_only_values_given(tmp_path, capsys):

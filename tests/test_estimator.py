@@ -217,27 +217,33 @@ def _assert_same_result(res, ref):
 
 def test_mle_reads_its_model_from_the_solution(cons, sol, grid512):
     # the constants are optional and never enter the numbers: with them,
-    # without them, or from the record, every field keeps its bits
+    # without them, or from a plain record of its fields, every field
+    # keeps its bits
     again = derive_constants(ModelParams(hurst=HurstPair(H1, H2)))
     one = simulate_Y(grid512, np.random.SeedSequence(31), theta=0.7,
                      constants=cons)
     cols = simulate_Y(grid512, [np.random.SeedSequence((32, r))
                                 for r in range(6)], theta=0.7, constants=cons)
+    record = fr.SolutionRecord(sol.constants, sol.horizon_T,
+                               sol.grading_exponent, sol.spline, sol.lam,
+                               sol.qv_N)
     for path in (one, cols):
         ref = mle(sol, path, cons)
         for res in (mle(sol, path), mle(sol, path, again),
-                    mle(sol.record, path)):
+                    mle(record, path)):
             _assert_same_result(res, ref)
 
 
 def test_mle_of_the_record_read_back_from_json(sol, sol_wide_sigma, grid512):
-    # the solve sidecar is the record written out and read back; at
-    # sigma != 1 the constants derived again from it carry sigma too
+    # the solve sidecar is the solution's record written out and read
+    # back; at sigma != 1 the constants derived again from it carry
+    # sigma too
     for solution in (sol, sol_wide_sigma):
+        assert isinstance(solution, fr.SolutionRecord)
         cons = solution.constants
         back = fr.SolutionRecord.from_json(
-            json.loads(json.dumps(solution.record.to_json())))
-        assert back.to_json() == solution.record.to_json()
+            json.loads(json.dumps(solution.to_json())))
+        assert back.to_json() == solution.to_json()
         one = simulate_Y(grid512, np.random.SeedSequence(33), theta=0.7,
                          constants=cons)
         cols = simulate_Y(grid512, [np.random.SeedSequence((34, r))
@@ -247,18 +253,11 @@ def test_mle_of_the_record_read_back_from_json(sol, sol_wide_sigma, grid512):
             _assert_same_result(mle(back, path), mle(solution, path))
 
 
-def test_overridden_coupling_has_no_record(cons, sol, grid512):
-    # the solve at a diagnostic coupling solves and reports, but its
-    # filter and information belong to no model: no record, no estimate
-    odd = fr.solve_second_kind(sol.operator, 1.0, cons,
-                               lam_override=2.0 * sol.lam,
-                               residual_tol=np.inf)
-    assert odd.qv_N > 0.0
-    path = mean_path(grid512, 0.9, cons)
-    for read in (lambda: odd.record, lambda: odd.filter,
-                 lambda: mle(odd, path)):
-        with pytest.raises(DomainError, match="coupling"):
-            read()
+def test_overridden_coupling_has_no_record(sol):
+    # a filter and information at a coupling other than the model's
+    # belong to no model: no solution or record holds them
+    with pytest.raises(DomainError, match="coupling"):
+        dataclasses.replace(sol, lam=2.0 * sol.lam)
 
 
 def test_mle_normalization_identities(cons, sol, grid512):
@@ -349,17 +348,17 @@ def test_warm_grid_pair_derives_nothing_from_the_grid(monkeypatch, cons, sol,
 
 def test_mle_keeps_the_last_grid_read_only_on_the_solution(cons, sol, grid512):
     fresh = dataclasses.replace(sol)
-    assert fresh.record.midpoint_filter is None
+    assert fresh.midpoint_filter is None
     for grid in (graded(511), grid512):
         mle(fresh, simulate_Y(grid, 4, theta=0.5, constants=cons), cons)
-        key, (fine, coarse, appended) = fresh.record.midpoint_filter
+        key, (fine, coarse, appended) = fresh.midpoint_filter
         assert key == grid.tobytes()
         assert (fine.size, coarse.size) == (grid.size - 1, grid.size // 2)
         assert appended == (grid.size % 2 == 0)
         for values in (fine, coarse):
             with pytest.raises(ValueError):
                 values[0] = 0.0
-    assert sol.record.midpoint_filter is not fresh.record.midpoint_filter
+    assert sol.midpoint_filter is not fresh.midpoint_filter
 
 
 def test_filter_memo_keeps_the_domain_check(sol, grid512):
@@ -447,7 +446,7 @@ def test_mle_reads_the_information_of_the_solution(cons_wide_sigma,
 @pytest.mark.parametrize("qv", [-3.0, 0.0, np.nan, np.inf, -np.inf])
 def test_estimate_refuses_information_not_positive_and_finite(sol, qv):
     with pytest.raises(DomainError, match="information"):
-        dataclasses.replace(sol.record, qv_N=qv)
+        dataclasses.replace(sol, qv_N=qv)
 
 
 def test_mle_refuses_a_path_that_is_not_transformed(cons, sol, grid512):

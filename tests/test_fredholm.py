@@ -254,16 +254,23 @@ def test_solve_validation(op128, cons):
         fr.solve_second_kind(op128, 1.0, other)
 
 
+def _acting_as(op, cons, lam):
+    """The operator scaled so that the physical coupling at T = 1 times
+    its matrix is ``lam`` times op's."""
+    return dataclasses.replace(op, matrix=op.matrix * lam
+                               / cons.lambda_of_T(1.0))
+
+
 def test_singular_coupling_raises(op64, cons):
     lam_bad = -1.0 / oracles.spectrum_report(op64)[0]
     with pytest.raises(IllConditionedError, match="spectral"):
-        fr.solve_second_kind(op64, 1.0, cons, lam_override=lam_bad)
+        fr.solve_second_kind(_acting_as(op64, cons, lam_bad), 1.0, cons)
 
 
 def test_near_singular_coupling_warns(op64, cons):
     lam_near = -1.0 / (oracles.spectrum_report(op64)[0] * (1.0 + 3e-6))
     with pytest.warns(AccuracyWarning, match="spectral point"):
-        fr.solve_second_kind(op64, 1.0, cons, lam_override=lam_near,
+        fr.solve_second_kind(_acting_as(op64, cons, lam_near), 1.0, cons,
                              residual_tol=np.inf)
 
 
@@ -275,11 +282,11 @@ def test_spectral_verdict_survives_roundoff(op64, cons, k):
     op = dataclasses.replace(op64, matrix=op64.matrix * (1.0 + k * 1e-15))
     top = oracles.spectrum_report(op64)[0]
     with pytest.raises(IllConditionedError, match="spectral"):
-        fr.solve_second_kind(op, 1.0, cons, lam_override=-1.0 / top)
+        fr.solve_second_kind(_acting_as(op, cons, -1.0 / top), 1.0, cons)
     with pytest.warns(AccuracyWarning, match="spectral point"):
-        fr.solve_second_kind(op, 1.0, cons,
-                             lam_override=-1.0 / (top * (1.0 + 3e-6)),
-                             residual_tol=np.inf)
+        fr.solve_second_kind(
+            _acting_as(op, cons, -1.0 / (top * (1.0 + 3e-6))), 1.0, cons,
+            residual_tol=np.inf)
 
 
 def test_residual_flagging_warns(op64, cons):
@@ -290,30 +297,34 @@ def test_residual_flagging_warns(op64, cons):
 # ------------------------------------------------- degenerate couplings
 
 def test_zero_kernel_stub(op64, cons):
-    # zero coupling: the equation reduces to h_hat = rhs
-    sol = fr.solve_second_kind(op64, 2.0, cons, lam_override=0.0)
+    # sigma -> infinity: the coupling vanishes (1.3e-200 at sigma = 1e100)
+    # and the equation reduces to h_hat = rhs
+    big_sigma = derive_constants(ModelParams(hurst=HurstPair(H1, H2),
+                                             sigma=1e100))
+    sol = fr.solve_second_kind(op64, 2.0, big_sigma)
+    assert sol.lam < 1e-199
     op = sol.operator
     rhs = (op.grid.nodes * 2.0) ** (0.5 - H1)
     assert np.array_equal(sol.h_hat, rhs)
     assert sol.residual_sup <= 1e-12
-    # information reduces to the plain power integral
+    # information over sigma^2 reduces to the plain power integral
     expect = cons.epsilon_h1 * 2.0 ** (2.0 - 2.0 * H1)
-    assert sol.qv_N == pytest.approx(expect, rel=5e-5)
+    assert sol.qv_N / big_sigma.sigma ** 2 == pytest.approx(expect, rel=5e-5)
     h_T = oracles.unscale(sol)
     for t in (1e-3, 0.5, 1.7, 2.0):
         assert h_T(t) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_rank_one_kernel_matches_analytic_solve(op64, cons):
-    # plain Nystrom matrix of the constant kernel; the residual audit
+    # plain Nystrom matrix of the constant kernel, divided by the
+    # coupling so that the system is I + that matrix; the residual audit
     # still checks against k1, so its tolerance is switched off
     const = 0.5
     w = op64.grid.weights
     op = fr.DiscretizedOperator(
-        matrix=np.tile(w * const, (w.size, 1)), grid=op64.grid, h1=H1, h2=H2,
-        tables=op64.tables)
-    sol = fr.solve_second_kind(op, 1.0, cons, residual_tol=np.inf,
-                               lam_override=1.0)
+        matrix=np.tile(w * const, (w.size, 1)) / cons.lambda_of_T(1.0),
+        grid=op64.grid, h1=H1, h2=H2, tables=op64.tables)
+    sol = fr.solve_second_kind(op, 1.0, cons, residual_tol=np.inf)
     rhs = op.grid.nodes ** (0.5 - H1)
     mean = float(np.dot(op.grid.weights, rhs))
     expect = rhs - const * mean / (1.0 + const)

@@ -15,7 +15,7 @@ from mixedfbm.cli import main
 from mixedfbm.errors import DomainError
 from mixedfbm.harness import ExperimentConfig
 from mixedfbm.kernels import KernelContext
-from mixedfbm.model import HurstPair, ModelParams, derive_constants
+from mixedfbm.model import HurstPair, ModelParams, check_int, derive_constants
 
 
 def constants_for(h1, h2, sigma=1.0):
@@ -197,7 +197,7 @@ def _cli(command, key, *argv):
 
 
 def _record(ctx, **changes):
-    return dataclasses.replace(ctx.sol.record, **changes)
+    return dataclasses.replace(ctx.sol, **changes)
 
 
 _T = np.linspace(0.0, 1.0, 33)
@@ -219,7 +219,7 @@ _ENTRY_POINTS = [
                           ("replicates", 2), ("master_seed", 0))],
     ("SolutionRecord-T", "real", 1.0, lambda ctx, v: fr.SolutionRecord(
         constants=ctx.cons, horizon_T=v, grading_exponent=2.0,
-        spline=ctx.sol.record.spline, lam=ctx.sol.lam, qv_N=ctx.sol.qv_N)),
+        spline=ctx.sol.spline, lam=ctx.sol.lam, qv_N=ctx.sol.qv_N)),
     ("SolutionRecord-grading_exponent", "real", 2.0,
      lambda ctx, v: _record(ctx, grading_exponent=v)),
     ("SolutionRecord-lam", "real", lambda ctx: ctx.sol.lam,
@@ -280,3 +280,17 @@ def test_t_sequence_reads_strings_but_not_bools():
     for bad in (True, math.nan, "inf", None, 10**400, 10**5000):
         with pytest.raises(DomainError, match="t_sequence"):
             ExperimentConfig(params=params, t_sequence=(0.5, bad))
+
+
+def test_check_int_names_a_huge_int_by_its_size():
+    # str() of an int beyond 4300 digits raises ValueError, so the
+    # refusal names the int by its size
+    for value in (-10**400, -10**5000):
+        with pytest.raises(DomainError, match=r"master_seed >= 0, got an "
+                           rf"int of {value.bit_length()} bits"):
+            check_int("master_seed", value, 0)
+        with pytest.raises(DomainError, match="master_seed"):
+            ExperimentConfig(params=ModelParams(hurst=_PAIR),
+                             master_seed=value)
+    with pytest.raises(DomainError, match="got -5$"):
+        check_int("master_seed", np.int64(-5), 0)

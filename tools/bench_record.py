@@ -14,7 +14,11 @@ n = 128 solve, in a fresh process), then times the default horizon
 ladder (``ladder``: one cold ``run_asymptotics``, which also builds the
 kernel tables, then the median of ``LADDER_CALLS`` calls on the warm
 tables, each assembling its operator and building its audit plan, in a
-fresh process), then times the command-line runs
+fresh process), then times the cold stages of a first solve and a first
+simulation once each (``cold_stages``: c's profile, rho's profile,
+``assemble`` at n = 128 on the warm tables and that operator's first
+audit plan, in that order, in one fresh process), then times the
+command-line runs
 users start (``CLI_RUNS``), each twice in a fresh process inside a
 temporary directory, after the untimed commands that prepare its inputs
 there (``CLI_SETUP``), then the import of ``mixedfbm.cli`` in as many
@@ -131,6 +135,32 @@ for _ in range({LADDER_CALLS}):
 print(json.dumps({{"cold_s": cold, "warm_ms": 1e3 * float(np.median(warm))}}))
 """
 
+# the cold stages at (0.6, 0.9), each timed once in one child process
+# in this order: c's profile (with m, n and psi_d, which it reads), rho's
+# (m is built by then), ``assemble`` at n = 128 on the warm tables, and
+# that operator's first audit plan; prints {"c_s": ..., "rho_s": ...,
+# "assemble_s": ..., "audit_plan_s": ...}
+_COLD_STAGES = """
+import json, time
+from mixedfbm import fredholm
+from mixedfbm.kernels import KernelContext, get_tables
+from mixedfbm.model import HurstPair, ModelParams, derive_constants
+cons = derive_constants(ModelParams(hurst=HurstPair(0.6, 0.9)))
+ctx, grid = KernelContext(constants=cons), fredholm.build_grid(128)
+tables = get_tables(0.6, 0.9)
+stages = {}
+def timed(name, build):
+    t0 = time.perf_counter()
+    value = build()
+    stages[name] = time.perf_counter() - t0
+    return value
+timed("c_s", lambda: tables.c)
+timed("rho_s", lambda: tables.rho)
+op = timed("assemble_s", lambda: fredholm.assemble(ctx, grid))
+timed("audit_plan_s", lambda: op.audit_plan)
+print(json.dumps(stages))
+"""
+
 # ROADMAP.md's Tier-1 verify command, run from the checkout's root
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
@@ -224,6 +254,14 @@ def _ladder(env) -> dict:
     return {**json.loads(line), "calls": LADDER_CALLS, "grid_n": 128}
 
 
+def _cold_stages(env) -> dict:
+    """Seconds of each cold stage of ``_COLD_STAGES``, from the
+    checkout's ``src``."""
+    line = _run(["-c", _COLD_STAGES],
+                {**env, "PYTHONPATH": str(ROOT / "src")})
+    return {**json.loads(line), "grid_n": 128}
+
+
 def _git(*argv) -> str:
     return subprocess.run(["git", *argv], cwd=ROOT, capture_output=True,
                           text=True, check=True).stdout.strip()
@@ -262,6 +300,7 @@ def main(argv) -> int:
     reference = _run(["perfbench/reference.py"], env).splitlines()
     per_path = _per_path(env)
     ladder = _ladder(env)
+    cold_stages = _cold_stages(env)
     cli_runs = _cli_runs(env)
     import_s = _import_s(env)
     tier1 = _tier1(env)
@@ -286,6 +325,7 @@ def main(argv) -> int:
         "reference": reference,
         "per_path": per_path,
         "ladder": ladder,
+        "cold_stages": cold_stages,
         "cli_runs": cli_runs,
         "import_s": import_s,
         "tier1": tier1,

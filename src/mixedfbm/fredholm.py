@@ -57,8 +57,8 @@ import numpy as np
 from .errors import AccuracyError, AccuracyWarning, DomainError, IllConditionedError
 from .kernels import (KernelContext, KernelTables, get_tables,
                       _ladder_panels, _ladder_rule_one)
-from .model import (DerivedConstants, HurstPair, ModelParams, check_int,
-                    check_real, derive_constants)
+from .model import (DerivedConstants, HurstPair, ModelParams, _shown,
+                    check_int, check_real, derive_constants)
 from .numerics import KnotSpline, jacobi_panels, solve_dense
 
 __all__ = [
@@ -79,6 +79,7 @@ _NQ_PANEL = 12      # nodes per panel inside the moment engine
 _NQ_KERNEL = 24     # nodes per ladder rule of the audit's kernel integrals
 _MAX_PANELS = 30    # dyadic refinement depth toward a singular point
 _NEAR_RADIUS = 2    # cells on each side of a point given product quadrature
+_GRADING = 2.0      # mesh grading exponent: node spacing O(1/n^2) at 0 and 1
 # near-field ladders of scales 2^-d, d = 1.._MAX_PANELS: index d-1, y0, y1
 _LADDER, _LADDER_Y0, _LADDER_Y1, _ = _ladder_panels(
     0.5 ** np.arange(1, _MAX_PANELS + 1), np.nan)
@@ -98,22 +99,24 @@ _EVAL_OFFSETS = (0.06, 0.135, 0.22, 0.30, 0.38, 0.46,
 # graded mesh
 # ----------------------------------------------------------------------
 
-def _graded_map(x, g: float):
-    """Symmetric endpoint-clustering map x -> x^g / (x^g + (1-x)^g)."""
+def _graded_map(x):
+    """Symmetric endpoint-clustering map x -> x^g / (x^g + (1-x)^g),
+    g = _GRADING."""
     x = np.asarray(x, float)
-    xg = x ** g
-    return xg / (xg + (1.0 - x) ** g)
+    xg = x ** _GRADING
+    return xg / (xg + (1.0 - x) ** _GRADING)
 
 
-def _graded_map_deriv(x, g: float):
+def _graded_map_deriv(x):
     x = np.asarray(x, float)
+    g = _GRADING
     num = g * x ** (g - 1.0) * (1.0 - x) ** (g - 1.0)
     return num / (x ** g + (1.0 - x) ** g) ** 2
 
 
-def _graded_map_inv(u, g: float):
+def _graded_map_inv(u):
     u = np.asarray(u, float)
-    r = ((1.0 - u) / u) ** (1.0 / g)
+    r = ((1.0 - u) / u) ** (1.0 / _GRADING)
     return 1.0 / (1.0 + r)
 
 
@@ -123,14 +126,13 @@ class QuadratureGrid:
 
     The mesh has ``n // 4`` cells, uniform in the pre-image coordinate
     ``x``; each cell carries a 4-point Gauss rule mapped through the
-    grading map.  Weights are normalized to sum to one exactly.
+    grading map (exponent ``_GRADING``).  Weights are normalized to sum
+    to one exactly.
 
     Fields
     ------
     n : int
         Total number of nodes.
-    grading_exponent : float
-        Exponent of the clustering map (>= 1; 1 means no grading).
     nodes, weights : arrays of shape (n,)
         Strictly increasing nodes in (0,1) and positive weights.
     cell_edges : array of shape (n//4 + 1,)
@@ -141,7 +143,6 @@ class QuadratureGrid:
     """
 
     n: int
-    grading_exponent: float
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     cell_edges: np.ndarray = field(repr=False)
@@ -152,16 +153,13 @@ class QuadratureGrid:
         return len(self.cell_edges) - 1
 
 
-def build_grid(n: int, grading_exponent: float = 2.0) -> QuadratureGrid:
+def build_grid(n: int) -> QuadratureGrid:
     """Build the graded composite quadrature mesh.
 
     Parameters
     ----------
     n : int
         Number of nodes; must be a multiple of 4 and at least 8.
-    grading_exponent : float, optional
-        Clustering strength at the endpoints.  2 (default) gives node
-        spacing O(1/n^2) near 0 and 1; 1 disables grading.
 
     Returns
     -------
@@ -170,26 +168,24 @@ def build_grid(n: int, grading_exponent: float = 2.0) -> QuadratureGrid:
     Raises
     ------
     DomainError
-        If ``n`` or ``grading_exponent`` is out of range.
+        If ``n`` is out of range.
     """
     n = check_int("grid size n", n, minimum=8)
     if n % _CELL_ORDER != 0:
-        raise DomainError(f"grid size must be a multiple of {_CELL_ORDER}, got {n}")
-    g = check_real("grading_exponent", grading_exponent)
-    if g < 1.0:
-        raise DomainError(f"grading exponent must be >= 1, got {grading_exponent}")
+        raise DomainError(f"grid size must be a multiple of {_CELL_ORDER}, "
+                          f"got {_shown(n)}")
 
     m = n // _CELL_ORDER
     xe = np.linspace(0.0, 1.0, m + 1)
     xn, xw = jacobi_panels(_CELL_ORDER, xe[:-1], xe[1:], np.zeros(m), np.zeros(m))
     x_nodes = xn.ravel()
-    nodes = _graded_map(x_nodes, g)
-    weights = xw.ravel() * _graded_map_deriv(x_nodes, g)
+    nodes = _graded_map(x_nodes)
+    weights = xw.ravel() * _graded_map_deriv(x_nodes)
     weights = weights / weights.sum()
-    edges = _graded_map(xe, g)
+    edges = _graded_map(xe)
     edges[0], edges[-1] = 0.0, 1.0
-    return QuadratureGrid(n=n, grading_exponent=g, nodes=nodes,
-                          weights=weights, cell_edges=edges, x_nodes=x_nodes)
+    return QuadratureGrid(n=n, nodes=nodes, weights=weights,
+                          cell_edges=edges, x_nodes=x_nodes)
 
 
 # ----------------------------------------------------------------------
@@ -365,8 +361,6 @@ class DiscretizedOperator:
 
     matrix: np.ndarray = field(repr=False)
     grid: QuadratureGrid
-    h1: float
-    h2: float
     tables: KernelTables = field(repr=False)
 
     @property
@@ -402,8 +396,7 @@ def assemble(ctx: KernelContext, grid: QuadratureGrid) -> DiscretizedOperator:
     matrix = _quadrature_rows(tables, grid, grid.nodes)
     if not np.all(np.isfinite(matrix)):
         raise AccuracyError("assembled operator contains non-finite entries")
-    return DiscretizedOperator(matrix=matrix, grid=grid,
-                               h1=hurst.h1, h2=hurst.h2, tables=tables)
+    return DiscretizedOperator(matrix=matrix, grid=grid, tables=tables)
 
 
 # ----------------------------------------------------------------------
@@ -542,10 +535,9 @@ def _spline_integrals(tables: KernelTables, grid: QuadratureGrid,
     the knot values and knot second derivatives of h_rec's spline."""
     # = u^(H1 - 1/2) int k_sym(s, u) phi(s) ds, and the spline holds
     # phi(s) = h_rec(s) s^(H1 - 1/2) at the mesh pre-image of s
-    g = grid.grading_exponent
     integrals = np.empty((us.size, 2 * knots.size))
     for sl, s, w in _kernel_rules(tables, us):
-        integrals[sl] = _spline_map(knots, _graded_map_inv(s, g), w)
+        integrals[sl] = _spline_map(knots, _graded_map_inv(s), w)
     integrals *= us[:, None] ** (tables.h1 - 0.5)
     return integrals
 
@@ -554,14 +546,13 @@ def _build_audit_plan(tables: KernelTables,
                       grid: QuadratureGrid) -> _AuditPlan:
     """Rows and kernel-integral map of every solve's residual scan: 0.75 n
     rows of n and 3 n maps of 2m = 3.5 n floats, 11.25 n^2 floats."""
-    g = grid.grading_exponent
     ext_x = _offsets_in_cells(grid, _EXT_OFFSETS)
-    ext_u = _graded_map(ext_x, g)
+    ext_u = _graded_map(ext_x)
     xs = np.concatenate([grid.x_nodes, ext_x])
     order = np.argsort(xs)
     knots = xs[order]
     probe_x = _offsets_in_cells(grid, _EVAL_OFFSETS)
-    probe_u = _graded_map(probe_x, g)
+    probe_u = _graded_map(probe_x)
     return _AuditPlan(
         ext_u=ext_u,
         ext_rows=_quadrature_rows(tables, grid, ext_u),
@@ -578,9 +569,9 @@ def _extended_spline(op: DiscretizedOperator, lam: float, T: float,
     the solution is mildest.  The fresh samples come from the Nystrom
     extension at the plan's points ``ext_u``.
     """
-    plan = op.audit_plan
-    ext = _rhs_values(plan.ext_u, T, op.h1) - lam * (plan.ext_rows @ h_hat)
-    hpow = op.h1 - 0.5
+    plan, h1 = op.audit_plan, op.tables.h1
+    ext = _rhs_values(plan.ext_u, T, h1) - lam * (plan.ext_rows @ h_hat)
+    hpow = h1 - 0.5
     vals = np.concatenate([h_hat * op.grid.nodes ** hpow,
                            ext * plan.ext_u ** hpow])
     return KnotSpline(plan.knots, vals[plan.order])
@@ -589,8 +580,7 @@ def _extended_spline(op: DiscretizedOperator, lam: float, T: float,
 def _scan_residuals(op: DiscretizedOperator, lam: float, T: float,
                     spline: KnotSpline) -> ResidualReport:
     """The residual scan of the spline on the operator's audit plan."""
-    plan = op.audit_plan
-    h1 = op.h1
+    plan, h1 = op.audit_plan, op.tables.h1
     knot_data = np.concatenate([spline.y, spline.second_derivatives()])
     rhs_u = _rhs_values(plan.probe_u, T, h1)
     integral = lam * (plan.probe_integrals @ knot_data)
@@ -634,13 +624,13 @@ def solve_second_kind(op: DiscretizedOperator, T: float,
         near 3e3.
     """
     T = check_real("T", T, positive=True)
-    if not constants.same_model(op):
-        pair = constants.hurst
+    if not constants.same_model(op.tables):
+        pair, tab = constants.hurst, op.tables
         raise DomainError(
             f"constants are for ({pair.h1}, {pair.h2}) but the operator "
-            f"was assembled at ({op.h1}, {op.h2})")
+            f"was assembled at ({tab.h1}, {tab.h2})")
     lam = float(constants.lambda_of_T(T))
-    rhs = _rhs_values(op.grid.nodes, T, op.h1)
+    rhs = _rhs_values(op.grid.nodes, T, op.tables.h1)
     system = np.eye(op.n) + lam * op.matrix
     try:
         h_hat, cond = solve_dense(system, rhs)
@@ -666,9 +656,8 @@ def solve_second_kind(op: DiscretizedOperator, T: float,
             "tolerance", AccuracyWarning, stacklevel=2)
     qv = _quadratic_variation(op.grid, h_hat, T, constants)
     return FredholmSolution(
-        constants=constants, horizon_T=T,
-        grading_exponent=op.grid.grading_exponent, spline=spline, lam=lam,
-        qv_N=qv, grid=op.grid, h_hat=h_hat,
+        constants=constants, horizon_T=T, spline=spline, qv_N=qv,
+        grid=op.grid, h_hat=h_hat,
         residual_sup=report.reconstruction_sup, condition=float(cond),
         operator=op, worst_u=report.worst_u)
 
@@ -722,56 +711,45 @@ _KNOT_RULE = ("filter knots need finite number lists x and y of one "
 @dataclass(frozen=True)
 class SolutionRecord:
     """What an estimate reads of one solve, and the ``solve`` sidecar:
-    the model's ``constants``, ``horizon_T``, the mesh's
-    ``grading_exponent``, the solution's ``spline``, a ``KnotSpline``
-    (its knots give the filter h_T, ``filter``, built on first read),
-    the coupling ``lam`` and the information ``qv_N``.  DomainError for
-    a scalar that is not a finite number, a grading exponent below 1, a
-    ``qv_N`` not positive, or a ``lam`` that is not the coupling of the
-    constants at ``horizon_T``: sigma enters the solve only through it.
-    ``midpoint_filter`` holds the filter's values at the fine and coarse
-    midpoints of the last path grid ``estimator.mle`` read, as (grid
-    bytes, read-only values).
+    the model's ``constants``, ``horizon_T``, the solution's ``spline``,
+    a ``KnotSpline`` on the mesh pre-image (its knots give the filter
+    h_T, ``filter``, built on first read) and the information ``qv_N``.
+    DomainError for a horizon or ``qv_N`` that is not a positive finite
+    number.  ``midpoint_filter`` holds the filter's values at the fine
+    and coarse midpoints of the last path grid ``estimator.mle`` read,
+    as (grid bytes, read-only values).
     """
 
     constants: DerivedConstants
     horizon_T: float
-    grading_exponent: float
     spline: KnotSpline = field(repr=False)
-    lam: float
     qv_N: float
     midpoint_filter: Optional[tuple] = field(default=None, init=False,
                                              repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_real("T", self.horizon_T, positive=True)
-        if check_real("grading_exponent", self.grading_exponent) < 1.0:
-            raise DomainError(f"grading_exponent must be >= 1, got "
-                              f"{self.grading_exponent}")
-        check_real("lambda", self.lam)
         check_real("information <N>(T) qv_N", self.qv_N, positive=True)
-        if not self.constants.same_model(self.constants.hurst,
-                                         self.horizon_T, self.lam):
-            lam = self.constants.lambda_of_T(self.horizon_T)
-            raise DomainError(
-                f"the coupling {lam:.6g} of the constants at "
-                f"T={self.horizon_T} is not the solve's lambda "
-                f"{self.lam:.6g}; rerun solve")
+
+    @property
+    def lam(self) -> float:
+        """The coupling of the constants at ``horizon_T``, the solve's."""
+        return self.constants.lambda_of_T(self.horizon_T)
 
     @cached_property
     def filter(self) -> Callable:
         """The filter h_T on (0, T], built from the spline on first read."""
         # h_T(t) = T^(H1 - 1/2) * spline(x), x the mesh pre-image of t/T
-        spline, g = self.spline, self.grading_exponent
+        spline = self.spline
         scale = self.horizon_T ** (self.constants.hurst.h1 - 0.5)
         return _on_horizon(self.horizon_T, lambda t, u: scale * spline(
-            _graded_map_inv(u, g)))
+            _graded_map_inv(u)))
 
     def to_json(self) -> dict:
         """The record as a JSON object, read back by ``from_json``."""
         pair = self.constants.hurst
         return {"h1": pair.h1, "h2": pair.h2, "sigma": self.constants.sigma,
-                "T": self.horizon_T, "grading_exponent": self.grading_exponent,
+                "T": self.horizon_T, "grading_exponent": _GRADING,
                 "lambda": self.lam, "qv_N": self.qv_N,
                 "filter_knots": {"x": self.spline.x.tolist(),
                                  "y": self.spline.y.tolist()}}
@@ -779,7 +757,10 @@ class SolutionRecord:
     @staticmethod
     def from_json(obj, source: str = "solution record") -> SolutionRecord:
         """The record that ``to_json`` wrote, from its parsed JSON object;
-        DomainError, naming ``source``, for any malformed entry."""
+        DomainError, naming ``source``, for any malformed entry, a
+        grading that is not the solver's, or a ``lambda`` that is not
+        the coupling of the sidecar's own model at its ``T``: sigma
+        enters the solve only through it."""
         try:
             if not isinstance(obj, dict) or "filter_knots" not in obj:
                 raise DomainError("holds no filter knots; rerun solve")
@@ -788,15 +769,24 @@ class SolutionRecord:
                 spline = KnotSpline(knots["x"], knots["y"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise DomainError(_KNOT_RULE) from exc
+            if obj.get("grading_exponent") != _GRADING:
+                raise DomainError(f"require grading_exponent {_GRADING}, "
+                                  "the solver's mesh grading; rerun solve")
             # HurstPair and ModelParams refuse a missing, bool or
             # non-number h1, h2, sigma or T
             constants = derive_constants(ModelParams(
                 hurst=HurstPair(obj.get("h1"), obj.get("h2")),
                 sigma=obj.get("sigma"), horizon_T=obj.get("T")))
-            return SolutionRecord(
-                constants=constants, horizon_T=obj["T"],
-                grading_exponent=obj.get("grading_exponent"), spline=spline,
-                lam=obj.get("lambda"), qv_N=obj.get("qv_N"))
+            record = SolutionRecord(constants=constants, horizon_T=obj["T"],
+                                    spline=spline, qv_N=obj.get("qv_N"))
+            lam = check_real("lambda", obj.get("lambda"))
+            if not constants.same_model(constants.hurst, record.horizon_T,
+                                        lam):
+                raise DomainError(
+                    f"the coupling {record.lam:.6g} of the constants at "
+                    f"T={record.horizon_T} is not the solve's lambda "
+                    f"{lam:.6g}; rerun solve")
+            return record
         except DomainError as exc:
             raise DomainError(f"{source}: {exc}") from exc
 
@@ -807,8 +797,7 @@ class FredholmSolution(SolutionRecord):
 
     A ``SolutionRecord``, checked as every record is: its ``spline`` is
     the residual audit's reconstruction of the solution (see
-    ``_extended_spline``) and its ``grading_exponent`` the grid's.  The
-    solve adds these fields.
+    ``_extended_spline``).  The solve adds these fields.
 
     Fields
     ------

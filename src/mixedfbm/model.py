@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import DomainError
 from .numerics import beta_fn
@@ -26,6 +26,14 @@ __all__ = [
 ]
 
 
+def _shown(value):
+    """An int beyond the float range as "an int of N bits", for a message
+    (str() fails beyond 4300 digits); any other value as it is."""
+    if isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max:
+        return f"an int of {int(value).bit_length()} bits"
+    return value
+
+
 def check_real(name: str, value, positive: bool = False) -> float:
     """``value`` as a float: DomainError, naming ``name``, unless it is a
     finite real number and not a bool (``True`` would pass as 1), and,
@@ -33,11 +41,11 @@ def check_real(name: str, value, positive: bool = False) -> float:
     # floats (np.float64 too) and ints skip the slow ABC check: simulate_*
     # run it per draw.  An int is bounded exactly (math.isfinite overflows;
     # a float bound would be cast to float32 for an np.float32 and pass its
-    # inf) and named by its size, since repr fails beyond 4300 digits
+    # inf) and named by its size
     if type(value) is int:
         if abs(value) > sys.float_info.max:
-            raise DomainError(f"require a finite number {name}, got an int "
-                              f"of {value.bit_length()} bits")
+            raise DomainError(f"require a finite number {name}, got "
+                              f"{_shown(value)}")
     elif not ((isinstance(value, float) or (not isinstance(value, bool)
                and isinstance(value, numbers.Real))) and math.isfinite(value)):
         raise DomainError(f"require a finite number {name}, got {value!r}")
@@ -53,11 +61,7 @@ def check_int(name: str, value, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"require an integer {name}, got {value!r}")
     if minimum is not None and value < minimum:
-        # str() fails beyond 4300 digits: a huge int is named by its
-        # size, as check_real names it
-        got = (value if abs(value) <= sys.float_info.max
-               else f"an int of {int(value).bit_length()} bits")
-        raise DomainError(f"require {name} >= {minimum}, got {got}")
+        raise DomainError(f"require {name} >= {minimum}, got {_shown(value)}")
     return int(value)
 
 
@@ -187,8 +191,8 @@ class DerivedConstants:
 
     def same_model(self, pair, T: float | None = None,
                    lam: float | None = None) -> bool:
-        """Whether ``pair.h1``, ``pair.h2`` (of a ``HurstPair`` or an
-        operator) and, when given, the coupling ``lam`` at horizon T are
+        """Whether ``pair.h1``, ``pair.h2`` (of a ``HurstPair`` or kernel
+        tables) and, when given, the coupling ``lam`` at horizon T are
         these constants': the pair to 1e-12, the coupling to 1e-12
         relative (never a NaN or infinite ``lam``)."""
         return (abs(self.hurst.h1 - pair.h1) <= 1e-12
@@ -197,21 +201,11 @@ class DerivedConstants:
                                                  rel_tol=1e-12)))
 
     def as_dict(self) -> dict:
-        """Scalar fields only, for JSON dumps."""
-        return {
-            "h1": self.hurst.h1,
-            "h2": self.hurst.h2,
-            "sigma": self.sigma,
-            "alpha_h1": self.alpha_h1,
-            "alpha_h2": self.alpha_h2,
-            "beta_h1": self.beta_h1,
-            "beta_h2": self.beta_h2,
-            "gamma_h1": self.gamma_h1,
-            "epsilon_h1": self.epsilon_h1,
-            "script_b": self.script_b,
-            "delta_paper": self.delta_paper,
-            "drift_norm": self.drift_norm,
-        }
+        """Scalar fields only, for JSON dumps: the Hurst pair as h1, h2."""
+        out = {"h1": self.hurst.h1, "h2": self.hurst.h2}
+        out.update((f.name, getattr(self, f.name))
+                   for f in fields(self) if f.name != "hurst")
+        return out
 
 
 def derive_constants(params: ModelParams) -> DerivedConstants:

@@ -7,9 +7,9 @@ maps n-point rules for integrals with algebraic endpoint singularities
 
 onto many panels at once, from one base rule on [-1, 1] per exponent
 pair (``_base_rule``; scipy's Golub-Welsch solve, memoized).  Beside
-it: the gamma and beta functions on their positive domain (log-gamma
-keeps large beta arguments from overflowing), a dense linear solve
-with a condition-number guard and the package's one cubic spline.
+it: the gamma and beta functions on their positive domain, a dense
+linear solve with a condition-number guard and the package's one cubic
+spline.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import scipy.linalg
 from scipy.linalg import lapack
 from scipy.special import beta as _sp_beta
 from scipy.special import gamma as _sp_gamma
-from scipy.special import gammaln as _sp_gammaln
 from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import DomainError, IllConditionedError
@@ -45,12 +44,10 @@ def gamma_fn(x: float | np.ndarray) -> float | np.ndarray:
 
 
 def beta_fn(a: float, b: float) -> float:
-    """Euler beta B(a, b) for positive a, b (log-gamma based, overflow safe)."""
+    """Euler beta B(a, b) for positive a, b."""
     if a <= 0.0 or b <= 0.0:
         raise DomainError(f"beta_fn requires positive arguments, got ({a}, {b})")
-    if max(a, b) < 100.0:
-        return float(_sp_beta(a, b))
-    return float(np.exp(_sp_gammaln(a) + _sp_gammaln(b) - _sp_gammaln(a + b)))
+    return float(_sp_beta(a, b))
 
 
 @lru_cache(maxsize=512)

@@ -747,7 +747,7 @@ def _nystrom_extension(op: DiscretizedOperator, lam: float, T: float,
     applied = np.empty(us.size)
     for sl in _chunks(us.size):
         applied[sl] = _quadrature_rows(op.tables, op.grid, us[sl]) @ h_hat
-    return _rhs_values(us, T, op.h1) - lam * applied
+    return _rhs_values(us, T, op.tables.h1) - lam * applied
 
 
 def _extended_spline(op: DiscretizedOperator, lam: float, T: float,
@@ -759,11 +759,10 @@ def _extended_spline(op: DiscretizedOperator, lam: float, T: float,
     the solution is mildest.
     """
     grid = op.grid
-    g = grid.grading_exponent
     extra_x = _offsets_in_cells(grid, _EXT_OFFSETS)
-    extra_u = _graded_map(extra_x, g)
+    extra_u = _graded_map(extra_x)
     ext = _nystrom_extension(op, lam, T, h_hat, extra_u)
-    hpow = op.h1 - 0.5
+    hpow = op.tables.h1 - 0.5
     xs = np.concatenate([grid.x_nodes, extra_x])
     vals = np.concatenate([h_hat * grid.nodes ** hpow, ext * extra_u ** hpow])
     order = np.argsort(xs)
@@ -774,9 +773,8 @@ def _integrals_at(op: DiscretizedOperator, us: np.ndarray,
                   spline: KnotSpline) -> np.ndarray:
     """int_0^1 k1(s, u) * h_rec(s) ds at each point u of us, for the
     reconstructed solution."""
-    g = op.grid.grading_exponent
-    phi = lambda s: spline(_graded_map_inv(np.asarray(s, float), g))
-    return us ** (op.h1 - 0.5) * _kernel_integrals(op.tables, us, phi)
+    phi = lambda s: spline(_graded_map_inv(np.asarray(s, float)))
+    return us ** (op.tables.h1 - 0.5) * _kernel_integrals(op.tables, us, phi)
 
 
 class ResidualSups(NamedTuple):
@@ -799,10 +797,9 @@ def _scan_residuals(op: DiscretizedOperator, lam: float, T: float,
                     h_hat: np.ndarray, rhs: np.ndarray,
                     spline: KnotSpline) -> ResidualSups:
     grid = op.grid
-    g = grid.grading_exponent
-    h1 = op.h1
+    h1 = op.tables.h1
     ev_x = _offsets_in_cells(grid, _EVAL_OFFSETS)
-    ev_u = _graded_map(ev_x, g)
+    ev_u = _graded_map(ev_x)
     rhs_u = _rhs_values(ev_u, T, h1)
     integral = lam * _integrals_at(op, ev_u, spline)
     rec_val = spline(ev_x) * ev_u ** (0.5 - h1)
@@ -892,7 +889,7 @@ def unscale(sol: FredholmSolution) -> Callable:
 
     def values(t, u):
         h_hat = _nystrom_extension(op, sol.lam, T, sol.h_hat, np.atleast_1d(u))
-        return h_hat.reshape(np.shape(u)) * t ** (op.h1 - 0.5)
+        return h_hat.reshape(np.shape(u)) * t ** (op.tables.h1 - 0.5)
 
     return _on_horizon(T, values)
 

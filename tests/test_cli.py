@@ -385,18 +385,22 @@ _MALFORMED_SIDECARS = pytest.mark.parametrize(
         {**_SIDECAR, "filter_knots": [0.0, 1.0]},
         {**_SIDECAR, "grading_exponent": "2"},
         {**_SIDECAR, "grading_exponent": 0.5},
+        {**_SIDECAR, "grading_exponent": 3.0},
+        {k: v for k, v in _SIDECAR.items() if k != "grading_exponent"},
         {**_SIDECAR, "qv_N": -3.0},
         {**_SIDECAR, "qv_N": 0.0},
         {k: v for k, v in _SIDECAR.items() if k != "lambda"},
         {**_SIDECAR, "sigma": 1.7},
         {**_SIDECAR, "lambda": math.nan},
         {**_SIDECAR, "lambda": math.inf},
+        {**_SIDECAR, "lambda": True},
     ],
     ids=["missing-qv", "not-json", "not-an-object", "knots-unequal-lengths",
          "knots-not-increasing", "knots-three", "knots-nan-y",
          "knots-without-y", "knots-not-an-object", "grading-string",
-         "grading-below-one", "qv-negative", "qv-zero", "lambda-missing",
-         "sigma-edited", "lambda-nan", "lambda-inf"],
+         "grading-below-one", "grading-three", "grading-missing",
+         "qv-negative", "qv-zero", "lambda-missing", "sigma-edited",
+         "lambda-nan", "lambda-inf", "lambda-bool"],
 )
 
 

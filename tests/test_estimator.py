@@ -224,8 +224,7 @@ def test_mle_reads_its_model_from_the_solution(cons, sol, grid512):
                      constants=cons)
     cols = simulate_Y(grid512, [np.random.SeedSequence((32, r))
                                 for r in range(6)], theta=0.7, constants=cons)
-    record = fr.SolutionRecord(sol.constants, sol.horizon_T,
-                               sol.grading_exponent, sol.spline, sol.lam,
+    record = fr.SolutionRecord(sol.constants, sol.horizon_T, sol.spline,
                                sol.qv_N)
     for path in (one, cols):
         ref = mle(sol, path, cons)
@@ -255,9 +254,15 @@ def test_mle_of_the_record_read_back_from_json(sol, sol_wide_sigma, grid512):
 
 def test_overridden_coupling_has_no_record(sol):
     # a filter and information at a coupling other than the model's
-    # belong to no model: no solution or record holds them
-    with pytest.raises(DomainError, match="coupling"):
+    # belong to no model: no solution or record holds them.  The coupling
+    # is read from the constants, and a sidecar naming another is refused
+    assert sol.lam == sol.constants.lambda_of_T(sol.horizon_T)
+    with pytest.raises(TypeError):
         dataclasses.replace(sol, lam=2.0 * sol.lam)
+    with pytest.raises(AttributeError):
+        sol.lam = 2.0 * sol.lam
+    with pytest.raises(DomainError, match="coupling"):
+        fr.SolutionRecord.from_json({**sol.to_json(), "lambda": 2.0 * sol.lam})
 
 
 def test_mle_normalization_identities(cons, sol, grid512):
@@ -308,9 +313,9 @@ def test_filter_evaluates_the_spline_once_per_grid(monkeypatch, cons, sol,
     calls = []
     inv = fr._graded_map_inv
 
-    def counting(u, g):
+    def counting(u):
         calls.append(np.size(u))
-        return inv(u, g)
+        return inv(u)
 
     monkeypatch.setattr(fr, "_graded_map_inv", counting)
     odd = graded(511)

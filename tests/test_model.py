@@ -218,17 +218,16 @@ _ENTRY_POINTS = [
       for name, valid in (("grid_n", 128), ("path_points", 512),
                           ("replicates", 2), ("master_seed", 0))],
     ("SolutionRecord-T", "real", 1.0, lambda ctx, v: fr.SolutionRecord(
-        constants=ctx.cons, horizon_T=v, grading_exponent=2.0,
-        spline=ctx.sol.spline, lam=ctx.sol.lam, qv_N=ctx.sol.qv_N)),
-    ("SolutionRecord-grading_exponent", "real", 2.0,
-     lambda ctx, v: _record(ctx, grading_exponent=v)),
-    ("SolutionRecord-lam", "real", lambda ctx: ctx.sol.lam,
-     lambda ctx, v: _record(ctx, lam=v)),
+        constants=ctx.cons, horizon_T=v, spline=ctx.sol.spline,
+        qv_N=ctx.sol.qv_N)),
     ("SolutionRecord-qv_N", "real", 0.75,
      lambda ctx, v: _record(ctx, qv_N=v)),
+    *[(f"SolutionRecord.from_json-{key}", "real", valid,
+       lambda ctx, v, key=key: fr.SolutionRecord.from_json(
+           {**ctx.sol.to_json(), key: v}))
+      for key, valid in (("lambda", lambda ctx: ctx.sol.lam),
+                         ("grading_exponent", 2.0))],
     ("build_grid-n", "int", 64, lambda ctx, v: fr.build_grid(v)),
-    ("build_grid-grading_exponent", "real", 2.0,
-     lambda ctx, v: fr.build_grid(64, v)),
     ("solve_second_kind-T", "real", 1.0, lambda ctx, v: fr.solve_second_kind(
         ctx.op, v, ctx.cons, residual_tol=1.0)),
     ("covariance_model-Y-theta", "real", 0.5,

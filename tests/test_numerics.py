@@ -2,6 +2,7 @@
 the cubic spline."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -127,6 +128,14 @@ class TestSolveDense:
     def test_shape_guard(self):
         with pytest.raises(DomainError):
             solve_dense(np.ones((3, 4)), np.ones(3))
+
+
+@pytest.mark.parametrize("a, b", [(100.0, 3.0), (150.0, 0.5), (400.0, 400.0)])
+def test_beta_fn_at_large_arguments_matches_mpmath(a, b):
+    # scipy's beta keeps its accuracy where log-gamma sums lose digits
+    with mpmath.workdps(40):
+        exact = float(mpmath.beta(a, b))
+    assert beta_fn(a, b) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_knot_spline_is_scipy_cubic_spline():

@@ -239,27 +239,11 @@ def _tier1(env) -> dict:
             "failed": counts.get("failed", 0) + counts.get("error", 0)}
 
 
-def _per_path(env) -> dict:
-    """Median microseconds per single-path ``simulate_Y`` and ``mle`` on
-    the warm default grid, from the checkout's ``src``."""
-    line = _run(["-c", _PER_PATH], {**env, "PYTHONPATH": str(ROOT / "src")})
-    return {**json.loads(line), "calls": PER_PATH_CALLS, "path_points": 512,
-            "grid_n": 128}
-
-
-def _ladder(env) -> dict:
-    """Cold and warm times of the default horizon ladder, from the
-    checkout's ``src``."""
-    line = _run(["-c", _LADDER], {**env, "PYTHONPATH": str(ROOT / "src")})
-    return {**json.loads(line), "calls": LADDER_CALLS, "grid_n": 128}
-
-
-def _cold_stages(env) -> dict:
-    """Seconds of each cold stage of ``_COLD_STAGES``, from the
-    checkout's ``src``."""
-    line = _run(["-c", _COLD_STAGES],
-                {**env, "PYTHONPATH": str(ROOT / "src")})
-    return {**json.loads(line), "grid_n": 128}
+def _child(script, env, **settings) -> dict:
+    """The JSON object that ``script`` prints, run in a fresh process
+    from the checkout's ``src``, with the ``settings`` it ran at."""
+    line = _run(["-c", script], {**env, "PYTHONPATH": str(ROOT / "src")})
+    return {**json.loads(line), **settings}
 
 
 def _git(*argv) -> str:
@@ -298,9 +282,10 @@ def main(argv) -> int:
                          "result": json.loads(line.strip().splitlines()[-1])})
             print(f"{workload} seed {seed} trace {trace}: done", flush=True)
     reference = _run(["perfbench/reference.py"], env).splitlines()
-    per_path = _per_path(env)
-    ladder = _ladder(env)
-    cold_stages = _cold_stages(env)
+    per_path = _child(_PER_PATH, env, calls=PER_PATH_CALLS, path_points=512,
+                      grid_n=128)
+    ladder = _child(_LADDER, env, calls=LADDER_CALLS, grid_n=128)
+    cold_stages = _child(_COLD_STAGES, env, grid_n=128)
     cli_runs = _cli_runs(env)
     import_s = _import_s(env)
     tier1 = _tier1(env)

@@ -16,7 +16,6 @@ from .gaussian_sim import (
     covariance_model,
     inverse_transform,
     molchan_transform,
-    simulate_X,
     simulate_Y,
     simulate_Z,
     simulate_fbm,
@@ -61,7 +60,6 @@ __all__ = [
     "SamplePath",
     "CovarianceModel",
     "covariance_model",
-    "simulate_X",
     "simulate_Y",
     "simulate_Z",
     "simulate_fbm",

@@ -21,7 +21,7 @@ from .errors import AccuracyError, DomainError, IllConditionedError
 from .estimator import mle
 from .fredholm import SolutionRecord, assemble, build_grid, solve_second_kind
 from .gaussian_sim import (SamplePath, inverse_transform, molchan_transform,
-                           simulate_fbm, simulate_X, simulate_Y, simulate_Z)
+                           simulate_fbm, simulate_Y, simulate_Z)
 from .harness import (_DEFAULT_T_SEQUENCE, ExperimentConfig, _graded_times,
                       _read_json, _write_csv, _write_json, decay_slope,
                       export_report, gap_slope, run_asymptotics, run_mc)
@@ -195,9 +195,7 @@ def _cmd_simulate(s: _Settings) -> int:
     times = _graded_times(s.get("t_horizon"), s.get("path_points"))
     seed = np.random.SeedSequence(check_int("seed", s.get("seed"), minimum=0))
     proc = s.args.process
-    if proc == "X":
-        path = simulate_X(times, seed, cons)
-    elif proc == "Y":
+    if proc == "Y":
         path = simulate_Y(times, seed, s.get("theta"), cons)
     elif proc == "Z":
         path = simulate_Z(times, seed, s.get("theta"), cons)
@@ -332,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="draw one sample path to CSV")
     _add_common(p)
-    p.add_argument("--process", choices=("X", "Y", "Z", "fbm"), default="X")
+    p.add_argument("--process", choices=("Y", "Z", "fbm"), default="Y")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("transform",

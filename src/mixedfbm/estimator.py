@@ -119,12 +119,12 @@ def mle(
     on ``sol`` for the last grid read (``midpoint_filter``), so a
     further path on that grid costs two sums; the checks that depend
     only on the grid run when it is first read.  DomainError unless the
-    path is labelled "Y" or "X", a transformed observation: a raw Z path
+    path is labelled "Y", a transformed observation: a raw Z path
     (transform it with ``molchan_transform``) or an fBm path would give
     a wrong estimate with no error.
     """
-    if path.label not in ("Y", "X"):
-        raise DomainError(f"mle reads a transformed path (label Y or X), "
+    if path.label != "Y":
+        raise DomainError(f"mle reads a transformed path (label Y), "
                           f"got a {path.label!r} path")
     if constants is not None and constants is not sol.constants:
         pair, own = constants.hurst, sol.constants.hurst

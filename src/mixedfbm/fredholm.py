@@ -529,8 +529,8 @@ class _AuditPlan(NamedTuple):
     probe_integrals: np.ndarray
 
 
-def _spline_integrals(tables: KernelTables, grid: QuadratureGrid,
-                      knots: np.ndarray, us: np.ndarray) -> np.ndarray:
+def _spline_integrals(tables: KernelTables, knots: np.ndarray,
+                      us: np.ndarray) -> np.ndarray:
     """int_0^1 k1(s, u) h_rec(s) ds at the points us, as a linear map of
     the knot values and knot second derivatives of h_rec's spline."""
     # = u^(H1 - 1/2) int k_sym(s, u) phi(s) ds, and the spline holds
@@ -557,7 +557,7 @@ def _build_audit_plan(tables: KernelTables,
         ext_u=ext_u,
         ext_rows=_quadrature_rows(tables, grid, ext_u),
         knots=knots, order=order, probe_x=probe_x, probe_u=probe_u,
-        probe_integrals=_spline_integrals(tables, grid, knots, probe_u))
+        probe_integrals=_spline_integrals(tables, knots, probe_u))
 
 
 def _extended_spline(op: DiscretizedOperator, lam: float, T: float,
@@ -656,8 +656,7 @@ def solve_second_kind(op: DiscretizedOperator, T: float,
             "tolerance", AccuracyWarning, stacklevel=2)
     qv = _quadratic_variation(op.grid, h_hat, T, constants)
     return FredholmSolution(
-        constants=constants, horizon_T=T, spline=spline, qv_N=qv,
-        grid=op.grid, h_hat=h_hat,
+        constants=constants, horizon_T=T, spline=spline, qv_N=qv, h_hat=h_hat,
         residual_sup=report.reconstruction_sup, condition=float(cond),
         operator=op, worst_u=report.worst_u)
 
@@ -801,7 +800,6 @@ class FredholmSolution(SolutionRecord):
 
     Fields
     ------
-    grid : QuadratureGrid
     h_hat : array
         Nodal values of the rescaled filter on (0,1).
     residual_sup : float
@@ -816,12 +814,16 @@ class FredholmSolution(SolutionRecord):
         The probe point in (0, 1) where ``residual_sup`` is attained.
     """
 
-    grid: QuadratureGrid
     h_hat: np.ndarray = field(repr=False)
     residual_sup: float
     condition: float
     operator: DiscretizedOperator = field(repr=False)
     worst_u: float
+
+    @property
+    def grid(self) -> QuadratureGrid:
+        """The quadrature grid of the solve, ``operator.grid``."""
+        return self.operator.grid
 
 
 def _quadratic_variation(grid: QuadratureGrid, h_hat: np.ndarray, T: float,

@@ -2,9 +2,10 @@
 
 Simulation is covariance-based: every finite-dimensional draw comes from
 a factorized covariance matrix, so there is no discretization bias to
-account for in Monte Carlo baselines.  The forward transform maps the
-observed process onto its drift-linearizing form by integrating the
-two-parameter power kernel against the path, in closed form: on each
+account for in Monte Carlo baselines.  The observation is Z, the paper's
+X_t = theta t + sigma B1 + B2.  The forward transform maps it onto Y,
+its fundamental-martingale form (Norros, Valkeila and Virtamo 1999), by
+integrating the two-parameter power kernel against the path: on each
 segment of the linear interpolant the integral is a difference of
 incomplete Beta functions.  The inverse recovers the observation through
 a weakly singular convolution, exact per segment, and a Stieltjes sum.
@@ -38,7 +39,6 @@ __all__ = [
     "SamplePath",
     "CovarianceModel",
     "covariance_model",
-    "simulate_X",
     "simulate_Y",
     "simulate_Z",
     "simulate_fbm",
@@ -46,7 +46,7 @@ __all__ = [
     "inverse_transform",
 ]
 
-_LABELS = ("Z", "Y", "X", "fBm")
+_LABELS = ("Z", "Y", "fBm")
 
 # interior sample points required below each requested transform time;
 # the transform is exact on the interpolant, so this sets its resolution
@@ -266,10 +266,10 @@ def _fbm_cov(h: float, t: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _cov_key(constants: DerivedConstants, process: str) -> tuple:
-    """The covariance of X, Y or Z; X and Y differ only in their mean."""
+    """The covariance of Y or Z."""
     h1, h2, sigma = constants.hurst.h1, constants.hurst.h2, constants.sigma
-    if process in ("X", "Y"):
-        return ("XY", h1, h2, sigma, constants.epsilon_h1)
+    if process == "Y":
+        return ("Y", h1, h2, sigma, constants.epsilon_h1)
     if process == "Z":
         return ("Z", h1, h2, sigma)
     raise DomainError(f"unknown process {process!r}")
@@ -280,12 +280,12 @@ def _matrix(t: np.ndarray, cov: tuple) -> np.ndarray:
     positive grid t, evaluated one row block at a time into a 64-byte
     aligned array (``_aligned_square``)."""
     kind, h1 = cov[0], cov[1]
-    if kind == "XY":
+    if kind == "Y":
         tab, mart = get_tables(h1, cov[2]), cov[3]**2 * cov[4]
     mat = _aligned_square(t.size)
     for rows in _row_blocks(t.size):
         ti, tj = t[rows, None], t[None, :]
-        if kind == "XY":
+        if kind == "Y":
             mat[rows] = tab.R(ti, tj) + mart * np.minimum(ti, tj) ** (2.0 - 2.0 * h1)
         elif kind == "Z":
             mat[rows] = cov[3]**2 * _fbm_cov(h1, ti, tj) + _fbm_cov(cov[2], ti, tj)
@@ -316,7 +316,7 @@ def _factor_cached(shape: tuple, key: bytes, cov: tuple) -> tuple:
                             chol=chol)
     mat[...] = chol
     object.__setattr__(model, "chol", mat)
-    return model, (t ** (2.0 - 2.0 * cov[1]) if cov[0] == "XY"
+    return model, (t ** (2.0 - 2.0 * cov[1]) if cov[0] == "Y"
                    else t if cov[0] == "Z" else None)
 
 
@@ -325,17 +325,14 @@ def _cached(times, cov: tuple) -> tuple:
     return _factor_cached(t.shape, t.tobytes(), cov)
 
 
-def covariance_model(
-    times, constants: DerivedConstants, process: str = "X", theta: float = 0.0
-) -> CovarianceModel:
-    """The factorized covariance of X, Y, or Z, with its drift.  X and Y
-    share one cached factor at every theta; the drift, theta b t^(2-2H1)
+def covariance_model(times, constants: DerivedConstants, process: str,
+                     theta: float = 0.0) -> CovarianceModel:
+    """The factorized covariance of Y or Z, with its drift.  Each process
+    has one cached factor at every theta; the drift, theta b t^(2-2H1)
     for Y and theta t for Z, is formed per call."""
     # refused before any cache lookup, where each NaN is a new key
     theta = check_real("theta", theta)
     model, unit = _cached(times, _cov_key(constants, process))
-    if process == "X":
-        return model
     scale = theta * constants.script_b if process == "Y" else theta
     return model._with_drift(scale * unit)
 
@@ -376,11 +373,6 @@ def _draw(model: CovarianceModel, seed, label: str) -> SamplePath:
     out[0] = 0.0
     out[1:] += _column(model.drift, out)
     return SamplePath._drawn(model.path_times, out, label)
-
-
-def simulate_X(times, seed, constants: DerivedConstants) -> SamplePath:
-    """Exact draw of the driftless transformed observation."""
-    return _draw(covariance_model(times, constants, "X"), seed, "X")
 
 
 def simulate_Y(times, seed, theta: float, constants: DerivedConstants) -> SamplePath:
@@ -440,8 +432,12 @@ def molchan_transform(
     increments, exactly on the piecewise-linear interpolant.  Output
     times default to every sample time deep enough into the grid to
     have 32 points below it; pass explicit ``out_times`` for a sparser
-    (and faster) evaluation.
+    (and faster) evaluation.  DomainError unless the path is labelled
+    "Z", an observation.
     """
+    if path.label != "Z":
+        raise DomainError(f"molchan_transform reads an observation (label Z), "
+                          f"got a {path.label!r} path")
     grid = path.times
     if out_times is None:
         if grid.size <= _MIN_INTERIOR + 1:
@@ -470,8 +466,12 @@ def inverse_transform(path: SamplePath, constants: DerivedConstants) -> SamplePa
     int_0^t (t-s)^{H1-3/2} Y(s) ds, evaluated exactly on the linear
     interpolant segment by segment.  Second stage: normalize by the
     beta constant and accumulate the Stieltjes sum of u^{H1-1/2}
-    against the increments of the first stage.
+    against the increments of the first stage.  DomainError unless the
+    path is labelled "Y", a transformed observation.
     """
+    if path.label != "Y":
+        raise DomainError(f"inverse_transform reads a transformed path "
+                          f"(label Y), got a {path.label!r} path")
     h1 = constants.hurst.h1
     grid = path.times
     if path.values.ndim != 1:

@@ -1,7 +1,8 @@
 """Model parameters and derived constants for the mixed fractional model.
 
 The observation is X(t) = theta*t + sigma*B1(t) + B2(t) with two independent
-fractional Brownian motions of Hurst indices 1/2 < h1 < h2 < 1.  Everything
+fractional Brownian motions of Hurst indices 1/2 < h1 < h2 < 1; the package
+calls this process Z (``simulate_Z``, path label "Z").  Everything
 downstream (kernels, solver, estimator) consumes the constants computed here,
 so the drift-normalization convention is fixed in exactly one place:
 ``drift_norm`` (see :func:`derive_constants`).

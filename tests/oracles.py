@@ -1053,7 +1053,8 @@ def stochastic_integral_N(
 # ----------------------------------------------------------- simulation
 
 def covariance_X(t, s, constants: DerivedConstants):
-    """Covariance of the transformed observation X = sigma*X1 + X2.
+    """Covariance of the transformed observation Y at theta = 0, the
+    transform sigma*Y1 + Y2 of sigma*B1 + B2.
 
     The martingale part contributes sigma^2 eps (t^s)^{2-2H1}; the
     transformed second component contributes its two-parameter
@@ -1105,10 +1106,10 @@ def _fbm_cov(h: float, t: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def model_matrix(t: np.ndarray, constants: DerivedConstants,
                  process: str) -> np.ndarray:
-    """Covariance of X or Y (they agree) or Z on the positive grid t."""
+    """Covariance of Y or Z on the positive grid t."""
     h1, h2 = constants.hurst.h1, constants.hurst.h2
     sigma, eps = constants.sigma, constants.epsilon_h1
-    if process in ("X", "Y"):
+    if process == "Y":
         tab = get_tables(h1, h2)
         lo = np.minimum.outer(t, t)
         return tab.R(t[:, None], t[None, :]) + sigma**2 * eps * lo ** (2.0 - 2.0 * h1)

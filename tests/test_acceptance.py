@@ -182,8 +182,8 @@ def test_criterion_07_simulation_fidelity(cons09):
     samp_t = np.empty((R, 8))
     for r0 in range(0, R, B):
         block = range(r0, r0 + B)
-        samp_c[r0:r0 + B] = gs.simulate_X(
-            out8, [np.random.SeedSequence((606, r)) for r in block],
+        samp_c[r0:r0 + B] = gs.simulate_Y(
+            out8, [np.random.SeedSequence((606, r)) for r in block], 0.0,
             cons09).values[1:].T
         z = gs.simulate_Z(g512, [np.random.SeedSequence((505, r)) for r in block],
                           0.0, cons09)

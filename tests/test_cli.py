@@ -202,6 +202,30 @@ def test_transform_round_trip(tmp_path, capsys):
     assert sup_err <= 0.05 * np.max(np.abs(ref))
 
 
+def test_simulate_draws_Y_by_default(tmp_path, capsys):
+    # at the default theta = 0 the default process writes the bytes of an
+    # explicit Y draw at theta = 0, and says it drew Y
+    default, explicit = tmp_path / "default.csv", tmp_path / "y0.csv"
+    code, stdout, _ = run(capsys, "simulate", "--seed", "7",
+                          "--out", str(default))
+    assert code == 0
+    assert stdout == f"simulated Y on 513 points to {default}\n"
+    code, _, _ = run(capsys, "simulate", "--process", "Y", "--theta", "0",
+                     "--seed", "7", "--out", str(explicit))
+    assert code == 0
+    assert default.read_bytes() == explicit.read_bytes()
+
+
+def test_simulate_refuses_process_X(tmp_path, capsys):
+    # the paper's observation X is the process Z: "X" is no --process
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--process", "X", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'X'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mc_command(tmp_path, capsys):
     out_dir = tmp_path / "mc"
     code, stdout, _ = run(capsys, "mc", "--h1", "0.6", "--h2", "0.9",

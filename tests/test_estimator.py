@@ -88,13 +88,13 @@ def test_filter_interpolant_matches_nystrom(sol, h_fast):
 
 
 def test_score_integral_zero_path(h_fast, grid512):
-    path = SamplePath(times=grid512, values=np.zeros_like(grid512), label="X")
+    path = SamplePath(times=grid512, values=np.zeros_like(grid512), label="Y")
     assert stochastic_integral_N(h_fast, path) == 0.0
 
 
 def test_score_integral_grid_guard(h_fast):
     t = graded(64)
-    path = SamplePath(times=t, values=np.zeros_like(t), label="X")
+    path = SamplePath(times=t, values=np.zeros_like(t), label="Y")
     with pytest.raises(DomainError, match="128"):
         stochastic_integral_N(h_fast, path)
 
@@ -173,7 +173,7 @@ def test_score_integral_variance_matches_information(cons, sol, h_fast, grid512)
 
 
 def test_mle_zero_path(cons, sol, grid512):
-    path = SamplePath(times=grid512, values=np.zeros_like(grid512), label="X")
+    path = SamplePath(times=grid512, values=np.zeros_like(grid512), label="Y")
     res = mle(sol, path, cons)
     assert isinstance(res, EstimatorResult)
     assert res.theta_hat == 0.0
@@ -456,19 +456,19 @@ def test_estimate_refuses_information_not_positive_and_finite(sol, qv):
 
 def test_mle_refuses_a_path_that_is_not_transformed(cons, sol, grid512):
     # a raw Z or an fBm path used to give an estimate with no error; only
-    # Y and X, the transformed observation, are read
+    # Y, the transformed observation, is read
     z = gs.simulate_Z(grid512, 5, 1.0, cons)
     for path in (z, gs.simulate_fbm(0.7, grid512, 5)):
-        with pytest.raises(DomainError, match="label Y or X"):
+        with pytest.raises(DomainError, match=r"label Y\)"):
             mle(sol, path)
     for path in (simulate_Y(grid512, 5, 1.0, cons),
-                 gs.simulate_X(grid512, 5, cons), gs.molchan_transform(z, cons)):
+                 simulate_Y(grid512, 5, 0.0, cons), gs.molchan_transform(z, cons)):
         assert np.isfinite(mle(sol, path).theta_hat)
 
 
 def test_mle_horizon_mismatch(cons, sol):
     t = graded(512, horizon=0.5)
-    path = SamplePath(times=t, values=np.zeros_like(t), label="X")
+    path = SamplePath(times=t, values=np.zeros_like(t), label="Y")
     with pytest.raises(DomainError, match="horizon"):
         mle(sol, path, cons)
 

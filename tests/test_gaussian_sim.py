@@ -34,17 +34,20 @@ def graded(n, power=2.0, horizon=1.0):
 
 def test_sample_path_validation():
     t = np.array([0.0, 0.5, 1.0])
-    gs.SamplePath(times=t, values=np.array([0.0, 1.0, -0.5]), label="X")
+    gs.SamplePath(times=t, values=np.array([0.0, 1.0, -0.5]), label="Y")
     with pytest.raises(DomainError):
-        gs.SamplePath(times=np.array([0.1, 0.5, 1.0]), values=np.zeros(3), label="X")
+        gs.SamplePath(times=np.array([0.1, 0.5, 1.0]), values=np.zeros(3), label="Y")
     with pytest.raises(DomainError):
-        gs.SamplePath(times=np.array([0.0, 0.5, 0.5]), values=np.zeros(3), label="X")
+        gs.SamplePath(times=np.array([0.0, 0.5, 0.5]), values=np.zeros(3), label="Y")
     with pytest.raises(DomainError):
-        gs.SamplePath(times=t, values=np.array([0.1, 1.0, 1.0]), label="X")
+        gs.SamplePath(times=t, values=np.array([0.1, 1.0, 1.0]), label="Y")
     with pytest.raises(DomainError):
-        gs.SamplePath(times=t, values=np.array([0.0, np.nan, 1.0]), label="X")
-    with pytest.raises(DomainError):
-        gs.SamplePath(times=t, values=np.zeros(3), label="W")
+        gs.SamplePath(times=t, values=np.array([0.0, np.nan, 1.0]), label="Y")
+    # the paper's observation X is the package's Z, and the driftless
+    # transformed observation is Y at theta = 0: "X" names no path
+    for label in ("W", "X"):
+        with pytest.raises(DomainError, match=f"unknown path label '{label}'"):
+            gs.SamplePath(times=t, values=np.zeros(3), label=label)
 
 
 def test_sample_path_columns():
@@ -65,16 +68,16 @@ def test_sample_path_columns():
 def test_covariance_model_invariants(cons):
     t = np.linspace(0.1, 1.0, 10)
     gs._factor_cached.cache_clear()
-    m = gs.covariance_model(t, cons, "X")
-    mat = gs._matrix(t, gs._cov_key(cons, "X"))
+    m = gs.covariance_model(t, cons, "Y")
+    mat = gs._matrix(t, gs._cov_key(cons, "Y"))
     assert np.allclose(mat, mat.T, rtol=0, atol=1e-14)
     assert np.linalg.eigvalsh(mat)[0] >= -1e-10 * np.trace(mat)
     rec = m.chol @ m.chol.T
     assert np.linalg.norm(rec - mat) <= 1e-8 * np.linalg.norm(mat)
     assert np.all(m.drift == 0.0)
     assert not hasattr(m, "matrix")
-    # X and Y share one covariance: one miss, one factor at every theta,
-    # and the drift is the unit shape scaled per call
+    # Y has one covariance: one miss, one factor at every theta, and the
+    # drift is the unit shape scaled per call
     power = t ** (2 - 2 * H1)
     for theta in (0.5, 0.7):
         my = gs.covariance_model(t, cons, "Y", theta=theta)
@@ -85,8 +88,9 @@ def test_covariance_model_invariants(cons):
     mz = gs.covariance_model(t, cons, "Z", theta=0.7)
     assert np.array_equal(mz.drift, 0.7 * t)
     assert gs._factor_cached.cache_info().misses == 2
-    with pytest.raises(DomainError):
-        gs.covariance_model(t, cons, "Q")
+    for process in ("Q", "X"):
+        with pytest.raises(DomainError, match=f"unknown process '{process}'"):
+            gs.covariance_model(t, cons, process)
 
 
 @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf, True, "1"])
@@ -157,12 +161,12 @@ def test_model_checks_hold_where_the_squared_norm_overflows(cons, horizon):
     # ||M||_F^2 overflows on these grids; taken in units of max |M| the
     # factor check still reproduces M and still refuses 2 L
     t = graded(4, horizon=horizon)
-    mat = gs._matrix(t[1:], gs._cov_key(cons, "X"))
+    mat = gs._matrix(t[1:], gs._cov_key(cons, "Y"))
     with np.errstate(over="ignore"):
         assert np.isinf(np.vdot(mat, mat))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        chol = gs.covariance_model(t, cons, "X").chol
+        chol = gs.covariance_model(t, cons, "Y").chol
         with pytest.raises(IllConditionedError, match="does not reproduce"):
             _model(mat, 2.0 * chol)
 
@@ -236,7 +240,7 @@ def test_model_rejects_a_factor_with_entries_above_the_diagonal():
 # ------------------------------------------------- blocked build, pinned
 
 
-@pytest.mark.parametrize("process", ["X", "Y", "Z", "fBm"])
+@pytest.mark.parametrize("process", ["Y", "Z", "fBm"])
 def test_blocked_models_match_the_full_broadcast_build(process):
     # two full row blocks and a partial third; sigma != 1 so that the
     # martingale and first-fBm terms carry their scale
@@ -274,7 +278,7 @@ def test_factor_build_holds_two_matrices(cons):
     assert model.chol.ctypes.data % 64 == 0 and model.chol.flags.c_contiguous
 
 
-@pytest.mark.parametrize("process", ["X", "Y", "Z", "fBm"])
+@pytest.mark.parametrize("process", ["Y", "Z", "fBm"])
 def test_reconstruction_error_matches_the_full_product(process):
     # the lower block triangle, each block left of the diagonal counted
     # twice, gives the error of the full product.  The model's own factor
@@ -304,13 +308,13 @@ def test_reconstruction_error_matches_the_full_product(process):
 
 
 # the ids name the covariance families that fill the one factor cache:
-# the mixed model's X/Y and Z covariances, and plain fBm covariances
+# the mixed model's Y and Z covariances, and plain fBm covariances
 @pytest.mark.parametrize("family", [
     pytest.param("model", id="_model_cached"),
     pytest.param("fbm", id="_fbm_model_cached"),
 ])
 def test_model_caches_are_bounded(cons, family):
-    # one cache for the X/Y, Z and fBm factors: an entry holds its n x n
+    # one cache for the Y, Z and fBm factors: an entry holds its n x n
     # factor and O(n) more, so at most 8 n^2 floats in all; run_mc draws
     # on one grid per horizon, and its default horizons still fit
     cached = gs._factor_cached
@@ -321,7 +325,7 @@ def test_model_caches_are_bounded(cons, family):
         t = graded(40 + k)
         n = t.size - 1
         if family == "model":
-            cov = gs._cov_key(cons, "XZ"[k % 2])
+            cov = gs._cov_key(cons, "YZ"[k % 2])
         else:
             cov = ("fBm", 0.55 + 0.1 * (k % 3))
         model, unit = cached(t.shape, t.tobytes(), cov)
@@ -387,22 +391,23 @@ def test_covariance_X_components(cons):
 # ------------------------------------------------------------- simulation
 
 
-def test_simulate_X_determinism(cons):
+def test_simulate_Y_determinism(cons):
     t = np.linspace(0.1, 1.0, 10)
-    a = gs.simulate_X(t, 42, cons)
-    b = gs.simulate_X(t, 42, cons)
-    c = gs.simulate_X(t, 43, cons)
+    a = gs.simulate_Y(t, 42, 0.0, cons)
+    b = gs.simulate_Y(t, 42, 0.0, cons)
+    c = gs.simulate_Y(t, 43, 0.0, cons)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
-    assert a.values[0] == 0.0 and a.label == "X" and a.times[0] == 0.0
+    assert a.values[0] == 0.0 and a.label == "Y" and a.times[0] == 0.0
 
 
-def test_simulate_X_matches_covariance(cons):
+def test_simulate_Y_matches_covariance(cons):
     t = np.linspace(0.1, 1.0, 10)
     R = 20000
     samp = np.empty((R, 10))
     for r in range(R):
-        samp[r] = gs.simulate_X(t, np.random.SeedSequence((101, r)), cons).values[1:]
+        samp[r] = gs.simulate_Y(t, np.random.SeedSequence((101, r)), 0.0,
+                                cons).values[1:]
     emp = samp.T @ samp / R
     ref = oracles.covariance_X(t[:, None], t[None, :], cons)
     assert abs(emp[-1, -1] / ref[-1, -1] - 1.0) < 0.03
@@ -411,11 +416,9 @@ def test_simulate_X_matches_covariance(cons):
 
 def test_simulate_Y_drift(cons):
     t = np.linspace(0.1, 1.0, 10)
-    x = gs.simulate_X(t, 7, cons)
     y0 = gs.simulate_Y(t, 7, 0.0, cons)
-    assert np.array_equal(x.values, y0.values)
     y = gs.simulate_Y(t, 7, 1.3, cons)
-    drift = y.values - x.values
+    drift = y.values - y0.values
     assert np.allclose(drift[1:], 1.3 * cons.script_b * t ** (2 - 2 * H1), rtol=1e-12)
     # the drift-to-power ratio is constant in t
     ratio = drift[1:] / t ** (2 - 2 * H1)
@@ -496,7 +499,6 @@ def test_simulate_Z_composition(cons):
 
 
 SIMULATORS = {
-    "X": lambda t, seed, cons: gs.simulate_X(t, seed, cons),
     "Y": lambda t, seed, cons: gs.simulate_Y(t, seed, 0.7, cons),
     "Z": lambda t, seed, cons: gs.simulate_Z(t, seed, 0.7, cons),
     "fBm": lambda t, seed, cons: gs.simulate_fbm(H1, t, seed),
@@ -688,6 +690,20 @@ def test_molchan_guards(cons):
         gs.molchan_transform(short, cons)
 
 
+def test_transforms_refuse_a_path_of_another_process(cons):
+    # the forward transform reads an observation, Z, and the inverse a
+    # transformed observation, Y; any other path is refused, not
+    # transformed and labelled as if it were one
+    g = graded(512)
+    fbm = gs.simulate_fbm(H1, g, 5)
+    for path in (gs.simulate_Y(g, 5, 1.0, cons), fbm):
+        with pytest.raises(DomainError, match=r"label Z\), got a '(Y|fBm)'"):
+            gs.molchan_transform(path, cons)
+    for path in (gs.simulate_Z(g, 5, 1.0, cons), fbm):
+        with pytest.raises(DomainError, match=r"label Y\), got a '(Z|fBm)'"):
+            gs.inverse_transform(path, cons)
+
+
 def test_molchan_default_output(cons):
     g = graded(128)
     z = gs.SamplePath(times=g, values=g.copy(), label="Z")
@@ -759,7 +775,7 @@ def test_inverse_guard(cons):
 def test_pathwise_matches_covariance_route(cons):
     # the transform of theta*t + sigma*B1 + B2, built pathwise from two
     # independent fractional draws, must reproduce the covariance-route
-    # law of X; this ties the kernel tables, the simulator, and the
+    # law of Y; this ties the kernel tables, the simulator, and the
     # transform quadrature together
     g = graded(512)
     out8 = np.linspace(0.125, 1.0, 8)
@@ -771,8 +787,9 @@ def test_pathwise_matches_covariance_route(cons):
         z = oracles.simulate_Z(g, [np.random.SeedSequence((505, r)) for r in block],
                                0.0, cons)
         samp_t[r0:r0 + B] = gs.molchan_transform(z, cons, out_times=out8).values[1:].T
-        samp_c[r0:r0 + B] = gs.simulate_X(
-            out8, [np.random.SeedSequence((606, r)) for r in block], cons).values[1:].T
+        samp_c[r0:r0 + B] = gs.simulate_Y(
+            out8, [np.random.SeedSequence((606, r)) for r in block], 0.0,
+            cons).values[1:].T
     ref = oracles.covariance_X(out8[:, None], out8[None, :], cons)
     cov_t = samp_t.T @ samp_t / R
     cov_c = samp_c.T @ samp_c / R

@@ -2,12 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .closed_form import (
-    ConstantChain,
-    asymptotic_variance,
-    constant_chain,
-    h0,
-)
+from .closed_form import asymptotic_variance, h0
 from .errors import AccuracyError, AccuracyWarning, DomainError, IllConditionedError
 from .estimator import EstimatorResult, mle
 from .gaussian_sim import (
@@ -67,8 +62,6 @@ __all__ = [
     "inverse_transform",
     "EstimatorResult",
     "mle",
-    "ConstantChain",
-    "constant_chain",
     "h0",
     "asymptotic_variance",
     "__version__",

@@ -180,9 +180,11 @@ def _cmd_solve(s: _Settings) -> int:
 def _cmd_closed_form(s: _Settings) -> int:
     _, cons = s.constants()
     points = check_int("points", s.get("points", 199), minimum=1)
+    out = s.get("out")
+    if not (s.args.asymptotic_variance or out):
+        raise DomainError("closed-form needs --asymptotic-variance or --out")
     if s.args.asymptotic_variance:
         print(f"asymptotic_variance={asymptotic_variance(cons)!r}")
-    out = s.get("out")
     if out:
         v = np.linspace(0.0, 1.0, points + 2)[1:-1]
         _write_csv(out, ("v", "h0"), zip(v, h0(v, cons)))

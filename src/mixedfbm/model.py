@@ -154,11 +154,10 @@ class DerivedConstants:
         (2-2h1)*script_b/(sigma*gamma_h1^2) = delta_paper/gamma_h1; the
         normalization that makes the estimator unbiased.
 
-    Methods ``lambda_of_T`` and ``mu_of_T`` give T -> T^(2h2-2h1)/(sigma^2
-    gamma^2) and T -> T^(2h2-2h1): the coupling constant of the
-    second-kind equation and the raw scale factor used in the large-T
-    analysis.  They are methods, not stored callables, so the constants
-    pickle (for example into a process pool).
+    The method ``lambda_of_T`` gives T -> T^(2h2-2h1)/(sigma^2 gamma^2),
+    the coupling constant of the second-kind equation.  It is a method,
+    not a stored callable, so the constants pickle (for example into a
+    process pool).
 
     Note
     ----
@@ -181,14 +180,10 @@ class DerivedConstants:
     delta_paper: float
     drift_norm: float
 
-    def mu_of_T(self, T: float) -> float:
-        """T^(2h2-2h1), the raw scale factor of the large-T analysis."""
-        return float(T) ** (2.0 * (self.hurst.h2 - self.hurst.h1))
-
     def lambda_of_T(self, T: float) -> float:
         """T^(2h2-2h1) / (sigma^2 gamma^2), the second-kind coupling."""
-        return self.mu_of_T(T) / (self.sigma * self.sigma
-                                  * (self.gamma_h1 * self.gamma_h1))
+        return (float(T) ** (2.0 * (self.hurst.h2 - self.hurst.h1))
+                / (self.sigma * self.sigma * (self.gamma_h1 * self.gamma_h1)))
 
     def same_model(self, pair, T: float | None = None,
                    lam: float | None = None) -> bool:

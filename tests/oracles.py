@@ -28,15 +28,21 @@ the tables' k1.  Every rule places its panels at positions proportional
 to the arguments, so the evaluators satisfy the kernels' scaling laws to
 float roundoff.  They are the references for ``KernelTables`` in
 ``test_kernels.py`` and for acceptance criteria 1 and 2.
-``h0`` is the layered quadrature of the limiting weight's fractional
-integral that the hypergeometric formula in ``closed_form`` replaced;
-it is the reference of that formula in ``test_closed_form.py``.
-``h0_weighted_integral_beta`` is the exact Beta-function integral J of
-the closed-form weight, moved from ``closed_form`` once its variance
-limit became the Gamma formula V_H2, and ``h0_weighted_integral_quad``
-the quadrature of the weight that the Beta formula replaced; the
-quadrature checks the formula, and 1/(delta^2 J) at sigma = 1 checks
-V_H2 by the route through the constant chain.
+``constant_chain`` (with its ``ConstantChain``) is the paper's
+derivation of the limiting weight's normalization, one constant per
+inversion step, moved verbatim from ``closed_form`` once ``h0`` took
+its prefactor from one Gamma ratio: c6 Gamma(3/2-H2) / Gamma(1-H2+H1)
+at C = 1/gamma^2 is the ``k`` of ``closed_form.h0``, which
+``test_closed_form.py`` checks.  ``h0`` is the layered quadrature of
+the limiting weight's fractional integral that the hypergeometric
+formula in ``closed_form`` replaced; it is the reference of that
+formula in ``test_closed_form.py``.  ``h0_weighted_integral_beta`` is
+the exact Beta-function integral J of the closed-form weight, moved
+from ``closed_form`` once its variance limit became the Gamma formula
+V_H2, and ``h0_weighted_integral_quad`` the quadrature of the weight
+that the Beta formula replaced; the quadrature checks the formula, and
+1/(delta^2 J) at sigma = 1 checks V_H2 by the route through the
+constant chain.
 
 The residual audit as it ran before the per-operator audit plan is kept
 verbatim below (``_kernel_integrals``, ``_nystrom_extension``,
@@ -481,6 +487,58 @@ def k1_l2_norm(tables: KernelTables, n: int = 96) -> float:
     return float(np.sqrt(val))
 
 
+@dataclass(frozen=True)
+class ConstantChain:
+    """Normalization constants of the closed-form limiting weight.
+
+    ``c`` is the coefficient in front of the integral operator in the
+    defining equation u^{1/2-H1} = c (K h)(u), so the solution and every
+    constant from ``c3`` on scale like 1/c.  ``c1`` and ``c2`` collect the
+    factors picked up when the outer kernel layer is integrated out,
+    ``c3`` and ``c4`` come from differentiating the resulting power laws,
+    and ``c5``, ``c6`` absorb the inner layer; ``c6`` multiplies the final
+    fractional integral.
+    """
+
+    c: float
+    c1: float
+    c2: float
+    c3: float
+    c4: float
+    c5: float
+    c6: float
+
+
+def constant_chain(C: float, constants: DerivedConstants) -> ConstantChain:
+    """Evaluate the normalization chain for operator coefficient ``C``.
+
+    Parameters
+    ----------
+    C : float
+        Positive coefficient of the operator in the defining equation.
+    constants : DerivedConstants
+        Model constants; only the Hurst pair and the kernel scale of the
+        rougher component enter.
+
+    Returns
+    -------
+    ConstantChain
+        All six constants.  ``c1``, ``c2`` are proportional to ``C``;
+        ``c3`` through ``c6`` to ``1/C``.
+    """
+    check_real("chain coefficient C", C, positive=True)
+    h1 = constants.hurst.h1
+    h2 = constants.hurst.h2
+    b2 = constants.beta_h2
+    c1 = C * (2.0 - 2.0 * h1)
+    c2 = c1 * b2 * gamma_fn(1.5 - h1)
+    c3 = gamma_fn(3.0 - 2.0 * h1) / (gamma_fn(1.5 - h1) * c2)
+    c4 = c3 * gamma_fn(1.5 - h2) / (gamma_fn(h2 - 0.5) * gamma_fn(2.0 - 2.0 * h2))
+    c5 = c4 / (b2 * gamma_fn(1.5 - h1))
+    c6 = c5 / (gamma_fn(h2 - 0.5) * gamma_fn(1.5 - h2))
+    return ConstantChain(c=float(C), c1=c1, c2=c2, c3=c3, c4=c4, c5=c5, c6=c6)
+
+
 def h0_weighted_integral_beta(constants: DerivedConstants) -> float:
     """Weighted integral of the limiting weight: int_0^1 h0(u) u^{1/2-H1} du.
 
@@ -494,7 +552,7 @@ def h0_weighted_integral_beta(constants: DerivedConstants) -> float:
     1/(delta^2 J) = sigma^2 V_H2 with delta = ``delta_paper``.
     """
     h1, h2 = constants.hurst.h1, constants.hurst.h2
-    c6 = closed_form.constant_chain(1.0 / constants.gamma_h1**2, constants).c6
+    c6 = constant_chain(1.0 / constants.gamma_h1**2, constants).c6
     return float(c6 * gamma_fn(2.0 - 2.0 * h1) / gamma_fn(1.5 - h1)
                  * beta_fn(1.5 - h2, 1.5 - h2))
 
@@ -534,7 +592,7 @@ def h0(v, constants: DerivedConstants, C: float | None = None):
     h2 = constants.hurst.h2
     if C is None:
         C = 1.0 / constants.gamma_h1**2
-    c6 = closed_form.constant_chain(C, constants).c6
+    c6 = constant_chain(C, constants).c6
     arr = np.asarray(v, dtype=float)
     alpha = h1 - 0.5
     q_right = 0.5 - h2
@@ -957,13 +1015,14 @@ def h_mu(
     """Rescale a finite-horizon solution onto the unit interval.
 
     Returns the callable u -> mu(T) T^{H1-1/2} h_hat(u) on (0, 1], with
-    h_hat extended off the nodes by the solver's interpolation formula.
-    As T grows these rescalings approach the closed-form h0; the
-    approach rate is governed by gamma^2 / mu(T).
+    mu(T) = T^(2H2-2H1) = ``lambda_of_T(T)`` sigma^2 gamma^2 and h_hat
+    extended off the nodes by the solver's interpolation formula.  As T
+    grows these rescalings approach the closed-form h0; the approach
+    rate is governed by gamma^2 / mu(T).
     """
     T = solution.horizon_T
     h1 = constants.hurst.h1
-    factor = constants.mu_of_T(T) * T ** (h1 - 0.5)
+    factor = T ** (2.0 * (constants.hurst.h2 - h1)) * T ** (h1 - 0.5)
     h_T = unscale(solution)
 
     def weight(u: float | np.ndarray) -> float | np.ndarray:
@@ -993,7 +1052,7 @@ def limit_functional(
     T = solution.horizon_T
     h1 = constants.hurst.h1
     grid = solution.grid
-    factor = constants.mu_of_T(T) * T ** (h1 - 0.5)
+    factor = T ** (2.0 * (constants.hurst.h2 - h1)) * T ** (h1 - 0.5)
     vals = factor * solution.h_hat * grid.nodes ** (0.5 - h1)
     return float(np.dot(grid.weights, vals))
 

@@ -125,6 +125,15 @@ def test_closed_form_command(tmp_path, capsys):
     assert rows[4, 1] == pytest.approx(mf.h0(rows[4, 0], cons), rel=1e-12)
 
 
+def test_closed_form_with_nothing_to_do_exits_2(capsys):
+    # neither --asymptotic-variance nor --out: a run that would print
+    # and write nothing is refused, and the message names both flags
+    code, stdout, stderr = run(capsys, "closed-form", "--h1", "0.6")
+    assert code == 2 and stdout == ""
+    assert "domain error" in stderr
+    assert "--asymptotic-variance" in stderr and "--out" in stderr
+
+
 def test_solve_simulate_estimate_pipeline(tmp_path, capsys):
     h_csv = tmp_path / "h.csv"
     code, _, _ = run(capsys, "solve", "--h1", "0.6", "--h2", "0.9",

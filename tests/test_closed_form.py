@@ -1,4 +1,4 @@
-"""Constant chain, limiting weight, and operator cross-checks."""
+"""Limiting weight, its normalization chain, and operator cross-checks."""
 
 import warnings
 
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import hyp2f1
 
 from mixedfbm import closed_form as cf
 from mixedfbm.errors import DomainError
@@ -41,11 +42,6 @@ def first_kind_report(cons):
 
 
 @pytest.fixture(scope="module")
-def op64(cons):
-    return assemble(KernelContext(constants=cons), build_grid(64))
-
-
-@pytest.fixture(scope="module")
 def op128(cons):
     return assemble(KernelContext(constants=cons), build_grid(128))
 
@@ -72,16 +68,17 @@ def canonical_C(constants):
 
 
 # ---------------------------------------------------------------- chain
+# the paper's derivation of h0's normalization, kept in the oracles
 
 
 def test_chain_validates_input(cons):
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(DomainError):
-            cf.constant_chain(bad, cons)
+            oracles.constant_chain(bad, cons)
 
 
 def test_chain_links_reevaluated(cons):
-    ch = cf.constant_chain(1.0, cons)
+    ch = oracles.constant_chain(1.0, cons)
     b2 = cons.beta_h2
     assert ch.c == 1.0
     assert ch.c1 == pytest.approx(2.0 - 2.0 * H1, rel=0, abs=0)
@@ -103,7 +100,7 @@ def test_chain_links_reevaluated(cons):
 
 
 def test_chain_frozen_values(cons):
-    ch = cf.constant_chain(1.0, cons)
+    ch = oracles.constant_chain(1.0, cons)
     frozen = {
         "c1": 0.8,
         "c2": 0.27740597387450363,
@@ -114,13 +111,13 @@ def test_chain_frozen_values(cons):
     }
     for name, val in frozen.items():
         assert getattr(ch, name) == pytest.approx(val, rel=1e-12)
-    canon = cf.constant_chain(canonical_C(cons), cons)
+    canon = oracles.constant_chain(canonical_C(cons), cons)
     assert canon.c6 == pytest.approx(0.48000512729874411, rel=1e-12)
 
 
 def test_chain_linearity(cons):
-    a = cf.constant_chain(0.7, cons)
-    b = cf.constant_chain(1.4, cons)
+    a = oracles.constant_chain(0.7, cons)
+    b = oracles.constant_chain(1.4, cons)
     assert b.c2 == pytest.approx(2.0 * a.c2, rel=1e-15)
     assert b.c6 == pytest.approx(a.c6 / 2.0, rel=1e-15)
 
@@ -131,7 +128,7 @@ def test_chain_intermediate_identities(cons, cons_wide):
     # exact relations between consecutive links
     for c in (cons, cons_wide):
         h1, h2 = c.hurst.h1, c.hurst.h2
-        ch = cf.constant_chain(1.0, c)
+        ch = oracles.constant_chain(1.0, c)
         p_step = ch.c2 * ch.c3 * gamma_fn(1.5 - h1) / gamma_fn(3.0 - 2.0 * h1)
         q_step = ch.c4 * beta_fn(2.0 - 2.0 * h2, h2 - 0.5) / ch.c3
         assert p_step == pytest.approx(1.0, rel=1e-13)
@@ -142,8 +139,8 @@ def test_chain_intermediate_identities(cons, cons_wide):
 
 
 def test_h0_frozen_point_values(cons_wide):
-    lit = cons_wide.gamma_h1**2
-    assert cf.h0(0.5, cons_wide, C=lit) == pytest.approx(
+    # h0 is linear in 1/C: the weight at C = gamma^2 is h0 / gamma^4
+    assert cf.h0(0.5, cons_wide) / cons_wide.gamma_h1**4 == pytest.approx(
         0.49796263121203034, rel=1e-10
     )
     assert cf.h0(0.5, cons_wide) == pytest.approx(0.92390724645512188, rel=1e-10)
@@ -152,7 +149,7 @@ def test_h0_frozen_point_values(cons_wide):
 def test_h0_matches_direct_fractional_integral(cons):
     # independent evaluation path: right-sided fractional integral with
     # the endpoint exponent declared, no interval mapping
-    c6 = cf.constant_chain(canonical_C(cons), cons).c6
+    c6 = oracles.constant_chain(canonical_C(cons), cons).c6
 
     def inner(t):
         return t ** (H1 - H2) * (1.0 - t) ** (0.5 - H2)
@@ -187,14 +184,16 @@ def test_h0_matches_mpmath_hypergeometric(h1, h2):
     # hyp2f1 at the large negative arguments of small v, and the
     # prefactors, must hold to a few ulps across both endpoint layers
     c = derive_constants(ModelParams(hurst=HurstPair(h1, h2)))
-    c6 = cf.constant_chain(canonical_C(c), c).c6
     v = np.concatenate([np.geomspace(1e-12, 0.5, 20),
                         1.0 - np.geomspace(0.4, 1e-9, 20)])
     with mpmath.workdps(30):
-        a = mpmath.mpf(h2) - mpmath.mpf(h1)
-        b = mpmath.mpf(h1) - mpmath.mpf(1) / 2
-        pre = (mpmath.mpf(c6) * mpmath.gamma(mpmath.mpf(3) / 2 - mpmath.mpf(h2))
-               / mpmath.gamma(1 - a))
+        p, q = mpmath.mpf(h1), mpmath.mpf(h2)
+        half = mpmath.mpf(1) / 2
+        a = q - p
+        b = p - half
+        pre = (mpmath.mpf(c.gamma_h1) ** 2 * mpmath.gamma(3 - 2 * p)
+               / ((2 - 2 * p) * q * (2 * q - 1) * mpmath.gamma(1 + half - p) ** 3
+                  * mpmath.gamma(q - half) * mpmath.gamma(1 - a)))
         ref = np.array([float(
             pre * x ** (mpmath.mpf(1) / 2 - mpmath.mpf(h2)) * (1 - x) ** -a
             * mpmath.hyp2f1(a, b, 1 - a, -(1 - x) / x))
@@ -202,14 +201,20 @@ def test_h0_matches_mpmath_hypergeometric(h1, h2):
     assert np.max(np.abs(cf.h0(v, c) / ref - 1.0)) <= 1e-14
 
 
-def test_h0_linearity_in_C(cons):
-    g2 = cons.gamma_h1**2
-    v = np.array([0.2, 0.5, 0.9])
-    half = cf.h0(v, cons, C=2.0 * g2)
-    full = cf.h0(v, cons, C=g2)
-    assert np.allclose(2.0 * half, full, rtol=1e-14)
-    # default C is the reciprocal of gamma^2
-    assert np.allclose(cf.h0(v, cons), cf.h0(v, cons, C=canonical_C(cons)), rtol=0)
+@pytest.mark.parametrize("h1,h2", [(0.6, 0.9), (0.51, 0.86), (0.55, 0.82),
+                                   (0.65, 0.95), (0.7, 0.99)])
+def test_h0_prefactor_is_the_chain(h1, h2):
+    # h0's one Gamma ratio k is the paper's chain at C = 1/gamma^2,
+    # c6 Gamma(3/2-H2) / Gamma(1-a), once beta_H2 and Gamma(3/2-H2)
+    # cancel; the shape factor divided out is h0's own float expression
+    c = derive_constants(ModelParams(hurst=HurstPair(h1, h2)))
+    a = h2 - h1
+    chain = (oracles.constant_chain(canonical_C(c), c).c6
+             * gamma_fn(1.5 - h2) / gamma_fn(1.0 - a))
+    v = np.array([0.1, 0.5, 0.9])
+    shape = (v ** (0.5 - h2) * (1.0 - v) ** -a
+             * hyp2f1(a, h1 - 0.5, 1.0 - a, -(1.0 - v) / v))
+    assert np.max(np.abs(cf.h0(v, c) / shape / chain - 1.0)) <= 2e-15
 
 
 def test_h0_domain_and_shape(cons):
@@ -253,7 +258,7 @@ def test_h0_first_step_inversion(cons):
     # closed form, the tabulated kernel, and the mid-chain constant
     # together through an independent quadrature
     tab = get_tables(H1, H2)
-    c4 = cf.constant_chain(canonical_C(cons), cons).c4
+    c4 = oracles.constant_chain(canonical_C(cons), cons).c4
     a = H2 - H1
     for v in (0.2, 0.5, 0.8):
 
@@ -281,22 +286,6 @@ def test_first_kind_report(first_kind_report):
     assert rep.ratio_spread < 5e-6
     # scale-free constancy gate, far looser than the observed spread
     assert rep.ratio_spread < 0.002
-
-
-def test_first_kind_scaling_consistency(op64, cons):
-    # K is linear: doubling C halves h0 and halves K h0, so the shape of
-    # (K h0)/u^{1/2-H1} cannot depend on the normalization convention
-    u = op64.grid.nodes
-    g2 = cons.gamma_h1**2
-    base = op64.matrix @ np.asarray(cf.h0(u, cons))
-    scaled = op64.matrix @ np.asarray(cf.h0(u, cons, C=2.0 * canonical_C(cons)))
-    assert np.allclose(2.0 * scaled, base, rtol=1e-13)
-    mask = (u >= 0.1) & (u <= 0.9)
-    r1 = base[mask] / (g2 * u[mask] ** (0.5 - H1))
-    r2 = scaled[mask] / (g2 * u[mask] ** (0.5 - H1))
-    s1 = (r1.max() - r1.min()) / abs(r1.mean())
-    s2 = (r2.max() - r2.min()) / abs(r2.mean())
-    assert s1 == pytest.approx(s2, rel=1e-10)
 
 
 def test_first_kind_degenerate_gap_raises():
@@ -362,7 +351,7 @@ def test_h_mu_callable_matches_nodal_values(sols_by_T, cons):
     grid = sol.grid
     w = oracles.h_mu(sol, cons)
     vals = w(grid.nodes)
-    factor = cons.mu_of_T(5.0) * 5.0 ** (H1 - 0.5)
+    factor = 5.0 ** (2.0 * (H2 - H1)) * 5.0 ** (H1 - 0.5)
     assert np.allclose(vals, factor * sol.h_hat, rtol=1e-10)
     quad = float(np.dot(grid.weights, vals * grid.nodes ** (0.5 - H1)))
     assert quad == pytest.approx(oracles.limit_functional(sol, cons), rel=1e-10)
@@ -379,7 +368,8 @@ def test_h_mu_plug_in_identity(sols_by_T, op128, cons):
     u = op128.grid.nodes
     g2 = cons.gamma_h1**2
     hm = oracles.h_mu(sol, cons)(u)
-    lhs = g2 / cons.mu_of_T(5.0) * hm + op128.matrix @ hm
+    mu = cons.lambda_of_T(5.0) * g2  # T^(2H2-2H1) at sigma = 1
+    lhs = g2 / mu * hm + op128.matrix @ hm
     rhs = g2 * u ** (0.5 - H1)
     assert np.max(np.abs(lhs - rhs) / rhs) < 1e-12
 

@@ -308,7 +308,7 @@ def test_h0_batch_matches_scalar_ladder(cons):
     ladders = [(1.0 - vi) ** (alpha + q) * oracles._layered_01(
         lambda x: (vi + (1.0 - vi) * x) ** (H1 - H2), alpha - 1.0, q, 24,
         min(max(vi / (1.0 - vi), 1e-12), 0.4), None) for vi in v]
-    c6 = closed_form.constant_chain(1.0 / cons.gamma_h1**2, cons).c6
+    c6 = oracles.constant_chain(1.0 / cons.gamma_h1**2, cons).c6
     ref = c6 / numerics.gamma_fn(alpha) * v ** (0.5 - H1) * np.array(ladders)
     assert _rel(closed_form.h0(v, cons), ref) <= RTOL
     assert _rel(oracles.h0(v, cons), ref) <= RTOL

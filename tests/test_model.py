@@ -135,7 +135,6 @@ class TestDerivedConstants:
         cons = constants_for(0.6, 0.9, sigma=2.0)
         gap = 2.0 * (0.9 - 0.6)
         for T in (1.0, 5.0, 125.0):
-            assert math.isclose(cons.mu_of_T(T), T ** gap, rel_tol=1e-14)
             assert math.isclose(cons.lambda_of_T(T),
                                 T ** gap / (4.0 * cons.gamma_h1 ** 2),
                                 rel_tol=1e-14)
@@ -146,7 +145,6 @@ class TestDerivedConstants:
         assert back == cons
         for T in (0.3, 1.0, 125.0):
             assert back.lambda_of_T(T) == cons.lambda_of_T(T)
-            assert back.mu_of_T(T) == cons.mu_of_T(T)
 
     def test_as_dict_serializable(self):
         cons = constants_for(0.6, 0.9)

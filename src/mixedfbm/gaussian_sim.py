@@ -28,6 +28,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg.blas import dtrmv
+from scipy.linalg.lapack import dpotrf
 from scipy.special import betainc
 
 from .errors import AccuracyError, DomainError, IllConditionedError
@@ -120,7 +121,9 @@ class CovarianceModel:
     factor of M + b I with b <= 1e-10 tr(M)/n, so its error is at most
     b sqrt(n) plus rounding of order n eps ||M||: for those models the
     factorization certifies positivity, and ``eigvalsh`` runs only for a
-    factor from elsewhere that reproduces M less closely.
+    factor from elsewhere that reproduces M less closely.  Those models
+    run the same checks (``_check_matrix`` and ``_check_factor``) without
+    this constructor, on a matrix they never hold beside its factor.
     """
 
     times: np.ndarray
@@ -130,13 +133,8 @@ class CovarianceModel:
 
     def __post_init__(self, matrix) -> None:
         m = np.asarray(matrix, dtype=float)
-        scale = _scale(m)
-        err, norm = _reconstruction_error(m, np.asarray(self.chol, dtype=float), scale)
-        if not err <= 1e-8 * norm:
-            raise IllConditionedError("factor does not reproduce the covariance")
-        tr = float((m.diagonal() / scale).sum())
-        if err > 1e-10 * tr and float(np.linalg.eigvalsh(m / scale)[0]) < -1e-10 * tr:
-            raise IllConditionedError("covariance matrix has a significantly negative eigenvalue")
+        _check_factor(lambda rows: m[rows, :rows.stop],
+                      np.asarray(self.chol, dtype=float), *_check_matrix(m))
 
     @cached_property
     def path_times(self) -> np.ndarray:
@@ -165,32 +163,57 @@ def _scale(m: np.ndarray) -> float:
     return math.ldexp(1.0, math.frexp(max(hi, -lo))[1])
 
 
-def _reconstruction_error(m: np.ndarray, chol: np.ndarray, scale: float) -> tuple:
+def _check_matrix(m: np.ndarray) -> tuple:
+    """The checks that read the whole matrix M: DomainError unless every
+    entry is finite, IllConditionedError unless M is symmetric to 1e-12
+    of its largest entry (each pair compared once, one row block of the
+    lower block triangle at a time).  Returns ``_scale(M)`` and tr(M) in
+    its units."""
+    scale = _scale(m)
+    atol = 1e-12 * max(m.max(), -m.min(), 1.0)
+    for rows in _row_blocks(m.shape[0]):
+        if not (np.abs(m[rows, :rows.stop] - m[:rows.stop, rows].T) <= atol).all():
+            raise IllConditionedError("covariance matrix is not symmetric")
+    return scale, float((m.diagonal() / scale).sum())
+
+
+def _check_factor(lower_rows, chol: np.ndarray, scale: float, tr: float) -> None:
+    """IllConditionedError unless the lower factor L = ``chol`` of M is
+    lower triangular, reproduces M to 1e-8 and leaves M no eigenvalue
+    below -1e-10 tr(M) (see ``CovarianceModel``).  ``lower_rows(rows)``
+    gives M[rows, :rows.stop]; ``scale`` and ``tr`` are ``_check_matrix``'s.
+    M is formed whole only for ``eigvalsh``, when L does not certify it."""
+    err, norm = _reconstruction_error(lower_rows, chol, scale)
+    if not err <= 1e-8 * norm:
+        raise IllConditionedError("factor does not reproduce the covariance")
+    if err > 1e-10 * tr and float(np.linalg.eigvalsh(
+            lower_rows(slice(0, chol.shape[0])) / scale)[0]) < -1e-10 * tr:
+        raise IllConditionedError("covariance matrix has a significantly negative eigenvalue")
+
+
+def _reconstruction_error(lower_rows, chol: np.ndarray, scale: float) -> tuple:
     """||L L^T - M||_F and ||M||_F, both divided by ``scale`` (``_scale``),
-    for the lower factor L = ``chol``.
+    for the lower factor L = ``chol``; ``lower_rows(rows)`` gives
+    M[rows, :rows.stop].
 
     Summed over the lower block triangle, each block left of the
     diagonal counted twice for its mirror image: a third of the flops of
     the full product.  Checked on the way, one row block at a time:
-    IllConditionedError unless M is symmetric to 1e-12 of its largest
-    entry (each pair compared once, from the lower block triangle) and
-    L is exactly 0 above its diagonal.
+    IllConditionedError unless L is exactly 0 above its diagonal.
     """
-    atol = 1e-12 * max(m.max(), -m.min(), 1.0)
     inv = 1.0 / scale
     err2 = norm2 = 0.0
-    for rows in _row_blocks(m.shape[0]):
+    for rows in _row_blocks(chol.shape[0]):
         lo, hi = rows.start, rows.stop
-        block = m[rows, :hi]
-        if not (np.abs(block - m[:hi, rows].T) <= atol).all():
-            raise IllConditionedError("covariance matrix is not symmetric")
         if chol[rows, hi:].any() or np.triu(chol[rows, rows], 1).any():
             raise IllConditionedError("factor is not lower triangular")
+        block = lower_rows(rows)
         diff = chol[rows, :hi] @ chol[:hi, :hi].T
         diff -= block
         diff *= inv
         err2 += _folded_sq(diff, lo)
         norm2 += _folded_sq(block * inv, lo)
+        del block, diff  # not held while the next block is formed
     return float(np.sqrt(err2)), float(np.sqrt(norm2))
 
 
@@ -213,27 +236,26 @@ def _positive_times(times) -> np.ndarray:
     return t
 
 
-def _factor(matrix: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of the matrix; when that fails, of the matrix
-    plus the first of 1, 10 and 100 times 1e-12 tr/n on its diagonal that
-    factors.  The jitter is added in place and the diagonal restored.
-    DomainError, before LAPACK sees it, unless every entry is finite."""
-    _scale(matrix)
-    try:
-        return np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        pass
-    jitter = 1e-12 * np.trace(matrix) / matrix.shape[0]
-    diag = matrix.diagonal().copy()
-    try:
-        for scale in (1.0, 10.0, 100.0):
-            np.fill_diagonal(matrix, diag + jitter * scale)
-            try:
-                return np.linalg.cholesky(matrix)
-            except np.linalg.LinAlgError:
-                continue
-    finally:
-        np.fill_diagonal(matrix, diag)
+def _factor(matrix: np.ndarray, refill) -> np.ndarray:
+    """The C-ordered ``matrix``, a whole symmetric matrix, overwritten by
+    its lower Cholesky factor; when that fails, by the factor of the
+    matrix plus the first of 1, 10 and 100 times 1e-12 tr/n on its
+    diagonal that factors.  A failed attempt leaves a partial factor, so
+    ``refill()`` writes the matrix back before the next.
+
+    LAPACK ``dpotrf`` factors the Fortran-ordered transpose in place as
+    U^T U with clean=1, which zeroes the rest: U stored in Fortran order
+    is L = U^T in C order, the layout the draws' ``dtrmv`` reads, so no
+    second n x n array is made.
+    """
+    n = matrix.shape[0]
+    jitter = 1e-12 * np.trace(matrix) / n
+    for bump in (0.0, jitter, 10.0 * jitter, 100.0 * jitter):
+        if bump:
+            refill()
+            np.fill_diagonal(matrix, matrix.diagonal() + bump)
+        if dpotrf(matrix.T, lower=0, overwrite_a=1, clean=1)[1] == 0:
+            return matrix
     raise IllConditionedError(
         "covariance factorization failed even with jitter; grid too dense "
         "or parameters too close to degeneracy"
@@ -275,22 +297,28 @@ def _cov_key(constants: DerivedConstants, process: str) -> tuple:
     raise DomainError(f"unknown process {process!r}")
 
 
-def _matrix(t: np.ndarray, cov: tuple) -> np.ndarray:
-    """The covariance ``cov`` (a ``_cov_key`` or ("fBm", h)) on the
-    positive grid t, evaluated one row block at a time into a 64-byte
-    aligned array (``_aligned_square``)."""
+def _entries(cov: tuple):
+    """The covariance ``cov`` (a ``_cov_key`` or ("fBm", h)) as a
+    function of two broadcastable arrays of positive times."""
     kind, h1 = cov[0], cov[1]
     if kind == "Y":
         tab, mart = get_tables(h1, cov[2]), cov[3]**2 * cov[4]
-    mat = _aligned_square(t.size)
-    for rows in _row_blocks(t.size):
-        ti, tj = t[rows, None], t[None, :]
-        if kind == "Y":
-            mat[rows] = tab.R(ti, tj) + mart * np.minimum(ti, tj) ** (2.0 - 2.0 * h1)
-        elif kind == "Z":
-            mat[rows] = cov[3]**2 * _fbm_cov(h1, ti, tj) + _fbm_cov(cov[2], ti, tj)
-        else:
-            mat[rows] = _fbm_cov(h1, ti, tj)
+        return lambda ti, tj: tab.R(ti, tj) + mart * np.minimum(ti, tj) ** (2.0 - 2.0 * h1)
+    if kind == "Z":
+        return lambda ti, tj: cov[3]**2 * _fbm_cov(h1, ti, tj) + _fbm_cov(cov[2], ti, tj)
+    return lambda ti, tj: _fbm_cov(h1, ti, tj)
+
+
+def _matrix(t: np.ndarray, cov: tuple, out: np.ndarray | None = None) -> np.ndarray:
+    """The covariance ``cov`` on the positive grid t, evaluated one row
+    block at a time into ``out`` or a new 64-byte aligned array
+    (``_aligned_square``).  At a large horizon an entry overflows, and
+    the checks refuse it as non-finite: numpy need not warn on the way."""
+    entries = _entries(cov)
+    mat = _aligned_square(t.size) if out is None else out
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in _row_blocks(t.size):
+            mat[rows] = entries(t[rows, None], t[None, :])
     return mat
 
 
@@ -302,20 +330,21 @@ def _factor_cached(shape: tuple, key: bytes, cov: tuple) -> tuple:
     shape of its drift: t^(2-2H1) for Y, t for Z, None for fBm.  A grid
     is validated on a miss only: a rejected grid is never cached.
 
-    At most two n x n arrays are held: the matrix and LAPACK's factor.
-    Once the model has checked the factor against the matrix, the factor
-    is copied over the matrix, into its aligned buffer, and kept there.
+    One n x n array is held: the matrix is filled into its aligned
+    buffer and checked while whole (``_check_matrix``), then factored
+    over itself (``_factor``).  The factor is checked against row blocks
+    of the matrix recomputed from the formula (``_check_factor``), and
+    kept in that buffer.
     """
     t = _positive_times(np.frombuffer(key, dtype=float).reshape(shape))
-    # at a large horizon an entry overflows, and _factor refuses it as
-    # non-finite: numpy need not warn on the way
-    with np.errstate(over="ignore", invalid="ignore"):
-        mat = _matrix(t, cov)
-    chol = _factor(mat)
-    model = CovarianceModel(times=t, matrix=mat, drift=np.zeros(t.size),
-                            chol=chol)
-    mat[...] = chol
-    object.__setattr__(model, "chol", mat)
+    mat = _matrix(t, cov)
+    scale, tr = _check_matrix(mat)
+    _factor(mat, lambda: _matrix(t, cov, mat))
+    entries = _entries(cov)
+    _check_factor(lambda rows: entries(t[rows, None], t[None, :rows.stop]),
+                  mat, scale, tr)
+    model = object.__new__(CovarianceModel)
+    model.__dict__.update(times=t, drift=np.zeros(t.size), chol=mat)
     return model, (t ** (2.0 - 2.0 * cov[1]) if cov[0] == "Y"
                    else t if cov[0] == "Z" else None)
 
@@ -395,11 +424,11 @@ def simulate_fbm(h: float, times, seed) -> SamplePath:
 
 # ----------------------------------------------------------------- forward
 
-def _molchan_plan(grid: np.ndarray, outs: np.ndarray, h1: float) -> np.ndarray:
-    """Matrix mapping segment slopes to transform values, built per call
-    one row block at a time, so that only one block of temporaries is
-    held beside it (n_out x (n_grid - 1) floats, 2 MB for a 512-point
-    path).
+def _molchan_blocks(grid: np.ndarray, outs: np.ndarray, h1: float):
+    """Row blocks of the matrix mapping segment slopes to transform
+    values, as (rows, block) pairs built one at a time, so that the
+    matrix (n_out x (n_grid - 1) floats, 33 MB at 2048 points) is never
+    held whole.
 
     A segment [s_k, s_k+1] of the linear interpolant has constant slope;
     its share of the transform at t is that slope times the integral of
@@ -415,12 +444,11 @@ def _molchan_plan(grid: np.ndarray, outs: np.ndarray, h1: float) -> np.ndarray:
         )
     p = 1.5 - h1
     scale = beta_fn(p, p) * outs ** (2.0 - 2.0 * h1)
-    plan = np.empty((outs.size, grid.size - 1))
     for rows in _row_blocks(outs.size):
         x = np.minimum(grid[None, :], outs[rows, None]) / outs[rows, None]
-        plan[rows] = np.diff(betainc(p, p, x), axis=1)
-        plan[rows] *= scale[rows, None]
-    return plan
+        block = np.diff(betainc(p, p, x), axis=1)
+        block *= scale[rows, None]
+        yield rows, block
 
 
 def molchan_transform(
@@ -451,12 +479,11 @@ def molchan_transform(
         # NaN fails both comparisons, so it is rejected with the rest
         if not np.all((outs > 0.0) & (outs <= grid[-1])) or np.any(np.diff(outs) <= 0):
             raise DomainError("output times must be finite and increase within (0, horizon]")
-    plan = _molchan_plan(grid, outs, constants.hurst.h1)
     slopes = np.diff(path.values, axis=0) / _column(np.diff(grid), path.values)
-    vals = plan @ slopes
-    return SamplePath(times=np.concatenate(([0.0], outs)),
-                      values=np.concatenate((np.zeros((1,) + vals.shape[1:]), vals)),
-                      label="Y")
+    vals = np.zeros((outs.size + 1,) + slopes.shape[1:])
+    for rows, block in _molchan_blocks(grid, outs, constants.hurst.h1):
+        vals[1:][rows] = block @ slopes
+    return SamplePath(times=np.concatenate(([0.0], outs)), values=vals, label="Y")
 
 
 def inverse_transform(path: SamplePath, constants: DerivedConstants) -> SamplePath:

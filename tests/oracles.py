@@ -76,9 +76,13 @@ of the Z law in ``test_gaussian_sim.py``.
 ``model_matrix`` and ``fbm_matrix`` are the covariance models' matrices
 as they were built before the row-blocked fill: each formula broadcast
 over the whole grid at once.  ``factor`` is the Cholesky with jitter as
-it ran before it factored the matrix directly: it always formed
-``matrix + bump * eye``.  Together they are the bitwise references of
-``gaussian_sim._matrix`` and of the factors in ``_factor_cached``.
+it ran before it factored the matrix in place: it always formed
+``matrix + bump * eye`` and a new factor.  It calls the same LAPACK
+routine as the package, SciPy's ``dpotrf`` for the upper factor U of
+the symmetric matrix, and returns L = U^T (asked for L itself,
+``dpotrf`` runs another code path, whose bits differ at roundoff).  Together they are the
+bitwise references of ``gaussian_sim._matrix`` and of the factors in
+``_factor_cached``.
 ``reconstruction_error`` is the models' factor check as it ran before it
 summed over the lower block triangle: the full product ``chol @ chol.T``,
 one row block at a time.  It is the reference of
@@ -90,6 +94,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 from mixedfbm import closed_form
 from mixedfbm.errors import AccuracyWarning, DomainError, IllConditionedError
@@ -1187,7 +1192,7 @@ def factor(matrix: np.ndarray) -> np.ndarray:
     for attempt in range(4):
         bump = 0.0 if attempt == 0 else jitter * 10.0 ** (attempt - 1)
         try:
-            return np.linalg.cholesky(matrix + bump * np.eye(matrix.shape[0]))
+            return scipy.linalg.cholesky(matrix + bump * np.eye(matrix.shape[0])).T
         except np.linalg.LinAlgError:
             continue
     raise IllConditionedError(

@@ -1,11 +1,16 @@
 """Exact simulation, the path transform, and their cross-validation."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
 from scipy.special import betainc
 
@@ -27,6 +32,12 @@ def cons():
 
 def graded(n, power=2.0, horizon=1.0):
     return horizon * (np.arange(n + 1) / n) ** power
+
+
+def near_duplicates(n):
+    # n / 2 uniform times, each with the next float up beside it
+    base = np.arange(1, n // 2 + 1) / (n // 2)
+    return np.concatenate(([0.0], np.sort(np.concatenate((base, np.nextafter(base, 2.0))))))
 
 
 # ------------------------------------------------------------------ types
@@ -189,31 +200,37 @@ def test_non_finite_covariance_is_a_domain_error_before_any_check(cons):
             with pytest.raises(DomainError, match="non-finite entry"):
                 _model(bad, np.linalg.cholesky(_spd()))
             with pytest.raises(DomainError, match="non-finite entry"):
-                gs._factor(bad)
+                gs._check_matrix(bad)
     assert gs._factor_cached.cache_info().currsize == 0
 
 
-def test_factor_out_of_jitter_raises_and_leaves_the_matrix():
-    m = np.diag([1.0, 1.0, -1.0])
-    before = m.copy()
-    with pytest.raises(IllConditionedError, match="even with jitter"):
-        gs._factor(m)
-    assert np.array_equal(m, before)
+def test_factor_out_of_jitter_raises_and_caches_nothing():
+    # H = 1.5 gives no fBm: its "covariance" has eigenvalues near -tr/10,
+    # so the plain factorization and all three jitters fail; nothing is
+    # cached, and the next call tries again
+    t = np.arange(6.0)
+    assert np.linalg.eigvalsh(oracles.fbm_matrix(1.5, t[1:]))[0] < -1.0
+    gs._factor_cached.cache_clear()
+    for misses in (1, 2):
+        with pytest.raises(IllConditionedError, match="even with jitter"):
+            gs._factor_cached(t.shape, t.tobytes(), ("fBm", 1.5))
+        assert gs._factor_cached.cache_info()[1:] == (misses, 8, 0)
 
 
-def test_factor_jitter_rescues_a_singular_matrix():
-    # rank one: the plain factorization meets a zero pivot, the first
-    # jitter passes, and the model built on it is accepted
-    v = np.array([1.0, 2.0, 3.0])
-    m = np.outer(v, v)
-    before = m.copy()
+@pytest.mark.parametrize("process", ["Y", "Z", "fBm"])
+def test_factor_jitter_rescues_a_grid_of_near_duplicate_times(cons, process):
+    # each time beside the next float up: the plain factorization meets a
+    # zero or negative pivot, the buffer is refilled from the formula, and
+    # the first jitter gives the oracle's jittered factor bit for bit
+    t = near_duplicates(128)
+    cov = ("fBm", 0.7) if process == "fBm" else gs._cov_key(cons, process)
+    ref = (oracles.fbm_matrix(0.7, t[1:]) if process == "fBm"
+           else oracles.model_matrix(t[1:], cons, process))
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.cholesky(m)
-    chol = gs._factor(m)
-    assert np.array_equal(m, before)
-    bump = 1e-12 * np.trace(m) / 3
-    assert np.array_equal(chol, np.linalg.cholesky(m + bump * np.eye(3)))
-    _model(m, chol)
+        scipy.linalg.cholesky(ref)
+    model = gs._factor_cached(t.shape, t.tobytes(), cov)[0]
+    assert np.array_equal(model.chol, oracles.factor(ref))
+    assert model.chol.ctypes.data % 64 == 0 and model.chol.flags.c_contiguous
 
 
 def test_model_rejects_a_factor_with_entries_above_the_diagonal():
@@ -258,15 +275,20 @@ def test_blocked_models_match_the_full_broadcast_build(process):
     assert mat.shape == (n, n)
     assert np.array_equal(mat, ref)
     assert np.array_equal(model.chol, oracles.factor(ref))
+    # independently of LAPACK's dpotrf: numpy's Cholesky, to roundoff
+    indep = np.linalg.cholesky(ref)
+    assert np.linalg.norm(model.chol - indep) <= 1e-13 * np.linalg.norm(indep)
     # the draws' BLAS product reads the factor from a 64-byte boundary
     assert model.chol.ctypes.data % 64 == 0 and model.chol.flags.c_contiguous
 
 
-def test_factor_build_holds_two_matrices(cons):
-    # the matrix and LAPACK's factor; the checked factor is then copied
-    # into the matrix's aligned buffer, not into a third array
+@pytest.mark.parametrize("grid", [graded, near_duplicates])
+def test_factor_build_holds_one_matrix(cons, grid):
+    # the matrix is factored over itself and checked against row blocks
+    # recomputed from the formula, also when a failed attempt refills it
+    # for the jitter; what else is held is a few 64-row blocks
     gs.covariance_model(graded(8), cons, "Y", 0.5)  # warm kernel tables
-    t = graded(1024)
+    t = grid(1024)
     gs._factor_cached.cache_clear()
     tracemalloc.start()
     try:
@@ -274,8 +296,41 @@ def test_factor_build_holds_two_matrices(cons):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * model.chol.nbytes
+    assert peak < 1.5 * model.chol.nbytes
     assert model.chol.ctypes.data % 64 == 0 and model.chol.flags.c_contiguous
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak RSS from /proc/self/status")
+def test_cold_model_build_holds_one_matrix_in_the_process():
+    # tracemalloc does not see LAPACK's own working copies; the peak RSS
+    # does.  A fresh interpreter first builds a half-size model and drops
+    # it (imports, BLAS buffers), then builds 1024 points cold.  The peak
+    # is VmHWM, this process image's own: ru_maxrss of a child starts at
+    # the test process's peak, which Linux carries across exec
+    src = str(Path(gs.__file__).resolve().parents[1])
+    code = """if True:
+        import numpy as np
+        from mixedfbm import gaussian_sim as gs
+        from mixedfbm.model import HurstPair, ModelParams, derive_constants
+
+        def peak_kib():
+            with open("/proc/self/status") as status:
+                line = next(s for s in status if s.startswith("VmHWM:"))
+            return int(line.split()[1])
+
+        cons = derive_constants(ModelParams(hurst=HurstPair(0.6, 0.9)))
+        t = (np.arange(1025) / 1024) ** 2
+        gs.covariance_model(t[:513], cons, "Z")
+        gs._factor_cached.cache_clear()
+        before = peak_kib()
+        chol = gs.covariance_model(t, cons, "Z").chol
+        print((peak_kib() - before) * 1024 / chol.nbytes)
+    """
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert float(done.stdout) < 1.5
 
 
 @pytest.mark.parametrize("process", ["Y", "Z", "fBm"])
@@ -296,14 +351,15 @@ def test_reconstruction_error_matches_the_full_product(process):
         norm = np.linalg.norm(mat)
         # both norms come in units of a power of two, so exactly rescaled
         scale = gs._scale(mat)
-        err, norm_m = gs._reconstruction_error(mat, model.chol, scale)
+        lower_rows = lambda rows: mat[rows, :rows.stop]  # noqa: E731
+        err, norm_m = gs._reconstruction_error(lower_rows, model.chol, scale)
         assert norm_m * scale == pytest.approx(norm, rel=1e-12, abs=0.0)
         assert err * scale <= 1e-12 * norm
         assert oracles.reconstruction_error(mat, model.chol) <= 1e-12 * norm
         chol = model.chol * (1.0 + 1e-3 * np.tril(rng.standard_normal((n, n))))
         ref = oracles.reconstruction_error(mat, chol)
         assert ref > 1e-5 * norm
-        err = gs._reconstruction_error(mat, chol, scale)[0]
+        err = gs._reconstruction_error(lower_rows, chol, scale)[0]
         assert err * scale == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
@@ -636,10 +692,10 @@ def test_molchan_incomplete_beta_oracle(cons):
             assert got == pytest.approx(float(ref), rel=1e-13)
 
 
-def test_molchan_plan_is_built_per_call_with_the_whole_formula_bits():
-    # no cache keeps a plan; the row blocks give the bits of the formula
-    # applied to the whole matrix at once
-    assert not hasattr(gs._molchan_plan, "cache_info")
+def test_molchan_blocks_give_the_whole_formula_bits():
+    # no cache keeps a plan; the row blocks, one at a time, give the bits
+    # of the formula applied to the whole matrix at once
+    assert not hasattr(gs._molchan_blocks, "cache_info")
     g = graded(256)
     outs = g[33:]
     assert outs.size > 3 * gs._BLOCK_ROWS
@@ -647,7 +703,9 @@ def test_molchan_plan_is_built_per_call_with_the_whole_formula_bits():
     x = np.minimum(g[None, :], outs[:, None]) / outs[:, None]
     whole = np.diff(betainc(p, p, x), axis=1)
     whole *= (beta_fn(p, p) * outs ** (2.0 - 2.0 * H1))[:, None]
-    assert np.array_equal(gs._molchan_plan(g, outs, H1), whole)
+    blocks = list(gs._molchan_blocks(g, outs, H1))
+    assert [rows for rows, _ in blocks] == list(gs._row_blocks(outs.size))
+    assert np.array_equal(np.concatenate([b for _, b in blocks]), whole)
 
 
 def test_molchan_zero_path(cons):

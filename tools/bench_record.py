@@ -71,8 +71,8 @@ CLI_RUNS = (
     ("estimate", "--h-file", "h.csv", "--path-file", "y.csv"),
     # the one Z route: a cold 2048 x 2048 Z factor and one draw from it
     ("simulate", "--process", "Z", "--path-points", "2048"),
-    # the forward transform of a 2048-point Z path: its plan, built per
-    # call, is 2016 x 2048 floats
+    # the forward transform of a 2048-point Z path: its plan, 2016 x 2047
+    # floats, is built and applied per call, 64 rows at a time
     ("transform", "--path-file", "z.csv"),
 )
 # untimed commands that prepare a timed command's inputs, run first in

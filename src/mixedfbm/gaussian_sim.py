@@ -23,7 +23,7 @@ validated once, when the model was built.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -102,39 +102,24 @@ class CovarianceModel:
     """Covariance description of one process on a positive time grid.
 
     The grid excludes 0 (where every process is deterministically 0);
-    drift holds the mean function on the same grid.  The matrix M is
-    only passed in, and the model keeps its factor L.  Construction
-    checks, in row blocks so that no n x n temporary is formed, that
+    drift holds the mean function on the same grid, and chol the lower
+    Cholesky factor L of the covariance matrix M.  ``covariance_model``
+    and ``simulate_fbm`` build models, and check that
 
     - every entry of M is finite (DomainError otherwise);
     - M is symmetric to 1e-12 of its largest entry;
-    - L is lower triangular: its strictly upper part is exactly 0,
-      since the draws read only the lower triangle;
-    - L reproduces M: ||L L^T - M||_F <= 1e-8 ||M||_F, computed on the
-      lower block triangle, with both sides in units of max |M| so that
-      neither overflows at a large horizon (``_reconstruction_error``);
-    - M has no eigenvalue below -1e-10 tr(M).
+    - L reproduces M: ||L L^T - M||_F is at most 1e-8 ||M||_F and
+      1e-10 tr(M), computed on the lower block triangle in units of
+      max |M|, so that neither side overflows at a large horizon.
 
-    The last holds by Weyl's inequality once the reconstruction error is
-    at most 1e-10 tr(M), since L L^T is positive semi-definite.  A factor
-    from ``covariance_model`` or ``simulate_fbm`` is LAPACK's Cholesky
-    factor of M + b I with b <= 1e-10 tr(M)/n, so its error is at most
-    b sqrt(n) plus rounding of order n eps ||M||: for those models the
-    factorization certifies positivity, and ``eigvalsh`` runs only for a
-    factor from elsewhere that reproduces M less closely.  Those models
-    run the same checks (``_check_matrix`` and ``_check_factor``) without
-    this constructor, on a matrix they never hold beside its factor.
+    So M has no eigenvalue below -1e-10 tr(M), by Weyl's inequality.  L
+    is LAPACK's factor of M + b I with b <= 1e-10 tr(M)/n, whose error
+    is at most b sqrt(n) plus rounding of order n eps ||M||.
     """
 
     times: np.ndarray
-    matrix: InitVar[np.ndarray]
     drift: np.ndarray
     chol: np.ndarray
-
-    def __post_init__(self, matrix) -> None:
-        m = np.asarray(matrix, dtype=float)
-        _check_factor(lambda rows: m[rows, :rows.stop],
-                      np.asarray(self.chol, dtype=float), *_check_matrix(m))
 
     @cached_property
     def path_times(self) -> np.ndarray:
@@ -177,43 +162,53 @@ def _check_matrix(m: np.ndarray) -> tuple:
     return scale, float((m.diagonal() / scale).sum())
 
 
-def _check_factor(lower_rows, chol: np.ndarray, scale: float, tr: float) -> None:
-    """IllConditionedError unless the lower factor L = ``chol`` of M is
-    lower triangular, reproduces M to 1e-8 and leaves M no eigenvalue
-    below -1e-10 tr(M) (see ``CovarianceModel``).  ``lower_rows(rows)``
-    gives M[rows, :rows.stop]; ``scale`` and ``tr`` are ``_check_matrix``'s.
-    M is formed whole only for ``eigvalsh``, when L does not certify it."""
-    err, norm = _reconstruction_error(lower_rows, chol, scale)
-    if not err <= 1e-8 * norm:
+def _mirror_rows(mat: np.ndarray, diag: np.ndarray):
+    """Row blocks (rows, M[rows, :rows.stop]) of the symmetric matrix M
+    whose strict upper triangle ``mat`` holds and whose diagonal is
+    ``diag``, read one block at a time from the column blocks above the
+    diagonal; ``mat``'s lower triangle is not read."""
+    for rows in _row_blocks(mat.shape[0]):
+        lo = rows.start
+        upper = np.triu(mat[rows, rows], 1)
+        block = np.empty((upper.shape[0], rows.stop))
+        block[:, :lo] = mat[:lo, rows].T
+        block[:, lo:] = upper + upper.T
+        np.fill_diagonal(block[:, lo:], diag[rows])
+        yield rows, block
+
+
+def _check_factor(mat: np.ndarray, diag: np.ndarray, scale: float, tr: float) -> None:
+    """IllConditionedError unless the lower factor L that ``_factor`` left
+    in ``mat`` reproduces M (see ``CovarianceModel``): M is read from the
+    strict upper triangle, zeroed on the way, and ``diag``.  ``scale``
+    and ``tr`` are ``_check_matrix``'s."""
+    err, norm = _reconstruction_error(mat, diag, scale)
+    if not err <= min(1e-8 * norm, 1e-10 * tr):
         raise IllConditionedError("factor does not reproduce the covariance")
-    if err > 1e-10 * tr and float(np.linalg.eigvalsh(
-            lower_rows(slice(0, chol.shape[0])) / scale)[0]) < -1e-10 * tr:
-        raise IllConditionedError("covariance matrix has a significantly negative eigenvalue")
 
 
-def _reconstruction_error(lower_rows, chol: np.ndarray, scale: float) -> tuple:
+def _reconstruction_error(mat: np.ndarray, diag: np.ndarray, scale: float) -> tuple:
     """||L L^T - M||_F and ||M||_F, both divided by ``scale`` (``_scale``),
-    for the lower factor L = ``chol``; ``lower_rows(rows)`` gives
-    M[rows, :rows.stop].
+    for the lower factor L in the lower triangle of ``mat``, whose strict
+    upper triangle holds M, of diagonal ``diag``.
 
     Summed over the lower block triangle, each block left of the
     diagonal counted twice for its mirror image: a third of the flops of
-    the full product.  Checked on the way, one row block at a time:
-    IllConditionedError unless L is exactly 0 above its diagonal.
+    the full product.  As each row block of M is read (``_mirror_rows``),
+    the column block it came from is zeroed above the diagonal, so the
+    product of each row block reads L alone and ``mat`` ends as L.
     """
     inv = 1.0 / scale
     err2 = norm2 = 0.0
-    for rows in _row_blocks(chol.shape[0]):
+    for rows, block in _mirror_rows(mat, diag):
         lo, hi = rows.start, rows.stop
-        if chol[rows, hi:].any() or np.triu(chol[rows, rows], 1).any():
-            raise IllConditionedError("factor is not lower triangular")
-        block = lower_rows(rows)
-        diff = chol[rows, :hi] @ chol[:hi, :hi].T
+        mat[:lo, rows] = 0.0
+        mat[rows, rows] = np.tril(mat[rows, rows])
+        diff = mat[rows, :hi] @ mat[:hi, :hi].T
         diff -= block
         diff *= inv
         err2 += _folded_sq(diff, lo)
         norm2 += _folded_sq(block * inv, lo)
-        del block, diff  # not held while the next block is formed
     return float(np.sqrt(err2)), float(np.sqrt(norm2))
 
 
@@ -236,26 +231,27 @@ def _positive_times(times) -> np.ndarray:
     return t
 
 
-def _factor(matrix: np.ndarray, refill) -> np.ndarray:
-    """The C-ordered ``matrix``, a whole symmetric matrix, overwritten by
-    its lower Cholesky factor; when that fails, by the factor of the
-    matrix plus the first of 1, 10 and 100 times 1e-12 tr/n on its
-    diagonal that factors.  A failed attempt leaves a partial factor, so
-    ``refill()`` writes the matrix back before the next.
+def _factor(matrix: np.ndarray, diag: np.ndarray) -> None:
+    """Overwrite the lower triangle of the C-ordered ``matrix``, a whole
+    symmetric matrix of diagonal ``diag``, by its Cholesky factor; when
+    that fails, by the factor of the matrix plus the first of 1, 10 and
+    100 times 1e-12 tr/n on its diagonal that factors.
 
     LAPACK ``dpotrf`` factors the Fortran-ordered transpose in place as
-    U^T U with clean=1, which zeroes the rest: U stored in Fortran order
-    is L = U^T in C order, the layout the draws' ``dtrmv`` reads, so no
-    second n x n array is made.
+    U^T U: U stored in Fortran order is L = U^T in C order, the layout
+    the draws' ``dtrmv`` reads, so no second n x n array is made.  With
+    clean=0 the strict upper triangle keeps the matrix: a failed attempt
+    leaves a partial factor, and the lower triangle is restored from that
+    mirror (``_mirror_rows``) before the next.
     """
-    n = matrix.shape[0]
-    jitter = 1e-12 * np.trace(matrix) / n
+    jitter = 1e-12 * np.trace(matrix) / matrix.shape[0]
     for bump in (0.0, jitter, 10.0 * jitter, 100.0 * jitter):
         if bump:
-            refill()
+            for rows, block in _mirror_rows(matrix, diag):
+                matrix[rows, :rows.stop] = block
             np.fill_diagonal(matrix, matrix.diagonal() + bump)
-        if dpotrf(matrix.T, lower=0, overwrite_a=1, clean=1)[1] == 0:
-            return matrix
+        if dpotrf(matrix.T, lower=0, overwrite_a=1, clean=0)[1] == 0:
+            return
     raise IllConditionedError(
         "covariance factorization failed even with jitter; grid too dense "
         "or parameters too close to degeneracy"
@@ -297,28 +293,25 @@ def _cov_key(constants: DerivedConstants, process: str) -> tuple:
     raise DomainError(f"unknown process {process!r}")
 
 
-def _entries(cov: tuple):
-    """The covariance ``cov`` (a ``_cov_key`` or ("fBm", h)) as a
-    function of two broadcastable arrays of positive times."""
+def _matrix(t: np.ndarray, cov: tuple) -> np.ndarray:
+    """The covariance ``cov`` (a ``_cov_key`` or ("fBm", h)) on the
+    positive grid t, evaluated one row block at a time into a new 64-byte
+    aligned array (``_aligned_square``).  At a large horizon an entry
+    overflows, and the checks refuse it as non-finite: numpy need not
+    warn on the way."""
     kind, h1 = cov[0], cov[1]
     if kind == "Y":
         tab, mart = get_tables(h1, cov[2]), cov[3]**2 * cov[4]
-        return lambda ti, tj: tab.R(ti, tj) + mart * np.minimum(ti, tj) ** (2.0 - 2.0 * h1)
-    if kind == "Z":
-        return lambda ti, tj: cov[3]**2 * _fbm_cov(h1, ti, tj) + _fbm_cov(cov[2], ti, tj)
-    return lambda ti, tj: _fbm_cov(h1, ti, tj)
-
-
-def _matrix(t: np.ndarray, cov: tuple, out: np.ndarray | None = None) -> np.ndarray:
-    """The covariance ``cov`` on the positive grid t, evaluated one row
-    block at a time into ``out`` or a new 64-byte aligned array
-    (``_aligned_square``).  At a large horizon an entry overflows, and
-    the checks refuse it as non-finite: numpy need not warn on the way."""
-    entries = _entries(cov)
-    mat = _aligned_square(t.size) if out is None else out
+    mat = _aligned_square(t.size)
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in _row_blocks(t.size):
-            mat[rows] = entries(t[rows, None], t[None, :])
+            ti, tj = t[rows, None], t[None, :]
+            if kind == "Y":
+                mat[rows] = tab.R(ti, tj) + mart * np.minimum(ti, tj) ** (2.0 - 2.0 * h1)
+            elif kind == "Z":
+                mat[rows] = cov[3]**2 * _fbm_cov(h1, ti, tj) + _fbm_cov(cov[2], ti, tj)
+            else:
+                mat[rows] = _fbm_cov(h1, ti, tj)
     return mat
 
 
@@ -332,19 +325,17 @@ def _factor_cached(shape: tuple, key: bytes, cov: tuple) -> tuple:
 
     One n x n array is held: the matrix is filled into its aligned
     buffer and checked while whole (``_check_matrix``), then factored
-    over itself (``_factor``).  The factor is checked against row blocks
-    of the matrix recomputed from the formula (``_check_factor``), and
+    over its lower triangle (``_factor``), checked against the matrix
+    that its strict upper triangle still holds (``_check_factor``), and
     kept in that buffer.
     """
     t = _positive_times(np.frombuffer(key, dtype=float).reshape(shape))
     mat = _matrix(t, cov)
     scale, tr = _check_matrix(mat)
-    _factor(mat, lambda: _matrix(t, cov, mat))
-    entries = _entries(cov)
-    _check_factor(lambda rows: entries(t[rows, None], t[None, :rows.stop]),
-                  mat, scale, tr)
-    model = object.__new__(CovarianceModel)
-    model.__dict__.update(times=t, drift=np.zeros(t.size), chol=mat)
+    diag = mat.diagonal().copy()
+    _factor(mat, diag)
+    _check_factor(mat, diag, scale, tr)
+    model = CovarianceModel(times=t, drift=np.zeros(t.size), chol=mat)
     return model, (t ** (2.0 - 2.0 * cov[1]) if cov[0] == "Y"
                    else t if cov[0] == "Z" else None)
 

@@ -396,6 +396,13 @@ class KernelTables:
                                    np.asarray(s, dtype=float))
         lo = np.minimum(s, t)
         hi = np.maximum(s, t)
+        if lo.ndim and (lo > 0.0).all():
+            # every model grid: the same array products in place, no mask
+            prof = self.rho(lo / hi)
+            lo **= 2.0 - 2.0 * self.h1
+            lo *= np.power(hi, 2.0 * self.h2 - 2.0 * self.h1, out=hi)
+            lo *= prof
+            return lo
         out = np.zeros(lo.shape)
         pos = lo > 0.0
         out[pos] = (lo[pos] ** (2.0 - 2.0 * self.h1)

@@ -84,9 +84,10 @@ the symmetric matrix, and returns L = U^T (asked for L itself,
 bitwise references of ``gaussian_sim._matrix`` and of the factors in
 ``_factor_cached``.
 ``reconstruction_error`` is the models' factor check as it ran before it
-summed over the lower block triangle: the full product ``chol @ chol.T``,
-one row block at a time.  It is the reference of
-``gaussian_sim._reconstruction_error``.
+summed over the lower block triangle and read the matrix from the mirror
+triangle of the factor's buffer: the full product ``chol @ chol.T``
+against the whole matrix, one row block at a time.  It is the reference
+of ``gaussian_sim._reconstruction_error``.
 """
 import warnings
 from dataclasses import dataclass

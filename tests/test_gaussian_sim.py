@@ -18,7 +18,7 @@ import oracles
 from mixedfbm import gaussian_sim as gs
 from mixedfbm.errors import AccuracyError, DomainError, IllConditionedError
 from mixedfbm.harness import _DEFAULT_T_SEQUENCE
-from mixedfbm.kernels import get_tables
+from mixedfbm.kernels import KernelTables, get_tables
 from mixedfbm.model import HurstPair, ModelParams, derive_constants
 from mixedfbm.numerics import beta_fn
 
@@ -129,57 +129,74 @@ def _spd(n=6, seed=3):
     return a @ a.T + n * np.eye(n)
 
 
-def _model(matrix, chol):
-    n = matrix.shape[0]
-    return gs.CovarianceModel(times=np.arange(1.0, n + 1.0), matrix=matrix,
-                              drift=np.zeros(n), chol=chol)
+def _factor_scaled(monkeypatch, scale):
+    # LAPACK's factor, multiplied by scale where the build keeps it: the
+    # upper triangle of the Fortran-ordered transpose it factors in place
+    real = scipy.linalg.lapack.dpotrf
+
+    def scaled(a, **kwargs):
+        c, info = real(a, **kwargs)
+        c[np.triu_indices(c.shape[0])] *= scale
+        return c, info
+
+    monkeypatch.setattr(gs, "dpotrf", scaled)
 
 
-def test_model_rejects_a_non_symmetric_matrix():
+def test_model_rejects_a_non_symmetric_matrix(cons, monkeypatch):
     m = _spd()
-    chol = np.linalg.cholesky(m)
+    gs._check_matrix(m)
     m[0, 1] += 1e-6 * np.abs(m).max()
     with pytest.raises(IllConditionedError, match="not symmetric"):
-        _model(m, chol)
+        gs._check_matrix(m)
+    # the build runs the check on its matrix before factoring it
+    real = gs._matrix
+
+    def skewed(t, cov):
+        mat = real(t, cov)
+        mat[0, 1] += 1e-6 * np.abs(mat).max()
+        return mat
+
+    monkeypatch.setattr(gs, "_matrix", skewed)
+    gs._factor_cached.cache_clear()
+    with pytest.raises(IllConditionedError, match="not symmetric"):
+        gs.covariance_model(graded(8), cons, "Y")
+    assert gs._factor_cached.cache_info().currsize == 0
 
 
-def test_model_rejects_an_indefinite_matrix_with_an_outside_factor():
-    # eigenvalues 1, ..., 5 and -1e-8: below -1e-10 tr, while the factor
-    # of the clipped matrix reproduces it to 1e-8 relative, so only the
-    # positivity check can refuse it
-    n = 6
-    q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((n, n)))
-    lam = np.array([-1e-8, 1.0, 2.0, 3.0, 4.0, 5.0])
-    m = (q * lam) @ q.T
-    m = 0.5 * (m + m.T)
-    chol = np.linalg.cholesky((q * np.maximum(lam, 1e-12)) @ q.T)
-    assert np.linalg.eigvalsh(m)[0] < -1e-10 * np.trace(m)
-    assert (np.linalg.norm(chol @ chol.T - m)
-            <= 1e-8 * np.linalg.norm(m))
-    with pytest.raises(IllConditionedError, match="negative eigenvalue"):
-        _model(m, chol)
-
-
-def test_model_rejects_a_factor_that_does_not_reproduce_the_matrix():
-    m = _spd()
-    with pytest.raises(IllConditionedError, match="does not reproduce"):
-        _model(m, 1.01 * np.linalg.cholesky(m))
-    _model(m, np.linalg.cholesky(m))
+def test_model_rejects_a_factor_that_does_not_reproduce_the_matrix(cons, monkeypatch):
+    t = graded(2 * gs._BLOCK_ROWS + 13)
+    gs._factor_cached.cache_clear()
+    gs.covariance_model(t, cons, "Y")
+    gs._factor_cached.cache_clear()
+    # 1 + 1e-9 L reproduces M to about 2e-9 ||M||_F: within 1e-8 ||M||_F,
+    # but beyond the 1e-10 tr(M) that certifies M's positivity
+    for scale in (1.01, 1.0 + 1e-9):
+        _factor_scaled(monkeypatch, scale)
+        for process in ("Y", "Z"):
+            with pytest.raises(IllConditionedError, match="does not reproduce"):
+                gs.covariance_model(t, cons, process)
+        with pytest.raises(IllConditionedError, match="does not reproduce"):
+            gs.simulate_fbm(0.7, t, 1)
+    assert gs._factor_cached.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("horizon", [1e150, 1e200])
-def test_model_checks_hold_where_the_squared_norm_overflows(cons, horizon):
+def test_model_checks_hold_where_the_squared_norm_overflows(cons, horizon, monkeypatch):
     # ||M||_F^2 overflows on these grids; taken in units of max |M| the
     # factor check still reproduces M and still refuses 2 L
     t = graded(4, horizon=horizon)
     mat = gs._matrix(t[1:], gs._cov_key(cons, "Y"))
     with np.errstate(over="ignore"):
         assert np.isinf(np.vdot(mat, mat))
+    gs._factor_cached.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        chol = gs.covariance_model(t, cons, "Y").chol
+        gs.covariance_model(t, cons, "Y")
+        gs._factor_cached.cache_clear()
+        _factor_scaled(monkeypatch, 2.0)
         with pytest.raises(IllConditionedError, match="does not reproduce"):
-            _model(mat, 2.0 * chol)
+            gs.covariance_model(t, cons, "Y")
+    assert gs._factor_cached.cache_info().currsize == 0
 
 
 def test_non_finite_covariance_is_a_domain_error_before_any_check(cons):
@@ -197,8 +214,6 @@ def test_non_finite_covariance_is_a_domain_error_before_any_check(cons):
                 call()
         for value in (np.inf, np.nan):
             bad[2, 3] = bad[3, 2] = value
-            with pytest.raises(DomainError, match="non-finite entry"):
-                _model(bad, np.linalg.cholesky(_spd()))
             with pytest.raises(DomainError, match="non-finite entry"):
                 gs._check_matrix(bad)
     assert gs._factor_cached.cache_info().currsize == 0
@@ -220,8 +235,9 @@ def test_factor_out_of_jitter_raises_and_caches_nothing():
 @pytest.mark.parametrize("process", ["Y", "Z", "fBm"])
 def test_factor_jitter_rescues_a_grid_of_near_duplicate_times(cons, process):
     # each time beside the next float up: the plain factorization meets a
-    # zero or negative pivot, the buffer is refilled from the formula, and
-    # the first jitter gives the oracle's jittered factor bit for bit
+    # zero or negative pivot, the lower triangle is restored from the
+    # upper one, and the first jitter gives the oracle's jittered factor
+    # bit for bit
     t = near_duplicates(128)
     cov = ("fBm", 0.7) if process == "fBm" else gs._cov_key(cons, process)
     ref = (oracles.fbm_matrix(0.7, t[1:]) if process == "fBm"
@@ -231,27 +247,6 @@ def test_factor_jitter_rescues_a_grid_of_near_duplicate_times(cons, process):
     model = gs._factor_cached(t.shape, t.tobytes(), cov)[0]
     assert np.array_equal(model.chol, oracles.factor(ref))
     assert model.chol.ctypes.data % 64 == 0 and model.chol.flags.c_contiguous
-
-
-def test_model_rejects_a_factor_with_entries_above_the_diagonal():
-    # a symmetric square root S reproduces M, S S^T = M, but the draws'
-    # triangular product reads only the lower half of S; one tiny entry
-    # above the diagonal is refused as well, in a diagonal block and
-    # right of it
-    m = _spd()
-    w, v = np.linalg.eigh(m)
-    root = (v * np.sqrt(w)) @ v.T
-    assert np.linalg.norm(root @ root.T - m) <= 1e-12 * np.linalg.norm(m)
-    with pytest.raises(IllConditionedError, match="lower triangular"):
-        _model(m, root)
-    big = _spd(n=2 * gs._BLOCK_ROWS + 13)
-    chol = np.linalg.cholesky(big)
-    _model(big, chol)
-    for i, j in ((70, 75), (3, 100), (130, 140)):
-        bad = chol.copy()
-        bad[i, j] = 1e-300
-        with pytest.raises(IllConditionedError, match="lower triangular"):
-            _model(big, bad)
 
 
 # ------------------------------------------------- blocked build, pinned
@@ -284,9 +279,10 @@ def test_blocked_models_match_the_full_broadcast_build(process):
 
 @pytest.mark.parametrize("grid", [graded, near_duplicates])
 def test_factor_build_holds_one_matrix(cons, grid):
-    # the matrix is factored over itself and checked against row blocks
-    # recomputed from the formula, also when a failed attempt refills it
-    # for the jitter; what else is held is a few 64-row blocks
+    # the matrix is factored over its lower triangle and checked against
+    # its upper one, which also restores a failed attempt for the jitter;
+    # what else is held is a few 64-row blocks (0.31 n^2 floats at 1024
+    # points, most of it the fill's formula on one block)
     gs.covariance_model(graded(8), cons, "Y", 0.5)  # warm kernel tables
     t = grid(1024)
     gs._factor_cached.cache_clear()
@@ -296,8 +292,32 @@ def test_factor_build_holds_one_matrix(cons, grid):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * model.chol.nbytes
+    assert peak < 1.35 * model.chol.nbytes
     assert model.chol.ctypes.data % 64 == 0 and model.chol.flags.c_contiguous
+
+
+@pytest.mark.parametrize("grid", [graded, near_duplicates])
+def test_cold_Y_build_evaluates_its_formula_once(cons, grid, monkeypatch):
+    # the factor check, and the restore before each jitter, read the
+    # matrix from its own upper triangle: the rho spline runs once per
+    # 64-row block of the fill
+    calls, real_R, real_dpotrf = [], KernelTables.R, gs.dpotrf
+
+    def counted_R(self, t, s):
+        calls.append("R")
+        return real_R(self, t, s)
+
+    def counted_dpotrf(a, **kwargs):
+        calls.append("dpotrf")
+        return real_dpotrf(a, **kwargs)
+
+    monkeypatch.setattr(KernelTables, "R", counted_R)
+    monkeypatch.setattr(gs, "dpotrf", counted_dpotrf)
+    t = grid(200)
+    gs._factor_cached.cache_clear()
+    gs.covariance_model(t, cons, "Y")
+    assert calls.count("R") == -(-200 // gs._BLOCK_ROWS)
+    assert calls.count("dpotrf") == (1 if grid is graded else 2)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -350,17 +370,23 @@ def test_reconstruction_error_matches_the_full_product(process):
         mat = gs._matrix(t[1:], cov)
         norm = np.linalg.norm(mat)
         # both norms come in units of a power of two, so exactly rescaled
-        scale = gs._scale(mat)
-        lower_rows = lambda rows: mat[rows, :rows.stop]  # noqa: E731
-        err, norm_m = gs._reconstruction_error(lower_rows, model.chol, scale)
-        assert norm_m * scale == pytest.approx(norm, rel=1e-12, abs=0.0)
-        assert err * scale <= 1e-12 * norm
+        scale, diag = gs._scale(mat), mat.diagonal().copy()
+
+        def check(chol):
+            # the factor below the diagonal, M above it, as _factor leaves
+            # them; the check zeroes M, leaving the factor alone
+            buf = np.triu(mat, 1) + chol
+            err, norm_m = gs._reconstruction_error(buf, diag, scale)
+            assert np.array_equal(buf, chol)
+            assert norm_m * scale == pytest.approx(norm, rel=1e-12, abs=0.0)
+            return err
+
+        assert check(model.chol) * scale <= 1e-12 * norm
         assert oracles.reconstruction_error(mat, model.chol) <= 1e-12 * norm
         chol = model.chol * (1.0 + 1e-3 * np.tril(rng.standard_normal((n, n))))
         ref = oracles.reconstruction_error(mat, chol)
         assert ref > 1e-5 * norm
-        err = gs._reconstruction_error(lower_rows, chol, scale)[0]
-        assert err * scale == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert check(chol) * scale == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 # the ids name the covariance families that fill the one factor cache:

@@ -16,8 +16,9 @@ kernel tables, then the median of ``LADDER_CALLS`` calls on the warm
 tables, each assembling its operator and building its audit plan, in a
 fresh process), then times the cold stages of a first solve and a first
 simulation once each (``cold_stages``: c's profile, rho's profile,
-``assemble`` at n = 128 on the warm tables and that operator's first
-audit plan, in that order, in one fresh process), then times the
+``assemble`` at n = 128 on the warm tables, that operator's first audit
+plan, and the Y and Z covariance models at 2048 graded path points on
+the warm tables, in that order, in one fresh process), then times the
 command-line runs
 users start (``CLI_RUNS``), each twice in a fresh process inside a
 temporary directory, after the untimed commands that prepare its inputs
@@ -137,12 +138,15 @@ print(json.dumps({{"cold_s": cold, "warm_ms": 1e3 * float(np.median(warm))}}))
 
 # the cold stages at (0.6, 0.9), each timed once in one child process
 # in this order: c's profile (with m, n and psi_d, which it reads), rho's
-# (m is built by then), ``assemble`` at n = 128 on the warm tables, and
-# that operator's first audit plan; prints {"c_s": ..., "rho_s": ...,
-# "assemble_s": ..., "audit_plan_s": ...}
+# (m is built by then), ``assemble`` at n = 128 on the warm tables,
+# that operator's first audit plan, and the Y then the Z covariance model
+# on the 2048-point graded path grid of ``mc --path-points 2048`` on the
+# warm tables; prints {"c_s": ..., "rho_s": ..., "assemble_s": ...,
+# "audit_plan_s": ..., "y_model_2048_s": ..., "z_model_2048_s": ...}
 _COLD_STAGES = """
 import json, time
-from mixedfbm import fredholm
+import numpy as np
+from mixedfbm import fredholm, gaussian_sim
 from mixedfbm.kernels import KernelContext, get_tables
 from mixedfbm.model import HurstPair, ModelParams, derive_constants
 cons = derive_constants(ModelParams(hurst=HurstPair(0.6, 0.9)))
@@ -158,6 +162,9 @@ timed("c_s", lambda: tables.c)
 timed("rho_s", lambda: tables.rho)
 op = timed("assemble_s", lambda: fredholm.assemble(ctx, grid))
 timed("audit_plan_s", lambda: op.audit_plan)
+t = (np.arange(2049) / 2048) ** 2.0
+timed("y_model_2048_s", lambda: gaussian_sim.covariance_model(t, cons, "Y"))
+timed("z_model_2048_s", lambda: gaussian_sim.covariance_model(t, cons, "Z"))
 print(json.dumps(stages))
 """
 

@@ -16,7 +16,7 @@ from scipy.special import hyp2f1
 
 from .errors import DomainError
 from .model import DerivedConstants
-from .numerics import gamma_fn
+from .numerics import as_batch, gamma_fn
 
 __all__ = ["h0", "asymptotic_variance"]
 
@@ -49,20 +49,16 @@ def h0(v: float | np.ndarray, constants: DerivedConstants) -> float | np.ndarray
     float or ndarray
         Weight values, scalar in, scalar out.
     """
-    h1 = constants.hurst.h1
-    h2 = constants.hurst.h2
-    arr = np.asarray(v, dtype=float)
-    if arr.size and (
-        np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0)
-    ):
+    h1, h2 = constants.hurst.h1, constants.hurst.h2
+    finish, v = as_batch(v)
+    if not ((v > 0.0) & (v < 1.0)).all():
         raise DomainError("the limiting weight is defined strictly inside (0, 1)")
     a = h2 - h1
     k = (constants.gamma_h1**2 * gamma_fn(3.0 - 2.0 * h1)
          / ((2.0 - 2.0 * h1) * h2 * (2.0 * h2 - 1.0) * gamma_fn(1.5 - h1) ** 3
             * gamma_fn(h2 - 0.5) * gamma_fn(1.0 - a)))
-    out = (k * arr ** (0.5 - h2) * (1.0 - arr) ** -a
-           * hyp2f1(a, h1 - 0.5, 1.0 - a, -(1.0 - arr) / arr))
-    return float(out) if np.ndim(v) == 0 else out
+    return finish(k * v ** (0.5 - h2) * (1.0 - v) ** -a
+                  * hyp2f1(a, h1 - 0.5, 1.0 - a, -(1.0 - v) / v))
 
 
 def asymptotic_variance(constants: DerivedConstants) -> float:

@@ -47,6 +47,7 @@ estimates from many paths on one grid evaluate the spline once.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -59,7 +60,7 @@ from .kernels import (KernelContext, KernelTables, get_tables,
                       _ladder_panels, _ladder_rule_one)
 from .model import (DerivedConstants, HurstPair, ModelParams, _shown,
                     check_int, check_real, derive_constants)
-from .numerics import KnotSpline, jacobi_panels, solve_dense
+from .numerics import KnotSpline, as_batch, jacobi_panels, solve_dense
 
 __all__ = [
     "QuadratureGrid",
@@ -84,9 +85,10 @@ _GRADING = 2.0      # mesh grading exponent: node spacing O(1/n^2) at 0 and 1
 _LADDER, _LADDER_Y0, _LADDER_Y1, _ = _ladder_panels(
     0.5 ** np.arange(1, _MAX_PANELS + 1), np.nan)
 # points per chunk of batched rows and kernel integrals: about 16k
-# near-field nodes (23k kernel-integral nodes), so each temporary array
-# stays near 128 kB; the process peak then stays within 1 MB of the
-# per-point loops at n = 128
+# near-field nodes, so each of their temporary arrays stays near 128 kB,
+# and 16 x 2,880 = 46,080 kernel-integral rule nodes, about 368 kB per
+# temporary; the process peak then stays within 1 MB of the per-point
+# loops at n = 128
 _CHUNK_POINTS = 16
 # residual scan: 3 fresh samples per cell extend the solution, 12 probe
 # points per cell (= 3n total) evaluate the continuous equation
@@ -685,12 +687,11 @@ def _on_horizon(T: float, values: Callable) -> Callable:
     DomainError outside (0, T].
     """
     def h_T(t):
-        arr = np.asarray(t, float)
+        finish, arr = as_batch(t)
         if (arr <= 0.0).any() or (arr > T).any():
             raise DomainError(f"filter argument must lie in (0, {T}]")
         # the minimum guards roundoff of the division, not out-of-range input
-        out = values(arr, np.minimum(arr / T, 1.0))
-        return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+        return finish(values(arr, np.minimum(arr / T, 1.0)))
 
     return h_T
 
@@ -831,7 +832,13 @@ def _quadratic_variation(grid: QuadratureGrid, h_hat: np.ndarray, T: float,
     # <N>(T) = sigma^2 gamma^2 int_0^T h_T(t) t^(1-2H1) dt; substituting
     # t = s*T and h_T(sT) = h_hat(s) (sT)^(H1-1/2) gives the T power 3/2-H1
     h1 = constants.hurst.h1
-    scale = (constants.sigma * constants.gamma_h1) ** 2 * T ** (1.5 - h1)
+    try:
+        scale = (constants.sigma * constants.gamma_h1) ** 2 * T ** (1.5 - h1)
+    except OverflowError:
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise DomainError(f"the information prefactor (sigma gamma)^2 T^(3/2-H1) "
+                          f"leaves the float range at T={T}, sigma={constants.sigma}")
     qv = scale * float(np.dot(grid.weights, h_hat * grid.nodes ** (0.5 - h1)))
     if not np.isfinite(qv) or qv <= 0.0:
         raise AccuracyError(

@@ -137,25 +137,19 @@ class CovarianceModel:
         return model
 
 
-def _scale(m: np.ndarray) -> float:
-    """The power of two just above max |M|, by which the checks divide M
-    so that no sum of its squares overflows.  The division is exact, so
-    below overflow the checks decide as they would on M itself.
-    DomainError unless every entry of M is finite."""
-    hi, lo = float(m.max()), float(m.min())
-    if not (np.isfinite(hi) and np.isfinite(lo)):
-        raise DomainError("covariance matrix has a non-finite entry")
-    return math.ldexp(1.0, math.frexp(max(hi, -lo))[1])
-
-
 def _check_matrix(m: np.ndarray) -> tuple:
     """The checks that read the whole matrix M: DomainError unless every
     entry is finite, IllConditionedError unless M is symmetric to 1e-12
     of its largest entry (each pair compared once, one row block of the
-    lower block triangle at a time).  Returns ``_scale(M)`` and tr(M) in
-    its units."""
-    scale = _scale(m)
-    atol = 1e-12 * max(m.max(), -m.min(), 1.0)
+    lower block triangle at a time).  Returns the scale, the power of two
+    just above max |M|, and tr(M) in its units.  The factor check
+    divides M by the scale, so that no sum of its squares overflows; the
+    division is exact, so below overflow it decides as on M itself."""
+    top = max(float(m.max()), -float(m.min()))
+    if not np.isfinite(top):
+        raise DomainError("covariance matrix has a non-finite entry")
+    scale = math.ldexp(1.0, math.frexp(top)[1])
+    atol = 1e-12 * max(top, 1.0)
     for rows in _row_blocks(m.shape[0]):
         if not (np.abs(m[rows, :rows.stop] - m[:rows.stop, rows].T) <= atol).all():
             raise IllConditionedError("covariance matrix is not symmetric")
@@ -188,9 +182,9 @@ def _check_factor(mat: np.ndarray, diag: np.ndarray, scale: float, tr: float) ->
 
 
 def _reconstruction_error(mat: np.ndarray, diag: np.ndarray, scale: float) -> tuple:
-    """||L L^T - M||_F and ||M||_F, both divided by ``scale`` (``_scale``),
-    for the lower factor L in the lower triangle of ``mat``, whose strict
-    upper triangle holds M, of diagonal ``diag``.
+    """||L L^T - M||_F and ||M||_F, both divided by ``scale`` (of
+    ``_check_matrix``), for the lower factor L in the lower triangle of
+    ``mat``, whose strict upper triangle holds M, of diagonal ``diag``.
 
     Summed over the lower block triangle, each block left of the
     diagonal counted twice for its mirror image: a third of the flops of
@@ -296,20 +290,23 @@ def _cov_key(constants: DerivedConstants, process: str) -> tuple:
 def _matrix(t: np.ndarray, cov: tuple) -> np.ndarray:
     """The covariance ``cov`` (a ``_cov_key`` or ("fBm", h)) on the
     positive grid t, evaluated one row block at a time into a new 64-byte
-    aligned array (``_aligned_square``).  At a large horizon an entry
-    overflows, and the checks refuse it as non-finite: numpy need not
-    warn on the way."""
+    aligned array (``_aligned_square``).  At a large horizon or sigma an
+    entry overflows, and the checks refuse it as non-finite: numpy need
+    not warn on the way."""
     kind, h1 = cov[0], cov[1]
-    if kind == "Y":
-        tab, mart = get_tables(h1, cov[2]), cov[3]**2 * cov[4]
     mat = _aligned_square(t.size)
     with np.errstate(over="ignore", invalid="ignore"):
+        if kind != "fBm":
+            # numpy's sigma^2 has Python's bits, but is inf where that raises
+            sigma2 = np.float64(cov[3]) ** 2
+        if kind == "Y":
+            tab, mart = get_tables(h1, cov[2]), sigma2 * cov[4]
         for rows in _row_blocks(t.size):
             ti, tj = t[rows, None], t[None, :]
             if kind == "Y":
                 mat[rows] = tab.R(ti, tj) + mart * np.minimum(ti, tj) ** (2.0 - 2.0 * h1)
             elif kind == "Z":
-                mat[rows] = cov[3]**2 * _fbm_cov(h1, ti, tj) + _fbm_cov(cov[2], ti, tj)
+                mat[rows] = sigma2 * _fbm_cov(h1, ti, tj) + _fbm_cov(cov[2], ti, tj)
             else:
                 mat[rows] = _fbm_cov(h1, ti, tj)
     return mat

@@ -40,8 +40,9 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 from scipy.special import hyp2f1
 
+from .errors import DomainError
 from .model import DerivedConstants, _beta
-from .numerics import KnotSpline, _cubic_sum, beta_fn, jacobi_panels
+from .numerics import KnotSpline, _cubic_sum, as_batch, beta_fn, jacobi_panels
 
 __all__ = [
     "KernelContext",
@@ -92,8 +93,7 @@ def _ladder_edges(z0) -> np.ndarray:
     NaN (no ladder), or a scale of 1/2 or more, leaves the single panel
     (0, 1/2].  Rows are padded with repeated 1/2, i.e. with empty panels.
     """
-    z0 = np.asarray(z0, dtype=float).reshape(-1)
-    steps = z0[:, None] * 2.0 ** np.arange(_LADDER_STEPS)
+    steps = z0.reshape(-1, 1) * 2.0 ** np.arange(_LADDER_STEPS)
     steps[~(steps < 0.5)] = 0.5
     ends = np.full((z0.size, 1), 0.5)
     return np.hstack([np.zeros_like(ends), steps, ends])
@@ -121,8 +121,7 @@ def _ladder_panels(z_left, z_right):
     panels double outward to 1/2; NaN puts no ladder on that half, and
     NaN on both gives the single panel (0, 1).
     """
-    zl, zr = np.broadcast_arrays(np.atleast_1d(np.asarray(z_left, float)),
-                                 np.atleast_1d(np.asarray(z_right, float)))
+    _, zl, zr = as_batch(z_left, z_right)
     plain = np.isnan(zl) & np.isnan(zr)
     ladder_right = ~np.isnan(zr)
     el, er = _ladder_edges(zl), _ladder_edges(zr)
@@ -210,13 +209,12 @@ class _EdgeSpline:
         self._coef = np.hstack([self._left.c, self._right.c])
 
     def __call__(self, x):
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
-        flat = xa.ravel()
-        out = np.empty(flat.size)
+        finish, x = as_batch(x)
+        flat, out = x.ravel(), np.empty(x.size)
         for b0 in range(0, flat.size, _EVAL_BLOCK):
             block = slice(b0, b0 + _EVAL_BLOCK)
             self._evaluate(flat[block], out[block])
-        return out.reshape(xa.shape) if np.ndim(x) else float(out[0])
+        return finish(out.reshape(x.shape))
 
     def _evaluate(self, x, out) -> None:
         """The spline at the points x, written into out."""
@@ -366,49 +364,42 @@ class KernelTables:
 
     def kappa(self, x):
         """K12(1, x) for x in (0,1)."""
-        x = np.asarray(x, dtype=float)
-        return self.beta2 * x ** (0.5 - self.h2) * (1.0 - x) ** self.a * self.m(x)
+        finish, x = as_batch(x)
+        return finish(self.beta2 * x ** (0.5 - self.h2) * (1.0 - x) ** self.a
+                      * self.m(x))
 
     def K12(self, t, s):
-        t = np.asarray(t, dtype=float)
-        return t ** (0.5 + self.h2 - 2.0 * self.h1) * self.kappa(np.asarray(s) / t)
+        finish, t, s = as_batch(t, s)
+        return finish(t ** (0.5 + self.h2 - 2.0 * self.h1) * self.kappa(s / t))
 
     def dK12(self, t, s):
-        t = np.asarray(t, dtype=float)
-        y = np.asarray(s, dtype=float) / t
+        finish, t, s = as_batch(t, s)
+        y = s / t
         prof = y ** (0.5 - self.h2) * (1.0 - y) ** (self.a - 1.0) * self.psi_d(y)
-        return t ** (self.h2 - 2.0 * self.h1 - 0.5) * prof
+        return finish(t ** (self.h2 - 2.0 * self.h1 - 0.5) * prof)
 
     def k1(self, s, u):
-        """k1(s,u), symmetric, with the diagonal clamp rule; vectorized."""
-        s = np.asarray(s, dtype=float)
-        u = np.asarray(u, dtype=float)
-        lo = np.minimum(s, u)
-        hi = np.maximum(s, u)
+        """k1(s,u), symmetric, with the diagonal clamp rule."""
+        finish, s, u = as_batch(s, u)
+        lo, hi = np.minimum(s, u), np.maximum(s, u)
         gap = np.maximum(hi - lo, DIAG_RTOL * hi)
         x = np.minimum(lo / hi, 1.0 - DIAG_RTOL)
-        return (lo ** (0.5 - self.h1) * hi ** (self.h1 - 0.5)
-                * gap ** (2.0 * self.a - 1.0) * self.c(x))
+        return finish(lo ** (0.5 - self.h1) * hi ** (self.h1 - 0.5)
+                      * gap ** (2.0 * self.a - 1.0) * self.c(x))
 
     def R(self, t, s):
-        """Covariance of the transformed second fBm; vectorized."""
-        t, s = np.broadcast_arrays(np.asarray(t, dtype=float),
-                                   np.asarray(s, dtype=float))
-        lo = np.minimum(s, t)
-        hi = np.maximum(s, t)
-        if lo.ndim and (lo > 0.0).all():
-            # every model grid: the same array products in place, no mask
-            prof = self.rho(lo / hi)
-            lo **= 2.0 - 2.0 * self.h1
-            lo *= np.power(hi, 2.0 * self.h2 - 2.0 * self.h1, out=hi)
-            lo *= prof
-            return lo
-        out = np.zeros(lo.shape)
-        pos = lo > 0.0
-        out[pos] = (lo[pos] ** (2.0 - 2.0 * self.h1)
-                    * hi[pos] ** (2.0 * self.h2 - 2.0 * self.h1)
-                    * self.rho(lo[pos] / hi[pos]))
-        return out if out.ndim else float(out)
+        """Covariance of the transformed second fBm, formed in place."""
+        finish, t, s = as_batch(t, s)
+        lo, hi = np.minimum(s, t), np.maximum(s, t)
+        if (lo < 0.0).any():
+            raise DomainError("R is defined for nonnegative times")
+        # R = 0 where lo = 0; the floor keeps lo/hi at 0, not NaN, at R(0, 0)
+        np.maximum(hi, np.finfo(float).tiny, out=hi)
+        prof = self.rho(lo / hi)
+        lo **= 2.0 - 2.0 * self.h1
+        lo *= np.power(hi, 2.0 * self.h2 - 2.0 * self.h1, out=hi)
+        lo *= prof
+        return finish(lo)
 
 
 @lru_cache(maxsize=8)

@@ -181,9 +181,15 @@ class DerivedConstants:
     drift_norm: float
 
     def lambda_of_T(self, T: float) -> float:
-        """T^(2h2-2h1) / (sigma^2 gamma^2), the second-kind coupling."""
-        return (float(T) ** (2.0 * (self.hurst.h2 - self.hurst.h1))
-                / (self.sigma * self.sigma * (self.gamma_h1 * self.gamma_h1)))
+        """T^(2h2-2h1) / (sigma^2 gamma^2), the second-kind coupling;
+        DomainError where it leaves the float range (is 0 or infinite)."""
+        num = float(T) ** (2.0 * (self.hurst.h2 - self.hurst.h1))
+        den = self.sigma * self.sigma * (self.gamma_h1 * self.gamma_h1)
+        lam = num / den if den else math.inf
+        if not 0.0 < lam < math.inf:
+            raise DomainError(f"the coupling T^(2h2-2h1)/(sigma^2 gamma^2) "
+                              f"leaves the float range at T={T}, sigma={self.sigma}")
+        return lam
 
     def same_model(self, pair, T: float | None = None,
                    lam: float | None = None) -> bool:

@@ -8,8 +8,8 @@ maps n-point rules for integrals with algebraic endpoint singularities
 onto many panels at once, from one base rule on [-1, 1] per exponent
 pair (``_base_rule``; scipy's Golub-Welsch solve, memoized).  Beside
 it: the gamma and beta functions on their positive domain, a dense
-linear solve with a condition-number guard and the package's one cubic
-spline.
+linear solve with a condition-number guard, the package's one cubic
+spline and ``as_batch``, the argument conversion of the package's kernels.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from scipy.special import roots_jacobi, roots_legendre
 from .errors import DomainError, IllConditionedError
 
 __all__ = [
+    "as_batch",
     "gamma_fn",
     "beta_fn",
     "jacobi_panels",
@@ -34,13 +35,24 @@ __all__ = [
 ]
 
 
+def as_batch(*args) -> tuple:
+    """(finish, *arrays): the arguments as broadcast float arrays of at
+    least one dimension, so that a scalar runs through a batch's array
+    loops (numpy's scalar ``**`` can round the last bit differently),
+    and the function that returns a result as a float for scalars."""
+    arrays = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(a, dtype=float)) for a in args))
+    if any(np.ndim(a) for a in args):
+        return (lambda out: out, *arrays)
+    return (lambda out: float(out[0]), *arrays)
+
+
 def gamma_fn(x: float | np.ndarray) -> float | np.ndarray:
     """Gamma function restricted to positive arguments."""
-    arr = np.asarray(x, dtype=float)
+    finish, arr = as_batch(x)
     if np.any(arr <= 0.0):
         raise DomainError(f"gamma_fn requires positive arguments, got {x}")
-    out = _sp_gamma(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return finish(_sp_gamma(arr))
 
 
 def beta_fn(a: float, b: float) -> float:

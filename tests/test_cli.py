@@ -337,6 +337,15 @@ _MALFORMED_FILES = {
         ("constants", "--config", "{tmp}/config-list.json"),
         ("mc", "--config", "{tmp}/config-unread-key.json"),
         ("closed-form", "--config", "{tmp}/config-points-zero.json"),
+        ("solve", "--sigma", "1e-200"),
+        ("solve", "--sigma", "1e200"),
+        ("asymptotics", "--sigma", "1e-200"),
+        ("asymptotics", "--sigma", "1e200"),
+        ("mc", "--sigma", "1e-200"),
+        ("mc", "--sigma", "1e200"),
+        ("simulate", "--process", "Y", "--sigma", "1e200"),
+        ("simulate", "--process", "Z", "--sigma", "1e200"),
+        ("solve", "--sigma", "1e150", "--t-horizon", "1e100"),
     ],
     ids=["points-negative", "points-zero", "t-sequence-not-a-number",
          "t-sequence-infinite", "kernel-at-origin", "kernel-s-negative",
@@ -346,7 +355,13 @@ _MALFORMED_FILES = {
          "transform-path-text-cell", "simulate-seed-negative",
          "mc-one-replicate",
          "config-not-json", "config-h1-string", "config-not-an-object",
-         "config-key-unread", "config-points-zero"],
+         "config-key-unread", "config-points-zero",
+         "solve-coupling-overflows", "solve-coupling-underflows",
+         "asymptotics-coupling-overflows", "asymptotics-coupling-underflows",
+         "mc-coupling-overflows", "mc-coupling-underflows",
+         "simulate-Y-sigma-squared-overflows",
+         "simulate-Z-sigma-squared-overflows",
+         "solve-information-overflows"],
 )
 def test_edge_inputs_exit_2(tmp_path, capsys, argv):
     for name, text in _MALFORMED_FILES.items():
@@ -363,8 +378,11 @@ def test_edge_inputs_exit_2(tmp_path, capsys, argv):
     (("--process", "Z", "--t-horizon", "1e200", "--path-points", "4"), 2),
     (("--process", "Y", "--t-horizon", "1e150", "--path-points", "4"), 0),
     (("--path-points", "0"), 2),
+    (("--process", "Y", "--sigma", "1e-200", "--path-points", "4"), 0),
+    (("--process", "Z", "--sigma", "1e-200", "--path-points", "4"), 0),
 ], ids=["Z-covariance-overflows", "Y-squared-norm-overflows",
-        "path-points-zero"])
+        "path-points-zero", "Y-sigma-squared-underflows",
+        "Z-sigma-squared-underflows"])
 def test_simulate_edges_raise_no_numpy_warning(tmp_path, capsys, argv, code):
     # an overflowing covariance is a domain error, and where only its
     # squared norm overflows the factor is checked in range and accepted;

@@ -370,7 +370,7 @@ def test_reconstruction_error_matches_the_full_product(process):
         mat = gs._matrix(t[1:], cov)
         norm = np.linalg.norm(mat)
         # both norms come in units of a power of two, so exactly rescaled
-        scale, diag = gs._scale(mat), mat.diagonal().copy()
+        scale, diag = gs._check_matrix(mat)[0], mat.diagonal().copy()
 
         def check(chol):
             # the factor below the diagonal, M above it, as _factor leaves

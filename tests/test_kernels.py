@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mixedfbm import fredholm, kernels
+from mixedfbm import closed_form, fredholm, kernels
 from mixedfbm.errors import DomainError
 from mixedfbm.estimator import mle
 from mixedfbm.gaussian_sim import SamplePath
@@ -277,14 +277,25 @@ class TestCovariance:
     def test_symmetry_and_zero(self, ctx, tables):
         assert covariance_X2(ctx, 1.0, 0.6) == covariance_X2(ctx, 0.6, 1.0)
         assert covariance_X2(ctx, 1.0, 0.0) == 0.0
-        assert float(tables.R(0.0, 1.0)) == 0.0
         got = tables.R(np.array([1.0, 0.6]), np.array([0.6, 1.0]))
         assert got[0] == got[1]
 
-    def test_positive_block_skips_the_mask(self, tables):
-        # every time of a model grid's 64-row block is positive: R forms
-        # the products in place, bit for bit as through the mask, and
-        # holds 4.54 blocks at its peak (6.66 with the mask and its copies)
+    @pytest.mark.parametrize("t, s", [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0)])
+    def test_zero_at_a_zero_time(self, tables, t, s):
+        assert tables.R(t, s) == 0.0
+        assert np.array_equal(tables.R(np.array([t, 1.0]), np.array([s, 0.6])),
+                              [0.0, tables.R(1.0, 0.6)])
+
+    @pytest.mark.parametrize("t, s", [(-1e-300, 1.0), (0.5, -0.5),
+                                      (np.array([1.0, 0.5]), np.array([0.3, -1.0]))])
+    def test_negative_time_is_a_domain_error(self, tables, t, s):
+        with pytest.raises(DomainError, match="nonnegative"):
+            tables.R(t, s)
+
+    def test_block_is_formed_in_place(self, tables):
+        # a model grid's 64-row block: R forms its products in place and
+        # holds about 4.5 blocks at its peak, with the bits of the formula
+        # evaluated left to right; a zero time adds a zero column
         t = (np.arange(1, 1025) / 1024) ** 2
         rows, cols = t[:64, None], t[None, :]
         tables.R(rows, cols)  # builds the rho spline
@@ -295,8 +306,11 @@ class TestCovariance:
         finally:
             tracemalloc.stop()
         assert peak < 5.0 * got.nbytes
-        masked = tables.R(rows, np.concatenate(([0.0], t))[None, :])
-        assert np.array_equal(masked[:, 1:], got) and not masked[:, 0].any()
+        lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+        assert np.array_equal(got, lo ** (2.0 - 2.0 * H1) * hi ** (2.0 * H2 - 2.0 * H1)
+                              * tables.rho(lo / hi))
+        zero = tables.R(rows, np.concatenate(([0.0], t))[None, :])
+        assert np.array_equal(zero[:, 1:], got) and not zero[:, 0].any()
 
     def test_tables_match_single_integral(self, ctx, tables):
         for (t, s) in [(1.0, 0.6), (1.0, 1.0), (2.0, 0.3)]:
@@ -311,3 +325,31 @@ class TestCovariance:
         scaled = float(tables.R(lam, 0.6 * lam))
         assert math.isclose(scaled, lam ** (2.0 + 2 * H2 - 4 * H1) * base,
                             rel_tol=1e-10)
+
+
+# kernel name -> evaluation at (t, s, x = s/t); h0 reads x
+_AT_POINT = {
+    "k1": lambda tab, cons, t, s, x: tab.k1(s, t),
+    "kappa": lambda tab, cons, t, s, x: tab.kappa(x),
+    "K12": lambda tab, cons, t, s, x: tab.K12(t, s),
+    "dK12": lambda tab, cons, t, s, x: tab.dK12(t, s),
+    "R": lambda tab, cons, t, s, x: tab.R(t, s),
+    "h0": lambda tab, cons, t, s, x: closed_form.h0(x, cons),
+}
+
+
+@pytest.mark.parametrize("name", list(_AT_POINT))
+def test_scalar_call_has_the_bits_of_its_point_in_a_batch(ctx, tables, name):
+    # a scalar runs through the batch's array loops: numpy's scalar **
+    # would round the last bit differently at 3-12 % of these points
+    at = _AT_POINT[name]
+    rng = np.random.default_rng(33)
+    t = rng.uniform(0.05, 3.0, 1200)
+    x = rng.uniform(0.001, 0.999, t.size)
+    s = x * t
+    batch = at(tables, ctx.constants, t, s, x)
+    scalars = [at(tables, ctx.constants, *p)
+               for p in zip(t.tolist(), s.tolist(), x.tolist())]
+    differ = np.flatnonzero(np.array(scalars) != batch)
+    assert differ.size == 0, f"{differ.size} of {t.size} points differ"
+    assert all(type(v) is float for v in scalars)

@@ -139,6 +139,16 @@ class TestDerivedConstants:
                                 T ** gap / (4.0 * cons.gamma_h1 ** 2),
                                 rel_tol=1e-14)
 
+    @pytest.mark.parametrize("sigma, T", [(1e-200, 1.0), (1e200, 1.0),
+                                          (1e-150, 1e300)])
+    def test_coupling_beyond_the_float_range_is_a_domain_error(self, sigma, T):
+        # sigma^2 gamma^2 underflows to 0 or overflows, or the coupling
+        # does; sigma = 1e100 (coupling 1.3e-200) stays in range
+        cons = constants_for(0.6, 0.9, sigma=sigma)
+        with pytest.raises(DomainError, match="coupling"):
+            cons.lambda_of_T(T)
+        assert 0.0 < constants_for(0.6, 0.9, sigma=1e100).lambda_of_T(1.0) < 1e-199
+
     def test_constants_pickle_round_trip(self):
         cons = constants_for(0.6, 0.9, sigma=1.5)
         back = pickle.loads(pickle.dumps(cons))

@@ -29,18 +29,34 @@ from .kernels import KernelContext, get_tables
 from .model import (HurstPair, ModelParams, check_int, check_real,
                     derive_constants)
 
-_DEFAULTS = {
-    "h1": 0.6,
-    "h2": 0.9,
-    "sigma": 1.0,
-    "theta": 0.0,
-    "t_horizon": 1.0,
-    "grid_n": 128,
-    "path_points": 512,
-    "replicates": 100,
-    "seed": 0,
+
+def _of_type(*types):
+    def check(name, value):
+        if not isinstance(value, types):
+            label = " or ".join(t.__name__ for t in types)
+            raise DomainError(f"require a {label} {name}, got {value!r}")
+    return check
+
+
+# every key a flag or --config sets: the check a config-file value must
+# pass, and the default (None where each command picks its own)
+_SETTINGS = {
+    "h1": (check_real, 0.6),
+    "h2": (check_real, 0.9),
+    "sigma": (check_real, 1.0),
+    "theta": (check_real, 0.0),
+    "t_horizon": (check_real, 1.0),
+    "grid_n": (check_int, 128),
+    "path_points": (check_int, 512),
+    "replicates": (check_int, 100),
+    "seed": (check_int, 0),
+    "t": (check_real, 0.7),
+    "s": (check_real, 0.4),
+    "points": (check_int, 199),
+    # the flag's comma-separated text or a JSON list of horizons
+    "t_sequence": (_of_type(str, list), None),
+    "out": (_of_type(str), None),
 }
-_CONFIG_KEYS = {*_DEFAULTS, "t", "s", "points", "t_sequence", "out"}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -48,12 +64,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--h2", type=float, help="smooth component Hurst index")
     p.add_argument("--sigma", type=float, help="rough component scale")
     p.add_argument("--theta", type=float, help="drift")
-    p.add_argument("--t-horizon", type=float, dest="t_horizon",
-                   help="observation horizon T")
-    p.add_argument("--grid-n", type=int, dest="grid_n",
+    p.add_argument("--t-horizon", type=float, help="observation horizon T")
+    p.add_argument("--grid-n", type=int,
                    help="solver grid size (multiple of 4)")
-    p.add_argument("--path-points", type=int, dest="path_points",
-                   help="number of path increments")
+    p.add_argument("--path-points", type=int, help="number of path increments")
     p.add_argument("--replicates", type=int, help="Monte Carlo replicates")
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--config", type=str,
@@ -74,12 +88,9 @@ class _Settings:
                                   f"{type(self.file_vals).__name__}")
             try:
                 for name, value in self.file_vals.items():
-                    if name not in _CONFIG_KEYS:
+                    if name not in _SETTINGS:
                         raise DomainError(f"no command reads the key {name!r}")
-                    if name in _DEFAULTS:
-                        check = (check_int if isinstance(_DEFAULTS[name], int)
-                                 else check_real)
-                        check(name, value)
+                    _SETTINGS[name][0](name, value)
             except DomainError as exc:
                 raise DomainError(f"{args.config}: {exc}") from exc
 
@@ -88,13 +99,9 @@ class _Settings:
         v = getattr(self.args, name, None)
         return self.file_vals.get(name) if v is None else v
 
-    def get(self, name, fallback=None):
-        v = getattr(self.args, name, None)
-        if v is not None:
-            return v
-        if name in self.file_vals:
-            return self.file_vals[name]
-        return _DEFAULTS.get(name, fallback)
+    def get(self, name):
+        v = self.given(name)
+        return _SETTINGS[name][1] if v is None else v
 
     def constants(self):
         params = ModelParams(
@@ -123,7 +130,7 @@ def _cmd_constants(s: _Settings) -> int:
 
 
 def _cmd_kernel(s: _Settings) -> int:
-    t, u = s.get("t", 0.7), s.get("s", 0.4)
+    t, u = s.get("t"), s.get("s")
     if not (check_real("s", u, positive=True)
             < check_real("t", t, positive=True)):
         raise DomainError(f"need s < t, got t={t}, s={u}")
@@ -131,23 +138,17 @@ def _cmd_kernel(s: _Settings) -> int:
         raise DomainError(f"s/t underflows to 0 at t={t}, s={u}")
     pair = HurstPair(s.get("h1"), s.get("h2"))
     tab = get_tables(pair.h1, pair.h2)
-    # R = s^(2-2h1) t^(2h2-2h1) rho(s/t), formed left to right with
-    # rho > 1: refuse a product beyond the float range before forming it
-    log_r = ((2.0 - 2.0 * pair.h1) * np.log(u)
-             + (2.0 * pair.h2 - 2.0 * pair.h1) * np.log(t)
-             + max(0.0, float(np.log(tab.rho(u / t)))))
-    if not log_r < np.log(np.finfo(float).max):
-        raise DomainError(
-            f"covariance_smooth_part overflows at t={t}, s={u}")
-    vals = {
-        "t": t,
-        "s": u,
-        "kappa": float(tab.kappa(u / t)),
-        "K12": float(tab.K12(t, u)),
-        "dK12_dt": float(tab.dK12(t, u)),
-        "k1": float(tab.k1(t, u)),
-        "covariance_smooth_part": float(tab.R(t, u)),
-    }
+    # a field beyond the float range is refused below as not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = {
+            "t": t,
+            "s": u,
+            "kappa": float(tab.kappa(u / t)),
+            "K12": float(tab.K12(t, u)),
+            "dK12_dt": float(tab.dK12(t, u)),
+            "k1": float(tab.k1(t, u)),
+            "covariance_smooth_part": float(tab.R(t, u)),
+        }
     overflow = sorted(k for k, v in vals.items() if not np.isfinite(v))
     if overflow:
         raise DomainError(f"{', '.join(overflow)} not finite at t={t}, s={u}")
@@ -179,7 +180,7 @@ def _cmd_solve(s: _Settings) -> int:
 
 def _cmd_closed_form(s: _Settings) -> int:
     _, cons = s.constants()
-    points = check_int("points", s.get("points", 199), minimum=1)
+    points = check_int("points", s.get("points"), minimum=1)
     out = s.get("out")
     if not (s.args.asymptotic_variance or out):
         raise DomainError("closed-form needs --asymptotic-variance or --out")
@@ -251,27 +252,22 @@ def _cmd_estimate(s: _Settings) -> int:
 
 def _experiment_config(s: _Settings, default_ts) -> ExperimentConfig:
     params, _ = s.constants()
-    if s.args.t_sequence is not None:
-        t_sequence = s.args.t_sequence.split(",")
-    elif "t_sequence" in s.file_vals:
-        t_sequence = s.file_vals["t_sequence"]
-    elif default_ts is None:
-        t_sequence = (s.get("t_horizon"),)
-    else:
-        t_sequence = default_ts
+    t_sequence = s.get("t_sequence")
+    if isinstance(t_sequence, str):
+        t_sequence = t_sequence.split(",")
     return ExperimentConfig(
         params=params,
         grid_n=s.get("grid_n"),
         path_points=s.get("path_points"),
         replicates=s.get("replicates"),
         master_seed=s.get("seed"),
-        t_sequence=t_sequence,
+        t_sequence=default_ts if t_sequence is None else t_sequence,
         output_dir=s.get("out") or ".",
     )
 
 
 def _cmd_mc(s: _Settings) -> int:
-    config = _experiment_config(s, default_ts=None)
+    config = _experiment_config(s, default_ts=(s.get("t_horizon"),))
     report = run_mc(config)
     paths = export_report(report, config)
     print(f"mc: R={config.replicates} theta={report.theta_true} "
@@ -324,7 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int,
                    help="curve samples when writing --out (default 199)")
     p.add_argument("--asymptotic-variance", action="store_true",
-                   dest="asymptotic_variance",
                    help="print V_H2, the large-T limit of "
                         "T^(2-2H2) Var that asymptotics prints (an exact "
                         "Gamma formula; no sigma enters)")
@@ -338,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform",
                        help="apply the martingale transform to a path file")
     _add_common(p)
-    p.add_argument("--path-file", required=True, dest="path_file")
+    p.add_argument("--path-file", required=True)
     p.add_argument("--inverse", action="store_true",
                    help="recover the observation from a transformed path")
     p.set_defaults(func=_cmd_transform)
@@ -346,21 +341,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate",
                        help="estimate drift from solver + path files")
     _add_common(p)
-    p.add_argument("--h-file", required=True, dest="h_file",
+    p.add_argument("--h-file", required=True,
                    help="CSV from `solve` (sidecar JSON expected next to it)")
-    p.add_argument("--path-file", required=True, dest="path_file")
+    p.add_argument("--path-file", required=True)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("mc", help="Monte Carlo study of the estimator")
     _add_common(p)
-    p.add_argument("--t-sequence", dest="t_sequence",
+    p.add_argument("--t-sequence",
                    help="comma-separated horizons (default: --t-horizon)")
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("asymptotics",
                        help="exact-variance decay law across horizons")
     _add_common(p)
-    p.add_argument("--t-sequence", dest="t_sequence",
+    p.add_argument("--t-sequence",
                    help="comma-separated horizons (default: 1,5,25,125)")
     p.set_defaults(func=_cmd_asymptotics)
 

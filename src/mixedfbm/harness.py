@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -66,6 +67,8 @@ class ExperimentConfig:
                               ("replicates", 1), ("master_seed", 0)):
             object.__setattr__(self, name, check_int(
                 name, getattr(self, name), minimum))
+        if isinstance(self.t_sequence, str):
+            raise DomainError("t_sequence must be a sequence, not a string")
         try:
             # the CLI's --t-sequence gives strings
             ts = tuple(check_real("t_sequence entry",
@@ -78,6 +81,8 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise DomainError(f"t_sequence must be strictly increasing: {ts}")
         object.__setattr__(self, "t_sequence", ts)
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise DomainError(f"output_dir is no path: {self.output_dir!r}")
         object.__setattr__(self, "output_dir", str(self.output_dir))
 
 
@@ -185,7 +190,6 @@ def run_mc(config: ExperimentConfig) -> MCReport:
     from scipy import stats
 
     constants = derive_constants(config.params)
-    constants.hurst.require_solver_admissible()
     theta = config.params.theta
     sols, details = _solve_horizons(config, constants, on_failure="raise")
     exponent = 2.0 - 2.0 * constants.hurst.h2
@@ -252,7 +256,6 @@ def run_asymptotics(config: ExperimentConfig) -> MCReport:
     Failed horizons are recorded and skipped; the table is partial.
     """
     constants = derive_constants(config.params)
-    constants.hurst.require_solver_admissible()
     if len(config.t_sequence) < 3:
         raise DomainError(
             f"need at least 3 horizons, got {len(config.t_sequence)}")

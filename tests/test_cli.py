@@ -3,6 +3,7 @@
 main() is driven in-process; every invocation writes inside tmp_path.
 """
 
+import argparse
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import mixedfbm as mf
-from mixedfbm.cli import main
+from mixedfbm.cli import _SETTINGS, _build_parser, main
 
 
 def run(capsys, *argv):
@@ -99,15 +100,16 @@ def test_closed_form_reads_points_from_config(tmp_path, capsys):
 
 
 def test_kernel_refuses_overflow_before_forming_it():
-    # the smooth covariance part would overflow: exit 2, and numpy never
-    # reaches (and warns about) the overflowing product
+    # the smooth covariance part overflows: exit 2 from the check of
+    # every field, and numpy does not warn about the overflowing product
     src = str(Path(mf.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-m", "mixedfbm.cli", "kernel", "--t", "1e300",
          "--s", "5e299"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 2
-    assert "covariance_smooth_part overflows" in done.stderr
+    assert ("domain error: covariance_smooth_part not finite at t=1e+300, "
+            "s=5e+299") in done.stderr
     assert "RuntimeWarning" not in done.stderr
 
 
@@ -225,6 +227,18 @@ def test_simulate_draws_Y_by_default(tmp_path, capsys):
     assert default.read_bytes() == explicit.read_bytes()
 
 
+def test_simulate_fbm_draws_the_rough_component(tmp_path, capsys):
+    # --process fbm writes the library's fBm draw at h1, same seed
+    out = tmp_path / "fbm.csv"
+    code, stdout, _ = run(capsys, "simulate", "--process", "fbm",
+                          "--seed", "7", "--out", str(out))
+    assert code == 0
+    assert stdout == f"simulated fbm on 513 points to {out}\n"
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    ref = mf.simulate_fbm(0.6, data[:, 0], np.random.SeedSequence(7))
+    assert np.array_equal(data[:, 1], ref.values)
+
+
 def test_simulate_refuses_process_X(tmp_path, capsys):
     # the paper's observation X is the process Z: "X" is no --process
     out = tmp_path / "x.csv"
@@ -310,6 +324,7 @@ _MALFORMED_FILES = {
     "config-list.json": "[1, 2]",
     "config-unread-key.json": '{"replicats": 5}',
     "config-points-zero.json": '{"points": 0}',
+    "path-one-column.csv": "t\n0.0\n0.5\n1.0\n",
 }
 
 
@@ -346,6 +361,9 @@ _MALFORMED_FILES = {
         ("simulate", "--process", "Y", "--sigma", "1e200"),
         ("simulate", "--process", "Z", "--sigma", "1e200"),
         ("solve", "--sigma", "1e150", "--t-horizon", "1e100"),
+        ("transform", "--path-file", "{tmp}/path-one-column.csv"),
+        ("estimate", "--h-file", "{tmp}/h.csv",
+         "--path-file", "{tmp}/path-one-column.csv"),
     ],
     ids=["points-negative", "points-zero", "t-sequence-not-a-number",
          "t-sequence-infinite", "kernel-at-origin", "kernel-s-negative",
@@ -361,7 +379,8 @@ _MALFORMED_FILES = {
          "mc-coupling-overflows", "mc-coupling-underflows",
          "simulate-Y-sigma-squared-overflows",
          "simulate-Z-sigma-squared-overflows",
-         "solve-information-overflows"],
+         "solve-information-overflows", "transform-path-one-column",
+         "estimate-sidecar-missing"],
 )
 def test_edge_inputs_exit_2(tmp_path, capsys, argv):
     for name, text in _MALFORMED_FILES.items():
@@ -372,6 +391,73 @@ def test_edge_inputs_exit_2(tmp_path, capsys, argv):
     assert code == 2
     assert "domain error" in stderr
     assert not out.exists()
+
+
+# every subcommand, with the flags it cannot start without
+_COMMANDS = {"constants": (), "kernel": (), "solve": (), "closed-form": (),
+             "simulate": (), "transform": ("--path-file", "p.csv"),
+             "estimate": ("--h-file", "h.csv", "--path-file", "p.csv"),
+             "mc": (), "asymptotics": ()}
+
+
+@pytest.mark.parametrize("value", [5, True, ["a"], None, 1],
+                         ids=["int", "bool", "list", "null", "stdout-fd"])
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_config_out_that_is_no_string_exits_2(tmp_path, capsys, monkeypatch,
+                                              command, value):
+    # refused when the file is read, by every command: no directory named
+    # "5", no default output in the working directory, and for 1 nothing
+    # written into file descriptor 1
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps({"out": value}))
+    code, stdout, stderr = run(capsys, command, "--config", "cfg.json",
+                               *_COMMANDS[command])
+    assert code == 2 and stdout == ""
+    assert f"domain error: cfg.json: require a str out, got {value!r}" \
+        in stderr
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_config_t_sequence_reads_the_flags_text(tmp_path, capsys,
+                                                monkeypatch):
+    # the flag's text in the file runs the flag's horizons, with
+    # byte-identical exports; "25" is the one horizon 25, not 2 and 5
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t_sequence": "1,5,25"}))
+    exports = {}
+    for argv in (("--t-sequence", "1,5,25"), ("--config", str(cfg))):
+        run_dir = tmp_path / argv[0].strip("-")
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        code, _, _ = run(capsys, "asymptotics", "--grid-n", "64", *argv)
+        assert code == 0
+        exports[argv[0]] = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    assert sorted(exports["--config"]) == ["asymptotics.csv",
+                                           "mc_summary.csv", "report.json"]
+    assert exports["--config"] == exports["--t-sequence"]
+
+    cfg.write_text(json.dumps({"t_sequence": "25"}))
+    out = tmp_path / "mc"
+    code, _, _ = run(capsys, "mc", "--config", str(cfg), "--replicates", "2",
+                     "--out", str(out))
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [d["T"] for d in report["per_T_detail"]] == [25.0]
+
+
+def test_settings_table_and_parser_agree():
+    # every key of the table is some subcommand's flag, and every flag
+    # but --config and those of one subcommand's own is a key of the
+    # table, so a config file reads exactly what the flags set
+    parser = _build_parser()
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for p in subs.choices.values() for a in p._actions
+             if not isinstance(a, argparse._HelpAction)}
+    own = {"config", "path_file", "h_file", "process", "inverse",
+           "asymptotic_variance"}
+    assert own <= dests
+    assert dests - own == set(_SETTINGS)
 
 
 @pytest.mark.parametrize("argv, code", [

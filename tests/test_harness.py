@@ -7,6 +7,7 @@ checks use fixed master seeds so every assertion is reproducible.
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +68,15 @@ def test_config_validation():
         ExperimentConfig(params=params, t_sequence=(-1.0, 2.0))
     with pytest.raises(DomainError, match="positive"):
         ExperimentConfig(params=params, t_sequence=())
+    # a bare string is no sequence of horizons: "125" is not (1, 2, 5)
+    with pytest.raises(DomainError, match="not a string"):
+        ExperimentConfig(params=params, t_sequence="125")
+    # nor is 5 the directory "5"
+    for bad in (5, True, None, ["a"]):
+        with pytest.raises(DomainError, match="output_dir"):
+            ExperimentConfig(params=params, output_dir=bad)
+    assert ExperimentConfig(params=params,
+                            output_dir=Path("out")).output_dir == "out"
     # numpy integers are integers, kept as int so the JSON echo takes them
     cfg = ExperimentConfig(params=params, grid_n=np.int64(64),
                            master_seed=np.uint8(3))
@@ -239,6 +249,19 @@ def test_asymptotics_guards(monkeypatch):
     with pytest.warns(AccuracyWarning):
         with pytest.raises(AccuracyError, match="1 of 3"):
             run_asymptotics(cfg)
+
+
+def test_runners_refuse_the_gap_before_any_solve(monkeypatch):
+    # h2 - h1 <= 1/4: assemble refuses the pair, so neither runner solves
+    calls = []
+    monkeypatch.setattr(hz, "solve_second_kind",
+                        lambda *args, **kw: calls.append(args))
+    cfg = ExperimentConfig(params=ModelParams(hurst=HurstPair(0.6, 0.7)),
+                           replicates=2, t_sequence=(1.0, 5.0, 25.0))
+    for runner in (run_mc, run_asymptotics):
+        with pytest.raises(DomainError, match="h2 - h1 > 1/4"):
+            runner(cfg)
+    assert calls == []
 
 
 def test_asymptotics_propagates_non_accuracy_errors(monkeypatch):

@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Every subcommand shares one flag set; values resolve flag > config file
-> built-in default, so a JSON config can pin an experiment and single
-flags can still override pieces of it.  Exit codes: 0 success, 2 domain
-errors (bad parameters or inputs), 3 accuracy failures (a computation
-ran but missed its tolerance), 1 for I/O problems.
+One table, `_COMMANDS`, builds every subcommand: each parses exactly
+the `_SETTINGS` keys its handler reads, its own flags and `--config`,
+so a flag it would ignore is a usage error.  Values resolve flag >
+config file > built-in default, so a JSON config can pin an experiment
+and single flags can still override pieces of it.  Exit codes: 0
+success, 2 domain errors (bad parameters or inputs) and usage errors,
+3 accuracy failures (a computation ran but missed its tolerance), 1
+for I/O problems.
 """
 
 from __future__ import annotations
@@ -38,50 +41,38 @@ def _of_type(*types):
     return check
 
 
-# every key a flag or --config sets: the check a config-file value must
-# pass, and the default (None where each command picks its own)
+# every key a flag or --config sets: its flag's type and help, the
+# check a config-file value must pass, and the default (None where each
+# command picks its own)
 _SETTINGS = {
-    "h1": (check_real, 0.6),
-    "h2": (check_real, 0.9),
-    "sigma": (check_real, 1.0),
-    "theta": (check_real, 0.0),
-    "t_horizon": (check_real, 1.0),
-    "grid_n": (check_int, 128),
-    "path_points": (check_int, 512),
-    "replicates": (check_int, 100),
-    "seed": (check_int, 0),
-    "t": (check_real, 0.7),
-    "s": (check_real, 0.4),
-    "points": (check_int, 199),
+    "h1": (float, check_real, 0.6, "rough component Hurst index"),
+    "h2": (float, check_real, 0.9, "smooth component Hurst index"),
+    "sigma": (float, check_real, 1.0, "rough component scale"),
+    "theta": (float, check_real, 0.0, "drift"),
+    "t_horizon": (float, check_real, 1.0, "observation horizon T"),
+    "grid_n": (int, check_int, 128, "solver grid size (multiple of 4)"),
+    "path_points": (int, check_int, 512, "number of path increments"),
+    "replicates": (int, check_int, 100, "Monte Carlo replicates"),
+    "seed": (int, check_int, 0, "master seed"),
+    "t": (float, check_real, 0.7, "later time (default 0.7)"),
+    "s": (float, check_real, 0.4, "earlier time (default 0.4)"),
+    "points": (int, check_int, 199,
+               "curve samples when writing --out (default 199)"),
     # the flag's comma-separated text or a JSON list of horizons
-    "t_sequence": (_of_type(str, list), None),
-    "out": (_of_type(str), None),
+    "t_sequence": (str, _of_type(str, list), None,
+                   "comma-separated horizons (default: --t-horizon for mc, "
+                   "1,5,25,125 for asymptotics)"),
+    "out": (str, _of_type(str), None, "output file or directory"),
 }
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--h1", type=float, help="rough component Hurst index")
-    p.add_argument("--h2", type=float, help="smooth component Hurst index")
-    p.add_argument("--sigma", type=float, help="rough component scale")
-    p.add_argument("--theta", type=float, help="drift")
-    p.add_argument("--t-horizon", type=float, help="observation horizon T")
-    p.add_argument("--grid-n", type=int,
-                   help="solver grid size (multiple of 4)")
-    p.add_argument("--path-points", type=int, help="number of path increments")
-    p.add_argument("--replicates", type=int, help="Monte Carlo replicates")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--config", type=str,
-                   help="JSON file with the same keys as the flags")
-    p.add_argument("--out", type=str, help="output file or directory")
-
-
 class _Settings:
-    """Flag > config-file > default resolution for the shared keys."""
+    """Flag > config-file > default resolution for the _SETTINGS keys."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.file_vals = {}
-        if getattr(args, "config", None):
+        if args.config:
             self.file_vals = _read_json(args.config)
             if not isinstance(self.file_vals, dict):
                 raise DomainError(f"{args.config}: need a JSON object, got "
@@ -90,7 +81,7 @@ class _Settings:
                 for name, value in self.file_vals.items():
                     if name not in _SETTINGS:
                         raise DomainError(f"no command reads the key {name!r}")
-                    _SETTINGS[name][0](name, value)
+                    _SETTINGS[name][1](name, value)
             except DomainError as exc:
                 raise DomainError(f"{args.config}: {exc}") from exc
 
@@ -101,7 +92,7 @@ class _Settings:
 
     def get(self, name):
         v = self.given(name)
-        return _SETTINGS[name][1] if v is None else v
+        return _SETTINGS[name][2] if v is None else v
 
     def constants(self):
         params = ModelParams(
@@ -292,6 +283,54 @@ def _cmd_asymptotics(s: _Settings) -> int:
     return 0
 
 
+# the keys that _Settings.constants reads, and those _experiment_config
+# reads
+_MODEL = ("h1", "h2", "sigma", "theta", "t_horizon")
+_EXPERIMENT = _MODEL + ("grid_n", "path_points", "replicates", "seed",
+                        "t_sequence", "out")
+_PATH_FILE = ("--path-file", {"required": True})
+# each subcommand: its handler, its help, the _SETTINGS keys it reads
+# and its own flags, as (flag, add_argument keywords)
+_COMMANDS = {
+    "constants": (_cmd_constants, "print derived model constants",
+                  _MODEL + ("out",), ()),
+    "kernel": (_cmd_kernel, "evaluate kernel values at (t, s)",
+               ("h1", "h2", "t", "s", "out"), ()),
+    "solve": (_cmd_solve, "solve for the filter at one horizon",
+              _MODEL + ("grid_n", "out"), ()),
+    "closed-form": (
+        _cmd_closed_form, "limiting filter and asymptotic variance",
+        _MODEL + ("points", "out"),
+        (("--asymptotic-variance", {
+            "action": "store_true",
+            "help": "print V_H2, the large-T limit of T^(2-2H2) Var that "
+                    "asymptotics prints (an exact Gamma formula; no "
+                    "sigma enters)"}),)),
+    "simulate": (_cmd_simulate, "draw one sample path to CSV",
+                 _MODEL + ("path_points", "seed", "out"),
+                 (("--process", {"choices": ("Y", "Z", "fbm"),
+                                 "default": "Y"}),)),
+    "transform": (
+        _cmd_transform, "apply the martingale transform to a path file",
+        _MODEL + ("out",),
+        (_PATH_FILE, ("--inverse", {
+            "action": "store_true",
+            "help": "recover the observation from a transformed path"}))),
+    # estimate compares these with the solve's sidecar
+    "estimate": (
+        _cmd_estimate, "estimate drift from solver + path files",
+        ("h1", "h2", "sigma", "t_horizon", "grid_n", "out"),
+        (("--h-file", {
+            "required": True,
+            "help": "CSV from `solve` (sidecar JSON expected next to it)"}),
+         _PATH_FILE)),
+    "mc": (_cmd_mc, "Monte Carlo study of the estimator", _EXPERIMENT, ()),
+    "asymptotics": (_cmd_asymptotics,
+                    "exact-variance decay law across horizons",
+                    _EXPERIMENT, ()),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixedfbm",
@@ -299,66 +338,19 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Brownian motions.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("constants", help="print derived model constants")
-    _add_common(p)
-    p.set_defaults(func=_cmd_constants)
-
-    p = sub.add_parser("kernel", help="evaluate kernel values at (t, s)")
-    _add_common(p)
-    p.add_argument("--t", type=float, help="later time (default 0.7)")
-    p.add_argument("--s", type=float, help="earlier time (default 0.4)")
-    p.set_defaults(func=_cmd_kernel)
-
-    p = sub.add_parser("solve", help="solve for the filter at one horizon")
-    _add_common(p)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("closed-form",
-                       help="limiting filter and asymptotic variance")
-    _add_common(p)
-    p.add_argument("--points", type=int,
-                   help="curve samples when writing --out (default 199)")
-    p.add_argument("--asymptotic-variance", action="store_true",
-                   help="print V_H2, the large-T limit of "
-                        "T^(2-2H2) Var that asymptotics prints (an exact "
-                        "Gamma formula; no sigma enters)")
-    p.set_defaults(func=_cmd_closed_form)
-
-    p = sub.add_parser("simulate", help="draw one sample path to CSV")
-    _add_common(p)
-    p.add_argument("--process", choices=("Y", "Z", "fbm"), default="Y")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("transform",
-                       help="apply the martingale transform to a path file")
-    _add_common(p)
-    p.add_argument("--path-file", required=True)
-    p.add_argument("--inverse", action="store_true",
-                   help="recover the observation from a transformed path")
-    p.set_defaults(func=_cmd_transform)
-
-    p = sub.add_parser("estimate",
-                       help="estimate drift from solver + path files")
-    _add_common(p)
-    p.add_argument("--h-file", required=True,
-                   help="CSV from `solve` (sidecar JSON expected next to it)")
-    p.add_argument("--path-file", required=True)
-    p.set_defaults(func=_cmd_estimate)
-
-    p = sub.add_parser("mc", help="Monte Carlo study of the estimator")
-    _add_common(p)
-    p.add_argument("--t-sequence",
-                   help="comma-separated horizons (default: --t-horizon)")
-    p.set_defaults(func=_cmd_mc)
-
-    p = sub.add_parser("asymptotics",
-                       help="exact-variance decay law across horizons")
-    _add_common(p)
-    p.add_argument("--t-sequence",
-                   help="comma-separated horizons (default: 1,5,25,125)")
-    p.set_defaults(func=_cmd_asymptotics)
-
+    for command, (func, text, keys, own) in _COMMANDS.items():
+        # no prefix matching: with fewer flags per command, `--s` would
+        # read as --sigma in `constants` while it is the time s in `kernel`
+        p = sub.add_parser(command, help=text, allow_abbrev=False)
+        for key in keys:
+            kind, _, _, flag_help = _SETTINGS[key]
+            p.add_argument("--" + key.replace("_", "-"), type=kind,
+                           help=flag_help)
+        p.add_argument("--config", type=str,
+                       help="JSON file with the flags' keys (any command's)")
+        for flag, kwargs in own:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 

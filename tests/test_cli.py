@@ -4,6 +4,7 @@ main() is driven in-process; every invocation writes inside tmp_path.
 """
 
 import argparse
+import ast
 import json
 import math
 import os
@@ -445,19 +446,198 @@ def test_config_t_sequence_reads_the_flags_text(tmp_path, capsys,
     assert [d["T"] for d in report["per_T_detail"]] == [25.0]
 
 
+# what each subcommand's handler reads: its _SETTINGS keys, and its own
+# flags
+_MODEL = {"h1", "h2", "sigma", "theta", "t_horizon"}
+_EXPERIMENT = _MODEL | {"grid_n", "path_points", "replicates", "seed",
+                        "t_sequence", "out"}
+_ROWS = {
+    "constants": (_MODEL | {"out"}, set()),
+    "kernel": ({"h1", "h2", "t", "s", "out"}, set()),
+    "solve": (_MODEL | {"grid_n", "out"}, set()),
+    "closed-form": (_MODEL | {"points", "out"}, {"asymptotic_variance"}),
+    "simulate": (_MODEL | {"path_points", "seed", "out"}, {"process"}),
+    "transform": (_MODEL | {"out"}, {"path_file", "inverse"}),
+    "estimate": ({"h1", "h2", "sigma", "t_horizon", "grid_n", "out"},
+                 {"h_file", "path_file"}),
+    "mc": (_EXPERIMENT, set()),
+    "asymptotics": (_EXPERIMENT, set()),
+}
+
+
 def test_settings_table_and_parser_agree():
-    # every key of the table is some subcommand's flag, and every flag
-    # but --config and those of one subcommand's own is a key of the
-    # table, so a config file reads exactly what the flags set
+    # each subcommand parses exactly the keys its handler reads, its own
+    # flags and --config: 82 (command, flag) slots; every key of the
+    # table is still some subcommand's, so a config file reads exactly
+    # what the flags set
     parser = _build_parser()
     subs = next(a for a in parser._actions
                 if isinstance(a, argparse._SubParsersAction))
-    dests = {a.dest for p in subs.choices.values() for a in p._actions
-             if not isinstance(a, argparse._HelpAction)}
-    own = {"config", "path_file", "h_file", "process", "inverse",
-           "asymptotic_variance"}
-    assert own <= dests
-    assert dests - own == set(_SETTINGS)
+    assert set(subs.choices) == set(_ROWS) == set(_COMMANDS)
+    slots = 0
+    for command, p in subs.choices.items():
+        dests = {a.dest for a in p._actions
+                 if not isinstance(a, argparse._HelpAction)}
+        keys, own = _ROWS[command]
+        assert dests == keys | own | {"config"}, command
+        slots += len(dests)
+    assert slots == 82
+    assert set().union(*(keys for keys, _ in _ROWS.values())) \
+        == set(_SETTINGS)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A directory holding the files _COMMANDS names: a solve at the
+    defaults (h.csv and its sidecar) and a Y path at the defaults
+    (p.csv)."""
+    where = tmp_path_factory.mktemp("inputs")
+    for argv in (("solve", "--out", "h.csv"), ("simulate", "--out", "p.csv")):
+        assert main([*argv[:-1], str(where / argv[-1])]) == 0
+    return where
+
+
+def _runnable(command, inputs):
+    """The flags `command` needs to exit 0 at its defaults: the files of
+    _COMMANDS, found in inputs, and something for closed-form to do."""
+    files = [str(inputs / a) if a.endswith(".csv") else a
+             for a in _COMMANDS[command]]
+    return files + (["--asymptotic-variance"] if command == "closed-form"
+                    else [])
+
+
+# each flag of the set once shared by every subcommand that a
+# subcommand's handler does not read, at a valid value; then command
+# lines whose invalid values such a subcommand took and ignored
+_VALID = {"--sigma": "1.0", "--theta": "0.5", "--t-horizon": "1.0",
+          "--grid-n": "128", "--path-points": "512", "--replicates": "100",
+          "--seed": "7"}
+_UNREAD = {
+    "constants": ("--grid-n", "--path-points", "--replicates", "--seed"),
+    "kernel": ("--sigma", "--theta", "--t-horizon", "--grid-n",
+               "--path-points", "--replicates", "--seed"),
+    "solve": ("--path-points", "--replicates", "--seed"),
+    "closed-form": ("--grid-n", "--path-points", "--replicates", "--seed"),
+    "simulate": ("--grid-n", "--replicates"),
+    "transform": ("--grid-n", "--path-points", "--replicates", "--seed"),
+    "estimate": ("--theta", "--path-points", "--replicates", "--seed"),
+}
+_IGNORED = [f"{command} {flag} {_VALID[flag]}"
+            for command, flags in _UNREAD.items() for flag in flags] + [
+    "kernel --sigma inf",
+    "kernel --theta nan --t-horizon -1",
+    "constants --grid-n 6 --path-points 0 --seed -4",
+    "closed-form --asymptotic-variance --grid-n 5 --replicates -3",
+    "simulate --grid-n 6 --replicates -1",
+    "estimate --theta 5 --replicates -2",
+]
+# no prefix of a flag reads as the flag: `--s` would be --sigma here and
+# --p --points, and `--rep` was read as --replicates
+_ABBREVIATED = ["constants --s 2", "closed-form --p 3", "mc --rep 5"]
+
+
+@pytest.mark.parametrize("line", _IGNORED + _ABBREVIATED)
+def test_flag_a_command_does_not_read_is_a_usage_error(inputs, tmp_path,
+                                                       monkeypatch, capsys,
+                                                       line):
+    command, *rest = line.split()
+    needed = _runnable(command, inputs)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, *needed, *rest])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    named = out.err.split("unrecognized arguments:", 1)[1].split()
+    refused = [a for a in rest if a.startswith("--") and a not in needed]
+    assert refused and set(refused) <= set(named)
+    assert os.listdir(tmp_path) == []
+
+
+# every key but t_sequence and out (whose defaults are per command), at
+# its default
+_ALL_DEFAULTS = {"h1": 0.6, "h2": 0.9, "sigma": 1.0, "theta": 0.0,
+                 "t_horizon": 1.0, "grid_n": 128, "path_points": 512,
+                 "replicates": 100, "seed": 0, "t": 0.7, "s": 0.4,
+                 "points": 199}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_config_of_every_default_changes_no_output(inputs, tmp_path,
+                                                   monkeypatch, capsys,
+                                                   command):
+    # a file may carry the keys of other commands: each is accepted and
+    # changes nothing a command reads or writes
+    assert set(_ALL_DEFAULTS) == set(_SETTINGS) - {"t_sequence", "out"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_ALL_DEFAULTS))
+    runs = {}
+    for extra in ((), ("--config", str(cfg))):
+        run_dir = tmp_path / str(len(extra))
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        runs[extra] = (run(capsys, command, *_runnable(command, inputs),
+                           *extra),
+                       {p.name: p.read_bytes() for p in run_dir.iterdir()})
+    (code, _, _), _ = runs[()]
+    assert code == 0
+    assert runs[("--config", str(cfg))] == runs[()]
+
+
+def _constants(tree):
+    """The module-level literal assignments of a parsed module."""
+    values = {}
+    for node in tree.body:
+        if not isinstance(node, ast.Assign):
+            continue
+        try:
+            value = ast.literal_eval(node.value)
+        except ValueError:
+            continue
+        for target in node.targets:
+            if isinstance(target, ast.Tuple):
+                values.update(zip((t.id for t in target.elts), value))
+            else:
+                values[target.id] = value
+    return values
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _bench_record_lines():
+    """The CLI_RUNS and CLI_SETUP command lines of tools/bench_record.py."""
+    bench = _constants(ast.parse(
+        (_ROOT / "tools" / "bench_record.py").read_text()))
+    return [*bench["CLI_RUNS"], *(argv for setup in bench["CLI_SETUP"]
+                                  .values() for argv in setup)]
+
+
+def _workload_lines():
+    """The argv of each `_cli` call of perfbench/workloads.py: a name
+    reads as the module's constant, any other argument (a file) as a
+    file name."""
+    tree = ast.parse((_ROOT / "perfbench" / "workloads.py").read_text())
+    names = _constants(tree)
+    return [tuple(str(a.value) if isinstance(a, ast.Constant)
+                  else str(names.get(getattr(a, "id", None), "f.csv"))
+                  for a in node.args)
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "_cli"]
+
+
+def test_repo_command_lines_parse(capsys):
+    # a usage error raises SystemExit out of main, which ends a
+    # benchmark run instead of counting as one failed operation
+    workload = _workload_lines()
+    assert {"solve", "transform", "estimate"} <= {a[0] for a in workload}
+    parser = _build_parser()
+    for argv in _bench_record_lines() + workload:
+        try:
+            parser.parse_args(list(argv))
+        except SystemExit:
+            pytest.fail(f"mixedfbm {' '.join(argv)}: "
+                        f"{capsys.readouterr().err}")
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -124,17 +124,15 @@ def _graded_map_inv(u):
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Composite Gauss mesh on (0,1), graded toward both endpoints.
+    """Composite Gauss mesh on (0,1) of ``n`` nodes, graded toward both
+    endpoints; DomainError unless ``n`` is a multiple of 4 and at least 8.
 
     The mesh has ``n // 4`` cells, uniform in the pre-image coordinate
     ``x``; each cell carries a 4-point Gauss rule mapped through the
     grading map (exponent ``_GRADING``).  Weights are normalized to sum
-    to one exactly.
+    to one exactly.  ``n`` is the only field (so grids compare and hash
+    by it); these arrays are derived from it on construction:
 
-    Fields
-    ------
-    n : int
-        Total number of nodes.
     nodes, weights : arrays of shape (n,)
         Strictly increasing nodes in (0,1) and positive weights.
     cell_edges : array of shape (n//4 + 1,)
@@ -145,10 +143,25 @@ class QuadratureGrid:
     """
 
     n: int
-    nodes: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-    cell_edges: np.ndarray = field(repr=False)
-    x_nodes: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        n = check_int("grid size n", self.n, minimum=8)
+        if n % _CELL_ORDER != 0:
+            raise DomainError(f"grid size must be a multiple of {_CELL_ORDER}, "
+                              f"got {_shown(n)}")
+        m = n // _CELL_ORDER
+        xe = np.linspace(0.0, 1.0, m + 1)
+        xn, xw = jacobi_panels(_CELL_ORDER, xe[:-1], xe[1:], np.zeros(m),
+                               np.zeros(m))
+        x_nodes = xn.ravel()
+        weights = xw.ravel() * _graded_map_deriv(x_nodes)
+        edges = _graded_map(xe)
+        edges[0], edges[-1] = 0.0, 1.0
+        # a frozen instance takes n as an int, and its arrays, through
+        # __dict__
+        self.__dict__.update(n=n, nodes=_graded_map(x_nodes),
+                             weights=weights / weights.sum(),
+                             cell_edges=edges, x_nodes=x_nodes)
 
     @property
     def n_cells(self) -> int:
@@ -172,22 +185,7 @@ def build_grid(n: int) -> QuadratureGrid:
     DomainError
         If ``n`` is out of range.
     """
-    n = check_int("grid size n", n, minimum=8)
-    if n % _CELL_ORDER != 0:
-        raise DomainError(f"grid size must be a multiple of {_CELL_ORDER}, "
-                          f"got {_shown(n)}")
-
-    m = n // _CELL_ORDER
-    xe = np.linspace(0.0, 1.0, m + 1)
-    xn, xw = jacobi_panels(_CELL_ORDER, xe[:-1], xe[1:], np.zeros(m), np.zeros(m))
-    x_nodes = xn.ravel()
-    nodes = _graded_map(x_nodes)
-    weights = xw.ravel() * _graded_map_deriv(x_nodes)
-    weights = weights / weights.sum()
-    edges = _graded_map(xe)
-    edges[0], edges[-1] = 0.0, 1.0
-    return QuadratureGrid(n=n, nodes=nodes, weights=weights,
-                          cell_edges=edges, x_nodes=x_nodes)
+    return QuadratureGrid(n)
 
 
 # ----------------------------------------------------------------------
@@ -350,7 +348,7 @@ def _chunks(m: int):
 # discretized operator
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscretizedOperator:
     """Collocation matrix for f |-> int_0^1 k1(s, .) f(s) ds.
 
@@ -358,7 +356,8 @@ class DiscretizedOperator:
     quadrature of the integral at collocation point nodes[i].  Far from
     the diagonal this is weights[j] * k1(nodes[j], nodes[i]); cells
     within ``_NEAR_RADIUS`` of the collocation point (and the first cell)
-    carry product-quadrature weights instead.
+    carry product-quadrature weights instead.  Operators compare and
+    hash by identity.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -791,13 +790,14 @@ class SolutionRecord:
             raise DomainError(f"{source}: {exc}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FredholmSolution(SolutionRecord):
     """Solution of the rescaled second-kind equation at one horizon.
 
     A ``SolutionRecord``, checked as every record is: its ``spline`` is
     the residual audit's reconstruction of the solution (see
-    ``_extended_spline``).  The solve adds these fields.
+    ``_extended_spline``).  It compares and hashes as its record does.
+    The solve adds these fields.
 
     Fields
     ------

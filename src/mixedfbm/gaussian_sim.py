@@ -54,13 +54,14 @@ _LABELS = ("Z", "Y", "fBm")
 _MIN_INTERIOR = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SamplePath:
     """One realized path on a finite grid, or several as columns.
 
     The grid always starts at 0 and every process starts at 0; the label
     records which process the values represent.  ``values`` is 1-d for
     one path, or 2-d with one row per time and one column per path.
+    Paths compare and hash by identity: arrays have no one truth value.
     """
 
     times: np.ndarray
@@ -97,7 +98,7 @@ class SamplePath:
         return path
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceModel:
     """Covariance description of one process on a positive time grid.
 
@@ -114,7 +115,8 @@ class CovarianceModel:
 
     So M has no eigenvalue below -1e-10 tr(M), by Weyl's inequality.  L
     is LAPACK's factor of M + b I with b <= 1e-10 tr(M)/n, whose error
-    is at most b sqrt(n) plus rounding of order n eps ||M||.
+    is at most b sqrt(n) plus rounding of order n eps ||M||.  Models
+    compare and hash by identity.
     """
 
     times: np.ndarray
@@ -218,9 +220,11 @@ def _positive_times(times) -> np.ndarray:
         raise DomainError("need a finite 1-d time grid")
     if np.any(np.diff(t) <= 0.0):
         raise DomainError("time grid must be strictly increasing")
+    if t[0] < 0.0:
+        raise DomainError(f"time grid starts at {t[0]}, before 0")
     if t[0] == 0.0:
         t = t[1:]
-    if t.size == 0 or t[0] <= 0.0:
+    if t.size == 0:
         raise DomainError("need at least one strictly positive time")
     return t
 

@@ -5,14 +5,14 @@ fractional Brownian motions of Hurst indices 1/2 < h1 < h2 < 1; the package
 calls this process Z (``simulate_Z``, path label "Z").  Everything
 downstream (kernels, solver, estimator) consumes the constants computed here,
 so the drift-normalization convention is fixed in exactly one place:
-``drift_norm`` (see :func:`derive_constants`).
+``drift_norm`` (see :class:`DerivedConstants`).
 """
 from __future__ import annotations
 
 import math
 import numbers
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import DomainError
 from .numerics import beta_fn
@@ -133,10 +133,12 @@ def _gamma_martingale(h: float) -> float:
 
 @dataclass(frozen=True)
 class DerivedConstants:
-    """All closed-form constants derived from a parameter set.
+    """All closed-form constants of a Hurst pair and a noise scale sigma.
 
-    Fields
-    ------
+    Only ``hurst`` and ``sigma`` are fields (so constants compare and
+    hash by them; DomainError unless sigma is a positive finite number);
+    these are derived from them on construction:
+
     alpha_h1, alpha_h2 : float
         h(2h-1) for each index.
     beta_h1, beta_h2 : float
@@ -170,15 +172,19 @@ class DerivedConstants:
 
     hurst: HurstPair
     sigma: float
-    alpha_h1: float
-    alpha_h2: float
-    beta_h1: float
-    beta_h2: float
-    gamma_h1: float
-    epsilon_h1: float
-    script_b: float
-    delta_paper: float
-    drift_norm: float
+
+    def __post_init__(self) -> None:
+        check_real("sigma", self.sigma, positive=True)
+        h1, h2 = self.hurst.h1, self.hurst.h2
+        gamma1 = _gamma_martingale(h1)
+        script_b = float(beta_fn(1.5 - h1, 1.5 - h1))
+        delta = (2.0 - 2.0 * h1) * script_b / (self.sigma * gamma1)
+        # a frozen instance takes its derived values through __dict__
+        self.__dict__.update(
+            alpha_h1=_alpha(h1), alpha_h2=_alpha(h2), beta_h1=_beta(h1),
+            beta_h2=_beta(h2), gamma_h1=gamma1,
+            epsilon_h1=gamma1 * gamma1 / (2.0 - 2.0 * h1),
+            script_b=script_b, delta_paper=delta, drift_norm=delta / gamma1)
 
     def lambda_of_T(self, T: float) -> float:
         """T^(2h2-2h1) / (sigma^2 gamma^2), the second-kind coupling;
@@ -203,15 +209,17 @@ class DerivedConstants:
                                                  rel_tol=1e-12)))
 
     def as_dict(self) -> dict:
-        """Scalar fields only, for JSON dumps: the Hurst pair as h1, h2."""
-        out = {"h1": self.hurst.h1, "h2": self.hurst.h2}
-        out.update((f.name, getattr(self, f.name))
-                   for f in fields(self) if f.name != "hurst")
-        return out
+        """The scalars, for JSON dumps: the Hurst pair as h1, h2."""
+        return {"h1": self.hurst.h1, "h2": self.hurst.h2,
+                **{name: getattr(self, name) for name in (
+                    "sigma", "alpha_h1", "alpha_h2", "beta_h1", "beta_h2",
+                    "gamma_h1", "epsilon_h1", "script_b", "delta_paper",
+                    "drift_norm")}}
 
 
 def derive_constants(params: ModelParams) -> DerivedConstants:
-    """Populate every derived constant for a validated parameter set.
+    """The derived constants of a validated parameter set: those of its
+    Hurst pair and sigma, the only parameters any of them reads.
 
     Parameters
     ----------
@@ -222,26 +230,4 @@ def derive_constants(params: ModelParams) -> DerivedConstants:
     -------
     DerivedConstants
     """
-    hp = params.hurst
-    h1, h2 = hp.h1, hp.h2
-    sigma = params.sigma
-
-    gamma1 = _gamma_martingale(h1)
-    gamma1_sq = gamma1 * gamma1
-    script_b = float(beta_fn(1.5 - h1, 1.5 - h1))
-    delta = (2.0 - 2.0 * h1) * script_b / (sigma * gamma1)
-    drift_norm = delta / gamma1
-
-    return DerivedConstants(
-        hurst=hp,
-        sigma=sigma,
-        alpha_h1=_alpha(h1),
-        alpha_h2=_alpha(h2),
-        beta_h1=_beta(h1),
-        beta_h2=_beta(h2),
-        gamma_h1=gamma1,
-        epsilon_h1=gamma1_sq / (2.0 - 2.0 * h1),
-        script_b=script_b,
-        delta_paper=delta,
-        drift_norm=drift_norm,
-    )
+    return DerivedConstants(hurst=params.hurst, sigma=params.sigma)

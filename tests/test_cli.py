@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import mixedfbm as mf
+from mixedfbm import cli
 from mixedfbm.cli import _SETTINGS, _build_parser, main
 
 
@@ -343,7 +344,7 @@ _MALFORMED_FILES = {
         ("kernel", "--h1", "0.4", "--h2", "0.9"),
         ("constants", "--sigma", "inf"),
         ("solve", "--sigma", "inf"),
-        ("asymptotics", "--theta", "nan"),
+        ("mc", "--theta", "nan"),
         ("kernel", "--t", "1e308", "--s", "1e-308"),
         ("transform", "--path-file", "{tmp}/path-text-cell.csv"),
         ("simulate", "--seed", "-1"),
@@ -370,7 +371,7 @@ _MALFORMED_FILES = {
          "t-sequence-infinite", "kernel-at-origin", "kernel-s-negative",
          "kernel-t-nan", "kernel-s-above-t", "kernel-h1-below-half",
          "constants-sigma-infinite", "solve-sigma-infinite",
-         "asymptotics-theta-nan", "kernel-ratio-underflows",
+         "mc-theta-nan", "kernel-ratio-underflows",
          "transform-path-text-cell", "simulate-seed-negative",
          "mc-one-replicate",
          "config-not-json", "config-h1-string", "config-not-an-object",
@@ -446,28 +447,28 @@ def test_config_t_sequence_reads_the_flags_text(tmp_path, capsys,
     assert [d["T"] for d in report["per_T_detail"]] == [25.0]
 
 
-# what each subcommand's handler reads: its _SETTINGS keys, and its own
-# flags
-_MODEL = {"h1", "h2", "sigma", "theta", "t_horizon"}
-_EXPERIMENT = _MODEL | {"grid_n", "path_points", "replicates", "seed",
-                        "t_sequence", "out"}
+# the _SETTINGS keys whose values each subcommand's numbers read, and
+# its own flags
+_PAIR_SIGMA = {"h1", "h2", "sigma"}
 _ROWS = {
-    "constants": (_MODEL | {"out"}, set()),
+    "constants": (_PAIR_SIGMA | {"out"}, set()),
     "kernel": ({"h1", "h2", "t", "s", "out"}, set()),
-    "solve": (_MODEL | {"grid_n", "out"}, set()),
-    "closed-form": (_MODEL | {"points", "out"}, {"asymptotic_variance"}),
-    "simulate": (_MODEL | {"path_points", "seed", "out"}, {"process"}),
-    "transform": (_MODEL | {"out"}, {"path_file", "inverse"}),
-    "estimate": ({"h1", "h2", "sigma", "t_horizon", "grid_n", "out"},
+    "solve": (_PAIR_SIGMA | {"t_horizon", "grid_n", "out"}, set()),
+    "closed-form": ({"h1", "h2", "points", "out"}, {"asymptotic_variance"}),
+    "simulate": (_PAIR_SIGMA | {"theta", "t_horizon", "path_points", "seed",
+                                "out"}, {"process"}),
+    "transform": (_PAIR_SIGMA | {"out"}, {"path_file", "inverse"}),
+    "estimate": (_PAIR_SIGMA | {"t_horizon", "grid_n", "out"},
                  {"h_file", "path_file"}),
-    "mc": (_EXPERIMENT, set()),
-    "asymptotics": (_EXPERIMENT, set()),
+    "mc": (_PAIR_SIGMA | {"theta", "t_horizon", "grid_n", "path_points",
+                          "replicates", "seed", "t_sequence", "out"}, set()),
+    "asymptotics": (_PAIR_SIGMA | {"grid_n", "t_sequence", "out"}, set()),
 }
 
 
 def test_settings_table_and_parser_agree():
-    # each subcommand parses exactly the keys its handler reads, its own
-    # flags and --config: 82 (command, flag) slots; every key of the
+    # each subcommand parses exactly the keys its numbers read, its own
+    # flags and --config: 69 (command, flag) slots; every key of the
     # table is still some subcommand's, so a config file reads exactly
     # what the flags set
     parser = _build_parser()
@@ -481,7 +482,7 @@ def test_settings_table_and_parser_agree():
         keys, own = _ROWS[command]
         assert dests == keys | own | {"config"}, command
         slots += len(dests)
-    assert slots == 82
+    assert slots == 69
     assert set().union(*(keys for keys, _ in _ROWS.values())) \
         == set(_SETTINGS)
 
@@ -531,15 +532,29 @@ _IGNORED = [f"{command} {flag} {_VALID[flag]}"
     "simulate --grid-n 6 --replicates -1",
     "estimate --theta 5 --replicates -2",
 ]
+# flags whose values a subcommand's handler resolved only to echo them
+# or to range-check them, at a valid value
+_ECHOED = {
+    "constants": ("--theta", "--t-horizon"),
+    "solve": ("--theta",),
+    "closed-form": ("--sigma", "--theta", "--t-horizon"),
+    "transform": ("--theta", "--t-horizon"),
+    "asymptotics": ("--theta", "--t-horizon", "--replicates", "--seed",
+                    "--path-points"),
+}
+_ECHOED_LINES = [f"{command} {flag} {_VALID[flag]}"
+                 for command, flags in _ECHOED.items() for flag in flags]
 # no prefix of a flag reads as the flag: `--s` would be --sigma here and
 # --p --points, and `--rep` was read as --replicates
 _ABBREVIATED = ["constants --s 2", "closed-form --p 3", "mc --rep 5"]
 
 
-@pytest.mark.parametrize("line", _IGNORED + _ABBREVIATED)
+@pytest.mark.parametrize("line", _IGNORED + _ECHOED_LINES + _ABBREVIATED
+                         + ["solve --bogus 1"])
 def test_flag_a_command_does_not_read_is_a_usage_error(inputs, tmp_path,
                                                        monkeypatch, capsys,
                                                        line):
+    # reported with the subcommand's usage, which lists the flags it reads
     command, *rest = line.split()
     needed = _runnable(command, inputs)
     monkeypatch.chdir(tmp_path)
@@ -548,10 +563,24 @@ def test_flag_a_command_does_not_read_is_a_usage_error(inputs, tmp_path,
     assert exc.value.code == 2
     out = capsys.readouterr()
     assert out.out == ""
+    assert out.err.startswith(f"usage: mixedfbm {command} [-h]")
+    assert f"mixedfbm {command}: error: unrecognized arguments:" in out.err
     named = out.err.split("unrecognized arguments:", 1)[1].split()
     refused = [a for a in rest if a.startswith("--") and a not in needed]
     assert refused and set(refused) <= set(named)
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("line", _ECHOED_LINES)
+def test_config_still_sets_a_refused_flags_key(inputs, tmp_path, monkeypatch,
+                                               capsys, line):
+    command, flag, value = line.split()
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps(
+        {flag[2:].replace("-", "_"): json.loads(value)}))
+    code, _, stderr = run(capsys, command, *_runnable(command, inputs),
+                          "--config", "cfg.json")
+    assert code == 0, stderr
 
 
 # every key but t_sequence and out (whose defaults are per command), at
@@ -582,6 +611,68 @@ def test_config_of_every_default_changes_no_output(inputs, tmp_path,
     (code, _, _), _ = runs[()]
     assert code == 0
     assert runs[("--config", str(cfg))] == runs[()]
+
+
+# the slots that parse a value none of the command's numbers reads:
+# transform's numbers read h1 alone, but h2 bounds h1 (HurstPair) and the
+# benchmark's observed workload passes --h2 and --sigma
+_READ_AS_A_BOUND = {("transform", "h2"), ("transform", "sigma")}
+# each subcommand's flags for a small run, beyond those of _runnable, and
+# a second valid value of every key, unlike each small run's own
+_SMALL = {"solve": ("--grid-n", "64"), "closed-form": ("--points", "3",
+                                                        "--out", "h0"),
+          "simulate": ("--path-points", "128"),
+          "mc": ("--grid-n", "32", "--path-points", "128",
+                 "--replicates", "2"),
+          "asymptotics": ("--grid-n", "32", "--t-sequence", "1,2,4")}
+_SECOND = {"h1": "0.55", "h2": "0.95", "sigma": "1.5", "theta": "0.5",
+           "t_horizon": "0.5", "grid_n": "96", "path_points": "256",
+           "replicates": "3", "seed": "8", "t": "0.8", "s": "0.3",
+           "points": "5", "t_sequence": "1,2,3", "out": "other"}
+
+
+def _outcome(capsys, monkeypatch, where, argv):
+    """The exit code, stdout and files of a run in the new directory
+    where: each JSON file less the keys that only echo settings,
+    report.json's config and the solve sidecar's theta."""
+    where.mkdir()
+    monkeypatch.chdir(where)
+    code, stdout, _ = run(capsys, *argv)
+    files = {}
+    for f in sorted(f for f in where.rglob("*") if f.is_file()):
+        data = f.read_bytes()
+        if f.suffix == ".json":
+            data = {k: v for k, v in json.loads(data).items()
+                    if k not in ("config", "theta")}
+        files[str(f.relative_to(where))] = data
+    return code, stdout, files
+
+
+@pytest.fixture(scope="module")
+def small_runs():
+    """The outcome of each subcommand's small run, filled on first use."""
+    return {}
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, (_, _, keys, _) in cli._COMMANDS.items()
+    for key in keys])
+def test_every_parsed_key_changes_what_its_command_computes(
+        inputs, small_runs, tmp_path, monkeypatch, capsys, command, key):
+    # a command parses a key only if a number it computes reads it: a
+    # second valid value changes the exit code, stdout or an output file
+    argv = [command, *_runnable(command, inputs), *_SMALL.get(command, ())]
+    if command not in small_runs:
+        small_runs[command] = _outcome(capsys, monkeypatch,
+                                       tmp_path / "small", argv)
+    flag = "--" + key.replace("_", "-")
+    if flag in argv:
+        argv[argv.index(flag) + 1] = _SECOND[key]
+    else:
+        argv += [flag, _SECOND[key]]
+    changed = _outcome(capsys, monkeypatch, tmp_path / "second", argv)
+    assert (changed != small_runs[command]) \
+        == ((command, key) not in _READ_AS_A_BOUND), argv
 
 
 def _constants(tree):

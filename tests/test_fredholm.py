@@ -104,6 +104,16 @@ def test_grid_integrates_endpoint_singularity():
     assert abs(val - 1.0 / 0.6) * 0.6 <= 1e-4
 
 
+def test_grid_is_its_size():
+    # n is the grid's one field, its arrays are derived from it, so grids
+    # compare and hash by n
+    grid = fr.build_grid(64)
+    assert [f.name for f in dataclasses.fields(grid)] == ["n"]
+    assert grid == fr.build_grid(64) == fr.QuadratureGrid(64)
+    assert grid != fr.build_grid(68) and len({grid, fr.build_grid(64)}) == 1
+    assert type(fr.build_grid(np.int64(64)).n) is int
+
+
 # ------------------------------------------------------------ assembly
 
 def test_far_field_matches_plain_rule_and_is_symmetric(op64):
@@ -175,6 +185,39 @@ def test_assemble_validation(ctx):
     bad = derive_constants(ModelParams(hurst=HurstPair(0.6, 0.7)))
     with pytest.raises(DomainError):
         fr.assemble(KernelContext(constants=bad), grid)
+
+
+def test_assemble_refuses_non_finite_entries(ctx, monkeypatch):
+    real_tables = fr.get_tables
+
+    class NaNTables:
+        """The model's tables, with kernels that read NaN."""
+
+        def __init__(self, h1, h2):
+            self.tables = real_tables(h1, h2)
+
+        def __getattr__(self, name):
+            return getattr(self.tables, name)
+
+        def k1(self, s, u):
+            return np.full(np.broadcast(s, u).shape, np.nan)
+
+        def c(self, x):
+            return np.full(np.shape(x), np.nan)
+
+    monkeypatch.setattr(fr, "get_tables", NaNTables)
+    with pytest.raises(AccuracyError, match="non-finite entries"):
+        fr.assemble(ctx, fr.build_grid(32))
+
+
+def test_operator_and_solution_compare_without_raising(op64, sol64, sol128):
+    # an operator is equal only to itself; a solution compares as its
+    # record does, and neither compares arrays
+    assert op64 in [op64] and {op64} == {op64}
+    assert op64 != dataclasses.replace(op64)
+    assert sol64 in [sol64] and sol64 != sol128
+    assert len({sol64, sol128, sol64}) == 2
+    assert sol64 == dataclasses.replace(sol64, residual_sup=0.0)
 
 
 # --------------------------------------------------------------- solve

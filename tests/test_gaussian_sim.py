@@ -76,6 +76,19 @@ def test_sample_path_columns():
         gs.SamplePath(times=t, values=cols, label="Y")
 
 
+def test_paths_and_models_compare_by_identity(cons):
+    # == reads no arrays, which have no one truth value
+    t = graded(8)
+    p1 = gs.SamplePath(times=t, values=np.zeros(9), label="Y")
+    p2 = gs.SamplePath(times=t, values=np.zeros(9), label="Y")
+    assert p1 in [p1] and p1 != p2 and len({p1, p2, p1}) == 2
+    drawn = gs.simulate_Y(t, 7, 0.0, cons)
+    assert drawn in [drawn] and drawn != p1
+    model = gs.covariance_model(t, cons, "Y")
+    assert {model} == {model}
+    assert model != gs.covariance_model(t, cons, "Y", theta=0.5)
+
+
 def test_covariance_model_invariants(cons):
     t = np.linspace(0.1, 1.0, 10)
     gs._factor_cached.cache_clear()
@@ -548,6 +561,16 @@ def test_simulate_Z_matches_covariance(cons):
     ref = cons.sigma**2 * oracles.fbm_matrix(H1, t) + oracles.fbm_matrix(H2, t)
     assert abs(emp[-1, -1] / ref[-1, -1] - 1.0) < 0.03
     assert np.max(np.abs(emp / ref - 1.0)) < 0.05
+
+
+@pytest.mark.parametrize("times, message", [
+    ([-1.0, 0.5, 1.0], "time grid starts at -1.0, before 0"),
+    ([0.0], "need at least one strictly positive time"),
+], ids=["negative-start", "origin-only"])
+def test_simulate_Z_refuses_a_grid_without_positive_times(cons, times,
+                                                          message):
+    with pytest.raises(DomainError, match=message):
+        gs.simulate_Z(times, 7, 0.5, cons)
 
 
 def test_simulate_Z_draws_from_the_cached_Z_factor(cons):

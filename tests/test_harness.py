@@ -251,6 +251,27 @@ def test_asymptotics_guards(monkeypatch):
             run_asymptotics(cfg)
 
 
+def test_mc_aborts_on_a_failed_horizon(monkeypatch):
+    # where run_asymptotics records a failed horizon and goes on, run_mc
+    # stops at the first one
+    real_solve = hz.solve_second_kind
+    solved = []
+
+    def failing(op, T, constants, **kw):
+        if T > 2.0:
+            raise AccuracyError(f"forced failure at T={T}")
+        solved.append(T)
+        return real_solve(op, T, constants, **kw)
+
+    monkeypatch.setattr(hz, "solve_second_kind", failing)
+    cfg = ExperimentConfig(params=ModelParams(hurst=HurstPair(0.6, 0.9)),
+                           grid_n=64, replicates=2,
+                           t_sequence=(1.0, 5.0, 25.0))
+    with pytest.raises(AccuracyError, match="forced failure at T=5"):
+        run_mc(cfg)
+    assert solved == [1.0]
+
+
 def test_runners_refuse_the_gap_before_any_solve(monkeypatch):
     # h2 - h1 <= 1/4: assemble refuses the pair, so neither runner solves
     calls = []

@@ -156,6 +156,21 @@ class TestDerivedConstants:
         for T in (0.3, 1.0, 125.0):
             assert back.lambda_of_T(T) == cons.lambda_of_T(T)
 
+    def test_only_hurst_and_sigma_are_fields(self):
+        # the nine constants are derived on construction: constants of one
+        # model compare and hash alike, and a replaced sigma derives them
+        # again
+        cons = constants_for(0.6, 0.9, sigma=1.5)
+        assert [f.name for f in dataclasses.fields(cons)] == ["hurst", "sigma"]
+        again = dataclasses.replace(constants_for(0.6, 0.9), sigma=1.5)
+        assert again == cons and hash(again) == hash(cons)
+        assert again.as_dict() == cons.as_dict()
+        with pytest.raises(DomainError, match="sigma > 0"):
+            dataclasses.replace(cons, sigma=0.0)
+        assert sorted(cons.as_dict()) == sorted([
+            "h1", "h2", "sigma", "alpha_h1", "alpha_h2", "beta_h1", "beta_h2",
+            "gamma_h1", "epsilon_h1", "script_b", "delta_paper", "drift_norm"])
+
     def test_as_dict_serializable(self):
         cons = constants_for(0.6, 0.9)
         d = cons.as_dict()

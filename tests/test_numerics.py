@@ -130,6 +130,16 @@ class TestSolveDense:
             solve_dense(np.ones((3, 4)), np.ones(3))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: gamma_fn(0.0), lambda: gamma_fn(np.array([1.5, -2.0])),
+    lambda: beta_fn(0.0, 1.0), lambda: beta_fn(1.0, -0.5),
+], ids=["gamma-zero", "gamma-negative-entry", "beta-a-zero",
+        "beta-b-negative"])
+def test_special_functions_refuse_nonpositive_arguments(call):
+    with pytest.raises(DomainError, match="requires positive arguments"):
+        call()
+
+
 @pytest.mark.parametrize("a, b", [(100.0, 3.0), (150.0, 0.5), (400.0, 400.0)])
 def test_beta_fn_at_large_arguments_matches_mpmath(a, b):
     # scipy's beta keeps its accuracy where log-gamma sums lose digits
